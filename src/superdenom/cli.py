@@ -46,7 +46,6 @@ class RunConfig:
     variant: Optional[str] = None
     output: str = "text"
     group_cap: int = 10 ** 6
-    workers: Optional[int] = None
 
     def stype(self) -> SuperType:
         if self.family in ("C", "Q"):
@@ -87,7 +86,7 @@ def _pair_variants(rs: RootSystem, variant: Optional[str]) -> list:
     out = [("step2", simple.standard_pair(rs, "step2"))]
     if rs.family in ("B_EPS", "B_DELTA", "D_EPS", "D_DELTA"):
         out.append(("step3", simple.standard_pair(rs, "step3")))
-    if rs.family == "D_EPS":
+    if rs.family == "D_EPS" and rs.n >= 1:
         out.append(("step3_prime", simple.standard_pair(rs, "step3_prime")))
         out.append(("second_class", simple.second_class_pair(rs)))
     return out
@@ -96,6 +95,8 @@ def _pair_variants(rs: RootSystem, variant: Optional[str]) -> list:
 def run(config: RunConfig) -> tuple:
     """Execute one command.  Returns (exit_code, payload, text_lines)."""
     command = config.command
+    if config.height < 0:
+        raise ValidationError("height must be >= 0, got %d" % config.height)
     payload = {"schema": SCHEMA, "command": command}
     lines = []
 
@@ -150,8 +151,7 @@ def run(config: RunConfig) -> tuple:
         reports = []
         ok = True
         for name, pair in _pair_variants(rs, config.variant):
-            report = identity.verify(pair, H=config.height,
-                                     workers=config.workers)
+            report = identity.verify(pair, H=config.height)
             entry = report.to_json()
             entry["variant"] = name
             reports.append(entry)
@@ -201,7 +201,6 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--height", type=int, default=8)
     p.add_argument("--variant", choices=list(_VARIANTS))
-    p.add_argument("--workers", type=int)
     p = sub.add_parser("qn", help="check the q(n) alternating-sum identity")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--height", type=int, default=8)
@@ -223,7 +222,6 @@ def _config_from_args(args) -> RunConfig:
         variant=getattr(args, "variant", None),
         output=args.output,
         group_cap=getattr(args, "cap", 10 ** 6),
-        workers=getattr(args, "workers", None),
     )
 
 

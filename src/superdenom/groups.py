@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError, StructuralError
-from .roots import (RootSystem, complement_simple_roots, is_isotropic,
-                    sharp_simple_roots)
+from .roots import RootSystem, simple_roots
 from .weights import Weight, bilinear_form, in_positive_cone
 
 DEFAULT_CAP = 10 ** 6
@@ -173,8 +172,7 @@ def enumerate_group(generators: Sequence[SignedPermutation], dims: tuple,
 
 def weyl_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupDescriptor:
     """Full even Weyl group W, generated by even simple reflections."""
-    from .roots import even_simple_roots
-    simples = even_simple_roots(rs)
+    simples = simple_roots(rs.positive_even)
     return GroupDescriptor("W", (rs.m, rs.n),
                            tuple(reflection(a) for a in simples),
                            reflection_roots=simples, cap=cap)
@@ -182,7 +180,7 @@ def weyl_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupDescriptor:
 
 def sharp_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupDescriptor:
     """W#: reflections in the positive-square even roots."""
-    simples = sharp_simple_roots(rs)
+    simples = simple_roots(rs.sharp & rs.positive_even)
     return GroupDescriptor("W#", (rs.m, rs.n),
                            tuple(reflection(a) for a in simples),
                            reflection_roots=simples, cap=cap)
@@ -190,7 +188,7 @@ def sharp_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupDescriptor:
 
 def complement_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupDescriptor:
     """W_2: reflections in the even roots outside Delta#."""
-    simples = complement_simple_roots(rs)
+    simples = simple_roots(rs.positive_even - rs.sharp)
     return GroupDescriptor("W_2", (rs.m, rs.n),
                            tuple(reflection(a) for a in simples),
                            reflection_roots=simples, cap=cap)

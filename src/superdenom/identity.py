@@ -22,16 +22,14 @@ from typing import Iterable, Optional, Sequence
 from .errors import DomainError, StructuralError
 from .groups import (GroupDescriptor, SignedPermutation,
                      check_stabilizer_dichotomy, dominant_representative,
-                     enumerate_group, external_delta_flips, orbit,
-                     orbit_intersects_shifted_cone, reflection, sharp_group,
-                     weyl_group)
+                     enumerate_group, orbit, orbit_intersects_shifted_cone,
+                     reflection, sharp_group, weyl_group)
 from .lp import OPTIMAL, maximize
-from .roots import (RootSystem, SuperType, build, even_simple_roots,
-                    is_isotropic)
-from .series import (FormalSeries, GeometricTerm, act, canonical_terms,
-                     expand_terms)
-from .simple import (AdmissiblePair, SimpleSystem, even_frame, make_pair,
-                     second_class_pair, second_type_move, standard_pair)
+from .roots import RootSystem, SuperType, build, simple_roots
+from .series import (FormalSeries, GeometricTerm, _accumulate, _times_binomial,
+                     act, canonical_terms, expand_terms)
+from .simple import (AdmissiblePair, SimpleSystem, even_frame,
+                     second_type_move, standard_pair)
 from .weights import Weight, bilinear_form, solve_in_span
 
 
@@ -106,17 +104,15 @@ def lhs(pair: AdmissiblePair, H: int) -> FormalSeries:
     frame = pair.system
     odd_pos = sorted(frame.pos_odd, key=_coords)
     series = expand_terms(
-        [GeometricTerm.make(1, frame.rho, odd_pos)], frame, H, workers=1)
+        [GeometricTerm.make(1, frame.rho, odd_pos)], frame, H)
     for a in sorted(pair.rs.positive_even, key=_coords):
         series = series.mul_binomial(-1, a)
     return series
 
 
-def rhs_closed(pair: AdmissiblePair, H: int,
-               workers: Optional[int] = None) -> FormalSeries:
+def rhs_closed(pair: AdmissiblePair, H: int) -> FormalSeries:
     """X as the alternating W#-sum of geometric terms, expanded to H."""
-    return expand_terms(closed_form_terms(pair), pair.system, H,
-                        workers=workers)
+    return expand_terms(closed_form_terms(pair), pair.system, H)
 
 
 def rhs_expanded(pair: AdmissiblePair, H: int) -> FormalSeries:
@@ -182,8 +178,8 @@ class VerificationReport:
         }
 
 
-def verify(pair: AdmissiblePair, H: int = 8, workers: Optional[int] = None,
-           expanded: bool = True, skew: bool = True) -> VerificationReport:
+def verify(pair: AdmissiblePair, H: int = 8, expanded: bool = True,
+           skew: bool = True) -> VerificationReport:
     """Compare both sides to height H; cross-check the expansion and skewness.
 
     Inequality is reported, never raised; the first discrepancy names the
@@ -194,7 +190,7 @@ def verify(pair: AdmissiblePair, H: int = 8, workers: Optional[int] = None,
     left = lhs(pair, H)
     timings["lhs"] = _us(t)
     t = time.perf_counter()
-    right = rhs_closed(pair, H, workers=workers)
+    right = rhs_closed(pair, H)
     timings["rhs_closed"] = _us(t)
     t = time.perf_counter()
     first = left.eq_report(right)
@@ -210,8 +206,7 @@ def verify(pair: AdmissiblePair, H: int = 8, workers: Optional[int] = None,
         timings["rhs_expanded"] = _us(t)
     if skew:
         t = time.perf_counter()
-        ok, witness = skew_invariance_check(pair, H, series=right,
-                                            workers=workers)
+        ok, witness = skew_invariance_check(pair, H, series=right)
         checks["skew_invariance"] = ok
         if first is None and witness is not None:
             first = witness
@@ -224,16 +219,14 @@ def verify(pair: AdmissiblePair, H: int = 8, workers: Optional[int] = None,
 
 
 def skew_invariance_check(pair: AdmissiblePair, H: int,
-                          series: Optional[FormalSeries] = None,
-                          workers: Optional[int] = None) -> tuple:
+                          series: Optional[FormalSeries] = None) -> tuple:
     """w X = sgn(w) X for every generating reflection of the full W."""
     frame = pair.system
-    X = rhs_closed(pair, H, workers=workers) if series is None else series
+    X = rhs_closed(pair, H) if series is None else series
     terms = closed_form_terms(pair)
     group = _full(pair.rs)
     for g, root in zip(group.generators, group.reflection_roots):
-        acted = expand_terms([act(g, t) for t in terms], frame, H,
-                             workers=workers)
+        acted = expand_terms([act(g, t) for t in terms], frame, H)
         diff = acted.eq_report(X.scale(g.sgn()))
         if diff is not None:
             diff = dict(diff, generator=str(root))
@@ -241,11 +234,11 @@ def skew_invariance_check(pair: AdmissiblePair, H: int,
     return True, None
 
 
-def acted_series(pair: AdmissiblePair, g: SignedPermutation, H: int,
-                 workers: Optional[int] = None) -> FormalSeries:
+def acted_series(pair: AdmissiblePair, g: SignedPermutation,
+                 H: int) -> FormalSeries:
     """The series of g(X), expanded in the pair's own frame."""
     return expand_terms([act(g, t) for t in closed_form_terms(pair)],
-                        pair.system, H, workers=workers)
+                        pair.system, H)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +291,7 @@ def cross_multiplied_check(pair: AdmissiblePair) -> tuple:
         base = frame.cone_key(rho - (w.apply(rho) + pd.phi))
         part = _poly(base, w.sgn(),
                      [a for a in odd_pos if a not in dropped], frame, +1)
-        for k, v in part.items():
-            nv = left.get(k, 0) + v
-            if nv:
-                left[k] = nv
-            else:
-                left.pop(k, None)
+        _accumulate(left, part.items())
     return left == right, left, right
 
 
@@ -311,16 +299,7 @@ def _poly(base_key: tuple, coeff, roots: Sequence[Weight],
           frame: SimpleSystem, sign: int) -> dict:
     out = {base_key: coeff}
     for r in roots:
-        step = frame.cone_int(r)
-        nxt = dict(out)
-        for k, v in out.items():
-            k2 = tuple(a + b for a, b in zip(k, step))
-            nv = nxt.get(k2, 0) + sign * v
-            if nv:
-                nxt[k2] = nv
-            else:
-                nxt.pop(k2, None)
-        out = nxt
+        out = _times_binomial(out, frame.cone_int(r), sign)
     return out
 
 
@@ -328,16 +307,15 @@ def _poly(base_key: tuple, coeff, roots: Sequence[Weight],
 # q(n)
 
 def exchange_preserves_sum(pair: AdmissiblePair, gamma: Weight,
-                           gamma_prime: Weight, H: int = 8,
-                           workers: Optional[int] = None) -> bool:
+                           gamma_prime: Weight, H: int = 8) -> bool:
     """X is unchanged when gamma in S is traded for gamma_prime.
 
     Both pairs share Pi, hence the same expansion frame, so the truncated
     alternating sums compare key by key.
     """
     moved = second_type_move(pair, gamma, gamma_prime)
-    here = rhs_closed(pair, H, workers)
-    there = rhs_closed(moved, H, workers)
+    here = rhs_closed(pair, H)
+    there = rhs_closed(moved, H)
     return here.eq_report(there) is None
 
 
@@ -405,7 +383,7 @@ def qn_identity(n_or_rs, S: Optional[Sequence[Weight]] = None,
     timings["a_value"] = _us(t)
     t = time.perf_counter()
     left = expand_terms([GeometricTerm.make(1, zero, pos)], frame, H,
-                        offset=zero, workers=1)
+                        offset=zero)
     for alpha in pos:
         left = left.mul_binomial(-1, alpha)
     left = left.scale(a)
@@ -453,7 +431,7 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10,
     frame = pair.system
     group = _full(rs)
     rho0 = frame.rho0
-    evens = even_simple_roots(rs)
+    evens = simple_roots(rs.positive_even)
     reps = set()
     seen = set()
     for key in _keys_up_to(len(frame.simple_roots), H):
@@ -622,13 +600,13 @@ def even_rho_normalized(rs: RootSystem) -> bool:
     """<rho_0, alpha^> = 1 on every even simple root."""
     rho0 = even_frame(rs).rho
     return all(2 * bilinear_form(rho0, a) == bilinear_form(a, a)
-               for a in even_simple_roots(rs))
+               for a in simple_roots(rs.positive_even))
 
 
 def coefficient_box(rs: RootSystem, radius: int = 1, scale=1,
                     offset: Optional[Weight] = None) -> list:
     """Integral-pairing sample weights inside the even root span."""
-    simples = even_simple_roots(rs)
+    simples = simple_roots(rs.positive_even)
     base = _zero(rs) if offset is None else offset
     out = []
     for combo in product(range(-radius, radius + 1), repeat=len(simples)):
@@ -644,7 +622,7 @@ def classical_dominant_check(rs: RootSystem,
                              samples: Optional[Iterable[Weight]] = None) -> bool:
     """Every orbit meets the dominant cone; regular orbits exactly once."""
     group = _full(rs)
-    simples = even_simple_roots(rs)
+    simples = simple_roots(rs.positive_even)
     for lam in coefficient_box(rs) if samples is None else samples:
         orb = orbit(lam, group)
         doms = [mu for mu in orb
@@ -672,7 +650,7 @@ def classical_regular_cone_check(rs: RootSystem,
                                  ) -> bool:
     """Regular integral orbits meet rho_0 + (rational cone on simples)."""
     group = _full(rs)
-    simples = even_simple_roots(rs)
+    simples = simple_roots(rs.positive_even)
     rho0 = even_frame(rs).rho
     if samples is None:
         samples = coefficient_box(rs) + coefficient_box(rs, offset=rho0)

@@ -8,7 +8,7 @@ termination (Bland never cycles) matters more than pivot heuristics.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Optional, Sequence
+from typing import Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"

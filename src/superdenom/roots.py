@@ -14,10 +14,9 @@ depend on the choice of simple system and live in `simple.SimpleSystem`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Iterable, Optional
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .weights import Weight, bilinear_form
 
 FAMILIES = ("GL", "B", "D", "C", "Q")
@@ -34,7 +33,11 @@ Q_TAG = "Q"
 
 @dataclass(frozen=True)
 class SuperType:
-    """User-facing family label.  For C and Q only n is meaningful."""
+    """User-facing family label.  For C and Q only n is meaningful.
+
+    C(n) is osp(2|2n): its even part sp(2n) sits on n eps coordinates, so
+    this C(n) is Kac's C(n+1), not osp(2|2n-2).
+    """
 
     family: str
     m: int = 1
@@ -223,36 +226,13 @@ def _positive_square(pos_even: Iterable[Weight]) -> frozenset:
     return frozenset(out)
 
 
-def even_simple_roots(rs: RootSystem) -> tuple:
-    """Simple roots of the fixed positive even system.
+def simple_roots(positive: Iterable[Weight]) -> tuple:
+    """Simple roots of a positive system, in coordinate order.
 
     A positive root is simple iff it is not a sum of two positive roots.
     """
-    pos = rs.positive_even
+    pos_list = sorted(positive, key=_root_key)
     sums = set()
-    pos_list = sorted(pos, key=_root_key)
-    for i, a in enumerate(pos_list):
-        for b in pos_list[i:]:
-            sums.add(a + b)
-    return tuple(a for a in pos_list if a not in sums)
-
-
-def sharp_simple_roots(rs: RootSystem) -> tuple:
-    """Simple roots of the positive part of Delta#."""
-    pos = rs.sharp & rs.positive_even
-    sums = set()
-    pos_list = sorted(pos, key=_root_key)
-    for i, a in enumerate(pos_list):
-        for b in pos_list[i:]:
-            sums.add(a + b)
-    return tuple(a for a in pos_list if a not in sums)
-
-
-def complement_simple_roots(rs: RootSystem) -> tuple:
-    """Simple roots of the positive even roots outside Delta#."""
-    pos = rs.positive_even - rs.sharp
-    sums = set()
-    pos_list = sorted(pos, key=_root_key)
     for i, a in enumerate(pos_list):
         for b in pos_list[i:]:
             sums.add(a + b)

@@ -18,9 +18,9 @@ denotes, so terms are always normalized before expansion.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import StructuralError
@@ -116,14 +116,8 @@ class FormalSeries:
 
     def add(self, other: "FormalSeries") -> "FormalSeries":
         self._compatible(other)
-        data = dict(self.data)
-        for k, v in other.data.items():
-            nv = data.get(k, 0) + v
-            if nv:
-                data[k] = nv
-            else:
-                data.pop(k, None)
-        return FormalSeries(self.frame, self.H, self.offset, data)
+        return FormalSeries(self.frame, self.H, self.offset,
+                            _accumulate(dict(self.data), other.data.items()))
 
     def scale(self, c) -> "FormalSeries":
         if c == 0:
@@ -134,17 +128,8 @@ class FormalSeries:
     def mul_binomial(self, sign: int, root: Weight) -> "FormalSeries":
         """Multiply by (1 + sign * e^{-root}) for a positive root."""
         step = self.frame.cone_int(root)
-        data = dict(self.data)
-        for k, v in self.data.items():
-            k2 = tuple(a + b for a, b in zip(k, step))
-            if _ht(k2) > self.H:
-                continue
-            nv = data.get(k2, 0) + sign * v
-            if nv:
-                data[k2] = nv
-            else:
-                data.pop(k2, None)
-        return FormalSeries(self.frame, self.H, self.offset, data)
+        return FormalSeries(self.frame, self.H, self.offset,
+                            _times_binomial(self.data, step, sign, self.H))
 
     def mul_geometric(self, root: Weight) -> "FormalSeries":
         """Multiply by 1/(1 + e^{-root}) for a positive root of the frame."""
@@ -211,6 +196,29 @@ def _ht(key: tuple):
     return sum(key)
 
 
+def _accumulate(acc: dict, items) -> dict:
+    """Add the (key, value) pairs into acc, dropping keys that reach zero.
+
+    Private on purpose: the benchmark tracer wraps every public function,
+    and this runs once per term.
+    """
+    for k, v in items:
+        nv = acc.get(k, 0) + v
+        if nv:
+            acc[k] = nv
+        else:
+            acc.pop(k, None)
+    return acc
+
+
+def _times_binomial(data: dict, step: tuple, sign: int, H=None) -> dict:
+    """key->coeff data times (1 + sign * e^{-step}); keys past height H drop."""
+    shifted = ((tuple(map(add, k, step)), sign * v) for k, v in data.items())
+    if H is not None:
+        shifted = ((k, v) for k, v in shifted if _ht(k) <= H)
+    return _accumulate(dict(data), shifted)
+
+
 def _key_weight(frame: SimpleSystem, key: tuple) -> Weight:
     out = Weight.zero(frame.m, frame.n)
     for c, b in zip(key, frame.simple_roots):
@@ -257,49 +265,11 @@ def expand_term(term: GeometricTerm, frame: SimpleSystem, H,
     return FormalSeries(frame, H, offset, data)
 
 
-def _expand_chunk(args) -> dict:
-    terms, frame, H, offset = args
+def expand_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem, H,
+                 offset: Optional[Weight] = None) -> FormalSeries:
+    """Sum of the expansions of the terms."""
+    offset = frame.rho if offset is None else offset
     acc = {}
     for t in terms:
-        for k, v in expand_term(t, frame, H, offset).data.items():
-            nv = acc.get(k, 0) + v
-            if nv:
-                acc[k] = nv
-            else:
-                acc.pop(k, None)
-    return acc
-
-
-def worker_count() -> int:
-    """Worker processes to use, from SUPERDENOM_WORKERS (default 1)."""
-    raw = os.environ.get("SUPERDENOM_WORKERS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    return max(k, 1)
-
-
-def expand_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem, H,
-                 offset: Optional[Weight] = None,
-                 workers: Optional[int] = None) -> FormalSeries:
-    """Sum of the expansions of the terms, optionally across processes."""
-    offset = frame.rho if offset is None else offset
-    workers = worker_count() if workers is None else max(workers, 1)
-    terms = list(terms)
-    if workers == 1 or len(terms) < 2 * workers:
-        return FormalSeries(frame, H, offset,
-                            _expand_chunk((terms, frame, H, offset)))
-    import multiprocessing
-    chunks = [(terms[i::workers], frame, H, offset) for i in range(workers)]
-    with multiprocessing.Pool(workers) as pool:
-        parts = pool.map(_expand_chunk, chunks)
-    acc = {}
-    for part in parts:
-        for k, v in part.items():
-            nv = acc.get(k, 0) + v
-            if nv:
-                acc[k] = nv
-            else:
-                acc.pop(k, None)
+        _accumulate(acc, expand_term(t, frame, H, offset).data.items())
     return FormalSeries(frame, H, offset, acc)

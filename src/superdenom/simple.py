@@ -17,59 +17,9 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError, StructuralError, ValidationError
 from .roots import RootSystem, is_isotropic
-from .weights import (ConeCoords, Weight, bilinear_form, rank_of, solve_in_span)
+from .weights import ConeCoords, Elimination, Weight, bilinear_form
 
 PAIR_CAP = 10 ** 6
-
-
-class _LatticeSolver:
-    """Precomputed elimination for repeated solves against a fixed basis."""
-
-    def __init__(self, basis: Sequence[Weight]):
-        self.basis = tuple(basis)
-        dim = len(basis[0].coords()) if basis else 0
-        cols = len(basis)
-        aug = [[basis[j].coords()[i] for j in range(cols)] +
-               [Q(1) if k == i else Q(0) for k in range(dim)]
-               for i in range(dim)]
-        pivots = []
-        r = 0
-        for c in range(cols):
-            row = next((i for i in range(r, dim) if aug[i][c] != 0), None)
-            if row is None:
-                continue
-            aug[r], aug[row] = aug[row], aug[r]
-            inv = Q(1) / aug[r][c]
-            aug[r] = [v * inv for v in aug[r]]
-            for i in range(dim):
-                if i != r and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-            pivots.append(c)
-            r += 1
-        self.dim, self.cols, self.rank = dim, cols, r
-        self.pivots = pivots
-        self.transform = [row[cols:] for row in aug]
-
-    def solve(self, target: Weight) -> Optional[list]:
-        t = target.coords()
-        if not self.basis:
-            return [] if all(v == 0 for v in t) else None
-        out = [Q(0)] * self.cols
-        for row in range(self.rank):
-            acc = Q(0)
-            for k, tv in enumerate(t):
-                if tv and self.transform[row][k]:
-                    acc += self.transform[row][k] * tv
-            out[self.pivots[row]] = acc
-        for row in range(self.rank, self.dim):
-            acc = Q(0)
-            for k, tv in enumerate(t):
-                if tv and self.transform[row][k]:
-                    acc += self.transform[row][k] * tv
-            if acc != 0:
-                return None
-        return out
 
 
 class SimpleSystem:
@@ -81,11 +31,10 @@ class SimpleSystem:
         self.pos_even = frozenset(positive_even)
         self.pos_odd = frozenset(positive_odd)
         self.positive_roots = self.pos_even | self.pos_odd
-        half = Q(1, 2)
         self.rho0 = _half_sum(self.pos_even, rs)
         self.rho1 = _half_sum(self.pos_odd, rs)
         self.rho = self.rho0 - self.rho1
-        self._solver = _LatticeSolver(self.simple_roots)
+        self._solver = Elimination([a.coords() for a in self.simple_roots])
         self._int_cache = {}
 
     @property
@@ -121,7 +70,7 @@ class SimpleSystem:
         cached = self._int_cache.get(w)
         if cached is not None:
             return cached
-        sol = self._solver.solve(w)
+        sol = self._solver.solve(w.coords())
         if sol is None:
             raise StructuralError("%s is outside the simple-root span" % w)
         out = tuple(int(c) if c.denominator == 1 else c for c in sol)
@@ -136,12 +85,7 @@ class SimpleSystem:
         return out
 
     def cone(self, w: Weight, ring: str = "integer") -> Optional[ConeCoords]:
-        sol = self._solver.solve(w)
-        if sol is None or any(c < 0 for c in sol):
-            return None
-        if ring == "integer" and any(c.denominator != 1 for c in sol):
-            return None
-        return ConeCoords(tuple(sol))
+        return self._solver.cone(w.coords(), ring)
 
     def height_int(self, w: Weight) -> int:
         return sum(self.cone_int(w))
@@ -178,16 +122,9 @@ def derive(pi: Sequence[Weight], rs: RootSystem, universe: str = "super"
     for a in pi:
         if a not in even_universe and a not in odd_universe:
             raise ValidationError("%s is not a root of the system" % a)
-    if rank_of(pi) != len(pi):
+    solver = Elimination([a.coords() for a in pi])
+    if solver.rank != len(pi):
         raise ValidationError("simple roots are linearly dependent")
-    solver = _LatticeSolver(pi)
-
-    def _nonneg_int(w):
-        sol = solver.solve(w)
-        if sol is None:
-            return False
-        return all(c >= 0 and c.denominator == 1 for c in sol)
-
     pos_even, pos_odd = set(), set()
     for universe_set, bucket in ((even_universe, pos_even), (odd_universe, pos_odd)):
         seen = set()
@@ -196,7 +133,8 @@ def derive(pi: Sequence[Weight], rs: RootSystem, universe: str = "super"
                 continue
             seen.add(a)
             seen.add(-a)
-            plus, minus = _nonneg_int(a), _nonneg_int(-a)
+            plus = solver.cone(a.coords()) is not None
+            minus = solver.cone((-a).coords()) is not None
             if plus == minus:
                 raise ValidationError(
                     "not a simple system: %s and its negative are %s the cone"
@@ -389,7 +327,8 @@ def standard_pair(rs: RootSystem, variant: str = "step3") -> AdmissiblePair:
         S = [e(i) - d(i) for i in range(1, n + 1)]
         pi = _zigzag(rs, n)
         if m > n:
-            pi.append(d(n) - e(n + 1))
+            if n >= 1:
+                pi.append(d(n) - e(n + 1))
             pi += [e(j) - e(j + 1) for j in range(n + 1, m)]
         return make_pair(S, derive(pi, rs))
 
@@ -612,9 +551,9 @@ def functional_for(sys: SimpleSystem) -> Functional:
     rs = sys.rs
     if rs.family not in ("GL", "B_EPS", "B_DELTA", "D_EPS", "D_DELTA"):
         raise DomainError("functionals are defined for gl/B/D only")
-    dim = rs.m + rs.n
-    rows = [list(a.coords()) + [Q(1)] for a in sys.simple_roots]
-    sol = _solve_affine(rows, dim)
+    columns = [tuple(a.coords()[i] for a in sys.simple_roots)
+               for i in range(rs.m + rs.n)]
+    sol = Elimination(columns).solve((Q(1),) * len(sys.simple_roots))
     if sol is None:
         raise ValidationError("no functional solves <f, Pi> = 1")
     if rs.family == "GL":
@@ -634,34 +573,7 @@ def functional_for(sys: SimpleSystem) -> Functional:
     return f
 
 
-def _solve_affine(rows, dim) -> Optional[list]:
-    """Solve the system rows * x = rhs.  Free coordinates are pinned to 0."""
-    mat = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(dim):
-        row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if row is None:
-            continue
-        mat[r], mat[row] = mat[row], mat[r]
-        inv = Q(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                fct = mat[i][c]
-                mat[i] = [a - fct * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(mat)):
-        if mat[i][dim] != 0:
-            return None
-    sol = [Q(0)] * dim
-    for row, c in enumerate(pivots):
-        sol[c] = mat[row][dim]
-    return sol
-
-
 def even_frame(rs: RootSystem) -> SimpleSystem:
     """The even root system as its own frame (odd part ignored)."""
-    from .roots import even_simple_roots
-    return derive(even_simple_roots(rs), rs, universe="even")
+    from .roots import simple_roots
+    return derive(simple_roots(rs.positive_even), rs, universe="even")

@@ -127,75 +127,72 @@ def bilinear_form(x: Weight, y: Weight):
     return acc
 
 
-def solve_in_span(vectors: Sequence[Weight], target: Weight) -> Optional[list]:
-    """Exact coordinates of target in span(vectors), or None if outside.
+class Elimination:
+    """Gauss-Jordan elimination of a fixed list of columns, over Fraction.
 
-    Plain Gaussian elimination over Fraction.  Free variables are pinned to
-    zero, so the answer is unique whenever the vectors are independent.
+    Columns are equal-length coordinate tuples.  Pivots are taken in column
+    order and free variables are pinned to zero, so the answer is unique
+    whenever the columns are independent.  The row operations are kept as a
+    transform, so each solve is one matrix-vector product.
     """
-    if not vectors:
-        return [] if target.is_zero() else None
-    rows = len(vectors[0].coords())
-    cols = len(vectors)
-    mat = [[vectors[j].coords()[i] for j in range(cols)] + [target.coords()[i]]
-           for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if mat[i][cols] != 0:
+
+    def __init__(self, columns: Sequence[tuple]):
+        self.ncols = len(columns)
+        dim = len(columns[0]) if columns else 0
+        aug = [[col[i] for col in columns] +
+               [ONE if k == i else ZERO for k in range(dim)]
+               for i in range(dim)]
+        pivots = []
+        r = 0
+        for c in range(self.ncols):
+            row = next((i for i in range(r, dim) if aug[i][c] != 0), None)
+            if row is None:
+                continue
+            aug[r], aug[row] = aug[row], aug[r]
+            inv = ONE / aug[r][c]
+            aug[r] = [v * inv for v in aug[r]]
+            for i in range(dim):
+                if i != r and aug[i][c] != 0:
+                    f = aug[i][c]
+                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+            pivots.append(c)
+            r += 1
+        self.rank = r
+        self.pivots = tuple(pivots)
+        self.transform = [row[self.ncols:] for row in aug]
+
+    def solve(self, target: Sequence) -> Optional[list]:
+        """x with sum_j x_j * columns[j] = target, or None if outside the span."""
+        if not self.ncols:
+            return [] if not any(target) else None
+        out = [ZERO] * self.ncols
+        for row, coeffs in enumerate(self.transform):
+            acc = ZERO
+            for cv, tv in zip(coeffs, target):
+                if tv and cv:
+                    acc += cv * tv
+            if row < self.rank:
+                out[self.pivots[row]] = acc
+            elif acc != 0:
+                return None
+        return out
+
+    def cone(self, target: Sequence, ring: str = "integer"
+             ) -> Optional[ConeCoords]:
+        """Nonnegative coordinates of target; integral unless ring='rational'."""
+        if ring not in ("integer", "rational"):
+            raise StructuralError("unknown ring %r" % ring)
+        sol = self.solve(target)
+        if sol is None or any(c < 0 for c in sol):
             return None
-    sol = [ZERO] * cols
-    for row, c in enumerate(pivots):
-        sol[c] = mat[row][cols]
-    return sol
+        if ring == "integer" and any(c.denominator != 1 for c in sol):
+            return None
+        return ConeCoords(tuple(sol))
 
 
-def rank_of(vectors: Sequence[Weight]) -> int:
-    """Rank of the coordinate matrix, exact."""
-    if not vectors:
-        return 0
-    rows = [list(v.coords()) for v in vectors]
-    rank = 0
-    ncols = len(rows[0])
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = ONE / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+def solve_in_span(vectors: Sequence[Weight], target: Weight) -> Optional[list]:
+    """Exact coordinates of target in span(vectors), or None if outside."""
+    return Elimination([v.coords() for v in vectors]).solve(target.coords())
 
 
 @dataclass(frozen=True)
@@ -230,16 +227,7 @@ def in_positive_cone(nu: Weight, basis: Sequence[Weight], ring: str = "integer"
     ring='integer' additionally requires integer coefficients;
     ring='rational' accepts any nonnegative rationals.
     """
-    if ring not in ("integer", "rational"):
-        raise StructuralError("unknown ring %r" % ring)
-    sol = solve_in_span(basis, nu)
-    if sol is None:
-        return None
-    if any(c < 0 for c in sol):
-        return None
-    if ring == "integer" and any(c.denominator != 1 for c in sol):
-        return None
-    return ConeCoords(tuple(sol))
+    return Elimination([b.coords() for b in basis]).cone(nu.coords(), ring)
 
 
 def height(mu: ConeCoords):

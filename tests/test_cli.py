@@ -118,3 +118,34 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "B(2,1)" in proc.stdout
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_verify_gl_m_0(capsys, m):
+    code, out, err = _run_main(capsys, ["verify", "--family", "GL",
+                                        "--m", str(m), "--n", "0",
+                                        "--height", "6"])
+    assert code == 0, err
+    assert "gl(%d|0) [step2] H=6: equal" % m in out
+
+
+def test_verify_d_m_0_default_variants(capsys):
+    code, out, err = _run_main(capsys, ["verify", "--family", "D",
+                                        "--m", "3", "--n", "0",
+                                        "--height", "6"])
+    assert code == 0, err
+    assert "[step2]" in out and "[step3]" in out
+    assert "step3_prime" not in out and "second_class" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "GL", "--m", "2", "--n", "1"],
+    ["qn", "--n", "3"],
+    ["orbits", "--family", "GL", "--m", "2", "--n", "1"],
+])
+def test_negative_height_exits_2(capsys, argv):
+    code, out, err = _run_main(capsys, argv + ["--height", "-3"])
+    assert code == 2
+    assert out == "" and "height" in err
+    code, out, _ = _run_main(capsys, argv + ["--height", "0"])
+    assert code == 0 and out

@@ -6,7 +6,7 @@ from superdenom.groups import (SignedPermutation, check_stabilizer_dichotomy,
                                enumerate_group, external_delta_flips, orbit,
                                orbit_intersects_shifted_cone, reflection,
                                sharp_group, stabilizer, weyl_group)
-from superdenom.roots import SuperType, build, even_simple_roots
+from superdenom.roots import SuperType, build
 from superdenom.weights import Weight
 
 

@@ -1,9 +1,8 @@
 import pytest
 
 from superdenom.errors import ValidationError
-from superdenom.roots import (SuperType, build, complement_simple_roots,
-                              even_simple_roots, is_isotropic,
-                              sharp_simple_roots, system_json)
+from superdenom.roots import (SuperType, build, is_isotropic, simple_roots,
+                              system_json)
 from superdenom.weights import Weight, bilinear_form
 
 
@@ -122,9 +121,9 @@ def test_root_counts_and_closure(fam, m, n):
 def test_simple_root_extraction():
     rs = build(SuperType("B", 2, 1))
     e1, e2, d1 = rs.eps(1), rs.eps(2), rs.delta(1)
-    assert set(even_simple_roots(rs)) == {e1 - e2, e2, d1.scale(2)}
-    assert set(sharp_simple_roots(rs)) == {e1 - e2, e2}
-    assert set(complement_simple_roots(rs)) == {d1.scale(2)}
+    assert set(simple_roots(rs.positive_even)) == {e1 - e2, e2, d1.scale(2)}
+    assert set(simple_roots(rs.sharp & rs.positive_even)) == {e1 - e2, e2}
+    assert set(simple_roots(rs.positive_even - rs.sharp)) == {d1.scale(2)}
 
 
 def test_system_json_shape():

@@ -93,15 +93,16 @@ def test_incompatible_frames_rejected():
         a.add(b)
 
 
-def test_expand_terms_matches_sequential_and_parallel():
+def test_expand_terms_is_sum_of_expand_term():
     rs = build(SuperType("B", 2, 1))
     pair = standard_pair(rs, "step2")
     frame = pair.system
     terms = [GeometricTerm.make(1, frame.rho, list(pair.S)),
              GeometricTerm.make(-1, frame.rho - rs.eps(1), list(pair.S))]
-    seq = expand_terms(terms, frame, 5, offset=frame.rho, workers=1)
-    par = expand_terms(terms, frame, 5, offset=frame.rho, workers=2)
-    assert seq.eq_report(par) is None
+    total = expand_terms(terms, frame, 5, offset=frame.rho)
+    first, second = (expand_term(t, frame, 5, offset=frame.rho) for t in terms)
+    assert total.eq_report(first.add(second)) is None
+    assert total.nonzero_count() > 0
 
 
 def test_dump_lines_sorted_by_height():

@@ -1,9 +1,11 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from superdenom.weights import (ConeCoords, Weight, bilinear_form,
-                                in_positive_cone, rank_of, solve_in_span)
+from superdenom.weights import (ConeCoords, Elimination, Weight, bilinear_form,
+                                in_positive_cone, solve_in_span)
 
 
 def w(eps, delta=()):
@@ -64,15 +66,51 @@ def test_solve_in_span():
     # rational coordinates come back exactly
     sol = solve_in_span(basis, (e1 - e2).scale(Q(1, 2)))
     assert sol == [Q(1, 2), 0]
+    # ranks, the third column being the sum of the first two
+    cols = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
+    assert Elimination(cols[:2]).rank == 2
+    assert Elimination(cols).rank == 2
+    assert Elimination([]).rank == 0
 
 
-def test_rank_of():
-    e1 = Weight.eps_unit(1, 3, 0)
-    e2 = Weight.eps_unit(2, 3, 0)
-    e3 = Weight.eps_unit(3, 3, 0)
-    assert rank_of([e1 - e2, e2 - e3]) == 2
-    assert rank_of([e1 - e2, e2 - e3, e1 - e3]) == 2
-    assert rank_of([]) == 0
+def _times(columns, x, dim):
+    return tuple(sum(c[i] * xj for c, xj in zip(columns, x))
+                 for i in range(dim))
+
+
+@st.composite
+def _columns_and_vectors(draw):
+    dim = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    vec = st.tuples(*[entry] * dim)
+    columns = draw(st.lists(vec, max_size=4))
+    y = draw(st.lists(entry, min_size=len(columns), max_size=len(columns)))
+    return dim, columns, y, draw(vec)
+
+
+@settings(deadline=None)
+@given(_columns_and_vectors())
+@example((3, [], [], (0, 0, 0)))
+@example((3, [(1, -1, 0), (0, 1, -1)], [1, 1], (1, 0, -1)))
+@example((3, [(1, -1, 0), (0, 1, -1), (1, 0, -1)], [1, 0, 2], (1, 1, 1)))
+def test_elimination_solves_ranks_and_rejects(case):
+    dim, columns, y, t = case
+    elim = Elimination(columns)
+    rows = [tuple(c[i] for c in columns) for i in range(dim)]
+    assert elim.rank == Elimination(rows).rank <= min(len(columns), dim)
+    # the rank counts the columns outside the span of those before them
+    assert elim.rank == sum(Elimination(columns[:k]).solve(c) is None
+                            for k, c in enumerate(columns))
+    # every vector in the span is solved exactly
+    target = _times(columns, y, dim)
+    x = elim.solve(target)
+    assert x is not None and _times(columns, x, dim) == target
+    # t lies outside the span exactly when appending it raises the rank
+    sol = elim.solve(t)
+    if Elimination(columns + [t]).rank > elim.rank:
+        assert sol is None
+    else:
+        assert sol is not None and _times(columns, sol, dim) == t
 
 
 def test_in_positive_cone_rings():
