@@ -97,6 +97,8 @@ def run(config: RunConfig) -> tuple:
     command = config.command
     if config.height < 0:
         raise ValidationError("height must be >= 0, got %d" % config.height)
+    if command in ("pairs", "diagram") and config.group_cap < 0:
+        raise ValidationError("cap must be >= 0, got %d" % config.group_cap)
     payload = {"schema": SCHEMA, "command": command}
     lines = []
 

@@ -20,7 +20,8 @@ from typing import Optional
 from .errors import DomainError, StructuralError, ValidationError
 from .roots import RootSystem
 from .simple import (AdmissiblePair, derive, enumerate_admissible_pairs,
-                     functional_for, make_pair, pair_components)
+                     functional_for, isotropic_parts, make_pair,
+                     pair_components)
 from .weights import Weight
 
 SMILE = "smile"
@@ -118,16 +119,13 @@ def from_pair(pair: AdmissiblePair, rs: Optional[RootSystem] = None) -> Diagram:
     marks = ["a" if kind == "e" else "b" for kind, _, _ in coords]
     bows = []
     for beta in pair.S:
-        eps_c, delta_c = beta.coords()[:rs.m], beta.coords()[rs.m:]
-        ei = next(i for i, c in enumerate(eps_c, 1) if c)
-        dj = next(j for j, c in enumerate(delta_c, 1) if c)
+        ei, dj, kind = isotropic_parts(beta)
         p, q = sorted((position[("e", ei)], position[("d", dj)]))
         if q != p + 1:
             raise ValidationError(
                 "endpoints of %s are not neighbours in the functional order"
                 % beta)
-        same_sign = eps_c[ei - 1] * delta_c[dj - 1] > 0
-        bows.append((p, q, FROWN if same_sign else SMILE))
+        bows.append((p, q, FROWN if kind == "sum" else SMILE))
     diagram = _mk(marks, bows, rs.marking_mode)
     if diagram.has_frown() and not (rs.family == "D_EPS" and rs.m > rs.n):
         raise ValidationError("sum bows occur only for D with more a's")
@@ -328,21 +326,14 @@ def pair_from_diagram(d: Diagram, rs: RootSystem) -> AdmissiblePair:
 
 
 def _reconstruct(d: Diagram, rs: RootSystem, xs: list) -> AdmissiblePair:
-    a_pos = [p for p, mk in enumerate(d.marks) if mk == "a"]
-    b_pos = [p for p, mk in enumerate(d.marks) if mk == "b"]
-    at = {}
-    for i, p in enumerate(reversed(a_pos), 1):
-        at[p] = rs.eps(i)
-    for j, p in enumerate(reversed(b_pos), 1):
-        at[p] = rs.delta(j)
-    values = {at[p]: xs[p] for p in range(len(xs))}
+    # eps_1 sits at the last a, delta_1 at the last b
+    order = [p for p in reversed(range(len(xs))) if d.marks[p] == "a"] \
+        + [p for p in reversed(range(len(xs))) if d.marks[p] == "b"]
+    x = [xs[p] for p in order]
+    at = {p: Weight.unit(k, rs.m, rs.n) for k, p in enumerate(order)}
 
     def val(w: Weight):
-        return sum((c * values[rs.eps(i)]
-                    for i, c in enumerate(w.coords()[:rs.m], 1) if c),
-                   Q(0)) \
-            + sum(c * values[rs.delta(j)]
-                  for j, c in enumerate(w.coords()[rs.m:], 1) if c)
+        return sum((c * xk for c, xk in zip(w.coords(), x) if c), Q(0))
 
     pi = [a for a in rs.all_roots() if val(a) == 1]
     sys = derive(pi, rs)

@@ -2,84 +2,72 @@
 
 W acts on weights by permuting eps coordinates among themselves and delta
 coordinates among themselves, with optional sign flips where the family
-allows them.  W# is generated by reflections in the positive-square even
-roots (always supported on the eps block after normalization), W_2 by the
-reflections in the remaining even roots.
+allows them.  A signed permutation stores one image per coordinate of the
+flat weight layout (eps block first, delta targets offset by m), so every
+operation is a single pass over m+n entries.  W# is generated by
+reflections in the positive-square even roots (always supported on the
+eps block after normalization), W_2 by the reflections in the remaining
+even roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError, StructuralError
 from .roots import RootSystem, simple_roots
-from .weights import Weight, bilinear_form, in_positive_cone
+from .weights import ZERO, Weight, bilinear_form, in_positive_cone
 
 DEFAULT_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
 class SignedPermutation:
-    """Monomial map: basis vector i goes to sign * basis vector (target i).
+    """Monomial map: basis vector k goes to sign * basis vector (target k).
 
-    eps_images[i] = (j, s) means w(eps_{i+1}) = s * eps_{j+1}; delta likewise.
+    images[k] = (j, s) means w(b_k) = s * b_j over the flat basis
+    b = (eps_1..eps_m, delta_1..delta_n); both indices are 0-based.
     """
 
-    eps_images: tuple
-    delta_images: tuple
+    images: tuple
+    m: int
 
     @staticmethod
     def identity(m: int, n: int) -> "SignedPermutation":
-        return SignedPermutation(tuple((i, 1) for i in range(m)),
-                                 tuple((j, 1) for j in range(n)))
+        return SignedPermutation(tuple((k, 1) for k in range(m + n)), m)
 
     def apply(self, w: Weight) -> Weight:
-        m, n = len(self.eps_images), len(self.delta_images)
-        if w.dims() != (m, n):
+        if w.m != self.m or len(w.values) != len(self.images):
             raise StructuralError("weight/permutation dimension mismatch")
-        eps = [Q(0)] * m
-        for i, (j, s) in enumerate(self.eps_images):
-            if w.eps[i]:
-                eps[j] = w.eps[i] if s == 1 else -w.eps[i]
-        delta = [Q(0)] * n
-        for i, (j, s) in enumerate(self.delta_images):
-            if w.delta[i]:
-                delta[j] = w.delta[i] if s == 1 else -w.delta[i]
-        return Weight(tuple(eps), tuple(delta))
+        out = [ZERO] * len(self.images)
+        for c, (j, s) in zip(w.values, self.images):
+            if c:
+                out[j] = c if s == 1 else -c
+        return Weight(tuple(out), self.m)
 
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
         """self after other (acts as self(other(x)))."""
-        eps = tuple((self.eps_images[j][0], s * self.eps_images[j][1])
-                    for (j, s) in other.eps_images)
-        delta = tuple((self.delta_images[j][0], s * self.delta_images[j][1])
-                      for (j, s) in other.delta_images)
-        return SignedPermutation(eps, delta)
+        mine = self.images
+        return SignedPermutation(
+            tuple((mine[j][0], s * mine[j][1]) for j, s in other.images),
+            self.m)
 
     def inverse(self) -> "SignedPermutation":
-        eps = [None] * len(self.eps_images)
-        for i, (j, s) in enumerate(self.eps_images):
-            eps[j] = (i, s)
-        delta = [None] * len(self.delta_images)
-        for i, (j, s) in enumerate(self.delta_images):
-            delta[j] = (i, s)
-        return SignedPermutation(tuple(eps), tuple(delta))
+        images = [None] * len(self.images)
+        for k, (j, s) in enumerate(self.images):
+            images[j] = (k, s)
+        return SignedPermutation(tuple(images), self.m)
 
     def is_identity(self) -> bool:
-        return all(j == i and s == 1 for i, (j, s) in enumerate(self.eps_images)) \
-            and all(j == i and s == 1 for i, (j, s) in enumerate(self.delta_images))
+        return all(j == k and s == 1 for k, (j, s) in enumerate(self.images))
 
     def sgn(self) -> int:
         """Determinant: permutation parity times the product of signs."""
-        out = _perm_parity([j for j, _ in self.eps_images])
-        out *= _perm_parity([j for j, _ in self.delta_images])
-        for _, s in self.eps_images + self.delta_images:
+        out = _perm_parity([j for j, _ in self.images])
+        for _, s in self.images:
             out *= s
         return out
-
-    def descr(self) -> str:
-        return "eps:%s delta:%s" % (self.eps_images, self.delta_images)
 
 
 def _perm_parity(perm: Sequence[int]) -> int:
@@ -100,32 +88,25 @@ def _perm_parity(perm: Sequence[int]) -> int:
 
 
 def reflection(alpha: Weight) -> SignedPermutation:
-    """Reflection in a non-isotropic root, realized as a signed permutation."""
+    """Reflection in a non-isotropic root, realized as a signed permutation.
+
+    Each basis vector must go to a signed basis vector of its own block.
+    """
     norm = bilinear_form(alpha, alpha)
     if norm == 0:
         raise DomainError("cannot reflect in isotropic root %s" % alpha)
     m, n = alpha.dims()
     images = []
-    for block, count, unit in (("eps", m, Weight.eps_unit),
-                               ("delta", n, Weight.delta_unit)):
-        block_images = []
-        for i in range(1, count + 1):
-            b = unit(i, m, n)
-            img = b - alpha.scale(2 * bilinear_form(b, alpha) / norm)
-            block_images.append(_as_signed_unit(img, block))
-        images.append(tuple(block_images))
-    return SignedPermutation(images[0], images[1])
-
-
-def _as_signed_unit(w: Weight, block: str):
-    coords = w.eps if block == "eps" else w.delta
-    other = w.delta if block == "eps" else w.eps
-    if any(c != 0 for c in other):
-        raise StructuralError("reflection does not preserve the block of %s" % w)
-    hits = [(i, c) for i, c in enumerate(coords) if c != 0]
-    if len(hits) != 1 or abs(hits[0][1]) != 1:
-        raise StructuralError("reflection image %s is not a signed unit" % w)
-    return (hits[0][0], 1 if hits[0][1] > 0 else -1)
+    for k in range(m + n):
+        b = Weight.unit(k, m, n)
+        img = b - alpha.scale(2 * bilinear_form(b, alpha) / norm)
+        hits = [(j, c) for j, c in enumerate(img.values) if c != 0]
+        if len(hits) != 1 or abs(hits[0][1]) != 1 \
+                or (hits[0][0] < m) != (k < m):
+            raise StructuralError(
+                "reflection image %s is not a signed unit of its block" % img)
+        images.append((hits[0][0], 1 if hits[0][1] > 0 else -1))
+    return SignedPermutation(tuple(images), m)
 
 
 @dataclass
@@ -166,8 +147,8 @@ def enumerate_group(generators: Sequence[SignedPermutation], dims: tuple,
                     if len(seen) > cap:
                         raise ResourceLimitError(
                             "group enumeration exceeded cap %d" % cap)
-        frontier = sorted(nxt, key=lambda p: (p.eps_images, p.delta_images))
-    return tuple(sorted(seen, key=lambda p: (p.eps_images, p.delta_images)))
+        frontier = sorted(nxt, key=lambda p: p.images)
+    return tuple(sorted(seen, key=lambda p: p.images))
 
 
 def weyl_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupDescriptor:
@@ -202,12 +183,11 @@ def external_delta_flips(rs: RootSystem) -> tuple:
     """
     if rs.family != "D_DELTA":
         return ()
-    out = []
-    for j in range(1, rs.n + 1):
-        delta = tuple((i, -1 if i == j - 1 else 1) for i in range(rs.n))
-        eps = tuple((i, 1) for i in range(rs.m))
-        out.append(SignedPermutation(eps, delta))
-    return tuple(out)
+    size = rs.m + rs.n
+    return tuple(
+        SignedPermutation(tuple((k, -1 if k == j else 1) for k in range(size)),
+                          rs.m)
+        for j in range(rs.m, size))
 
 
 def orbit(lam: Weight, group: GroupDescriptor) -> list:
@@ -219,7 +199,7 @@ def orbit(lam: Weight, group: GroupDescriptor) -> list:
         if mu not in seen_set:
             seen_set.add(mu)
             seen.append(mu)
-    return sorted(seen, key=lambda v: v.coords())
+    return sorted(seen, key=Weight.coords)
 
 
 def stabilizer(lam: Weight, group: GroupDescriptor) -> GroupDescriptor:

@@ -29,7 +29,7 @@ from .roots import RootSystem, SuperType, build, simple_roots
 from .series import (FormalSeries, GeometricTerm, _accumulate, _times_binomial,
                      act, canonical_terms, expand_terms)
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
-                     second_type_move, standard_pair)
+                     isotropic_parts, second_type_move, standard_pair)
 from .weights import Weight, bilinear_form, solve_in_span
 
 
@@ -49,10 +49,6 @@ def _zero(rs: RootSystem) -> Weight:
 
 def _us(t0: float) -> int:
     return int(round((time.perf_counter() - t0) * 1_000_000))
-
-
-def _coords(w: Weight) -> tuple:
-    return w.coords()
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +98,10 @@ def closed_form_terms(pair: AdmissiblePair) -> tuple:
 def lhs(pair: AdmissiblePair, H: int) -> FormalSeries:
     """R e^rho: odd factors expanded geometrically, even factors exactly."""
     frame = pair.system
-    odd_pos = sorted(frame.pos_odd, key=_coords)
+    odd_pos = sorted(frame.pos_odd, key=Weight.coords)
     series = expand_terms(
         [GeometricTerm.make(1, frame.rho, odd_pos)], frame, H)
-    for a in sorted(pair.rs.positive_even, key=_coords):
+    for a in sorted(pair.rs.positive_even, key=Weight.coords):
         series = series.mul_binomial(-1, a)
     return series
 
@@ -280,10 +276,10 @@ def cross_multiplied_check(pair: AdmissiblePair) -> tuple:
     """
     frame = pair.system
     rho = frame.rho
-    odd_pos = sorted(frame.pos_odd, key=_coords)
+    odd_pos = sorted(frame.pos_odd, key=Weight.coords)
     zero_key = frame.cone_key(_zero(pair.rs))
-    right = _poly(zero_key, 1, sorted(pair.rs.positive_even, key=_coords),
-                  frame, -1)
+    right = _poly(zero_key, 1,
+                  sorted(pair.rs.positive_even, key=Weight.coords), frame, -1)
     left = {}
     for w in _sharp(pair.rs).elements():
         pd = phi_data(w, pair)
@@ -338,7 +334,7 @@ def qn_a_set(rs: RootSystem, S: Sequence[Weight]) -> tuple:
 
 def qn_orthogonal_sets(rs: RootSystem, size: int) -> list:
     """All sets of pairwise-orthogonal positive roots of the given size."""
-    pos = sorted(rs.positive_even, key=_coords)
+    pos = sorted(rs.positive_even, key=Weight.coords)
     out = []
 
     def rec(start, cur):
@@ -376,7 +372,7 @@ def qn_identity(n_or_rs, S: Optional[Sequence[Weight]] = None,
             raise DomainError("%s is not a positive root of q(n)" % b)
     frame = even_frame(rs)
     zero = _zero(rs)
-    pos = sorted(rs.positive_even, key=_coords)
+    pos = sorted(rs.positive_even, key=Weight.coords)
     timings = {}
     t = time.perf_counter()
     a = qn_a_value(rs, S)
@@ -448,7 +444,7 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10,
             continue
         if all(frame.cone(rho0 - p, ring="integer") is not None for p in orb):
             reps.add(dominant_representative(lam, group, evens))
-    out = sorted(reps, key=_coords)
+    out = sorted(reps, key=Weight.coords)
     if check:
         expected = expected_regular_orbit_reps(rs, H)
         if out != expected:
@@ -466,7 +462,7 @@ def expected_regular_orbit_reps(rs: RootSystem, H: int = 10) -> list:
     xi = xi_vector(pair)
     step = pair.system.height_int(xi)
     return sorted((rho0 - xi.scale(s) for s in range(H // step + 1)),
-                  key=_coords)
+                  key=Weight.coords)
 
 
 def _keys_up_to(rank: int, H: int):
@@ -488,7 +484,7 @@ def xi_presentation_unique(pair: AdmissiblePair,
     """
     frame = pair.system
     target = xi_vector(pair) if target is None else target
-    gens = sorted(frame.positive_roots, key=_coords)
+    gens = sorted(frame.positive_roots, key=Weight.coords)
     support = set(pair.S)
     cost = [0 if g in support else 1 for g in gens]
     dim = pair.rs.m + pair.rs.n
@@ -541,7 +537,7 @@ def stabilizer_matches_zero_pairing_reflections(pair: AdmissiblePair) -> bool:
     """Stab rho = <s_alpha : alpha positive-square, (alpha, rho) = 0>."""
     rs = pair.rs
     rho = pair.system.rho
-    roots = [a for a in sorted(rs.sharp & rs.positive_even, key=_coords)
+    roots = [a for a in sorted(rs.sharp & rs.positive_even, key=Weight.coords)
              if bilinear_form(a, rho) == 0]
     generated = enumerate_group(tuple(reflection(a) for a in roots),
                                 (rs.m, rs.n))
@@ -557,14 +553,12 @@ def eps_symmetry_rank(pair: AdmissiblePair) -> Optional[int]:
     stab = stabilizer_elements(pair)
     k = 1
     for w in stab:
-        if any(j != i or s != 1 for i, (j, s) in enumerate(w.delta_images)):
-            return None
-        for i, (j, s) in enumerate(w.eps_images):
-            if s != 1:
+        for i, (j, s) in enumerate(w.images):
+            if s != 1 or (j != i and i >= w.m):
                 return None
             if j != i:
                 k = max(k, i + 1, j + 1)
-    perms = {tuple(j for j, _ in w.eps_images[:k]) for w in stab}
+    perms = {tuple(j for j, _ in w.images[:k]) for w in stab}
     if len(stab) != math.factorial(k) or len(perms) != len(stab):
         return None
     return k
@@ -595,13 +589,6 @@ def eps_symmetry_applicable(pair: AdmissiblePair) -> bool:
 
 # ---------------------------------------------------------------------------
 # the classical orbit dichotomy (even root system, its own frame)
-
-def even_rho_normalized(rs: RootSystem) -> bool:
-    """<rho_0, alpha^> = 1 on every even simple root."""
-    rho0 = even_frame(rs).rho
-    return all(2 * bilinear_form(rho0, a) == bilinear_form(a, a)
-               for a in simple_roots(rs.positive_even))
-
 
 def coefficient_box(rs: RootSystem, radius: int = 1, scale=1,
                     offset: Optional[Weight] = None) -> list:
@@ -685,14 +672,10 @@ def y_shifts_by(pair: AdmissiblePair, g: SignedPermutation,
 
 
 def partner_map(pair: AdmissiblePair) -> dict:
-    """delta index -> (eps index, kind) read off S; kind is diff or sum."""
-    rs = pair.rs
+    """delta index -> (eps index, 'difference' or 'sum') read off S."""
     out = {}
     for beta in pair.S:
-        eps_c, delta_c = beta.coords()[:rs.m], beta.coords()[rs.m:]
-        ei = next(i for i, c in enumerate(eps_c, 1) if c)
-        dj = next(j for j, c in enumerate(delta_c, 1) if c)
-        kind = "sum" if eps_c[ei - 1] * delta_c[dj - 1] > 0 else "diff"
+        ei, dj, kind = isotropic_parts(beta)
         out[dj] = (ei, kind)
     return out
 
@@ -712,7 +695,7 @@ def partner_products(pair: AdmissiblePair) -> list:
         if j + 1 not in partners:
             continue
         (ei, kind), (ei2, kind2) = partners[j], partners[j + 1]
-        if kind != "diff":
+        if kind != "difference":
             continue
         if kind2 == "sum" and ei2 != ei + 1:
             continue

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import ValidationError
-from .weights import Weight, bilinear_form
+from .weights import Weight, bilinear_form, weight_json
 
 FAMILIES = ("GL", "B", "D", "C", "Q")
 
@@ -91,12 +91,6 @@ class RootSystem:
 
     def all_roots(self) -> frozenset:
         return self.even() | self.odd
-
-    def is_root(self, w: Weight) -> bool:
-        return w in self.even() or w in self.odd
-
-    def is_odd_root(self, w: Weight) -> bool:
-        return w in self.odd
 
     def eps(self, i: int) -> Weight:
         return Weight.eps_unit(i, self.m, self.n)
@@ -231,7 +225,7 @@ def simple_roots(positive: Iterable[Weight]) -> tuple:
 
     A positive root is simple iff it is not a sum of two positive roots.
     """
-    pos_list = sorted(positive, key=_root_key)
+    pos_list = sorted(positive, key=Weight.coords)
     sums = set()
     for i, a in enumerate(pos_list):
         for b in pos_list[i:]:
@@ -239,16 +233,12 @@ def simple_roots(positive: Iterable[Weight]) -> tuple:
     return tuple(a for a in pos_list if a not in sums)
 
 
-def _root_key(w: Weight) -> tuple:
-    return w.coords()
-
-
 def root_json(w: Weight, odd: bool) -> dict:
-    return {
-        "eps": [str(c) for c in w.eps],
-        "delta": [str(c) for c in w.delta],
-        "parity": "odd" if odd else "even",
-    }
+    return dict(weight_json(w), parity="odd" if odd else "even")
+
+
+def _roots_json(roots: Iterable[Weight], odd: bool) -> list:
+    return [root_json(a, odd) for a in sorted(roots, key=Weight.coords)]
 
 
 def system_json(rs: RootSystem) -> dict:
@@ -262,9 +252,7 @@ def system_json(rs: RootSystem) -> dict:
         "eps_count": rs.m,
         "delta_count": rs.n,
         "defect": rs.defect,
-        "positive_even": [root_json(a, False) for a in
-                          sorted(rs.positive_even, key=_root_key)],
-        "odd": [root_json(a, True) for a in sorted(rs.odd, key=_root_key)],
-        "sharp_positive": [root_json(a, False) for a in
-                           sorted(rs.sharp & rs.positive_even, key=_root_key)],
+        "positive_even": _roots_json(rs.positive_even, False),
+        "odd": _roots_json(rs.odd, True),
+        "sharp_positive": _roots_json(rs.sharp & rs.positive_even, False),
     }

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .errors import StructuralError
 from .simple import SimpleSystem
-from .weights import Weight
+from .weights import Weight, weight_json
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,13 @@ class GeometricTerm:
     @staticmethod
     def make(coeff, exponent: Weight, denoms: Sequence[Weight]) -> "GeometricTerm":
         return GeometricTerm(coeff, exponent,
-                             tuple(sorted(denoms, key=lambda w: w.coords())))
+                             tuple(sorted(denoms, key=Weight.coords)))
 
     def to_json(self) -> dict:
         return {
             "coeff": str(self.coeff),
-            "exponent": {"eps": [str(c) for c in self.exponent.eps],
-                         "delta": [str(c) for c in self.exponent.delta]},
-            "denominators": [{"eps": [str(c) for c in g.eps],
-                              "delta": [str(c) for c in g.delta]}
-                             for g in self.denoms],
+            "exponent": weight_json(self.exponent),
+            "denominators": [weight_json(g) for g in self.denoms],
         }
 
 
@@ -145,11 +142,6 @@ class FormalSeries:
     def nonzero_count(self) -> int:
         return len(self.data)
 
-    def negative_support(self) -> list:
-        """Keys with a negative coordinate (exponents outside offset - Q+)."""
-        return sorted((k for k in self.data if any(c < 0 for c in k)),
-                      key=lambda k: (_ht(k), k))
-
     def eq_report(self, other: "FormalSeries") -> Optional[dict]:
         """None if equal on the window; else data about the first difference."""
         self._compatible(other)
@@ -184,8 +176,7 @@ class FormalSeries:
 
     def to_json(self) -> dict:
         return {
-            "offset": {"eps": [str(c) for c in self.offset.eps],
-                       "delta": [str(c) for c in self.offset.delta]},
+            "offset": weight_json(self.offset),
             "truncation_height": self.H,
             "terms": [{"mu": [str(c) for c in k], "coeff": str(v)}
                       for k, v in self.items_sorted()],

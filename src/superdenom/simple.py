@@ -17,16 +17,19 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError, StructuralError, ValidationError
 from .roots import RootSystem, is_isotropic
-from .weights import ConeCoords, Elimination, Weight, bilinear_form
+from .weights import Elimination, Weight, bilinear_form, weight_json
 
 PAIR_CAP = 10 ** 6
 
 
 class SimpleSystem:
-    """A simple system with its derived positive roots and rho data."""
+    """A simple system with its derived positive roots and rho data.
 
-    def __init__(self, simple_roots, rs, positive_even, positive_odd):
-        self.simple_roots = tuple(sorted(simple_roots, key=lambda w: w.coords()))
+    simple_roots come sorted by coordinates; solver is their elimination.
+    """
+
+    def __init__(self, simple_roots, rs, positive_even, positive_odd, solver):
+        self.simple_roots = tuple(simple_roots)
         self.rs = rs
         self.pos_even = frozenset(positive_even)
         self.pos_odd = frozenset(positive_odd)
@@ -34,7 +37,7 @@ class SimpleSystem:
         self.rho0 = _half_sum(self.pos_even, rs)
         self.rho1 = _half_sum(self.pos_odd, rs)
         self.rho = self.rho0 - self.rho1
-        self._solver = Elimination([a.coords() for a in self.simple_roots])
+        self._solver = solver
         self._int_cache = {}
 
     @property
@@ -84,7 +87,7 @@ class SimpleSystem:
             raise StructuralError("%s has non-integer simple coordinates" % w)
         return out
 
-    def cone(self, w: Weight, ring: str = "integer") -> Optional[ConeCoords]:
+    def cone(self, w: Weight, ring: str = "integer") -> Optional[tuple]:
         return self._solver.cone(w.coords(), ring)
 
     def height_int(self, w: Weight) -> int:
@@ -95,8 +98,7 @@ class SimpleSystem:
         return {
             "simple_roots": [root_json(a, a in self.rs.odd)
                              for a in self.simple_roots],
-            "rho": {"eps": [str(c) for c in self.rho.eps],
-                    "delta": [str(c) for c in self.rho.delta]},
+            "rho": weight_json(self.rho),
         }
 
 
@@ -114,7 +116,7 @@ def derive(pi: Sequence[Weight], rs: RootSystem, universe: str = "super"
     universe='super' uses all roots; universe='even' restricts to the even
     part (used for plain Lie-algebra frames such as orbit computations).
     """
-    pi = tuple(pi)
+    pi = tuple(sorted(pi, key=Weight.coords))
     if universe not in ("super", "even"):
         raise StructuralError("unknown universe %r" % universe)
     even_universe = rs.even()
@@ -133,14 +135,16 @@ def derive(pi: Sequence[Weight], rs: RootSystem, universe: str = "super"
                 continue
             seen.add(a)
             seen.add(-a)
-            plus = solver.cone(a.coords()) is not None
-            minus = solver.cone((-a).coords()) is not None
+            sol = solver.solve(a.coords())
+            integral = sol is not None and all(c.denominator == 1 for c in sol)
+            plus = integral and all(c >= 0 for c in sol)
+            minus = integral and all(c <= 0 for c in sol)
             if plus == minus:
                 raise ValidationError(
                     "not a simple system: %s and its negative are %s the cone"
                     % (a, "both in" if plus else "both outside"))
             bucket.add(a if plus else -a)
-    return SimpleSystem(pi, rs, pos_even, pos_odd)
+    return SimpleSystem(pi, rs, pos_even, pos_odd, solver)
 
 
 def odd_reflection(sys: SimpleSystem, beta: Weight) -> SimpleSystem:
@@ -188,7 +192,7 @@ class AdmissiblePair:
     def to_json(self) -> dict:
         idx = {a: i for i, a in enumerate(self.system.simple_roots)}
         return {
-            "S": [idx[b] for b in sorted(self.S, key=lambda w: w.coords())],
+            "S": [idx[b] for b in sorted(self.S, key=Weight.coords)],
             "system": self.system.to_json(),
         }
 
@@ -215,7 +219,7 @@ def is_admissible(S: Sequence[Weight], sys: SimpleSystem) -> tuple:
 
 def make_pair(S: Sequence[Weight], sys: SimpleSystem, validate: bool = True
               ) -> AdmissiblePair:
-    S = tuple(sorted(S, key=lambda w: w.coords()))
+    S = tuple(sorted(S, key=Weight.coords))
     if validate:
         ok, reason = is_admissible(S, sys)
         if not ok:
@@ -256,12 +260,18 @@ def second_type_move(pair: AdmissiblePair, gamma: Weight, gamma_prime: Weight
     return make_pair(new_S, sys)
 
 
-def isotropic_kind(root: Weight) -> str:
-    """'difference' for +-(eps_i - delta_j), 'sum' for +-(eps_i + delta_j)."""
-    coords = root.coords()
-    eps_c = next((c for c in coords if c), 0)
-    delta_c = next((c for c in reversed(coords) if c), 0)
-    return "sum" if eps_c * delta_c > 0 else "difference"
+def isotropic_parts(beta: Weight) -> tuple:
+    """(i, j, kind) for beta = +-(eps_i - delta_j) or +-(eps_i + delta_j).
+
+    i and j are 1-based; kind is 'difference' or 'sum'.
+    """
+    values = beta.coords()
+    hits = [k for k, c in enumerate(values) if c]
+    if len(hits) != 2 or not hits[0] < beta.m <= hits[1]:
+        raise DomainError("%s is not of the form +-eps_i +- delta_j" % beta)
+    e, d = hits
+    kind = "sum" if values[e] * values[d] > 0 else "difference"
+    return e + 1, d - beta.m + 1, kind
 
 
 def second_type_moves(pair: AdmissiblePair, same_kind_only: bool = False) -> list:
@@ -283,7 +293,8 @@ def second_type_moves(pair: AdmissiblePair, same_kind_only: bool = False) -> lis
                 continue
             if any(bilinear_form(b, gp) != 0 for b in pair.S if b != gamma):
                 continue
-            if same_kind_only and isotropic_kind(gamma) != isotropic_kind(gp) \
+            if same_kind_only \
+                    and isotropic_parts(gamma)[2] != isotropic_parts(gp)[2] \
                     and bilinear_form(alpha, alpha) != 4:
                 continue
             out.append((gamma, gp))

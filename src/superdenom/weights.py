@@ -1,7 +1,11 @@
 """Exact linear algebra over the epsilon/delta coordinate lattice.
 
 A weight is a rational coordinate vector over the split basis
-eps_1..eps_m, delta_1..delta_n.  The invariant bilinear form is diagonal:
+eps_1..eps_m, delta_1..delta_n, stored as one flat tuple of all m+n
+coordinates (the eps block first) together with m.  Arithmetic, sorting
+and hashing work on the flat tuple; the bilinear form, the pretty printer
+and `weight_json`, the one serializer, read the split.  The invariant
+bilinear form is diagonal:
 (eps_i, eps_j) = delta_ij, (delta_i, delta_j) = -delta_ij, mixed pairs 0.
 Everything runs in exact rational arithmetic; no floats appear anywhere.
 """
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .errors import StructuralError
@@ -24,66 +29,63 @@ def _frac_tuple(values) -> tuple:
 
 @dataclass(frozen=True)
 class Weight:
-    """Immutable rational vector split into an eps block and a delta block."""
+    """Immutable rational vector: the eps block, then the delta block."""
 
-    eps: tuple
-    delta: tuple = ()
+    values: tuple
+    m: int
 
     @staticmethod
     def make(eps, delta=()) -> "Weight":
-        return Weight(_frac_tuple(eps), _frac_tuple(delta))
+        return Weight(_frac_tuple(eps) + _frac_tuple(delta), len(eps))
 
     @staticmethod
     def zero(m: int, n: int) -> "Weight":
-        return Weight((ZERO,) * m, (ZERO,) * n)
+        return Weight((ZERO,) * (m + n), m)
+
+    @staticmethod
+    def unit(k: int, m: int, n: int) -> "Weight":
+        """The k-th basis vector of the flat layout; k is 0-based."""
+        coords = [ZERO] * (m + n)
+        coords[k] = ONE
+        return Weight(tuple(coords), m)
 
     @staticmethod
     def eps_unit(i: int, m: int, n: int) -> "Weight":
         """eps_i as a weight; i is 1-based."""
-        coords = [ZERO] * m
-        coords[i - 1] = ONE
-        return Weight(tuple(coords), (ZERO,) * n)
+        return Weight.unit(i - 1, m, n)
 
     @staticmethod
     def delta_unit(j: int, m: int, n: int) -> "Weight":
         """delta_j as a weight; j is 1-based."""
-        coords = [ZERO] * n
-        coords[j - 1] = ONE
-        return Weight((ZERO,) * m, tuple(coords))
+        return Weight.unit(m + j - 1, m, n)
 
     def dims(self) -> tuple:
-        return (len(self.eps), len(self.delta))
+        return (self.m, len(self.values) - self.m)
 
     def coords(self) -> tuple:
-        """Merged coordinate tuple, eps block first."""
-        return self.eps + self.delta
+        """All coordinates, eps block first."""
+        return self.values
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.eps) and all(c == 0 for c in self.delta)
+        return not any(self.values)
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check(other)
-        return Weight(
-            tuple(a + b for a, b in zip(self.eps, other.eps)),
-            tuple(a + b for a, b in zip(self.delta, other.delta)),
-        )
+        return Weight(tuple(map(add, self.values, other.values)), self.m)
 
     def __sub__(self, other: "Weight") -> "Weight":
         self._check(other)
-        return Weight(
-            tuple(a - b for a, b in zip(self.eps, other.eps)),
-            tuple(a - b for a, b in zip(self.delta, other.delta)),
-        )
+        return Weight(tuple(map(sub, self.values, other.values)), self.m)
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.eps), tuple(-a for a in self.delta))
+        return Weight(tuple(-a for a in self.values), self.m)
 
     def scale(self, c) -> "Weight":
         c = c if isinstance(c, Q) else Q(c)
-        return Weight(tuple(c * a for a in self.eps), tuple(c * a for a in self.delta))
+        return Weight(tuple(c * a for a in self.values), self.m)
 
     def _check(self, other: "Weight") -> None:
-        if self.dims() != other.dims():
+        if self.m != other.m or len(self.values) != len(other.values):
             raise StructuralError(
                 "weight dimension mismatch: %s vs %s" % (self.dims(), other.dims())
             )
@@ -91,17 +93,16 @@ class Weight:
     def pretty(self) -> str:
         """Readable form such as 'e1 - d2' or '1/2*e1 + 3/2*d1'."""
         parts = []
-        for label, block in (("e", self.eps), ("d", self.delta)):
-            for idx, c in enumerate(block, start=1):
-                if c == 0:
-                    continue
-                if c == 1:
-                    body = "%s%d" % (label, idx)
-                elif c == -1:
-                    body = "-%s%d" % (label, idx)
-                else:
-                    body = "%s*%s%d" % (c, label, idx)
-                parts.append(body)
+        for k, c in enumerate(self.values):
+            if c == 0:
+                continue
+            name = "e%d" % (k + 1) if k < self.m else "d%d" % (k - self.m + 1)
+            if c == 1:
+                parts.append(name)
+            elif c == -1:
+                parts.append("-" + name)
+            else:
+                parts.append("%s*%s" % (c, name))
         if not parts:
             return "0"
         out = parts[0]
@@ -113,6 +114,12 @@ class Weight:
         return self.pretty()
 
 
+def weight_json(w: Weight) -> dict:
+    """The eps and delta coordinate lists of w, rationals as strings."""
+    return {"eps": [str(c) for c in w.values[:w.m]],
+            "delta": [str(c) for c in w.values[w.m:]]}
+
+
 def bilinear_form(x: Weight, y: Weight):
     """Invariant form: +1 on eps coordinates, -1 on delta coordinates."""
     if x.dims() != y.dims():
@@ -120,10 +127,9 @@ def bilinear_form(x: Weight, y: Weight):
             "form needs equal dimensions: %s vs %s" % (x.dims(), y.dims())
         )
     acc = ZERO
-    for a, b in zip(x.eps, y.eps):
-        acc += a * b
-    for a, b in zip(x.delta, y.delta):
-        acc -= a * b
+    for k, (a, b) in enumerate(zip(x.values, y.values)):
+        if a and b:
+            acc = acc + a * b if k < x.m else acc - a * b
     return acc
 
 
@@ -178,7 +184,7 @@ class Elimination:
         return out
 
     def cone(self, target: Sequence, ring: str = "integer"
-             ) -> Optional[ConeCoords]:
+             ) -> Optional[tuple]:
         """Nonnegative coordinates of target; integral unless ring='rational'."""
         if ring not in ("integer", "rational"):
             raise StructuralError("unknown ring %r" % ring)
@@ -187,7 +193,7 @@ class Elimination:
             return None
         if ring == "integer" and any(c.denominator != 1 for c in sol):
             return None
-        return ConeCoords(tuple(sol))
+        return tuple(sol)
 
 
 def solve_in_span(vectors: Sequence[Weight], target: Weight) -> Optional[list]:
@@ -195,33 +201,8 @@ def solve_in_span(vectors: Sequence[Weight], target: Weight) -> Optional[list]:
     return Elimination([v.coords() for v in vectors]).solve(target.coords())
 
 
-@dataclass(frozen=True)
-class ConeCoords:
-    """Coordinates of a vector in a fixed simple-root basis."""
-
-    coeffs: tuple
-
-    def height(self):
-        acc = ZERO
-        for c in self.coeffs:
-            acc += c
-        return acc
-
-    def reconstruct(self, basis: Sequence[Weight]) -> Weight:
-        if len(basis) != len(self.coeffs):
-            raise StructuralError("basis size mismatch")
-        out = Weight.zero(*basis[0].dims())
-        for c, b in zip(self.coeffs, basis):
-            if c != 0:
-                out = out + b.scale(c)
-        return out
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-
 def in_positive_cone(nu: Weight, basis: Sequence[Weight], ring: str = "integer"
-                     ) -> Optional[ConeCoords]:
+                     ) -> Optional[tuple]:
     """Express nu as a nonnegative combination of basis vectors, if possible.
 
     ring='integer' additionally requires integer coefficients;
@@ -229,7 +210,3 @@ def in_positive_cone(nu: Weight, basis: Sequence[Weight], ring: str = "integer"
     """
     return Elimination([b.coords() for b in basis]).cone(nu.coords(), ring)
 
-
-def height(mu: ConeCoords):
-    """Sum of cone coordinates."""
-    return mu.height()

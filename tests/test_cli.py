@@ -1,10 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import superdenom
 from superdenom.cli import RunConfig, canonical_json, main, run
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run_main(capsys, argv):
@@ -112,10 +117,14 @@ def test_run_config_direct():
 
 
 def test_console_entry_point():
+    # the child does not see pytest's pythonpath; point it at this package
+    src = os.path.dirname(os.path.dirname(superdenom.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "superdenom", "build",
          "--family", "B", "--m", "2", "--n", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "B(2,1)" in proc.stdout
 
@@ -149,3 +158,36 @@ def test_negative_height_exits_2(capsys, argv):
     assert out == "" and "height" in err
     code, out, _ = _run_main(capsys, argv + ["--height", "0"])
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("command", ["pairs", "diagram"])
+def test_negative_cap_exits_2(capsys, command):
+    argv = [command, "--family", "GL", "--m", "1", "--n", "1"]
+    code, out, err = _run_main(capsys, argv + ["--cap", "-5"])
+    assert code == 2
+    assert out == "" and "cap" in err and "resource" not in err
+    code, out, err = _run_main(capsys, argv + ["--cap", "0"])
+    assert code == 3
+    assert out == "" and "resource" in err
+
+
+def _timing_free(value):
+    if isinstance(value, dict):
+        return {k: _timing_free(v) for k, v in value.items() if k != "timings"}
+    if isinstance(value, list):
+        return [_timing_free(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("verify_gl_2_1", ["verify", "--family", "GL", "--m", "2", "--n", "1"]),
+    ("verify_b_1_1", ["verify", "--family", "B", "--m", "1", "--n", "1"]),
+    ("verify_c_2", ["verify", "--family", "C", "--n", "2"]),
+    ("verify_d_2_1", ["verify", "--family", "D", "--m", "2", "--n", "1"]),
+    ("qn_3", ["qn", "--n", "3"]),
+])
+def test_json_output_matches_golden(capsys, name, argv):
+    code, out, _ = _run_main(capsys, argv + ["--output", "json"])
+    assert code == 0
+    got = canonical_json(_timing_free(json.loads(out)))
+    assert got == (GOLDEN / (name + ".json")).read_text().strip()

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superdenom.errors import ResourceLimitError
 from superdenom.groups import (SignedPermutation, check_stabilizer_dichotomy,
@@ -7,7 +9,7 @@ from superdenom.groups import (SignedPermutation, check_stabilizer_dichotomy,
                                orbit_intersects_shifted_cone, reflection,
                                sharp_group, stabilizer, weyl_group)
 from superdenom.roots import SuperType, build
-from superdenom.weights import Weight
+from superdenom.weights import Weight, bilinear_form
 
 
 def test_reflection_action():
@@ -113,3 +115,49 @@ def test_deterministic_enumeration():
     assert a == b
     assert any(w.is_identity() for w in a)
     assert len(set(a)) == len(a)
+
+
+@st.composite
+def _group_cases(draw):
+    """A small system, two words in W's generators, two rational weights."""
+    family = draw(st.sampled_from(["GL", "B", "C", "D", "Q"]))
+    if family in ("C", "Q"):
+        stype = SuperType(family, n=draw(st.integers(2, 3)))
+    else:
+        stype = SuperType(family, draw(st.integers(1, 3)),
+                          draw(st.integers(0, 3)))
+    rs = build(stype)
+    gens = weyl_group(rs).generators
+
+    def element():
+        w = SignedPermutation.identity(rs.m, rs.n)
+        if gens:
+            for k in draw(st.lists(st.integers(0, len(gens) - 1), max_size=8)):
+                w = gens[k].compose(w)
+        return w
+
+    def weight():
+        coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        values = draw(st.lists(coord, min_size=rs.m + rs.n,
+                               max_size=rs.m + rs.n))
+        return Weight.make(values[:rs.m], values[rs.m:])
+
+    return rs, element(), element(), weight(), weight()
+
+
+@settings(deadline=None, max_examples=80)
+@given(_group_cases())
+def test_signed_permutation_laws(case):
+    rs, a, b, x, y = case
+    ab = a.compose(b)
+    assert ab.apply(x) == a.apply(b.apply(x))
+    assert a.compose(a.inverse()).is_identity()
+    assert ab.sgn() == a.sgn() * b.sgn()
+    assert bilinear_form(a.apply(x), a.apply(y)) == bilinear_form(x, y)
+    for alpha in sorted(rs.all_roots(), key=Weight.coords):
+        norm = bilinear_form(alpha, alpha)
+        if norm != 0:
+            s = reflection(alpha)
+            assert s.apply(x) == x - alpha.scale(2 * bilinear_form(x, alpha)
+                                                 / norm)
+            assert s.sgn() == -1

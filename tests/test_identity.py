@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from superdenom import identity
 from superdenom.groups import reflection
 from superdenom.identity import (acted_series, cross_multiplied_check,
                                  dropped_denominator_sum_vanishes,
@@ -17,8 +18,9 @@ from superdenom.identity import (acted_series, cross_multiplied_check,
                                  verify, xi_presentation_unique,
                                  xi_uniqueness, y_fixed_by, y_shifts_by)
 from superdenom.roots import SuperType, build
-from superdenom.simple import (second_class_pair, second_type_moves,
-                               standard_pair)
+from superdenom.series import GeometricTerm
+from superdenom.simple import (make_pair, second_class_pair,
+                               second_type_moves, standard_pair)
 
 
 def _pair(fam, m, n, variant="step2", **kw):
@@ -198,3 +200,33 @@ def test_xi_uniqueness_and_negative_control():
     bad, detail = xi_presentation_unique(pair, target=xi + rs.eps(1) - rs.eps(2))
     assert not bad
     assert "outside S" in detail
+
+
+def _failed_checks(report) -> set:
+    """Names of the failed checks; a mutated input must fail visibly."""
+    assert report.equal is False
+    assert report.first_discrepancy is not None
+    return {name for name, ok in report.checks.items() if ok is False}
+
+
+def test_verify_catches_a_dropped_element_of_s():
+    pair = _pair("GL", 2, 2)
+    short = make_pair(pair.S[1:], pair.system, validate=False)
+    # phi/|w| reads the same shortened S, so only it agrees with the W#-sum
+    assert _failed_checks(verify(short, H=5)) == {
+        "lhs_equals_rhs_closed", "skew_invariance"}
+
+
+def test_verify_catches_a_flipped_term(monkeypatch):
+    pair = _pair("GL", 2, 2)
+    original = identity.closed_form_terms
+
+    def flipped(p):
+        first, *rest = original(p)
+        return (GeometricTerm(-first.coeff, first.exponent, first.denoms),
+                *rest)
+
+    monkeypatch.setattr(identity, "closed_form_terms", flipped)
+    assert _failed_checks(verify(pair, H=5)) == {
+        "lhs_equals_rhs_closed", "expansion_matches_closed_form",
+        "skew_invariance"}

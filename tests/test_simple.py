@@ -6,7 +6,7 @@ from superdenom.errors import DomainError, ValidationError
 from superdenom.roots import SuperType, build
 from superdenom.simple import (derive, enumerate_admissible_pairs,
                                enumerate_simple_systems, even_frame,
-                               functional_for, is_admissible, isotropic_kind,
+                               functional_for, is_admissible, isotropic_parts,
                                make_pair, odd_reflection, pair_components,
                                pair_neighbors, pair_odd_reflection,
                                second_class_pair, second_type_move,
@@ -117,13 +117,28 @@ def test_pair_odd_reflection_keeps_admissibility():
         assert ok, why
 
 
-def test_isotropic_kind():
+def test_isotropic_parts():
     rs = build(SuperType("D", 2, 1))
     e, d = rs.eps, rs.delta
-    assert isotropic_kind(e(1) - d(1)) == "difference"
-    assert isotropic_kind(d(1) - e(2)) == "difference"
-    assert isotropic_kind(e(2) + d(1)) == "sum"
-    assert isotropic_kind(-e(2) - d(1)) == "sum"
+    assert isotropic_parts(e(1) - d(1)) == (1, 1, "difference")
+    assert isotropic_parts(d(1) - e(2)) == (2, 1, "difference")
+    assert isotropic_parts(e(2) + d(1)) == (2, 1, "sum")
+    assert isotropic_parts(-e(2) - d(1)) == (2, 1, "sum")
+    with pytest.raises(DomainError):
+        isotropic_parts(e(1) - e(2))
+    # every isotropic root of the fixture systems is +-(eps_i -+ delta_j)
+    for st in [SuperType("GL", 2, 1), SuperType("GL", 3, 2),
+               SuperType("B", 2, 1), SuperType("B", 1, 2),
+               SuperType("D", 2, 1), SuperType("D", 3, 2),
+               SuperType("C", n=3)]:
+        rs = build(st)
+        isotropic = [b for b in rs.odd if bilinear_form(b, b) == 0]
+        assert isotropic
+        for beta in isotropic:
+            i, j, kind = isotropic_parts(beta)
+            root = rs.eps(i) + rs.delta(j) if kind == "sum" \
+                else rs.eps(i) - rs.delta(j)
+            assert beta in (root, -root)
 
 
 def test_second_type_move_requires_hypotheses():
@@ -149,7 +164,7 @@ def test_kind_restricted_moves_subset():
         for g, gp in allm - kept:
             # only short-alpha kind-changing exchanges are filtered out
             alpha = g + gp
-            assert isotropic_kind(g) != isotropic_kind(gp)
+            assert isotropic_parts(g)[2] != isotropic_parts(gp)[2]
             assert bilinear_form(alpha, alpha) != 4
 
 

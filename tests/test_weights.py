@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from superdenom.weights import (ConeCoords, Elimination, Weight, bilinear_form,
+from superdenom.weights import (Elimination, Weight, bilinear_form,
                                 in_positive_cone, solve_in_span)
 
 
@@ -117,26 +117,13 @@ def test_in_positive_cone_rings():
     e1 = Weight.eps_unit(1, 2, 0)
     e2 = Weight.eps_unit(2, 2, 0)
     basis = [e1 - e2, e2]
-    got = in_positive_cone(e1 + e2, basis, ring="integer")
-    assert got is not None and got.coeffs == (1, 2)
-    assert got.height() == 3
-    assert got.is_integral()
+    assert in_positive_cone(e1 + e2, basis, ring="integer") == (1, 2)
     # half points are rejected over the integers but not over the rationals
     half = (e1 + e2).scale(Q(1, 2))
     assert in_positive_cone(half, basis, ring="integer") is None
-    frac = in_positive_cone(half, basis, ring="rational")
-    assert frac is not None and frac.coeffs == (Q(1, 2), 1)
-    assert not frac.is_integral()
+    assert in_positive_cone(half, basis, ring="rational") == (Q(1, 2), 1)
     # negative coordinates never pass
     assert in_positive_cone(e2 - e1, basis, ring="rational") is None
-
-
-def test_cone_coords_reconstruct():
-    e1 = Weight.eps_unit(1, 2, 0)
-    e2 = Weight.eps_unit(2, 2, 0)
-    basis = [e1 - e2, e2]
-    cc = ConeCoords((2, 1))
-    assert cc.reconstruct(basis) == e1.scale(2) - e2
 
 
 def test_pretty_printing():
