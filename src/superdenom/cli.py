@@ -15,15 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import diagrams, identity, simple
 from .errors import (DomainError, ResourceLimitError, StructuralError,
                      ValidationError)
 from .roots import RootSystem, SuperType, build, system_json
-from .weights import Weight
 
 SCHEMA = "superdenom/1"
 
@@ -33,25 +30,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 _VARIANTS = ("step2", "step3", "step3_prime", "second_class")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    family: str = "GL"
-    m: int = 1
-    n: int = 0
-    sharp: Optional[str] = None
-    height: int = 8
-    variant: Optional[str] = None
-    output: str = "text"
-    group_cap: int = 10 ** 6
-
-    def stype(self) -> SuperType:
-        if self.family in ("C", "Q"):
-            return SuperType(self.family, n=self.n)
-        return SuperType(self.family, self.m, self.n,
-                         sharp_choice=self.sharp)
 
 
 def canonical_json(payload) -> str:
@@ -64,13 +42,7 @@ def _json_safe(value):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, bool) or value is None or isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (Weight, SuperType)):
-        return str(value)
-    if isinstance(value, str):
+    if value is None or isinstance(value, (int, str)):
         return value
     return str(value)
 
@@ -92,27 +64,33 @@ def _pair_variants(rs: RootSystem, variant: Optional[str]) -> list:
     return out
 
 
-def run(config: RunConfig) -> tuple:
-    """Execute one command.  Returns (exit_code, payload, text_lines)."""
-    command = config.command
-    if config.height < 0:
-        raise ValidationError("height must be >= 0, got %d" % config.height)
-    if command in ("pairs", "diagram") and config.group_cap < 0:
-        raise ValidationError("cap must be >= 0, got %d" % config.group_cap)
+def _stype(args) -> SuperType:
+    if args.family in ("C", "Q"):
+        return SuperType(args.family, n=args.n)
+    return SuperType(args.family, args.m, args.n, sharp_choice=args.sharp)
+
+
+def run(args: argparse.Namespace) -> tuple:
+    """Execute parsed arguments.  Returns (exit_code, payload, text_lines)."""
+    command = args.command
+    if getattr(args, "height", 0) < 0:
+        raise ValidationError("height must be >= 0, got %d" % args.height)
+    if getattr(args, "cap", 0) < 0:
+        raise ValidationError("cap must be >= 0, got %d" % args.cap)
     payload = {"schema": SCHEMA, "command": command}
     lines = []
 
     if command == "qn":
-        report, a = identity.qn_identity(config.n, H=config.height)
+        report, a = identity.qn_identity(args.n, H=args.height)
         payload["result"] = report.to_json()
         payload["a"] = a
         lines.append("q(%d): |a(S)| = %d, identity %s" % (
-            config.n, abs(a),
+            args.n, abs(a),
             "verified" if report.equal else "FAILED"))
         return (EXIT_OK if report.equal else EXIT_VERIFICATION,
                 payload, lines)
 
-    rs = build(config.stype())
+    rs = build(_stype(args))
     payload["system"] = rs.stype.label()
 
     if command == "build":
@@ -123,7 +101,7 @@ def run(config: RunConfig) -> tuple:
         return EXIT_OK, payload, lines
 
     if command == "pairs":
-        pairs = simple.enumerate_admissible_pairs(rs, config.group_cap)
+        pairs = simple.enumerate_admissible_pairs(rs, args.cap)
         entries = []
         for pair in sorted(pairs, key=lambda p: p.key()):
             entry = pair.to_json()
@@ -138,7 +116,7 @@ def run(config: RunConfig) -> tuple:
         return EXIT_OK, payload, lines
 
     if command == "diagram":
-        classes = diagrams.equivalence_classes(rs, config.group_cap)
+        classes = diagrams.equivalence_classes(rs, args.cap)
         payload["result"] = {
             "count": len(classes),
             "classes": [d.to_json() for d in classes],
@@ -152,25 +130,25 @@ def run(config: RunConfig) -> tuple:
     if command == "verify":
         reports = []
         ok = True
-        for name, pair in _pair_variants(rs, config.variant):
-            report = identity.verify(pair, H=config.height)
+        for name, pair in _pair_variants(rs, args.variant):
+            report = identity.verify(pair, H=args.height)
             entry = report.to_json()
             entry["variant"] = name
             reports.append(entry)
             ok = ok and report.equal
             lines.append("%s [%s] H=%d: %s (lhs %d terms, rhs %d terms)"
-                         % (rs.stype.label(), name, config.height,
+                         % (rs.stype.label(), name, args.height,
                             "equal" if report.equal else "NOT EQUAL",
                             report.lhs_terms, report.rhs_terms))
         payload["result"] = {"reports": reports, "equal": ok}
         return (EXIT_OK if ok else EXIT_VERIFICATION, payload, lines)
 
     if command == "orbits":
-        reps = identity.regular_orbit_scan(rs, H=config.height)
+        reps = identity.regular_orbit_scan(rs, H=args.height)
         payload["result"] = {"representatives": [str(w) for w in reps]}
         lines.append("%s: %d regular orbit%s in the height-%d region"
                      % (rs.stype.label(), len(reps),
-                        "" if len(reps) == 1 else "s", config.height))
+                        "" if len(reps) == 1 else "s", args.height))
         lines += ["  %s" % w for w in reps]
         return EXIT_OK, payload, lines
 
@@ -213,25 +191,10 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        family=getattr(args, "family", "Q" if args.command == "qn" else "GL"),
-        m=getattr(args, "m", 1),
-        n=getattr(args, "n", 0),
-        sharp=getattr(args, "sharp", None),
-        height=getattr(args, "height", 8),
-        variant=getattr(args, "variant", None),
-        output=args.output,
-        group_cap=getattr(args, "cap", 10 ** 6),
-    )
-
-
 def main(argv: Optional[list] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        code, payload, lines = run(config)
+        code, payload, lines = run(args)
     except (ValidationError, DomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -241,7 +204,7 @@ def main(argv: Optional[list] = None) -> int:
     except StructuralError as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
         return EXIT_VERIFICATION
-    if config.output == "json":
+    if args.output == "json":
         print(canonical_json(payload))
     else:
         for line in lines:

@@ -19,9 +19,9 @@ from typing import Optional
 
 from .errors import DomainError, StructuralError, ValidationError
 from .roots import RootSystem
-from .simple import (AdmissiblePair, derive, enumerate_admissible_pairs,
-                     functional_for, isotropic_parts, make_pair,
-                     pair_components)
+from .simple import (PAIR_CAP, AdmissiblePair, derive,
+                     enumerate_admissible_pairs, functional_for,
+                     isotropic_parts, make_pair, pair_components, pairing)
 from .weights import Weight
 
 SMILE = "smile"
@@ -106,21 +106,19 @@ def _mk(marks, bows, mode) -> Diagram:
     return Diagram(tuple(marks), tuple(sorted(bows)), mode).validate()
 
 
-def from_pair(pair: AdmissiblePair, rs: Optional[RootSystem] = None) -> Diagram:
+def from_pair(pair: AdmissiblePair) -> Diagram:
     """Draw the pair: order the coordinates by the functional, bow S."""
-    rs = pair.rs if rs is None else rs
+    rs = pair.rs
     if rs.family not in _DIAGRAM_FAMILIES:
         raise DomainError("diagrams cover the gl/B/D families")
     f = functional_for(pair.system)
-    coords = [("e", i, f.x_eps(i)) for i in range(1, rs.m + 1)] \
-        + [("d", j, f.x_delta(j)) for j in range(1, rs.n + 1)]
-    coords.sort(key=lambda c: c[2])
-    position = {(kind, idx): p for p, (kind, idx, _) in enumerate(coords)}
-    marks = ["a" if kind == "e" else "b" for kind, _, _ in coords]
+    order = sorted(range(rs.m + rs.n), key=f.__getitem__)
+    position = {k: p for p, k in enumerate(order)}
+    marks = ["a" if k < rs.m else "b" for k in order]
     bows = []
     for beta in pair.S:
         ei, dj, kind = isotropic_parts(beta)
-        p, q = sorted((position[("e", ei)], position[("d", dj)]))
+        p, q = sorted((position[ei - 1], position[rs.m + dj - 1]))
         if q != p + 1:
             raise ValidationError(
                 "endpoints of %s are not neighbours in the functional order"
@@ -238,7 +236,7 @@ def canonical_frown(m: int, n: int, mode: str) -> Diagram:
     return _mk(marks, bows, mode)
 
 
-def equivalence_classes(rs: RootSystem, cap: Optional[int] = None) -> list:
+def equivalence_classes(rs: RootSystem, cap: int = PAIR_CAP) -> list:
     """Canonical forms of the move-graph components; their count is checked.
 
     Components are computed on the pairs themselves, under the moves the
@@ -256,10 +254,9 @@ def equivalence_classes(rs: RootSystem, cap: Optional[int] = None) -> list:
         raise DomainError("diagrams cover the gl/B/D families")
     if rs.defect < 1:
         raise DomainError("no bows without isotropic roots")
-    pairs = enumerate_admissible_pairs(rs) if cap is None \
-        else enumerate_admissible_pairs(rs, cap)
     out = []
-    for component in pair_components(pairs, same_kind_only=True):
+    for component in pair_components(enumerate_admissible_pairs(rs, cap),
+                                     same_kind_only=True):
         canons = set()
         for pair in component:
             try:
@@ -320,7 +317,7 @@ def pair_from_diagram(d: Diagram, rs: RootSystem) -> AdmissiblePair:
     if len(found) > 1:
         raise StructuralError("diagram does not determine the pair")
     (pair,) = found.values()
-    if from_pair(pair, rs) != d:
+    if from_pair(pair) != d:
         raise StructuralError("reconstructed pair draws differently")
     return pair
 
@@ -331,11 +328,7 @@ def _reconstruct(d: Diagram, rs: RootSystem, xs: list) -> AdmissiblePair:
         + [p for p in reversed(range(len(xs))) if d.marks[p] == "b"]
     x = [xs[p] for p in order]
     at = {p: Weight.unit(k, rs.m, rs.n) for k, p in enumerate(order)}
-
-    def val(w: Weight):
-        return sum((c * xk for c, xk in zip(w.coords(), x) if c), Q(0))
-
-    pi = [a for a in rs.all_roots() if val(a) == 1]
+    pi = [a for a in rs.all_roots() if pairing(x, a) == 1]
     sys = derive(pi, rs)
     S = []
     for left, right, kind in d.bows:

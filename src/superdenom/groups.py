@@ -13,6 +13,7 @@ even roots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError, StructuralError
@@ -113,7 +114,6 @@ def reflection(alpha: Weight) -> SignedPermutation:
 class GroupDescriptor:
     """A reflection-generated group with cached BFS enumeration."""
 
-    tag: str
     dims: tuple
     generators: tuple
     reflection_roots: tuple = ()
@@ -147,31 +147,30 @@ def enumerate_group(generators: Sequence[SignedPermutation], dims: tuple,
                     if len(seen) > cap:
                         raise ResourceLimitError(
                             "group enumeration exceeded cap %d" % cap)
-        frontier = sorted(nxt, key=lambda p: p.images)
+        frontier = nxt
     return tuple(sorted(seen, key=lambda p: p.images))
 
 
+@lru_cache(maxsize=None)
 def weyl_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupDescriptor:
     """Full even Weyl group W, generated by even simple reflections."""
     simples = simple_roots(rs.positive_even)
-    return GroupDescriptor("W", (rs.m, rs.n),
-                           tuple(reflection(a) for a in simples),
+    return GroupDescriptor((rs.m, rs.n), tuple(reflection(a) for a in simples),
                            reflection_roots=simples, cap=cap)
 
 
+@lru_cache(maxsize=None)
 def sharp_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupDescriptor:
     """W#: reflections in the positive-square even roots."""
     simples = simple_roots(rs.sharp & rs.positive_even)
-    return GroupDescriptor("W#", (rs.m, rs.n),
-                           tuple(reflection(a) for a in simples),
+    return GroupDescriptor((rs.m, rs.n), tuple(reflection(a) for a in simples),
                            reflection_roots=simples, cap=cap)
 
 
 def complement_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupDescriptor:
     """W_2: reflections in the even roots outside Delta#."""
     simples = simple_roots(rs.positive_even - rs.sharp)
-    return GroupDescriptor("W_2", (rs.m, rs.n),
-                           tuple(reflection(a) for a in simples),
+    return GroupDescriptor((rs.m, rs.n), tuple(reflection(a) for a in simples),
                            reflection_roots=simples, cap=cap)
 
 
@@ -205,7 +204,7 @@ def orbit(lam: Weight, group: GroupDescriptor) -> list:
 def stabilizer(lam: Weight, group: GroupDescriptor) -> GroupDescriptor:
     """Subgroup of group fixing lam, with elements precomputed."""
     fixing = tuple(w for w in group.elements() if w.apply(lam) == lam)
-    sub = GroupDescriptor(group.tag + "_stab", group.dims, fixing,
+    sub = GroupDescriptor(group.dims, fixing,
                           reflection_roots=group.reflection_roots, cap=group.cap)
     sub._elements = fixing
     return sub

@@ -15,7 +15,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -23,7 +22,7 @@ from .errors import DomainError, StructuralError
 from .groups import (GroupDescriptor, SignedPermutation,
                      check_stabilizer_dichotomy, dominant_representative,
                      enumerate_group, orbit, orbit_intersects_shifted_cone,
-                     reflection, sharp_group, weyl_group)
+                     reflection, sharp_group, stabilizer, weyl_group)
 from .lp import OPTIMAL, maximize
 from .roots import RootSystem, SuperType, build, simple_roots
 from .series import (FormalSeries, GeometricTerm, _accumulate, _times_binomial,
@@ -31,16 +30,6 @@ from .series import (FormalSeries, GeometricTerm, _accumulate, _times_binomial,
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
                      isotropic_parts, second_type_move, standard_pair)
 from .weights import Weight, bilinear_form, solve_in_span
-
-
-@lru_cache(maxsize=None)
-def _sharp(rs: RootSystem) -> GroupDescriptor:
-    return sharp_group(rs)
-
-
-@lru_cache(maxsize=None)
-def _full(rs: RootSystem) -> GroupDescriptor:
-    return weyl_group(rs)
 
 
 def _zero(rs: RootSystem) -> Weight:
@@ -54,20 +43,13 @@ def _us(t0: float) -> int:
 # ---------------------------------------------------------------------------
 # the two sides
 
-@dataclass(frozen=True)
-class PhiData:
-    """Per-element bookkeeping for the expanded form of X.
+def phi_data(w: SignedPermutation, pair: AdmissiblePair) -> tuple:
+    """(base_key, abs_w): per-element bookkeeping for the expanded form of X.
 
-    phi is the sum of the w-images of S that land negative; abs_w maps
-    each beta in S to the positive root +-w(beta).
+    phi is the sum of the w-images of S that land negative and base_key
+    the cone coordinates of rho - (w rho + phi); abs_w maps each beta in S
+    to the positive root +-w(beta).
     """
-
-    w: SignedPermutation
-    phi: Weight
-    abs_w: dict
-
-
-def phi_data(w: SignedPermutation, pair: AdmissiblePair) -> PhiData:
     frame = pair.system
     phi = _zero(pair.rs)
     abs_w = {}
@@ -78,7 +60,7 @@ def phi_data(w: SignedPermutation, pair: AdmissiblePair) -> PhiData:
         else:
             phi = phi + wb
             abs_w[b] = -wb
-    return PhiData(w, phi, abs_w)
+    return frame.cone_key(frame.rho - (w.apply(frame.rho) + phi)), abs_w
 
 
 def y_term(pair: AdmissiblePair) -> GeometricTerm:
@@ -86,24 +68,38 @@ def y_term(pair: AdmissiblePair) -> GeometricTerm:
     return GeometricTerm.make(1, pair.system.rho, pair.S)
 
 
+def _alternating_terms(group: GroupDescriptor, exponent: Weight,
+                       denoms: Sequence[Weight]) -> tuple:
+    """sgn(w) w(e^exponent / prod_{b in denoms}(1 + e^{-b})) for w in group."""
+    return tuple(
+        GeometricTerm.make(w.sgn(), w.apply(exponent),
+                           [w.apply(b) for b in denoms])
+        for w in group.elements())
+
+
+def _denominator(frame: SimpleSystem, offset: Weight, odd: Iterable[Weight],
+                 even: Iterable[Weight], H: int) -> FormalSeries:
+    """e^offset prod_{a in even}(1 - e^{-a}) / prod_{b in odd}(1 + e^{-b}).
+
+    The odd factors are expanded geometrically, the even ones multiplied
+    in exactly, in coordinate order.
+    """
+    series = expand_terms([GeometricTerm.make(1, offset, odd)], frame, H,
+                          offset=offset)
+    for a in sorted(even, key=Weight.coords):
+        series = series.mul_binomial(-1, a)
+    return series
+
+
 def closed_form_terms(pair: AdmissiblePair) -> tuple:
     """The terms sgn(w) * w(Y) over W#, before any expansion."""
-    frame = pair.system
-    rho = frame.rho
-    return tuple(
-        GeometricTerm.make(w.sgn(), w.apply(rho), [w.apply(b) for b in pair.S])
-        for w in _sharp(pair.rs).elements())
+    return _alternating_terms(sharp_group(pair.rs), pair.system.rho, pair.S)
 
 
 def lhs(pair: AdmissiblePair, H: int) -> FormalSeries:
     """R e^rho: odd factors expanded geometrically, even factors exactly."""
-    frame = pair.system
-    odd_pos = sorted(frame.pos_odd, key=Weight.coords)
-    series = expand_terms(
-        [GeometricTerm.make(1, frame.rho, odd_pos)], frame, H)
-    for a in sorted(pair.rs.positive_even, key=Weight.coords):
-        series = series.mul_binomial(-1, a)
-    return series
+    return _denominator(pair.system, pair.system.rho, pair.system.pos_odd,
+                        pair.rs.positive_even, H)
 
 
 def rhs_closed(pair: AdmissiblePair, H: int) -> FormalSeries:
@@ -116,10 +112,9 @@ def rhs_expanded(pair: AdmissiblePair, H: int) -> FormalSeries:
     frame = pair.system
     rho = frame.rho
     acc = {}
-    for w in _sharp(pair.rs).elements():
-        pd = phi_data(w, pair)
-        base = frame.cone_key(rho - (w.apply(rho) + pd.phi))
-        steps = [frame.cone_int(pd.abs_w[b]) for b in pair.S]
+    for w in sharp_group(pair.rs).elements():
+        base, abs_w = phi_data(w, pair)
+        steps = [frame.cone_int(abs_w[b]) for b in pair.S]
         _mu_accumulate(acc, base, steps, w.sgn(), H)
     return FormalSeries(frame, H, rho,
                         {k: v for k, v in acc.items() if v})
@@ -174,7 +169,7 @@ class VerificationReport:
         }
 
 
-def verify(pair: AdmissiblePair, H: int = 8, expanded: bool = True,
+def verify(pair: AdmissiblePair, H: int = 8,
            skew: bool = True) -> VerificationReport:
     """Compare both sides to height H; cross-check the expansion and skewness.
 
@@ -192,14 +187,13 @@ def verify(pair: AdmissiblePair, H: int = 8, expanded: bool = True,
     first = left.eq_report(right)
     checks["lhs_equals_rhs_closed"] = first is None
     timings["compare"] = _us(t)
-    if expanded:
-        t = time.perf_counter()
-        expand = rhs_expanded(pair, H)
-        diff = right.eq_report(expand)
-        checks["expansion_matches_closed_form"] = diff is None
-        if first is None:
-            first = diff
-        timings["rhs_expanded"] = _us(t)
+    t = time.perf_counter()
+    expand = rhs_expanded(pair, H)
+    diff = right.eq_report(expand)
+    checks["expansion_matches_closed_form"] = diff is None
+    if first is None:
+        first = diff
+    timings["rhs_expanded"] = _us(t)
     if skew:
         t = time.perf_counter()
         ok, witness = skew_invariance_check(pair, H, series=right)
@@ -220,7 +214,7 @@ def skew_invariance_check(pair: AdmissiblePair, H: int,
     frame = pair.system
     X = rhs_closed(pair, H) if series is None else series
     terms = closed_form_terms(pair)
-    group = _full(pair.rs)
+    group = weyl_group(pair.rs)
     for g, root in zip(group.generators, group.reflection_roots):
         acted = expand_terms([act(g, t) for t in terms], frame, H)
         diff = acted.eq_report(X.scale(g.sgn()))
@@ -241,9 +235,7 @@ def acted_series(pair: AdmissiblePair, g: SignedPermutation,
 # the e^rho coefficient and its stabilizer set
 
 def stabilizer_elements(pair: AdmissiblePair) -> tuple:
-    rho = pair.system.rho
-    return tuple(w for w in _sharp(pair.rs).elements()
-                 if w.apply(rho) == rho)
+    return stabilizer(pair.system.rho, sharp_group(pair.rs)).elements()
 
 
 def e_rho_coefficient_set(pair: AdmissiblePair) -> tuple:
@@ -275,16 +267,14 @@ def cross_multiplied_check(pair: AdmissiblePair) -> tuple:
     cone coordinates of rho - exponent.  Returns (equal, left, right).
     """
     frame = pair.system
-    rho = frame.rho
     odd_pos = sorted(frame.pos_odd, key=Weight.coords)
     zero_key = frame.cone_key(_zero(pair.rs))
     right = _poly(zero_key, 1,
                   sorted(pair.rs.positive_even, key=Weight.coords), frame, -1)
     left = {}
-    for w in _sharp(pair.rs).elements():
-        pd = phi_data(w, pair)
-        dropped = set(pd.abs_w.values())
-        base = frame.cone_key(rho - (w.apply(rho) + pd.phi))
+    for w in sharp_group(pair.rs).elements():
+        base, abs_w = phi_data(w, pair)
+        dropped = set(abs_w.values())
         part = _poly(base, w.sgn(),
                      [a for a in odd_pos if a not in dropped], frame, +1)
         _accumulate(left, part.items())
@@ -328,7 +318,7 @@ def qn_standard_set(rs: RootSystem) -> tuple:
 def qn_a_set(rs: RootSystem, S: Sequence[Weight]) -> tuple:
     """All w with wS inside the positive part, under w(eps_i) = eps_{w(i)}."""
     pos = rs.positive_even
-    return tuple(w for w in _full(rs).elements()
+    return tuple(w for w in weyl_group(rs).elements()
                  if all(w.apply(b) in pos for b in S))
 
 
@@ -372,22 +362,17 @@ def qn_identity(n_or_rs, S: Optional[Sequence[Weight]] = None,
             raise DomainError("%s is not a positive root of q(n)" % b)
     frame = even_frame(rs)
     zero = _zero(rs)
-    pos = sorted(rs.positive_even, key=Weight.coords)
     timings = {}
     t = time.perf_counter()
     a = qn_a_value(rs, S)
     timings["a_value"] = _us(t)
     t = time.perf_counter()
-    left = expand_terms([GeometricTerm.make(1, zero, pos)], frame, H,
-                        offset=zero)
-    for alpha in pos:
-        left = left.mul_binomial(-1, alpha)
-    left = left.scale(a)
+    left = _denominator(frame, zero, rs.positive_even, rs.positive_even,
+                        H).scale(a)
     timings["lhs"] = _us(t)
     t = time.perf_counter()
-    right = expand_terms(
-        [GeometricTerm.make(w.sgn(), zero, [w.apply(b) for b in S])
-         for w in _full(rs).elements()], frame, H, offset=zero)
+    right = expand_terms(_alternating_terms(weyl_group(rs), zero, S),
+                         frame, H, offset=zero)
     timings["rhs"] = _us(t)
     first = left.eq_report(right)
     note = ("action w(eps_i) = eps_{w(i)}; a(S) = %d for S = {%s}"
@@ -406,36 +391,28 @@ def qn_identity(n_or_rs, S: Optional[Sequence[Weight]] = None,
 # regular orbits and the cone presentation of xi
 
 def xi_vector(pair: AdmissiblePair) -> Weight:
-    acc = _zero(pair.rs)
-    for b in pair.S:
-        acc = acc + b
-    return acc
+    return sum(pair.S, _zero(pair.rs))
 
 
-def regular_orbit_scan(rs: RootSystem, H: int = 10,
-                       check: bool = True) -> list:
+def regular_orbit_scan(rs: RootSystem, H: int = 10) -> list:
     """Dominant representatives of the regular W-orbits inside rho_0 - Q+.
 
     The search region is rho_0 - {mu in Q+ : height(mu) <= H} in the
-    standard frame; orbit containment in the cone is exact.  With check
-    on, the result must match the classification: only W rho_0 except for
-    gl(n|n), where the representatives are rho_0 - s*xi.
+    standard frame; orbit containment in the cone is exact.  The result
+    must match the classification: only W rho_0 except for gl(n|n), where
+    the representatives are rho_0 - s*xi.
     """
     if rs.family not in ("GL", "C"):
         raise DomainError("orbit scans cover the gl and C families only")
     pair = standard_pair(rs, "step2")
     frame = pair.system
-    group = _full(rs)
+    group = weyl_group(rs)
     rho0 = frame.rho0
     evens = simple_roots(rs.positive_even)
     reps = set()
     seen = set()
     for key in _keys_up_to(len(frame.simple_roots), H):
-        mu = _zero(rs)
-        for c, b in zip(key, frame.simple_roots):
-            if c:
-                mu = mu + b.scale(c)
-        lam = rho0 - mu
+        lam = rho0 - frame.weight(key)
         if lam in seen:
             continue
         orb = orbit(lam, group)
@@ -445,12 +422,11 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10,
         if all(frame.cone(rho0 - p, ring="integer") is not None for p in orb):
             reps.add(dominant_representative(lam, group, evens))
     out = sorted(reps, key=Weight.coords)
-    if check:
-        expected = expected_regular_orbit_reps(rs, H)
-        if out != expected:
-            raise StructuralError(
-                "regular orbits [%s] do not match the classification [%s]"
-                % (", ".join(map(str, out)), ", ".join(map(str, expected))))
+    expected = expected_regular_orbit_reps(rs, H)
+    if out != expected:
+        raise StructuralError(
+            "regular orbits [%s] do not match the classification [%s]"
+            % (", ".join(map(str, out)), ", ".join(map(str, expected))))
     return out
 
 
@@ -530,7 +506,7 @@ def rho_descent_holds(pair: AdmissiblePair) -> bool:
     frame = pair.system
     rho = frame.rho
     return all(frame.cone(rho - w.apply(rho), ring="rational") is not None
-               for w in _sharp(pair.rs).elements())
+               for w in sharp_group(pair.rs).elements())
 
 
 def stabilizer_matches_zero_pairing_reflections(pair: AdmissiblePair) -> bool:
@@ -590,25 +566,19 @@ def eps_symmetry_applicable(pair: AdmissiblePair) -> bool:
 # ---------------------------------------------------------------------------
 # the classical orbit dichotomy (even root system, its own frame)
 
-def coefficient_box(rs: RootSystem, radius: int = 1, scale=1,
+def coefficient_box(rs: RootSystem, scale=1,
                     offset: Optional[Weight] = None) -> list:
-    """Integral-pairing sample weights inside the even root span."""
-    simples = simple_roots(rs.positive_even)
+    """offset + scale * mu, mu with even simple coordinates in {-1, 0, 1}."""
+    frame = even_frame(rs)
     base = _zero(rs) if offset is None else offset
-    out = []
-    for combo in product(range(-radius, radius + 1), repeat=len(simples)):
-        w = base
-        for c, a in zip(combo, simples):
-            if c:
-                w = w + a.scale(Q(c) * scale)
-        out.append(w)
-    return out
+    return [base + frame.weight(tuple(c * scale for c in combo))
+            for combo in product((-1, 0, 1), repeat=len(frame.simple_roots))]
 
 
 def classical_dominant_check(rs: RootSystem,
                              samples: Optional[Iterable[Weight]] = None) -> bool:
     """Every orbit meets the dominant cone; regular orbits exactly once."""
-    group = _full(rs)
+    group = weyl_group(rs)
     simples = simple_roots(rs.positive_even)
     for lam in coefficient_box(rs) if samples is None else samples:
         orb = orbit(lam, group)
@@ -625,7 +595,7 @@ def classical_dominant_check(rs: RootSystem,
 def classical_dichotomy_check(rs: RootSystem,
                               samples: Optional[Iterable[Weight]] = None) -> bool:
     """Stabilizers are trivial or contain a reflection."""
-    group = _full(rs)
+    group = weyl_group(rs)
     if samples is None:
         samples = coefficient_box(rs) + coefficient_box(rs, scale=Q(1, 2))
     return all(check_stabilizer_dichotomy(lam, group, rs.even())
@@ -636,7 +606,7 @@ def classical_regular_cone_check(rs: RootSystem,
                                  samples: Optional[Iterable[Weight]] = None
                                  ) -> bool:
     """Regular integral orbits meet rho_0 + (rational cone on simples)."""
-    group = _full(rs)
+    group = weyl_group(rs)
     simples = simple_roots(rs.positive_even)
     rho0 = even_frame(rs).rho
     if samples is None:
@@ -652,14 +622,9 @@ def classical_regular_cone_check(rs: RootSystem,
 # ---------------------------------------------------------------------------
 # closed-form generator relations
 
-def y_canonical(pair: AdmissiblePair) -> tuple:
-    return canonical_terms([y_term(pair)], pair.system)
-
-
 def y_fixed_by(pair: AdmissiblePair, g: SignedPermutation) -> bool:
     """g(Y) = Y as normalized closed forms."""
-    return canonical_terms([act(g, y_term(pair))], pair.system) \
-        == y_canonical(pair)
+    return y_shifts_by(pair, g, _zero(pair.rs))
 
 
 def y_shifts_by(pair: AdmissiblePair, g: SignedPermutation,
@@ -716,8 +681,6 @@ def dropped_denominator_sum_vanishes(pair: AdmissiblePair, beta: Weight,
     if beta not in pair.S:
         raise DomainError("%s is not in S" % beta)
     frame = pair.system
-    rest = [b for b in pair.S if b != beta]
-    terms = [GeometricTerm.make(w.sgn(), w.apply(frame.rho + shift),
-                                [w.apply(b) for b in rest])
-             for w in _sharp(pair.rs).elements()]
+    terms = _alternating_terms(sharp_group(pair.rs), frame.rho + shift,
+                               [b for b in pair.S if b != beta])
     return canonical_terms(terms, frame) == ()

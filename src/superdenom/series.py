@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from operator import add
 from typing import Optional, Sequence
 
@@ -153,7 +152,7 @@ class FormalSeries:
         if not diffs:
             return None
         h, k, a, b = min(diffs)
-        mu = _key_weight(self.frame, k)
+        mu = self.frame.weight(k)
         return {
             "exponent": str(self.offset - mu),
             "mu": [str(c) for c in k],
@@ -171,7 +170,7 @@ class FormalSeries:
         for k, v in self.items_sorted():
             mu = ",".join(str(c) for c in k)
             out.append("%s [%s] e^(%s)"
-                       % (v, mu, self.offset - _key_weight(self.frame, k)))
+                       % (v, mu, self.offset - self.frame.weight(k)))
         return out
 
     def to_json(self) -> dict:
@@ -208,14 +207,6 @@ def _times_binomial(data: dict, step: tuple, sign: int, H=None) -> dict:
     if H is not None:
         shifted = ((k, v) for k, v in shifted if _ht(k) <= H)
     return _accumulate(dict(data), shifted)
-
-
-def _key_weight(frame: SimpleSystem, key: tuple) -> Weight:
-    out = Weight.zero(frame.m, frame.n)
-    for c, b in zip(key, frame.simple_roots):
-        if c:
-            out = out + b.scale(Q(c) if isinstance(c, int) else c)
-    return out
 
 
 def _geometric(data: dict, step: tuple, H) -> dict:

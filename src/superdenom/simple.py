@@ -34,8 +34,9 @@ class SimpleSystem:
         self.pos_even = frozenset(positive_even)
         self.pos_odd = frozenset(positive_odd)
         self.positive_roots = self.pos_even | self.pos_odd
-        self.rho0 = _half_sum(self.pos_even, rs)
-        self.rho1 = _half_sum(self.pos_odd, rs)
+        zero = Weight.zero(rs.m, rs.n)
+        self.rho0 = sum(self.pos_even, zero).scale(Q(1, 2))
+        self.rho1 = sum(self.pos_odd, zero).scale(Q(1, 2))
         self.rho = self.rho0 - self.rho1
         self._solver = solver
         self._int_cache = {}
@@ -80,6 +81,11 @@ class SimpleSystem:
         self._int_cache[w] = out
         return out
 
+    def weight(self, key: tuple) -> Weight:
+        """The span vector with these simple coordinates; inverts cone_key."""
+        return sum((b.scale(c) for c, b in zip(key, self.simple_roots) if c),
+                   Weight.zero(self.m, self.n))
+
     def cone_int(self, w: Weight) -> tuple:
         """Like cone_key but insists on integer (lattice) coordinates."""
         out = self.cone_key(w)
@@ -100,13 +106,6 @@ class SimpleSystem:
                              for a in self.simple_roots],
             "rho": weight_json(self.rho),
         }
-
-
-def _half_sum(roots, rs) -> Weight:
-    acc = Weight.zero(rs.m, rs.n)
-    for a in roots:
-        acc = acc + a
-    return acc.scale(Q(1, 2))
 
 
 def derive(pi: Sequence[Weight], rs: RootSystem, universe: str = "super"
@@ -217,13 +216,11 @@ def is_admissible(S: Sequence[Weight], sys: SimpleSystem) -> tuple:
     return True, None
 
 
-def make_pair(S: Sequence[Weight], sys: SimpleSystem, validate: bool = True
-              ) -> AdmissiblePair:
+def make_pair(S: Sequence[Weight], sys: SimpleSystem) -> AdmissiblePair:
     S = tuple(sorted(S, key=Weight.coords))
-    if validate:
-        ok, reason = is_admissible(S, sys)
-        if not ok:
-            raise ValidationError("pair is not admissible: %s" % reason)
+    ok, reason = is_admissible(S, sys)
+    if not ok:
+        raise ValidationError("pair is not admissible: %s" % reason)
     return AdmissiblePair(S, sys)
 
 
@@ -474,7 +471,7 @@ def enumerate_simple_systems(rs: RootSystem, cap: int = PAIR_CAP) -> list:
                     if len(seen) > cap:
                         raise ResourceLimitError(
                             "simple-system enumeration exceeded cap %d" % cap)
-        frontier = sorted(nxt, key=lambda s: s.key())
+        frontier = nxt
     return [seen[k] for k in sorted(seen)]
 
 
@@ -529,33 +526,17 @@ def pair_components(pairs: Sequence[AdmissiblePair],
 # ---------------------------------------------------------------------------
 # root functionals
 
-@dataclass(frozen=True)
-class Functional:
-    """f with <f, alpha> = 1 on the simple roots; values over the merged basis."""
-
-    values: tuple
-    m: int
-    n: int
-
-    def pair(self, w: Weight):
-        acc = Q(0)
-        for x, c in zip(self.values, w.coords()):
-            if c:
-                acc += x * c
-        return acc
-
-    def x_eps(self, i: int):
-        return self.values[i - 1]
-
-    def x_delta(self, j: int):
-        return self.values[self.m + j - 1]
+def pairing(x: tuple, w: Weight):
+    """The coordinate pairing sum_k x_k w_k, not the bilinear form."""
+    return sum((c * xk for c, xk in zip(w.coords(), x) if c), Q(0))
 
 
-def functional_for(sys: SimpleSystem) -> Functional:
+def functional_for(sys: SimpleSystem) -> tuple:
     """Solve <f, alpha> = 1 on Pi and check the sorting properties.
 
-    The pairing is the coordinate pairing, not the bilinear form.  For gl
-    the solution line is pinned by min value 1; elsewhere it is unique.
+    Returns the values of f over the flat basis (eps block first); f
+    acts through `pairing`, not the bilinear form.  For gl the solution
+    line is pinned by min value 1; elsewhere it is unique.
     The checks: integer nonzero on all roots, >= 1 on positives, = 1
     exactly on the simples.
     """
@@ -570,13 +551,13 @@ def functional_for(sys: SimpleSystem) -> Functional:
     if rs.family == "GL":
         shift = Q(1) - min(sol)
         sol = [x + shift for x in sol]
-    f = Functional(tuple(sol), rs.m, rs.n)
+    f = tuple(sol)
     for a in rs.all_roots():
-        v = f.pair(a)
+        v = pairing(f, a)
         if v == 0 or v.denominator != 1:
             raise ValidationError("functional is %s on root %s" % (v, a))
     for a in sys.positive_roots:
-        v = f.pair(a)
+        v = pairing(f, a)
         if v < 1:
             raise ValidationError("functional is %s on positive root %s" % (v, a))
         if (v == 1) != (a in sys.simple_roots):

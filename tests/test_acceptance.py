@@ -235,12 +235,12 @@ def test_criterion_6_regular_orbits():
         singletons = [build(SuperType("GL", 2, 1)), build(SuperType("GL", 3, 2)),
                       build(SuperType("C", n=2)), build(SuperType("C", n=3))]
         for rs in singletons:
-            reps = regular_orbit_scan(rs, H=10, check=True)
+            reps = regular_orbit_scan(rs, H=10)
             frame = standard_pair(rs, "step2").system
             assert reps == [frame.rho0]
         for k in (2, 3):
             rs = build(SuperType("GL", k, k))
-            reps = regular_orbit_scan(rs, H=10, check=True)
+            reps = regular_orbit_scan(rs, H=10)
             assert reps == expected_regular_orbit_reps(rs, H=10)
             assert len(reps) > 1
         for n in (1, 2, 3):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import superdenom
-from superdenom.cli import RunConfig, canonical_json, main, run
+from superdenom.cli import _parser, canonical_json, main, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -109,8 +109,7 @@ def test_resource_cap_exit_3(capsys):
 
 
 def test_run_config_direct():
-    config = RunConfig(command="qn", family="Q", m=0, n=3)
-    code, payload, lines = run(config)
+    code, payload, lines = run(_parser().parse_args(["qn", "--n", "3"]))
     assert code == 0
     assert payload["a"] == -1
     assert lines and lines[0].startswith("q(3)")

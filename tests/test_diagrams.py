@@ -7,8 +7,7 @@ from superdenom.diagrams import (FROWN, SMILE, Diagram, available_moves,
                                  pair_from_diagram)
 from superdenom.errors import DomainError, StructuralError, ValidationError
 from superdenom.roots import SuperType, build
-from superdenom.simple import (enumerate_admissible_pairs, make_pair, derive,
-                               second_class_pair, standard_pair)
+from superdenom.simple import enumerate_admissible_pairs, make_pair, derive
 
 
 def test_validation_rules():

@@ -1,5 +1,3 @@
-from fractions import Fraction as Q
-
 import pytest
 
 from superdenom import identity
@@ -19,7 +17,7 @@ from superdenom.identity import (acted_series, cross_multiplied_check,
                                  xi_uniqueness, y_fixed_by, y_shifts_by)
 from superdenom.roots import SuperType, build
 from superdenom.series import GeometricTerm
-from superdenom.simple import (make_pair, second_class_pair,
+from superdenom.simple import (AdmissiblePair, second_class_pair,
                                second_type_moves, standard_pair)
 
 
@@ -211,7 +209,7 @@ def _failed_checks(report) -> set:
 
 def test_verify_catches_a_dropped_element_of_s():
     pair = _pair("GL", 2, 2)
-    short = make_pair(pair.S[1:], pair.system, validate=False)
+    short = AdmissiblePair(pair.S[1:], pair.system)
     # phi/|w| reads the same shortened S, so only it agrees with the W#-sum
     assert _failed_checks(verify(short, H=5)) == {
         "lhs_equals_rhs_closed", "skew_invariance"}

@@ -3,7 +3,7 @@ import pytest
 from superdenom.errors import ValidationError
 from superdenom.roots import (SuperType, build, is_isotropic, simple_roots,
                               system_json)
-from superdenom.weights import Weight, bilinear_form
+from superdenom.weights import bilinear_form
 
 
 def test_supertype_validation():

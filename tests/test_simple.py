@@ -8,6 +8,7 @@ from superdenom.simple import (derive, enumerate_admissible_pairs,
                                enumerate_simple_systems, even_frame,
                                functional_for, is_admissible, isotropic_parts,
                                make_pair, odd_reflection, pair_components,
+                               pairing,
                                pair_neighbors, pair_odd_reflection,
                                second_class_pair, second_type_move,
                                second_type_moves, standard_pair)
@@ -44,6 +45,19 @@ def test_rho_of_standard_pairs_pairs_with_simples():
         sys = pair.system
         for a in sys.simple_roots:
             assert bilinear_form(sys.rho, a) == Q(bilinear_form(a, a), 2)
+
+
+def test_weight_inverts_cone_key():
+    frames = [standard_pair(build(st), "step2").system
+              for st in (SuperType("GL", 3, 2), SuperType("B", 2, 2),
+                         SuperType("D", 2, 1), SuperType("C", n=3))]
+    frames.append(even_frame(build(SuperType("B", 2, 1))))
+    for frame in frames:
+        for w in frame.positive_roots:
+            assert frame.weight(frame.cone_key(w)) == w
+            assert frame.weight(frame.cone_key(-w)) == -w
+        zero = Weight.zero(frame.m, frame.n)
+        assert frame.weight(frame.cone_key(zero)) == zero
 
 
 def test_odd_reflection_moves_rho_by_beta():
@@ -219,11 +233,11 @@ def test_functional_values():
                      derive([rs.delta(1) - rs.eps(2),
                              rs.eps(1) - rs.delta(1)], rs))
     f = functional_for(pair.system)
-    assert (f.x_eps(2), f.x_delta(1), f.x_eps(1)) == (1, 2, 3)
+    assert (f[1], f[2], f[0]) == (1, 2, 3)
     for a in pair.system.simple_roots:
-        assert f.pair(a) == 1
+        assert pairing(f, a) == 1
     for a in pair.system.positive_roots:
-        assert f.pair(a) >= 1
+        assert pairing(f, a) >= 1
     with pytest.raises(DomainError):
         functional_for(standard_pair(build(SuperType("C", n=2)), "step2").system)
 
