@@ -20,7 +20,7 @@ from typing import Optional
 from . import diagrams, identity, simple
 from .errors import (DomainError, ResourceLimitError, StructuralError,
                      ValidationError)
-from .roots import RootSystem, SuperType, build, system_json
+from .roots import SuperType, build, system_json
 
 SCHEMA = "superdenom/1"
 
@@ -28,8 +28,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-_VARIANTS = ("step2", "step3", "step3_prime", "second_class")
 
 
 def canonical_json(payload) -> str:
@@ -45,23 +43,6 @@ def _json_safe(value):
     if value is None or isinstance(value, (int, str)):
         return value
     return str(value)
-
-
-def _pair_variants(rs: RootSystem, variant: Optional[str]) -> list:
-    """(name, pair) choices for verify; default runs every one defined."""
-    if variant is not None:
-        if variant == "second_class":
-            return [(variant, simple.second_class_pair(rs))]
-        if variant not in _VARIANTS:
-            raise ValidationError("unknown variant %r" % (variant,))
-        return [(variant, simple.standard_pair(rs, variant))]
-    out = [("step2", simple.standard_pair(rs, "step2"))]
-    if rs.family in ("B_EPS", "B_DELTA", "D_EPS", "D_DELTA"):
-        out.append(("step3", simple.standard_pair(rs, "step3")))
-    if rs.family == "D_EPS" and rs.n >= 1:
-        out.append(("step3_prime", simple.standard_pair(rs, "step3_prime")))
-        out.append(("second_class", simple.second_class_pair(rs)))
-    return out
 
 
 def _stype(args) -> SuperType:
@@ -130,7 +111,9 @@ def run(args: argparse.Namespace) -> tuple:
     if command == "verify":
         reports = []
         ok = True
-        for name, pair in _pair_variants(rs, args.variant):
+        pairs = simple.standard_pairs(rs) if args.variant is None \
+            else [(args.variant, simple.standard_pair(rs, args.variant))]
+        for name, pair in pairs:
             report = identity.verify(pair, H=args.height)
             entry = report.to_json()
             entry["variant"] = name
@@ -180,7 +163,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify the denominator identity")
     common(p)
     p.add_argument("--height", type=int, default=8)
-    p.add_argument("--variant", choices=list(_VARIANTS))
+    p.add_argument("--variant", choices=list(simple.VARIANTS))
     p = sub.add_parser("qn", help="check the q(n) alternating-sum identity")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--height", type=int, default=8)

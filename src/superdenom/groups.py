@@ -4,21 +4,23 @@ W acts on weights by permuting eps coordinates among themselves and delta
 coordinates among themselves, with optional sign flips where the family
 allows them.  A signed permutation stores one image per coordinate of the
 flat weight layout (eps block first, delta targets offset by m), so every
-operation is a single pass over m+n entries.  W# is generated by
-reflections in the positive-square even roots (always supported on the
-eps block after normalization), W_2 by the reflections in the remaining
-even roots.
+operation is a single pass over m+n entries.  A group is the sorted tuple
+of its elements: `weyl_group` and `sharp_group` enumerate W and W# (the
+group generated by reflections in the positive-square even roots) once
+per root system.  `weyl_generators` keeps W's simple reflections apart,
+so a skewness check never enumerates W.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, ResourceLimitError, StructuralError
 from .roots import RootSystem, simple_roots
-from .weights import ZERO, Weight, bilinear_form, in_positive_cone
+from .simple import SimpleSystem
+from .weights import ZERO, Weight, bilinear_form
 
 DEFAULT_CAP = 10 ** 6
 
@@ -110,29 +112,14 @@ def reflection(alpha: Weight) -> SignedPermutation:
     return SignedPermutation(tuple(images), m)
 
 
-@dataclass
-class GroupDescriptor:
-    """A reflection-generated group with cached BFS enumeration."""
-
-    dims: tuple
-    generators: tuple
-    reflection_roots: tuple = ()
-    cap: int = DEFAULT_CAP
-    _elements: Optional[tuple] = field(default=None, repr=False)
-
-    def elements(self) -> tuple:
-        if self._elements is None:
-            self._elements = enumerate_group(self.generators, self.dims, self.cap)
-        return self._elements
-
-    @property
-    def order(self) -> int:
-        return len(self.elements())
+def simple_reflections(positive: Iterable[Weight]) -> tuple:
+    """(root, reflection) for each simple root of a positive even system."""
+    return tuple((a, reflection(a)) for a in simple_roots(positive))
 
 
 def enumerate_group(generators: Sequence[SignedPermutation], dims: tuple,
                     cap: int = DEFAULT_CAP) -> tuple:
-    """Deterministic BFS closure of the generating set."""
+    """Deterministic BFS closure of the generating set, sorted by images."""
     ident = SignedPermutation.identity(*dims)
     seen = {ident}
     frontier = [ident]
@@ -152,26 +139,22 @@ def enumerate_group(generators: Sequence[SignedPermutation], dims: tuple,
 
 
 @lru_cache(maxsize=None)
-def weyl_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupDescriptor:
-    """Full even Weyl group W, generated by even simple reflections."""
-    simples = simple_roots(rs.positive_even)
-    return GroupDescriptor((rs.m, rs.n), tuple(reflection(a) for a in simples),
-                           reflection_roots=simples, cap=cap)
+def weyl_generators(rs: RootSystem) -> tuple:
+    """W's even simple roots with their reflections."""
+    return simple_reflections(rs.positive_even)
 
 
 @lru_cache(maxsize=None)
-def sharp_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupDescriptor:
-    """W#: reflections in the positive-square even roots."""
-    simples = simple_roots(rs.sharp & rs.positive_even)
-    return GroupDescriptor((rs.m, rs.n), tuple(reflection(a) for a in simples),
-                           reflection_roots=simples, cap=cap)
+def weyl_group(rs: RootSystem) -> tuple:
+    """The elements of the full even Weyl group W."""
+    return enumerate_group([g for _, g in weyl_generators(rs)], (rs.m, rs.n))
 
 
-def complement_group(rs: RootSystem, cap: int = DEFAULT_CAP) -> GroupDescriptor:
-    """W_2: reflections in the even roots outside Delta#."""
-    simples = simple_roots(rs.positive_even - rs.sharp)
-    return GroupDescriptor((rs.m, rs.n), tuple(reflection(a) for a in simples),
-                           reflection_roots=simples, cap=cap)
+@lru_cache(maxsize=None)
+def sharp_group(rs: RootSystem) -> tuple:
+    """The elements of W#, generated by the positive-square even roots."""
+    gens = simple_reflections(rs.sharp & rs.positive_even)
+    return enumerate_group([g for _, g in gens], (rs.m, rs.n))
 
 
 def external_delta_flips(rs: RootSystem) -> tuple:
@@ -189,11 +172,11 @@ def external_delta_flips(rs: RootSystem) -> tuple:
         for j in range(rs.m, size))
 
 
-def orbit(lam: Weight, group: GroupDescriptor) -> list:
+def orbit(lam: Weight, group: Sequence[SignedPermutation]) -> list:
     """Orbit as a deterministic list of distinct weights."""
     seen = []
     seen_set = set()
-    for w in group.elements():
+    for w in group:
         mu = w.apply(lam)
         if mu not in seen_set:
             seen_set.add(mu)
@@ -201,48 +184,43 @@ def orbit(lam: Weight, group: GroupDescriptor) -> list:
     return sorted(seen, key=Weight.coords)
 
 
-def stabilizer(lam: Weight, group: GroupDescriptor) -> GroupDescriptor:
-    """Subgroup of group fixing lam, with elements precomputed."""
-    fixing = tuple(w for w in group.elements() if w.apply(lam) == lam)
-    sub = GroupDescriptor(group.dims, fixing,
-                          reflection_roots=group.reflection_roots, cap=group.cap)
-    sub._elements = fixing
-    return sub
+def stabilizer(lam: Weight, group: Sequence[SignedPermutation]) -> tuple:
+    """The elements of group fixing lam, in group order."""
+    return tuple(w for w in group if w.apply(lam) == lam)
 
 
-def check_stabilizer_dichotomy(lam: Weight, group: GroupDescriptor,
-                               even_roots: Iterable[Weight]) -> bool:
-    """Stabilizer is trivial or contains a reflection in an even root."""
+def check_stabilizer_dichotomy(lam: Weight,
+                               group: Sequence[SignedPermutation],
+                               reflections: frozenset) -> bool:
+    """Stabilizer is trivial or contains one of the given reflections."""
     stab = stabilizer(lam, group)
-    if stab.order == 1:
-        return True
-    refls = set()
-    for a in even_roots:
-        if bilinear_form(a, a) != 0:
-            refls.add(reflection(a))
-    return any(w in refls for w in stab.elements() if not w.is_identity())
+    return len(stab) == 1 or any(w in reflections for w in stab
+                                 if not w.is_identity())
 
 
-def dominant_representative(lam: Weight, group: GroupDescriptor,
-                            simple_roots: Sequence[Weight]) -> Weight:
+def is_dominant(mu: Weight, simples: Iterable[Weight]) -> bool:
+    """Nonnegative pairing of mu with every simple coroot."""
+    return all(bilinear_form(mu, a) * bilinear_form(a, a) >= 0
+               for a in simples)
+
+
+def dominant_representative(lam: Weight, group: Sequence[SignedPermutation],
+                            simples: Sequence[Weight]) -> Weight:
     """The orbit element with nonnegative pairing against every simple coroot."""
     for mu in orbit(lam, group):
-        if all(bilinear_form(mu, a) * 2 / bilinear_form(a, a) >= 0
-               for a in simple_roots):
+        if is_dominant(mu, simples):
             return mu
     raise StructuralError("orbit of %s has no dominant element" % lam)
 
 
-def orbit_intersects_shifted_cone(lam: Weight, group: GroupDescriptor,
-                                  simple_roots: Sequence[Weight],
-                                  rho: Weight) -> bool:
-    """Does the orbit of lam meet rho + (rational nonnegative cone on simples)?"""
-    for a in simple_roots:
+def orbit_intersects_shifted_cone(lam: Weight,
+                                  group: Sequence[SignedPermutation],
+                                  frame: SimpleSystem, rho: Weight) -> bool:
+    """Does the orbit of lam meet rho + (rational cone on frame's simples)?"""
+    for a in frame.simple_roots:
         pairing = bilinear_form(lam, a) * 2 / bilinear_form(a, a)
         if pairing.denominator != 1:
             raise DomainError("%s is not an integral weight: <.,%s^> = %s"
                               % (lam, a, pairing))
-    for mu in orbit(lam, group):
-        if in_positive_cone(mu - rho, simple_roots, ring="rational") is not None:
-            return True
-    return False
+    return any(frame.cone(mu - rho, ring="rational") is not None
+               for mu in orbit(lam, group))

@@ -19,10 +19,10 @@ from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, StructuralError
-from .groups import (GroupDescriptor, SignedPermutation,
-                     check_stabilizer_dichotomy, dominant_representative,
-                     enumerate_group, orbit, orbit_intersects_shifted_cone,
-                     reflection, sharp_group, stabilizer, weyl_group)
+from .groups import (SignedPermutation, check_stabilizer_dichotomy,
+                     dominant_representative, enumerate_group, is_dominant,
+                     orbit, orbit_intersects_shifted_cone, reflection,
+                     sharp_group, stabilizer, weyl_generators, weyl_group)
 from .lp import OPTIMAL, maximize
 from .roots import RootSystem, SuperType, build, simple_roots
 from .series import (FormalSeries, GeometricTerm, _accumulate, _times_binomial,
@@ -68,13 +68,13 @@ def y_term(pair: AdmissiblePair) -> GeometricTerm:
     return GeometricTerm.make(1, pair.system.rho, pair.S)
 
 
-def _alternating_terms(group: GroupDescriptor, exponent: Weight,
+def _alternating_terms(group: Sequence[SignedPermutation], exponent: Weight,
                        denoms: Sequence[Weight]) -> tuple:
     """sgn(w) w(e^exponent / prod_{b in denoms}(1 + e^{-b})) for w in group."""
     return tuple(
         GeometricTerm.make(w.sgn(), w.apply(exponent),
                            [w.apply(b) for b in denoms])
-        for w in group.elements())
+        for w in group)
 
 
 def _denominator(frame: SimpleSystem, offset: Weight, odd: Iterable[Weight],
@@ -112,7 +112,7 @@ def rhs_expanded(pair: AdmissiblePair, H: int) -> FormalSeries:
     frame = pair.system
     rho = frame.rho
     acc = {}
-    for w in sharp_group(pair.rs).elements():
+    for w in sharp_group(pair.rs):
         base, abs_w = phi_data(w, pair)
         steps = [frame.cone_int(abs_w[b]) for b in pair.S]
         _mu_accumulate(acc, base, steps, w.sgn(), H)
@@ -210,32 +210,31 @@ def verify(pair: AdmissiblePair, H: int = 8,
 
 def skew_invariance_check(pair: AdmissiblePair, H: int,
                           series: Optional[FormalSeries] = None) -> tuple:
-    """w X = sgn(w) X for every generating reflection of the full W."""
-    frame = pair.system
+    """w X = sgn(w) X for every simple reflection of the full W.
+
+    The W#-sum terms are built once; W itself is never enumerated.
+    """
     X = rhs_closed(pair, H) if series is None else series
     terms = closed_form_terms(pair)
-    group = weyl_group(pair.rs)
-    for g, root in zip(group.generators, group.reflection_roots):
-        acted = expand_terms([act(g, t) for t in terms], frame, H)
-        diff = acted.eq_report(X.scale(g.sgn()))
+    for root, g in weyl_generators(pair.rs):
+        diff = acted_series(terms, g, pair.system, H).eq_report(
+            X.scale(g.sgn()))
         if diff is not None:
-            diff = dict(diff, generator=str(root))
-            return False, diff
+            return False, dict(diff, generator=str(root))
     return True, None
 
 
-def acted_series(pair: AdmissiblePair, g: SignedPermutation,
-                 H: int) -> FormalSeries:
-    """The series of g(X), expanded in the pair's own frame."""
-    return expand_terms([act(g, t) for t in closed_form_terms(pair)],
-                        pair.system, H)
+def acted_series(terms: Sequence[GeometricTerm], g: SignedPermutation,
+                 frame: SimpleSystem, H: int) -> FormalSeries:
+    """g(X) for X given by its closed-form terms, expanded in frame."""
+    return expand_terms([act(g, t) for t in terms], frame, H)
 
 
 # ---------------------------------------------------------------------------
 # the e^rho coefficient and its stabilizer set
 
 def stabilizer_elements(pair: AdmissiblePair) -> tuple:
-    return stabilizer(pair.system.rho, sharp_group(pair.rs)).elements()
+    return stabilizer(pair.system.rho, sharp_group(pair.rs))
 
 
 def e_rho_coefficient_set(pair: AdmissiblePair) -> tuple:
@@ -272,7 +271,7 @@ def cross_multiplied_check(pair: AdmissiblePair) -> tuple:
     right = _poly(zero_key, 1,
                   sorted(pair.rs.positive_even, key=Weight.coords), frame, -1)
     left = {}
-    for w in sharp_group(pair.rs).elements():
+    for w in sharp_group(pair.rs):
         base, abs_w = phi_data(w, pair)
         dropped = set(abs_w.values())
         part = _poly(base, w.sgn(),
@@ -318,28 +317,8 @@ def qn_standard_set(rs: RootSystem) -> tuple:
 def qn_a_set(rs: RootSystem, S: Sequence[Weight]) -> tuple:
     """All w with wS inside the positive part, under w(eps_i) = eps_{w(i)}."""
     pos = rs.positive_even
-    return tuple(w for w in weyl_group(rs).elements()
+    return tuple(w for w in weyl_group(rs)
                  if all(w.apply(b) in pos for b in S))
-
-
-def qn_orthogonal_sets(rs: RootSystem, size: int) -> list:
-    """All sets of pairwise-orthogonal positive roots of the given size."""
-    pos = sorted(rs.positive_even, key=Weight.coords)
-    out = []
-
-    def rec(start, cur):
-        if len(cur) == size:
-            out.append(tuple(cur))
-            return
-        for i in range(start, len(pos)):
-            b = pos[i]
-            if all(bilinear_form(b, c) == 0 for c in cur):
-                cur.append(b)
-                rec(i + 1, cur)
-                cur.pop()
-
-    rec(0, [])
-    return out
 
 
 def qn_a_value(rs: RootSystem, S: Sequence[Weight]) -> int:
@@ -417,7 +396,7 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10) -> list:
             continue
         orb = orbit(lam, group)
         seen.update(orb)
-        if len(orb) != group.order:
+        if len(orb) != len(group):
             continue
         if all(frame.cone(rho0 - p, ring="integer") is not None for p in orb):
             reps.add(dominant_representative(lam, group, evens))
@@ -506,7 +485,7 @@ def rho_descent_holds(pair: AdmissiblePair) -> bool:
     frame = pair.system
     rho = frame.rho
     return all(frame.cone(rho - w.apply(rho), ring="rational") is not None
-               for w in sharp_group(pair.rs).elements())
+               for w in sharp_group(pair.rs))
 
 
 def stabilizer_matches_zero_pairing_reflections(pair: AdmissiblePair) -> bool:
@@ -566,57 +545,46 @@ def eps_symmetry_applicable(pair: AdmissiblePair) -> bool:
 # ---------------------------------------------------------------------------
 # the classical orbit dichotomy (even root system, its own frame)
 
-def coefficient_box(rs: RootSystem, scale=1,
+def coefficient_box(frame: SimpleSystem, scale=1,
                     offset: Optional[Weight] = None) -> list:
-    """offset + scale * mu, mu with even simple coordinates in {-1, 0, 1}."""
-    frame = even_frame(rs)
-    base = _zero(rs) if offset is None else offset
+    """offset + scale * mu, mu with simple coordinates in {-1, 0, 1}."""
+    base = Weight.zero(frame.m, frame.n) if offset is None else offset
     return [base + frame.weight(tuple(c * scale for c in combo))
             for combo in product((-1, 0, 1), repeat=len(frame.simple_roots))]
 
 
-def classical_dominant_check(rs: RootSystem,
-                             samples: Optional[Iterable[Weight]] = None) -> bool:
+def classical_dominant_check(rs: RootSystem) -> bool:
     """Every orbit meets the dominant cone; regular orbits exactly once."""
     group = weyl_group(rs)
-    simples = simple_roots(rs.positive_even)
-    for lam in coefficient_box(rs) if samples is None else samples:
+    frame = even_frame(rs)
+    for lam in coefficient_box(frame):
         orb = orbit(lam, group)
-        doms = [mu for mu in orb
-                if all(2 * bilinear_form(mu, a) * bilinear_form(a, a) >= 0
-                       for a in simples)]
+        doms = [mu for mu in orb if is_dominant(mu, frame.simple_roots)]
         if not doms:
             return False
-        if len(orb) == group.order and len(doms) != 1:
+        if len(orb) == len(group) and len(doms) != 1:
             return False
     return True
 
 
-def classical_dichotomy_check(rs: RootSystem,
-                              samples: Optional[Iterable[Weight]] = None) -> bool:
+def classical_dichotomy_check(rs: RootSystem) -> bool:
     """Stabilizers are trivial or contain a reflection."""
     group = weyl_group(rs)
-    if samples is None:
-        samples = coefficient_box(rs) + coefficient_box(rs, scale=Q(1, 2))
-    return all(check_stabilizer_dichotomy(lam, group, rs.even())
-               for lam in samples)
+    frame = even_frame(rs)
+    reflections = frozenset(reflection(a) for a in rs.even())
+    return all(check_stabilizer_dichotomy(lam, group, reflections)
+               for lam in coefficient_box(frame)
+               + coefficient_box(frame, scale=Q(1, 2)))
 
 
-def classical_regular_cone_check(rs: RootSystem,
-                                 samples: Optional[Iterable[Weight]] = None
-                                 ) -> bool:
+def classical_regular_cone_check(rs: RootSystem) -> bool:
     """Regular integral orbits meet rho_0 + (rational cone on simples)."""
     group = weyl_group(rs)
-    simples = simple_roots(rs.positive_even)
-    rho0 = even_frame(rs).rho
-    if samples is None:
-        samples = coefficient_box(rs) + coefficient_box(rs, offset=rho0)
-    for lam in samples:
-        if len(orbit(lam, group)) != group.order:
-            continue
-        if not orbit_intersects_shifted_cone(lam, group, simples, rho0):
-            return False
-    return True
+    frame = even_frame(rs)
+    return all(orbit_intersects_shifted_cone(lam, group, frame, frame.rho)
+               for lam in coefficient_box(frame)
+               + coefficient_box(frame, offset=frame.rho)
+               if len(orbit(lam, group)) == len(group))
 
 
 # ---------------------------------------------------------------------------

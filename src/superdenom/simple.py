@@ -13,13 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError, StructuralError, ValidationError
 from .roots import RootSystem, is_isotropic
 from .weights import Elimination, Weight, bilinear_form, weight_json
 
 PAIR_CAP = 10 ** 6
+
+VARIANTS = ("step2", "step3", "step3_prime", "second_class")
 
 
 class SimpleSystem:
@@ -305,11 +307,14 @@ def standard_pair(rs: RootSystem, variant: str = "step3") -> AdmissiblePair:
     """Distinguished admissible pairs used as seeds and fixtures.
 
     'step2' is the zigzag pair threading eps and delta from the front;
-    'step3' pins S to the tail coordinates; 'step3_prime' is the second
-    equivalence class, which exists only for D with more eps than delta.
+    'step3' pins S to the tail coordinates; 'step3_prime' and
+    'second_class' lie in the second equivalence class, which exists only
+    for D with more eps than delta.
     """
-    if variant not in ("step2", "step3", "step3_prime"):
+    if variant not in VARIANTS:
         raise DomainError("unknown variant %r" % variant)
+    if variant == "second_class":
+        return second_class_pair(rs)
     fam, m, n = rs.family, rs.m, rs.n
     if fam == "Q":
         raise DomainError("Q(n) has no admissible pairs; use the qn helpers")
@@ -382,6 +387,20 @@ def standard_pair(rs: RootSystem, variant: str = "step3") -> AdmissiblePair:
     else:  # D with m = n + 1: the chain is empty, the fork closes on delta
         pi.append(d(n) + e(m))
     return make_pair(S, derive(pi, rs))
+
+
+def standard_pairs(rs: RootSystem) -> list:
+    """(variant, pair) for every variant that is its own pair here.
+
+    step2 always; step3 for B and D; step3_prime and second_class for D
+    with more eps than delta.  On gl and C, step3 gives the step2 pair.
+    """
+    names = ["step2"]
+    if rs.family in ("B_EPS", "B_DELTA", "D_EPS", "D_DELTA"):
+        names.append("step3")
+    if rs.family == "D_EPS" and rs.n >= 1:
+        names += ["step3_prime", "second_class"]
+    return [(name, standard_pair(rs, name)) for name in names]
 
 
 def second_class_pair(rs: RootSystem) -> AdmissiblePair:
@@ -479,14 +498,21 @@ def enumerate_admissible_pairs(rs: RootSystem, cap: int = PAIR_CAP) -> list:
     """All admissible pairs over all simple systems."""
     out = []
     for sys in enumerate_simple_systems(rs, cap):
-        iso = sys.isotropic_simples()
-        for S in combinations(iso, rs.defect):
-            if all(bilinear_form(a, b) == 0 for a, b in combinations(S, 2)):
-                out.append(make_pair(S, sys))
-                if len(out) > cap:
-                    raise ResourceLimitError(
-                        "pair enumeration exceeded cap %d" % cap)
+        for S in orthogonal_subsets(sys.isotropic_simples(), rs.defect):
+            out.append(make_pair(S, sys))
+            if len(out) > cap:
+                raise ResourceLimitError(
+                    "pair enumeration exceeded cap %d" % cap)
     return out
+
+
+def orthogonal_subsets(roots: Iterable[Weight], size: int) -> list:
+    """The pairwise-orthogonal size-subsets of roots.
+
+    They come in `combinations` order over the roots sorted by coordinates.
+    """
+    return [S for S in combinations(sorted(roots, key=Weight.coords), size)
+            if all(bilinear_form(a, b) == 0 for a, b in combinations(S, 2))]
 
 
 def pair_neighbors(pair: AdmissiblePair, same_kind_only: bool = False) -> list:

@@ -200,13 +200,3 @@ def solve_in_span(vectors: Sequence[Weight], target: Weight) -> Optional[list]:
     """Exact coordinates of target in span(vectors), or None if outside."""
     return Elimination([v.coords() for v in vectors]).solve(target.coords())
 
-
-def in_positive_cone(nu: Weight, basis: Sequence[Weight], ring: str = "integer"
-                     ) -> Optional[tuple]:
-    """Express nu as a nonnegative combination of basis vectors, if possible.
-
-    ring='integer' additionally requires integer coefficients;
-    ring='rational' accepts any nonnegative rationals.
-    """
-    return Elimination([b.coords() for b in basis]).cone(nu.coords(), ring)
-

@@ -12,15 +12,15 @@ from superdenom.groups import external_delta_flips, reflection
 from superdenom.identity import (acted_series, classical_dichotomy_check,
                                  classical_dominant_check,
                                  classical_regular_cone_check,
-                                 cross_multiplied_check,
+                                 closed_form_terms, cross_multiplied_check,
                                  dropped_denominator_sum_vanishes,
                                  e_rho_coefficient, e_rho_coefficient_set,
                                  eps_symmetry_applicable,
                                  eps_symmetry_expected, eps_symmetry_rank,
                                  expected_regular_orbit_reps,
                                  lhs_xi_coefficient, partner_products,
-                                 qn_a_value, qn_identity, qn_orthogonal_sets,
-                                 qn_standard_set, qn_system,
+                                 qn_a_value, qn_identity, qn_standard_set,
+                                 qn_system,
                                  regular_orbit_scan, rho_descent_holds,
                                  rhs_closed, second_class_expected_set,
                                  simple_norms_nonnegative,
@@ -31,8 +31,9 @@ from superdenom.identity import (acted_series, classical_dichotomy_check,
 from superdenom.roots import SuperType, build
 from superdenom.simple import (enumerate_admissible_pairs,
                                enumerate_simple_systems, odd_reflection,
-                               second_class_pair, second_type_move,
-                               second_type_moves, standard_pair)
+                               orthogonal_subsets, second_class_pair,
+                               second_type_move, second_type_moves,
+                               standard_pair, standard_pairs)
 
 # The fixture battery: every family, both sharp choices where the choice
 # exists, and both D(2,1) equivalence classes.
@@ -57,31 +58,12 @@ _FIXTURES = [
 ]
 
 
-def _make_pair(stype, variant):
-    rs = build(stype)
-    if variant == "second_class":
-        return second_class_pair(rs)
-    return standard_pair(rs, variant)
-
-
 def _fixture_systems():
     seen, out = set(), []
     for stype, _ in _FIXTURES:
         if stype.label() not in seen:
             seen.add(stype.label())
             out.append(build(stype))
-    return out
-
-
-def _standard_pairs(rs):
-    # step3 coincides with step2 for gl; the primed and second-class pairs
-    # exist only when the sharp component sits on the eps side of D.
-    out = [standard_pair(rs, "step2")]
-    if rs.family != "GL":
-        out.append(standard_pair(rs, "step3"))
-    if rs.family == "D_EPS":
-        out.append(standard_pair(rs, "step3_prime"))
-        out.append(second_class_pair(rs))
     return out
 
 
@@ -101,7 +83,7 @@ class _criterion:
 def test_criterion_1_denominator_identity():
     with _criterion(1, "denominator identity, H=8 exact"):
         for stype, variant in _FIXTURES:
-            pair = _make_pair(stype, variant)
+            pair = standard_pair(build(stype), variant)
             start = time.perf_counter()
             report = verify(pair, H=8, skew=False)
             elapsed = time.perf_counter() - start
@@ -111,7 +93,7 @@ def test_criterion_1_denominator_identity():
             assert elapsed <= 60, (stype.label(), elapsed)
         # deep check on gl(2|1): taller truncation, then the symbolic
         # cross-multiplication X (1+e^{-b1})(1+e^{-b2}) = 1 - e^{-(e1-e2)}
-        pair = _make_pair(SuperType("GL", 2, 1), "step2")
+        pair = standard_pair(build(SuperType("GL", 2, 1)), "step2")
         deep = verify(pair, H=14, skew=False)
         assert deep.equal, deep.first_discrepancy
         equal, left, right = cross_multiplied_check(pair)
@@ -125,7 +107,7 @@ def test_criterion_1_denominator_identity():
 def test_criterion_2_e_rho_coefficient():
     with _criterion(2, "e^rho coefficient is 1"):
         for rs in _fixture_systems():
-            for pair in _standard_pairs(rs):
+            for _, pair in standard_pairs(rs):
                 assert e_rho_coefficient(pair) == 1, pair.key()
         # second-class anchor pairs: the full three-element coefficient set
         for m, n in [(2, 1), (3, 1), (3, 2)]:
@@ -148,7 +130,7 @@ def test_criterion_3_qn_alternating_sum():
         for n in range(2, 6):
             rs = qn_system(n)
             for size in range(n // 2):
-                for S in qn_orthogonal_sets(rs, size):
+                for S in orthogonal_subsets(rs.positive_even, size):
                     assert qn_a_value(rs, S) == 0, (n, S)
 
 
@@ -195,7 +177,7 @@ def test_criterion_5_lemma_suite():
             assert classical_dominant_check(rs), rs.stype.label()
             assert classical_dichotomy_check(rs), rs.stype.label()
             assert classical_regular_cone_check(rs), rs.stype.label()
-            for pair in _standard_pairs(rs):
+            for _, pair in standard_pairs(rs):
                 assert simple_norms_nonnegative(pair), pair.key()
                 assert rho_descent_holds(pair), pair.key()
                 assert stabilizer_matches_zero_pairing_reflections(pair), \
@@ -254,7 +236,7 @@ def test_criterion_6_regular_orbits():
 def test_criterion_7_skew_invariance_and_relations():
     with _criterion(7, "skew invariance and generator relations"):
         for stype, variant in _FIXTURES:
-            pair = _make_pair(stype, variant)
+            pair = standard_pair(build(stype), variant)
             ok, detail = skew_invariance_check(pair, 8)
             assert ok, (stype.label(), variant, detail)
         # paired transpositions fix Y whenever S holds two or more roots
@@ -292,7 +274,8 @@ def test_criterion_7_skew_invariance_and_relations():
             assert y_shifts_by(pair, w, -beta0), (m, n)
             assert dropped_denominator_sum_vanishes(pair, beta0, zero), (m, n)
             s_d = reflection(rs.delta(n).scale(2))
-            total = acted_series(pair, s_d, 8).add(rhs_closed(pair, 8))
+            total = acted_series(closed_form_terms(pair), s_d, pair.system,
+                                 8).add(rhs_closed(pair, 8))
             assert total.nonzero_count() == 0, (m, n)
         # D with the sharp component on the delta side: the external
         # delta flips fix X outright
@@ -300,11 +283,12 @@ def test_criterion_7_skew_invariance_and_relations():
             rs = build(SuperType("D", m, n))
             pair = standard_pair(rs, "step2")
             X = rhs_closed(pair, 8)
+            terms = closed_form_terms(pair)
             flips = external_delta_flips(rs)
             assert flips, (m, n)
             for sigma in flips:
-                assert acted_series(pair, sigma, 8).eq_report(X) is None, \
-                    (m, n, sigma)
+                assert acted_series(terms, sigma, pair.system,
+                                    8).eq_report(X) is None, (m, n, sigma)
         # D with a sum root in the tail: the paired flip on the last two
         # eps and delta coordinates fixes Y
         rs = build(SuperType("D", 3, 2))

@@ -1,14 +1,18 @@
-"""Import hygiene: every module of the package and of the tests uses each
-name it imports.  `__init__.py` is skipped because it imports to re-export.
+"""Code hygiene, checked with `ast`.
+
+Every module of the package and of the tests uses each name it imports
+(`__init__.py` is skipped there because it imports to re-export), and
+every public module-level function or class of the package is named
+somewhere in the package or the tests outside its own definition.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "superdenom").glob("*.py")
-                 if p.name != "__init__.py") \
-    + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "superdenom").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + TESTS
 
 
 def _unused_imports(source: str) -> list:
@@ -35,3 +39,53 @@ def test_no_unused_imports():
     unused = {p.relative_to(ROOT).as_posix(): _unused_imports(p.read_text())
               for p in MODULES}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def _unreferenced_public(package: dict, others: dict) -> list:
+    """Public top-level definitions in package that no statement names.
+
+    Both arguments map a label to module source.  A name counts as read
+    where it appears as a name, an attribute or an imported name, in any
+    top-level statement other than the definition itself.
+    """
+    places = {}
+    for label, source in {**package, **others}.items():
+        for idx, stmt in enumerate(ast.parse(source).body):
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name.split(".")[-1]
+                else:
+                    continue
+                places.setdefault(name, set()).add((label, idx))
+    out = []
+    for label, source in package.items():
+        for idx, stmt in enumerate(ast.parse(source).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                    and not stmt.name.startswith("_") \
+                    and places.get(stmt.name, set()) <= {(label, idx)}:
+                out.append("%s:%s" % (label, stmt.name))
+    return sorted(out)
+
+
+def test_scan_flags_an_unreferenced_definition():
+    package = {
+        "a.py": "def used():\n    pass\n\n"
+                "def recursive(n):\n    return recursive(n - 1)\n\n"
+                "class Dead:\n    pass\n\n"
+                "class Read:\n    pass\n\n"
+                "def _private():\n    pass\n",
+        "b.py": "from a import used\n",
+    }
+    assert _unreferenced_public(package, {"t.py": "import a\na.Read\n"}) \
+        == ["a.py:Dead", "a.py:recursive"]
+
+
+def test_no_unreferenced_public_definitions():
+    def sources(paths):
+        return {p.relative_to(ROOT).as_posix(): p.read_text() for p in paths}
+    assert len(PACKAGE) > 10
+    assert _unreferenced_public(sources(PACKAGE), sources(TESTS)) == []

@@ -1,8 +1,9 @@
 import pytest
 
-from superdenom import identity
+from superdenom import groups, identity
 from superdenom.groups import reflection
-from superdenom.identity import (acted_series, cross_multiplied_check,
+from superdenom.identity import (acted_series, closed_form_terms,
+                                 cross_multiplied_check,
                                  dropped_denominator_sum_vanishes,
                                  e_rho_coefficient, e_rho_coefficient_set,
                                  eps_symmetry_applicable,
@@ -18,7 +19,8 @@ from superdenom.identity import (acted_series, cross_multiplied_check,
 from superdenom.roots import SuperType, build
 from superdenom.series import GeometricTerm
 from superdenom.simple import (AdmissiblePair, second_class_pair,
-                               second_type_moves, standard_pair)
+                               second_type_moves, standard_pair,
+                               standard_pairs)
 
 
 def _pair(fam, m, n, variant="step2", **kw):
@@ -161,7 +163,8 @@ def test_d_eps_flip_shifts_y():
         pair, next(iter(pair.S)), rs.eps(1) - rs.eps(1))
     # (1 + s_{delta_n}) X = 0
     s_d = reflection(rs.delta(1).scale(2))
-    total = acted_series(pair, s_d, 5).add(rhs_closed(pair, 5))
+    total = acted_series(closed_form_terms(pair), s_d, pair.system, 5).add(
+        rhs_closed(pair, 5))
     assert total.nonzero_count() == 0
 
 
@@ -170,7 +173,7 @@ def test_d_delta_sigma_fixes_x():
     pair = _pair("D", 1, 2)
     rs = pair.rs
     for sigma in external_delta_flips(rs):
-        acted = acted_series(pair, sigma, 5)
+        acted = acted_series(closed_form_terms(pair), sigma, pair.system, 5)
         assert acted.eq_report(rhs_closed(pair, 5)) is None
 
 
@@ -228,3 +231,39 @@ def test_verify_catches_a_flipped_term(monkeypatch):
     assert _failed_checks(verify(pair, H=5)) == {
         "lhs_equals_rhs_closed", "expansion_matches_closed_form",
         "skew_invariance"}
+
+
+def test_verify_catches_a_shifted_rho():
+    pair = _pair("GL", 2, 2)
+    rs = pair.rs
+    pair.system.rho = pair.system.rho + (rs.eps(1) - rs.eps(2))
+    assert _failed_checks(verify(pair, H=5)) == {
+        "lhs_equals_rhs_closed", "skew_invariance"}
+    # W# fixes delta_1 - delta_2, so both sides move by the same factor
+    # and only the skewness under W_2 sees the shift
+    pair = _pair("GL", 2, 2)
+    pair.system.rho = pair.system.rho + (rs.delta(1) - rs.delta(2))
+    assert _failed_checks(verify(pair, H=5)) == {"skew_invariance"}
+
+
+@pytest.mark.parametrize("stype", [SuperType("B", 2, 2),
+                                   SuperType("D", 2, 1)])
+def test_verify_enumerates_only_w_sharp(monkeypatch, stype):
+    rs = build(stype)
+    enumerated = []
+    original = groups.enumerate_group
+
+    def recording(*args, **kwargs):
+        enumerated.append(original(*args, **kwargs))
+        return enumerated[-1]
+
+    monkeypatch.setattr(groups, "enumerate_group", recording)
+    monkeypatch.setattr(identity, "enumerate_group", recording)
+    groups.sharp_group.cache_clear()
+    groups.weyl_group.cache_clear()
+    variants = standard_pairs(rs)
+    assert len(variants) == (2 if rs.family == "B_DELTA" else 4)
+    for _, pair in variants:
+        assert verify(pair, H=4).equal
+    assert enumerated == [groups.sharp_group(rs)]
+    assert len(groups.weyl_group(rs)) > len(enumerated[0])
