@@ -213,14 +213,16 @@ def dominant_representative(lam: Weight, group: Sequence[SignedPermutation],
     raise StructuralError("orbit of %s has no dominant element" % lam)
 
 
-def orbit_intersects_shifted_cone(lam: Weight,
-                                  group: Sequence[SignedPermutation],
+def orbit_intersects_shifted_cone(lam: Weight, orb: Sequence[Weight],
                                   frame: SimpleSystem, rho: Weight) -> bool:
-    """Does the orbit of lam meet rho + (rational cone on frame's simples)?"""
+    """Does orb, the orbit of lam, meet rho + (rational cone on simples)?
+
+    The caller passes the orbit it already built, so it is built once.
+    """
     for a in frame.simple_roots:
         pairing = bilinear_form(lam, a) * 2 / bilinear_form(a, a)
         if pairing.denominator != 1:
             raise DomainError("%s is not an integral weight: <.,%s^> = %s"
                               % (lam, a, pairing))
     return any(frame.cone(mu - rho, ring="rational") is not None
-               for mu in orbit(lam, group))
+               for mu in orb)

@@ -25,8 +25,8 @@ from .groups import (SignedPermutation, check_stabilizer_dichotomy,
                      sharp_group, stabilizer, weyl_generators, weyl_group)
 from .lp import OPTIMAL, maximize
 from .roots import RootSystem, SuperType, build, simple_roots
-from .series import (FormalSeries, GeometricTerm, _accumulate, _times_binomial,
-                     act, canonical_terms, expand_terms)
+from .series import (FormalSeries, GeometricTerm, _accumulate, _merged,
+                     _times_binomial, act, canonical_terms, expand_terms)
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
                      isotropic_parts, second_type_move, standard_pair)
 from .weights import Weight, bilinear_form, solve_in_span
@@ -81,13 +81,21 @@ def _denominator(frame: SimpleSystem, offset: Weight, odd: Iterable[Weight],
                  even: Iterable[Weight], H: int) -> FormalSeries:
     """e^offset prod_{a in even}(1 - e^{-a}) / prod_{b in odd}(1 + e^{-b}).
 
-    The odd factors are expanded geometrically, the even ones multiplied
-    in exactly, in coordinate order.
+    Starting from e^offset, the even binomials are multiplied in first
+    and the odd factors divided out after, each in coordinate order.
+    Every factor is a power series in steps of height >= 1, so any order
+    gives the same truncated series; this one is the cheap one, because
+    dividing first expands every odd geometric series to height H before
+    the even factors cancel most of it (gl(5|4) at H=11: a peak support
+    of 75,582 keys for 8,324 kept, against 11,181 in this order).
     """
-    series = expand_terms([GeometricTerm.make(1, offset, odd)], frame, H,
-                          offset=offset)
+    series = FormalSeries(frame, H, offset,
+                          {(0,) * len(frame.simple_roots): 1} if H >= 0
+                          else {})
     for a in sorted(even, key=Weight.coords):
         series = series.mul_binomial(-1, a)
+    for b in sorted(odd, key=Weight.coords):
+        series = series.mul_geometric(b)
     return series
 
 
@@ -97,7 +105,7 @@ def closed_form_terms(pair: AdmissiblePair) -> tuple:
 
 
 def lhs(pair: AdmissiblePair, H: int) -> FormalSeries:
-    """R e^rho: odd factors expanded geometrically, even factors exactly."""
+    """R e^rho: even binomials multiplied in, then odd factors divided out."""
     return _denominator(pair.system, pair.system.rho, pair.system.pos_odd,
                         pair.rs.positive_even, H)
 
@@ -212,16 +220,44 @@ def skew_invariance_check(pair: AdmissiblePair, H: int,
                           series: Optional[FormalSeries] = None) -> tuple:
     """w X = sgn(w) X for every simple reflection of the full W.
 
-    The W#-sum terms are built once; W itself is never enumerated.
+    The W#-sum terms are built once; W itself is never enumerated.  A
+    generator g is settled in closed form when g permutes the terms up to
+    sgn(g): if the terms g(t) and sgn(g) t cancel coefficient by
+    coefficient on their (exponent, denominators) keys, then
+    g(X) = sgn(g) X exactly and nothing is expanded.  Any other generator
+    is expanded and compared on the window, which is also where a failure
+    and its witness come from.
     """
-    X = rhs_closed(pair, H) if series is None else series
     terms = closed_form_terms(pair)
+    merged = _merged(terms)
+    X = series
     for root, g in weyl_generators(pair.rs):
+        if _permutes_up_to_sign(g, merged):
+            continue
+        if X is None:
+            X = rhs_closed(pair, H)
         diff = acted_series(terms, g, pair.system, H).eq_report(
             X.scale(g.sgn()))
         if diff is not None:
             return False, dict(diff, generator=str(root))
     return True, None
+
+
+def _permutes_up_to_sign(g: SignedPermutation, merged: dict) -> bool:
+    """g(t) = sgn(g) t summed over the terms, on (exponent, denoms) keys.
+
+    merged maps each key to its total coefficient (see series._merged).
+    g acts injectively on keys, so the acted terms merge to
+    {g(k): c}, and that equals {k: sgn(g) c} iff every key's image
+    carries sgn(g) times its coefficient: one lookup per distinct term,
+    stopping at the first miss.
+    """
+    sign = g.sgn()
+    for (exponent, denoms), coeff in merged.items():
+        image = act(g, GeometricTerm(coeff, exponent, denoms))
+        if merged.get((image.exponent, image.denoms)) != sign * coeff:
+            return False
+    return True
 
 
 def acted_series(terms: Sequence[GeometricTerm], g: SignedPermutation,
@@ -581,10 +617,13 @@ def classical_regular_cone_check(rs: RootSystem) -> bool:
     """Regular integral orbits meet rho_0 + (rational cone on simples)."""
     group = weyl_group(rs)
     frame = even_frame(rs)
-    return all(orbit_intersects_shifted_cone(lam, group, frame, frame.rho)
-               for lam in coefficient_box(frame)
-               + coefficient_box(frame, offset=frame.rho)
-               if len(orbit(lam, group)) == len(group))
+    for lam in coefficient_box(frame) + coefficient_box(frame,
+                                                        offset=frame.rho):
+        orb = orbit(lam, group)
+        if len(orb) == len(group) and \
+                not orbit_intersects_shifted_cone(lam, orb, frame, frame.rho):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ denotes, so terms are always normalized before expansion.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
@@ -123,15 +122,25 @@ class FormalSeries:
 
     def mul_binomial(self, sign: int, root: Weight) -> "FormalSeries":
         """Multiply by (1 + sign * e^{-root}) for a positive root."""
-        step = self.frame.cone_int(root)
         return FormalSeries(self.frame, self.H, self.offset,
-                            _times_binomial(self.data, step, sign, self.H))
+                            _times_binomial(self.data, self._step(root),
+                                            sign, self.H))
 
     def mul_geometric(self, root: Weight) -> "FormalSeries":
         """Multiply by 1/(1 + e^{-root}) for a positive root of the frame."""
-        step = self.frame.cone_int(root)
         return FormalSeries(self.frame, self.H, self.offset,
-                            _geometric(self.data, step, self.H))
+                            _geometric(self.data, self._step(root), self.H))
+
+    def _step(self, root: Weight) -> tuple:
+        """Simple coordinates of root; StructuralError unless it is positive.
+
+        A step of height < 1 would leave the height window (binomial) or
+        never reach its end (geometric).
+        """
+        step = self.frame.cone_int(root)
+        if min(step, default=0) < 0 or _ht(step) < 1:
+            raise StructuralError("%s is not positive in the frame" % root)
+        return step
 
     def coefficient_at(self, weight: Weight):
         """Coefficient of e^{weight}."""
@@ -212,26 +221,34 @@ def _times_binomial(data: dict, step: tuple, sign: int, H=None) -> dict:
 def _geometric(data: dict, step: tuple, H) -> dict:
     """Multiply key->coeff data by sum_k (-1)^k e^{-k * step}.
 
-    Uses G[key] = F[key] - G[key - step], walking keys in height order;
-    the step height is >= 1 so the recursion is well founded.
+    Uses G[key] = F[key] - G[key - step] along each chain key + N*step;
+    chains do not interact, and the step height is >= 1.  Keys of F are
+    taken in height order, and each one not yet reached starts a walk up
+    its chain: nothing below it on the chain is still nonzero, or that
+    walk would have reached it.  A walk stops where G vanishes (a later
+    key of F restarts the chain) or past height H.
     """
     out = {}
-    heap = [(_ht(k), k) for k in data if _ht(k) <= H]
-    heapq.heapify(heap)
-    seen = set()
-    hstep = sum(step)
-    while heap:
-        h, k = heapq.heappop(heap)
-        if k in seen:
+    reached = set()
+    hstep = _ht(step)
+    for start in sorted(data, key=_ht):
+        h = _ht(start)
+        if h > H:
+            break
+        if start in reached:
             continue
-        seen.add(k)
-        prev = tuple(a - b for a, b in zip(k, step))
-        g = data.get(k, 0) - out.get(prev, 0)
-        if g:
+        k, g = start, data[start]
+        while True:
+            if k in data:
+                reached.add(k)
+            if not g:
+                break
             out[k] = g
-            nk = tuple(a + b for a, b in zip(k, step))
-            if h + hstep <= H and nk not in seen:
-                heapq.heappush(heap, (h + hstep, nk))
+            h += hstep
+            if h > H:
+                break
+            k = tuple(map(add, k, step))
+            g = data.get(k, 0) - g
     return out
 
 
@@ -247,11 +264,26 @@ def expand_term(term: GeometricTerm, frame: SimpleSystem, H,
     return FormalSeries(frame, H, offset, data)
 
 
+def _merged(terms: Sequence[GeometricTerm]) -> dict:
+    """(exponent, denoms) -> total coefficient over the terms, zeros dropped.
+
+    No normalization: two terms share a key only when they are written
+    alike, so merging is a dict pass and needs no frame.
+    """
+    return _accumulate({}, (((t.exponent, t.denoms), t.coeff) for t in terms))
+
+
 def expand_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem, H,
                  offset: Optional[Weight] = None) -> FormalSeries:
-    """Sum of the expansions of the terms."""
+    """Sum of the expansions of the terms.
+
+    Expansion is linear in the coefficient, so terms written alike are
+    merged first and each distinct term is expanded once, with its total
+    coefficient; a total of zero expands to nothing.
+    """
     offset = frame.rho if offset is None else offset
     acc = {}
-    for t in terms:
-        _accumulate(acc, expand_term(t, frame, H, offset).data.items())
+    for (exponent, denoms), coeff in _merged(terms).items():
+        _accumulate(acc, expand_term(GeometricTerm(coeff, exponent, denoms),
+                                     frame, H, offset).data.items())
     return FormalSeries(frame, H, offset, acc)

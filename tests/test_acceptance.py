@@ -7,12 +7,14 @@ is part of the criterion, not a tolerance.  Run with -s to see the lines.
 import math
 import time
 
+from superdenom import groups, identity
 from superdenom.diagrams import equivalence_classes
 from superdenom.groups import external_delta_flips, reflection
 from superdenom.identity import (acted_series, classical_dichotomy_check,
                                  classical_dominant_check,
                                  classical_regular_cone_check,
-                                 closed_form_terms, cross_multiplied_check,
+                                 closed_form_terms, coefficient_box,
+                                 cross_multiplied_check,
                                  dropped_denominator_sum_vanishes,
                                  e_rho_coefficient, e_rho_coefficient_set,
                                  eps_symmetry_applicable,
@@ -30,7 +32,8 @@ from superdenom.identity import (acted_series, classical_dichotomy_check,
                                  y_shifts_by)
 from superdenom.roots import SuperType, build
 from superdenom.simple import (enumerate_admissible_pairs,
-                               enumerate_simple_systems, odd_reflection,
+                               enumerate_simple_systems, even_frame,
+                               odd_reflection,
                                orthogonal_subsets, second_class_pair,
                                second_type_move, second_type_moves,
                                standard_pair, standard_pairs)
@@ -210,6 +213,28 @@ def test_criterion_5_lemma_suite():
                                           str(gp), diff)
                     moves += 1
         assert moves > 0
+
+
+def test_criterion_5_regular_cone_check_builds_each_orbit_once(monkeypatch):
+    regular = []    # one entry per orbit built: is it a regular orbit?
+    original = groups.orbit
+
+    def counting(lam, group):
+        out = original(lam, group)
+        regular.append(len(out) == len(group))
+        return out
+
+    monkeypatch.setattr(groups, "orbit", counting)
+    monkeypatch.setattr(identity, "orbit", counting)
+    samples = 0
+    for rs in _fixture_systems():
+        frame = even_frame(rs)
+        samples += 2 * len(coefficient_box(frame))
+        assert classical_regular_cone_check(rs), rs.stype.label()
+    # one orbit per sample: the 437 regular samples' orbits are not
+    # rebuilt for the cone test
+    assert len(regular) == samples == 1016
+    assert sum(regular) == 437
 
 
 def test_criterion_6_regular_orbits():

@@ -95,11 +95,11 @@ def test_orbit_intersects_shifted_cone():
     frame = even_frame(rs)
     assert frame.simple_roots == (rs.eps(1) - rs.eps(2),)
     lam = rs.eps(1).scale(3) + rs.eps(2).scale(2)
-    assert orbit_intersects_shifted_cone(lam, W, frame, lam)
+    assert orbit_intersects_shifted_cone(lam, orbit(lam, W), frame, lam)
     # the orbit of 3*e2 stays off the line 5*e1 + 5*e2 + span(e1 - e2)
+    lam = rs.eps(2).scale(3)
     assert not orbit_intersects_shifted_cone(
-        rs.eps(2).scale(3), W, frame,
-        rs.eps(1).scale(5) + rs.eps(2).scale(5))
+        lam, orbit(lam, W), frame, rs.eps(1).scale(5) + rs.eps(2).scale(5))
 
 
 def test_external_delta_flips():

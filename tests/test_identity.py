@@ -1,6 +1,9 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from superdenom import groups, identity
+from superdenom import groups, identity, series
 from superdenom.groups import reflection
 from superdenom.identity import (acted_series, closed_form_terms,
                                  cross_multiplied_check,
@@ -9,7 +12,8 @@ from superdenom.identity import (acted_series, closed_form_terms,
                                  eps_symmetry_applicable,
                                  eps_symmetry_expected, eps_symmetry_rank,
                                  exchange_preserves_sum, lhs,
-                                 partner_products, regular_orbit_scan,
+                                 partner_products, qn_system,
+                                 regular_orbit_scan,
                                  rho_descent_holds, rhs_closed, rhs_expanded,
                                  second_class_expected_set,
                                  simple_norms_nonnegative,
@@ -18,9 +22,12 @@ from superdenom.identity import (acted_series, closed_form_terms,
                                  xi_uniqueness, y_fixed_by, y_shifts_by)
 from superdenom.roots import SuperType, build
 from superdenom.series import GeometricTerm
-from superdenom.simple import (AdmissiblePair, second_class_pair,
-                               second_type_moves, standard_pair,
-                               standard_pairs)
+from superdenom.simple import (AdmissiblePair, even_frame,
+                               second_class_pair, second_type_moves,
+                               standard_pair, standard_pairs)
+from superdenom.weights import Weight
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _pair(fam, m, n, variant="step2", **kw):
@@ -267,3 +274,118 @@ def test_verify_enumerates_only_w_sharp(monkeypatch, stype):
         assert verify(pair, H=4).equal
     assert enumerated == [groups.sharp_group(rs)]
     assert len(groups.weyl_group(rs)) > len(enumerated[0])
+
+
+def _odd_first(frame, offset, odd, even, H):
+    """The division-first order: every odd factor, then every even one."""
+    data = {frame.cone_key(offset - offset): 1}
+    for b in sorted(odd, key=Weight.coords):
+        data = series._geometric(data, frame.cone_int(b), H)
+    for a in sorted(even, key=Weight.coords):
+        data = series._times_binomial(data, frame.cone_int(a), -1, H)
+    return data
+
+
+@pytest.mark.parametrize("stype,H", [
+    (SuperType("GL", 3, 3), 9), (SuperType("GL", 4, 3), 8),
+    (SuperType("B", 2, 2), 8), (SuperType("D", 3, 2), 8),
+    (SuperType("C", n=3), 10)])
+def test_lhs_matches_the_odd_first_order(stype, H):
+    pair = standard_pair(build(stype), "step2")
+    frame = pair.system
+    got = lhs(pair, H)
+    assert got.nonzero_count() > 0
+    assert got.data == _odd_first(frame, frame.rho, frame.pos_odd,
+                                  pair.rs.positive_even, H)
+
+
+def test_qn_left_side_matches_the_odd_first_order():
+    rs = qn_system(4)
+    frame = even_frame(rs)
+    zero = Weight.zero(rs.m, rs.n)
+    got = identity._denominator(frame, zero, rs.positive_even,
+                                rs.positive_even, 8)
+    assert got.nonzero_count() > 0
+    assert got.data == _odd_first(frame, zero, rs.positive_even,
+                                  rs.positive_even, 8)
+
+
+def test_lhs_support_stays_near_its_final_size(monkeypatch):
+    sizes = []
+    for name in ("_geometric", "_times_binomial"):
+        def recording(*args, _original=getattr(series, name)):
+            out = _original(*args)
+            sizes.append(len(out))
+            return out
+        monkeypatch.setattr(series, name, recording)
+    pair = _pair("GL", 4, 4)
+    final = lhs(pair, 10).nonzero_count()
+    assert final == 2782
+    assert len(sizes) == len(pair.rs.positive_even) + len(pair.system.pos_odd)
+    assert max(sizes) <= 2 * final
+    # dividing first peaks at several times the final support
+    sizes.clear()
+    frame = pair.system
+    _odd_first(frame, frame.rho, frame.pos_odd, pair.rs.positive_even, 10)
+    assert max(sizes) > 5 * final
+
+
+@pytest.mark.parametrize("stype,variant,expanded", [
+    (SuperType("GL", 3, 3), "step2", 0), (SuperType("C", n=3), "step2", 0),
+    (SuperType("B", 2, 2), "step2", 1), (SuperType("D", 3, 2), "step2", 1),
+    (SuperType("D", 3, 2), "second_class", 2)])
+def test_skew_expands_only_generators_that_move_the_terms(
+        monkeypatch, stype, variant, expanded):
+    pair = standard_pair(build(stype), variant)
+    calls = []
+    original = identity.acted_series
+
+    def counting(terms, g, frame, H):
+        calls.append(g)
+        return original(terms, g, frame, H)
+
+    monkeypatch.setattr(identity, "acted_series", counting)
+    assert verify(pair, H=5).equal
+    assert len(calls) == expanded
+    # every generator settled without expanding holds on the window too
+    terms, X = closed_form_terms(pair), rhs_closed(pair, 5)
+    for _, g in groups.weyl_generators(pair.rs):
+        if g not in calls:
+            acted = original(terms, g, pair.system, 5)
+            assert acted.eq_report(X.scale(g.sgn())) is None
+
+
+def _shifted_rho(fam, m, n, unit):
+    pair = _pair(fam, m, n)
+    shift = getattr(pair.rs, unit)
+    pair.system.rho = pair.system.rho + (shift(1) - shift(2))
+    return pair
+
+
+def _shortened_s():
+    pair = _pair("GL", 2, 2)
+    return AdmissiblePair(pair.S[1:], pair.system)
+
+
+_WITNESS_CASES = {
+    "gl(2|2) rho+(e1-e2)": lambda: _shifted_rho("GL", 2, 2, "eps"),
+    "gl(2|2) rho+(d1-d2)": lambda: _shifted_rho("GL", 2, 2, "delta"),
+    "gl(3|3) rho+(d1-d2)": lambda: _shifted_rho("GL", 3, 3, "delta"),
+    "B(2,2) rho+(d1-d2)": lambda: _shifted_rho("B", 2, 2, "delta"),
+    "D(3,2) rho+(d1-d2)": lambda: _shifted_rho("D", 3, 2, "delta"),
+    "gl(2|2) S shortened": _shortened_s,
+}
+
+
+def test_failure_witnesses_match_golden():
+    # a generator that fails skewness is always expanded, so the reported
+    # witness is the one the expansion of every generator gives
+    got = {}
+    for name, make in _WITNESS_CASES.items():
+        report = verify(make(), H=6)
+        _, witness = identity.skew_invariance_check(make(), 6)
+        got[name] = {"checks": report.checks,
+                     "first_discrepancy": report.first_discrepancy,
+                     "skew_witness": witness}
+    text = json.dumps(got, indent=2, sort_keys=True, ensure_ascii=False)
+    assert text + "\n" == (GOLDEN / "verify_witnesses.json").read_text()

@@ -1,14 +1,18 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superdenom.errors import StructuralError
-from superdenom.groups import reflection
+from superdenom.groups import reflection, weyl_group
+from superdenom.identity import (_alternating_terms, closed_form_terms,
+                                 qn_standard_set, qn_system)
 from superdenom.roots import SuperType, build
-from superdenom.series import (FormalSeries, GeometricTerm, act,
-                               canonical_terms, expand_term, expand_terms,
-                               normalize)
-from superdenom.simple import standard_pair
+from superdenom.series import (FormalSeries, GeometricTerm, _geometric,
+                               _merged, act, canonical_terms, expand_term,
+                               expand_terms, normalize)
+from superdenom.simple import even_frame, standard_pair
 from superdenom.weights import Weight
 
 
@@ -84,6 +88,58 @@ def test_mul_binomial_and_geometric_inverse():
     assert grown.coefficient_at(alpha.scale(-2)) == 1
 
 
+def _ones(frame, H):
+    zero = Weight.zero(frame.m, frame.n)
+    return FormalSeries(frame, H, offset=zero,
+                        data={frame.cone_int(zero): 1})
+
+
+def _not_positive(frame):
+    a, b = frame.simple_roots
+    return [-b,                     # a negative root
+            a - b,                  # simple coordinates (1, -1)
+            Weight.zero(2, 1)]      # height 0
+
+
+def test_mul_geometric_rejects_a_root_that_is_not_positive():
+    # a step of height <= 0 never reaches the end of the window
+    rs, frame = _gl21()
+    for root in _not_positive(frame):
+        with pytest.raises(StructuralError):
+            _ones(frame, 4).mul_geometric(root)
+
+
+def test_mul_binomial_rejects_a_root_that_is_not_positive():
+    # a negative step would write keys of negative height
+    rs, frame = _gl21()
+    for root in _not_positive(frame):
+        for sign in (1, -1):
+            with pytest.raises(StructuralError):
+                _ones(frame, 4).mul_binomial(sign, root)
+
+
+_KEYS = st.tuples(st.integers(-2, 4), st.integers(-2, 4), st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.dictionaries(_KEYS, st.integers(-2, 2), max_size=8),
+       step=st.tuples(st.integers(0, 2), st.integers(0, 2),
+                      st.integers(0, 2)).filter(any),
+       H=st.integers(-1, 9))
+def test_geometric_matches_the_termwise_expansion(data, step, H):
+    # sum_j (-1)^j e^{-j*step} applied to each key on its own, no
+    # cancellation shortcuts: the walk along chains must agree exactly
+    want = {}
+    for k, v in data.items():
+        j = 0
+        while sum(k) + j * sum(step) <= H:
+            key = tuple(a + j * b for a, b in zip(k, step))
+            want[key] = want.get(key, 0) + (-1) ** j * v
+            j += 1
+    want = {k: v for k, v in want.items() if v}
+    assert _geometric(data, step, H) == want
+
+
 def test_incompatible_frames_rejected():
     rs, frame = _gl21()
     other = standard_pair(build(SuperType("GL", 2, 1)), "step2").system
@@ -103,6 +159,41 @@ def test_expand_terms_is_sum_of_expand_term():
     first, second = (expand_term(t, frame, 5, offset=frame.rho) for t in terms)
     assert total.eq_report(first.add(second)) is None
     assert total.nonzero_count() > 0
+
+
+def _term_by_term(terms, frame, H, offset):
+    total = FormalSeries(frame, H, offset)
+    for t in terms:
+        total = total.add(expand_term(t, frame, H, offset))
+    return total
+
+
+def _negated(terms):
+    return [GeometricTerm(-t.coeff, t.exponent, t.denoms) for t in terms]
+
+
+def test_expand_terms_merges_the_q5_w_sum():
+    rs = qn_system(5)
+    frame = even_frame(rs)
+    zero = Weight.zero(rs.m, rs.n)
+    terms = _alternating_terms(weyl_group(rs), zero, qn_standard_set(rs))
+    # w and w composed with the swap of S's two roots give the same term
+    assert len(terms) == 120 and len(_merged(terms)) == 60
+    got = expand_terms(terms, frame, 6, offset=zero)
+    assert got.data == _term_by_term(terms, frame, 6, zero).data
+    assert got.nonzero_count() > 0
+
+
+def test_expand_terms_merges_duplicated_and_cancelling_copies():
+    pair = standard_pair(build(SuperType("GL", 3, 2)), "step2")
+    frame = pair.system
+    terms = list(closed_form_terms(pair))
+    padded = terms + terms[:4] + _negated(terms[4:9])
+    got = expand_terms(padded, frame, 6)
+    assert got.data == _term_by_term(padded, frame, 6, frame.rho).data
+    assert got.data != expand_terms(terms, frame, 6).data
+    cancelled = expand_terms(terms + _negated(terms), frame, 6)
+    assert cancelled.data == {} and cancelled.H == 6
 
 
 def test_dump_lines_sorted_by_height():
