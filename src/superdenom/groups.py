@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .errors import DomainError, ResourceLimitError, StructuralError
 from .roots import RootSystem, simple_roots
 from .simple import SimpleSystem
-from .weights import ZERO, Weight, bilinear_form
+from .weights import Weight, bilinear_form, coordinate_order
 
 DEFAULT_CAP = 10 ** 6
 
@@ -41,10 +41,10 @@ class SignedPermutation:
         return SignedPermutation(tuple((k, 1) for k in range(m + n)), m)
 
     def apply(self, w: Weight) -> Weight:
-        if w.m != self.m or len(w.values) != len(self.images):
+        if w.m != self.m or len(w.doubled) != len(self.images):
             raise StructuralError("weight/permutation dimension mismatch")
-        out = [ZERO] * len(self.images)
-        for c, (j, s) in zip(w.values, self.images):
+        out = [0] * len(self.images)
+        for c, (j, s) in zip(w.doubled, self.images):
             if c:
                 out[j] = c if s == 1 else -c
         return Weight(tuple(out), self.m)
@@ -103,8 +103,8 @@ def reflection(alpha: Weight) -> SignedPermutation:
     for k in range(m + n):
         b = Weight.unit(k, m, n)
         img = b - alpha.scale(2 * bilinear_form(b, alpha) / norm)
-        hits = [(j, c) for j, c in enumerate(img.values) if c != 0]
-        if len(hits) != 1 or abs(hits[0][1]) != 1 \
+        hits = [(j, v) for j, v in enumerate(img.doubled) if v != 0]
+        if len(hits) != 1 or abs(hits[0][1]) != 2 \
                 or (hits[0][0] < m) != (k < m):
             raise StructuralError(
                 "reflection image %s is not a signed unit of its block" % img)
@@ -181,7 +181,7 @@ def orbit(lam: Weight, group: Sequence[SignedPermutation]) -> list:
         if mu not in seen_set:
             seen_set.add(mu)
             seen.append(mu)
-    return sorted(seen, key=Weight.coords)
+    return sorted(seen, key=coordinate_order)
 
 
 def stabilizer(lam: Weight, group: Sequence[SignedPermutation]) -> tuple:

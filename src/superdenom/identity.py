@@ -29,7 +29,7 @@ from .series import (FormalSeries, GeometricTerm, _accumulate, _merged,
                      _times_binomial, act, canonical_terms, expand_terms)
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
                      isotropic_parts, second_type_move, standard_pair)
-from .weights import Weight, bilinear_form, solve_in_span
+from .weights import Weight, bilinear_form, coordinate_order, solve_in_span
 
 
 def _zero(rs: RootSystem) -> Weight:
@@ -92,9 +92,9 @@ def _denominator(frame: SimpleSystem, offset: Weight, odd: Iterable[Weight],
     series = FormalSeries(frame, H, offset,
                           {(0,) * len(frame.simple_roots): 1} if H >= 0
                           else {})
-    for a in sorted(even, key=Weight.coords):
+    for a in sorted(even, key=coordinate_order):
         series = series.mul_binomial(-1, a)
-    for b in sorted(odd, key=Weight.coords):
+    for b in sorted(odd, key=coordinate_order):
         series = series.mul_geometric(b)
     return series
 
@@ -110,9 +110,16 @@ def lhs(pair: AdmissiblePair, H: int) -> FormalSeries:
                         pair.rs.positive_even, H)
 
 
-def rhs_closed(pair: AdmissiblePair, H: int) -> FormalSeries:
-    """X as the alternating W#-sum of geometric terms, expanded to H."""
-    return expand_terms(closed_form_terms(pair), pair.system, H)
+def rhs_closed(pair: AdmissiblePair, H: int,
+               merged: Optional[dict] = None) -> FormalSeries:
+    """X as the alternating W#-sum of geometric terms, expanded to H.
+
+    merged is `_merged(closed_form_terms(pair))`, built here unless the
+    caller has it: `verify` builds it once for this and the skew test.
+    """
+    if merged is None:
+        merged = _merged(closed_form_terms(pair))
+    return expand_terms(list(merged.values()), pair.system, H)
 
 
 def rhs_expanded(pair: AdmissiblePair, H: int) -> FormalSeries:
@@ -189,7 +196,8 @@ def verify(pair: AdmissiblePair, H: int = 8,
     left = lhs(pair, H)
     timings["lhs"] = _us(t)
     t = time.perf_counter()
-    right = rhs_closed(pair, H)
+    merged = _merged(closed_form_terms(pair))
+    right = rhs_closed(pair, H, merged)
     timings["rhs_closed"] = _us(t)
     t = time.perf_counter()
     first = left.eq_report(right)
@@ -204,7 +212,8 @@ def verify(pair: AdmissiblePair, H: int = 8,
     timings["rhs_expanded"] = _us(t)
     if skew:
         t = time.perf_counter()
-        ok, witness = skew_invariance_check(pair, H, series=right)
+        ok, witness = skew_invariance_check(pair, H, series=right,
+                                            merged=merged)
         checks["skew_invariance"] = ok
         if first is None and witness is not None:
             first = witness
@@ -217,27 +226,30 @@ def verify(pair: AdmissiblePair, H: int = 8,
 
 
 def skew_invariance_check(pair: AdmissiblePair, H: int,
-                          series: Optional[FormalSeries] = None) -> tuple:
+                          series: Optional[FormalSeries] = None,
+                          merged: Optional[dict] = None) -> tuple:
     """w X = sgn(w) X for every simple reflection of the full W.
 
-    The W#-sum terms are built once; W itself is never enumerated.  A
-    generator g is settled in closed form when g permutes the terms up to
-    sgn(g): if the terms g(t) and sgn(g) t cancel coefficient by
-    coefficient on their (exponent, denominators) keys, then
-    g(X) = sgn(g) X exactly and nothing is expanded.  Any other generator
-    is expanded and compared on the window, which is also where a failure
-    and its witness come from.
+    The W#-sum terms are merged once (series and merged are X and
+    `_merged(closed_form_terms(pair))` when the caller has them); W itself
+    is never enumerated.  A generator g is settled in closed form when g
+    permutes the terms up to sgn(g): if the terms g(t) and sgn(g) t cancel
+    coefficient by coefficient on their (exponent, denominators) keys,
+    then g(X) = sgn(g) X exactly and nothing is expanded.  Any other
+    generator is expanded and compared on the window, which is also where
+    a failure and its witness come from.  g acts injectively on the keys,
+    so acting on the merged terms gives the same g(X) as acting on all.
     """
-    terms = closed_form_terms(pair)
-    merged = _merged(terms)
+    if merged is None:
+        merged = _merged(closed_form_terms(pair))
     X = series
     for root, g in weyl_generators(pair.rs):
         if _permutes_up_to_sign(g, merged):
             continue
         if X is None:
-            X = rhs_closed(pair, H)
-        diff = acted_series(terms, g, pair.system, H).eq_report(
-            X.scale(g.sgn()))
+            X = rhs_closed(pair, H, merged)
+        diff = acted_series(list(merged.values()), g, pair.system,
+                            H).eq_report(X.scale(g.sgn()))
         if diff is not None:
             return False, dict(diff, generator=str(root))
     return True, None
@@ -246,16 +258,17 @@ def skew_invariance_check(pair: AdmissiblePair, H: int,
 def _permutes_up_to_sign(g: SignedPermutation, merged: dict) -> bool:
     """g(t) = sgn(g) t summed over the terms, on (exponent, denoms) keys.
 
-    merged maps each key to its total coefficient (see series._merged).
-    g acts injectively on keys, so the acted terms merge to
-    {g(k): c}, and that equals {k: sgn(g) c} iff every key's image
-    carries sgn(g) times its coefficient: one lookup per distinct term,
-    stopping at the first miss.
+    merged maps each key to its term with the total coefficient (see
+    series._merged).  g acts injectively on keys, so the acted terms
+    merge to {g(k): c}, and that equals {k: sgn(g) c} iff every key's
+    image carries sgn(g) times its coefficient: one lookup per distinct
+    term, stopping at the first miss.
     """
     sign = g.sgn()
-    for (exponent, denoms), coeff in merged.items():
-        image = act(g, GeometricTerm(coeff, exponent, denoms))
-        if merged.get((image.exponent, image.denoms)) != sign * coeff:
+    for t in merged.values():
+        image = act(g, t)
+        other = merged.get((image.exponent, image.denoms))
+        if other is None or other.coeff != sign * t.coeff:
             return False
     return True
 
@@ -302,10 +315,11 @@ def cross_multiplied_check(pair: AdmissiblePair) -> tuple:
     cone coordinates of rho - exponent.  Returns (equal, left, right).
     """
     frame = pair.system
-    odd_pos = sorted(frame.pos_odd, key=Weight.coords)
+    odd_pos = sorted(frame.pos_odd, key=coordinate_order)
     zero_key = frame.cone_key(_zero(pair.rs))
     right = _poly(zero_key, 1,
-                  sorted(pair.rs.positive_even, key=Weight.coords), frame, -1)
+                  sorted(pair.rs.positive_even, key=coordinate_order),
+                  frame, -1)
     left = {}
     for w in sharp_group(pair.rs):
         base, abs_w = phi_data(w, pair)
@@ -386,8 +400,8 @@ def qn_identity(n_or_rs, S: Optional[Sequence[Weight]] = None,
                         H).scale(a)
     timings["lhs"] = _us(t)
     t = time.perf_counter()
-    right = expand_terms(_alternating_terms(weyl_group(rs), zero, S),
-                         frame, H, offset=zero)
+    merged = _merged(_alternating_terms(weyl_group(rs), zero, S))
+    right = expand_terms(list(merged.values()), frame, H, offset=zero)
     timings["rhs"] = _us(t)
     first = left.eq_report(right)
     note = ("action w(eps_i) = eps_{w(i)}; a(S) = %d for S = {%s}"
@@ -436,7 +450,7 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10) -> list:
             continue
         if all(frame.cone(rho0 - p, ring="integer") is not None for p in orb):
             reps.add(dominant_representative(lam, group, evens))
-    out = sorted(reps, key=Weight.coords)
+    out = sorted(reps, key=coordinate_order)
     expected = expected_regular_orbit_reps(rs, H)
     if out != expected:
         raise StructuralError(
@@ -453,7 +467,7 @@ def expected_regular_orbit_reps(rs: RootSystem, H: int = 10) -> list:
     xi = xi_vector(pair)
     step = pair.system.height_int(xi)
     return sorted((rho0 - xi.scale(s) for s in range(H // step + 1)),
-                  key=Weight.coords)
+                  key=coordinate_order)
 
 
 def _keys_up_to(rank: int, H: int):
@@ -475,12 +489,13 @@ def xi_presentation_unique(pair: AdmissiblePair,
     """
     frame = pair.system
     target = xi_vector(pair) if target is None else target
-    gens = sorted(frame.positive_roots, key=Weight.coords)
+    gens = sorted(frame.positive_roots, key=coordinate_order)
     support = set(pair.S)
     cost = [0 if g in support else 1 for g in gens]
     dim = pair.rs.m + pair.rs.n
-    A = [[g.coords()[i] for g in gens] for i in range(dim)]
-    status, value, _ = maximize(cost, A, target.coords())
+    # A x = b has the same solutions with both sides doubled
+    A = [[g.doubled[i] for g in gens] for i in range(dim)]
+    status, value, _ = maximize(cost, A, target.doubled)
     if status != OPTIMAL:
         return False, "presentation program is %s" % status
     if value != 0:
@@ -528,7 +543,8 @@ def stabilizer_matches_zero_pairing_reflections(pair: AdmissiblePair) -> bool:
     """Stab rho = <s_alpha : alpha positive-square, (alpha, rho) = 0>."""
     rs = pair.rs
     rho = pair.system.rho
-    roots = [a for a in sorted(rs.sharp & rs.positive_even, key=Weight.coords)
+    roots = [a for a in sorted(rs.sharp & rs.positive_even,
+                               key=coordinate_order)
              if bilinear_form(a, rho) == 0]
     generated = enumerate_group(tuple(reflection(a) for a in roots),
                                 (rs.m, rs.n))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import ValidationError
-from .weights import Weight, bilinear_form, weight_json
+from .weights import Weight, bilinear_form, coordinate_order, weight_json
 
 FAMILIES = ("GL", "B", "D", "C", "Q")
 
@@ -225,7 +225,7 @@ def simple_roots(positive: Iterable[Weight]) -> tuple:
 
     A positive root is simple iff it is not a sum of two positive roots.
     """
-    pos_list = sorted(positive, key=Weight.coords)
+    pos_list = sorted(positive, key=coordinate_order)
     sums = set()
     for i, a in enumerate(pos_list):
         for b in pos_list[i:]:
@@ -238,7 +238,7 @@ def root_json(w: Weight, odd: bool) -> dict:
 
 
 def _roots_json(roots: Iterable[Weight], odd: bool) -> list:
-    return [root_json(a, odd) for a in sorted(roots, key=Weight.coords)]
+    return [root_json(a, odd) for a in sorted(roots, key=coordinate_order)]
 
 
 def system_json(rs: RootSystem) -> dict:

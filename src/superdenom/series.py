@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import StructuralError
 from .simple import SimpleSystem
-from .weights import Weight, weight_json
+from .weights import Weight, coordinate_order, weight_json
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class GeometricTerm:
     @staticmethod
     def make(coeff, exponent: Weight, denoms: Sequence[Weight]) -> "GeometricTerm":
         return GeometricTerm(coeff, exponent,
-                             tuple(sorted(denoms, key=Weight.coords)))
+                             tuple(sorted(denoms, key=coordinate_order)))
 
     def to_json(self) -> dict:
         return {
@@ -77,15 +77,15 @@ def canonical_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem) -> tupl
     acc = {}
     for t in terms:
         nt = normalize(t, frame)
-        key = (nt.exponent.coords(), tuple(g.coords() for g in nt.denoms))
+        key = (nt.exponent.doubled, tuple(g.doubled for g in nt.denoms))
         cur = acc.get(key)
         if cur is None:
             acc[key] = nt
         else:
             acc[key] = GeometricTerm(cur.coeff + nt.coeff, cur.exponent, cur.denoms)
     out = [t for t in acc.values() if t.coeff != 0]
-    return tuple(sorted(out, key=lambda t: (t.exponent.coords(),
-                                            tuple(g.coords() for g in t.denoms))))
+    return tuple(sorted(out, key=lambda t: (
+        t.exponent.doubled, tuple(g.doubled for g in t.denoms))))
 
 
 class FormalSeries:
@@ -265,25 +265,32 @@ def expand_term(term: GeometricTerm, frame: SimpleSystem, H,
 
 
 def _merged(terms: Sequence[GeometricTerm]) -> dict:
-    """(exponent, denoms) -> total coefficient over the terms, zeros dropped.
+    """(exponent, denoms) -> the term with its total coefficient.
 
-    No normalization: two terms share a key only when they are written
-    alike, so merging is a dict pass and needs no frame.
+    Keys whose total is zero are dropped.  No normalization: two terms
+    share a key only when they are written alike, so merging is a dict
+    pass and needs no frame.  The values are the distinct terms, ready
+    for `expand_terms`.
     """
-    return _accumulate({}, (((t.exponent, t.denoms), t.coeff) for t in terms))
+    acc = {}
+    for t in terms:
+        key = (t.exponent, t.denoms)
+        cur = acc.get(key)
+        acc[key] = t if cur is None else \
+            GeometricTerm(cur.coeff + t.coeff, t.exponent, t.denoms)
+    return {k: t for k, t in acc.items() if t.coeff}
 
 
 def expand_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem, H,
                  offset: Optional[Weight] = None) -> FormalSeries:
-    """Sum of the expansions of the terms.
+    """Sum of the expansions of the terms, one expansion per term.
 
-    Expansion is linear in the coefficient, so terms written alike are
-    merged first and each distinct term is expanded once, with its total
-    coefficient; a total of zero expands to nothing.
+    Expansion is linear in the coefficient, so a caller whose list repeats
+    terms merges it first (`_merged`) and expands the distinct terms:
+    q(7)'s 5,040 W-terms are 840 distinct ones.
     """
     offset = frame.rho if offset is None else offset
     acc = {}
-    for (exponent, denoms), coeff in _merged(terms).items():
-        _accumulate(acc, expand_term(GeometricTerm(coeff, exponent, denoms),
-                                     frame, H, offset).data.items())
+    for t in terms:
+        _accumulate(acc, expand_term(t, frame, H, offset).data.items())
     return FormalSeries(frame, H, offset, acc)

@@ -17,7 +17,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError, StructuralError, ValidationError
 from .roots import RootSystem, is_isotropic
-from .weights import Elimination, Weight, bilinear_form, weight_json
+from .weights import (Elimination, Weight, bilinear_form, coordinate_order,
+                      weight_json)
 
 PAIR_CAP = 10 ** 6
 
@@ -27,7 +28,9 @@ VARIANTS = ("step2", "step3", "step3_prime", "second_class")
 class SimpleSystem:
     """A simple system with its derived positive roots and rho data.
 
-    simple_roots come sorted by coordinates; solver is their elimination.
+    simple_roots come sorted by coordinates; solver is the elimination of
+    their doubled tuples, which gives the simple coordinates of a doubled
+    target unchanged.
     """
 
     def __init__(self, simple_roots, rs, positive_even, positive_odd, solver):
@@ -52,7 +55,7 @@ class SimpleSystem:
         return self.rs.n
 
     def key(self) -> tuple:
-        return tuple(w.coords() for w in self.simple_roots)
+        return tuple(w.doubled for w in self.simple_roots)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SimpleSystem) and self.key() == other.key() \
@@ -71,12 +74,13 @@ class SimpleSystem:
         """Coordinates of a span vector in the simple basis, signs free.
 
         Integer entries come back as ints, the rest as Fractions; the two
-        hash alike, so mixed keys index the same series bucket.
+        hash alike, so mixed keys index the same series bucket.  The cache
+        is keyed on the weight, whose hash is the doubled int tuple's.
         """
         cached = self._int_cache.get(w)
         if cached is not None:
             return cached
-        sol = self._solver.solve(w.coords())
+        sol = self._solver.solve(w.doubled)
         if sol is None:
             raise StructuralError("%s is outside the simple-root span" % w)
         out = tuple(int(c) if c.denominator == 1 else c for c in sol)
@@ -96,7 +100,7 @@ class SimpleSystem:
         return out
 
     def cone(self, w: Weight, ring: str = "integer") -> Optional[tuple]:
-        return self._solver.cone(w.coords(), ring)
+        return self._solver.cone(w.doubled, ring)
 
     def height_int(self, w: Weight) -> int:
         return sum(self.cone_int(w))
@@ -117,7 +121,7 @@ def derive(pi: Sequence[Weight], rs: RootSystem, universe: str = "super"
     universe='super' uses all roots; universe='even' restricts to the even
     part (used for plain Lie-algebra frames such as orbit computations).
     """
-    pi = tuple(sorted(pi, key=Weight.coords))
+    pi = tuple(sorted(pi, key=coordinate_order))
     if universe not in ("super", "even"):
         raise StructuralError("unknown universe %r" % universe)
     even_universe = rs.even()
@@ -125,7 +129,7 @@ def derive(pi: Sequence[Weight], rs: RootSystem, universe: str = "super"
     for a in pi:
         if a not in even_universe and a not in odd_universe:
             raise ValidationError("%s is not a root of the system" % a)
-    solver = Elimination([a.coords() for a in pi])
+    solver = Elimination([a.doubled for a in pi])
     if solver.rank != len(pi):
         raise ValidationError("simple roots are linearly dependent")
     pos_even, pos_odd = set(), set()
@@ -136,7 +140,7 @@ def derive(pi: Sequence[Weight], rs: RootSystem, universe: str = "super"
                 continue
             seen.add(a)
             seen.add(-a)
-            sol = solver.solve(a.coords())
+            sol = solver.solve(a.doubled)
             integral = sol is not None and all(c.denominator == 1 for c in sol)
             plus = integral and all(c >= 0 for c in sol)
             minus = integral and all(c <= 0 for c in sol)
@@ -188,12 +192,12 @@ class AdmissiblePair:
         return self.system.rs
 
     def key(self) -> tuple:
-        return (tuple(sorted(w.coords() for w in self.S)), self.system.key())
+        return (tuple(sorted(w.doubled for w in self.S)), self.system.key())
 
     def to_json(self) -> dict:
         idx = {a: i for i, a in enumerate(self.system.simple_roots)}
         return {
-            "S": [idx[b] for b in sorted(self.S, key=Weight.coords)],
+            "S": [idx[b] for b in sorted(self.S, key=coordinate_order)],
             "system": self.system.to_json(),
         }
 
@@ -219,7 +223,7 @@ def is_admissible(S: Sequence[Weight], sys: SimpleSystem) -> tuple:
 
 
 def make_pair(S: Sequence[Weight], sys: SimpleSystem) -> AdmissiblePair:
-    S = tuple(sorted(S, key=Weight.coords))
+    S = tuple(sorted(S, key=coordinate_order))
     ok, reason = is_admissible(S, sys)
     if not ok:
         raise ValidationError("pair is not admissible: %s" % reason)
@@ -264,12 +268,12 @@ def isotropic_parts(beta: Weight) -> tuple:
 
     i and j are 1-based; kind is 'difference' or 'sum'.
     """
-    values = beta.coords()
-    hits = [k for k, c in enumerate(values) if c]
+    doubled = beta.doubled
+    hits = [k for k, v in enumerate(doubled) if v]
     if len(hits) != 2 or not hits[0] < beta.m <= hits[1]:
         raise DomainError("%s is not of the form +-eps_i +- delta_j" % beta)
     e, d = hits
-    kind = "sum" if values[e] * values[d] > 0 else "difference"
+    kind = "sum" if doubled[e] * doubled[d] > 0 else "difference"
     return e + 1, d - beta.m + 1, kind
 
 
@@ -511,7 +515,7 @@ def orthogonal_subsets(roots: Iterable[Weight], size: int) -> list:
 
     They come in `combinations` order over the roots sorted by coordinates.
     """
-    return [S for S in combinations(sorted(roots, key=Weight.coords), size)
+    return [S for S in combinations(sorted(roots, key=coordinate_order), size)
             if all(bilinear_form(a, b) == 0 for a, b in combinations(S, 2))]
 
 
@@ -554,7 +558,7 @@ def pair_components(pairs: Sequence[AdmissiblePair],
 
 def pairing(x: tuple, w: Weight):
     """The coordinate pairing sum_k x_k w_k, not the bilinear form."""
-    return sum((c * xk for c, xk in zip(w.coords(), x) if c), Q(0))
+    return sum((v * xk for v, xk in zip(w.doubled, x) if v), Q(0)) / 2
 
 
 def functional_for(sys: SimpleSystem) -> tuple:
@@ -569,9 +573,10 @@ def functional_for(sys: SimpleSystem) -> tuple:
     rs = sys.rs
     if rs.family not in ("GL", "B_EPS", "B_DELTA", "D_EPS", "D_DELTA"):
         raise DomainError("functionals are defined for gl/B/D only")
-    columns = [tuple(a.coords()[i] for a in sys.simple_roots)
-               for i in range(rs.m + rs.n)]
-    sol = Elimination(columns).solve((Q(1),) * len(sys.simple_roots))
+    # sum_k f_k * (2 alpha_k) = 2 on each simple alpha: the doubled system
+    columns = [tuple(a.doubled[k] for a in sys.simple_roots)
+               for k in range(rs.m + rs.n)]
+    sol = Elimination(columns).solve((2,) * len(sys.simple_roots))
     if sol is None:
         raise ValidationError("no functional solves <f, Pi> = 1")
     if rs.family == "GL":

@@ -1,53 +1,67 @@
 """Exact linear algebra over the epsilon/delta coordinate lattice.
 
-A weight is a rational coordinate vector over the split basis
-eps_1..eps_m, delta_1..delta_n, stored as one flat tuple of all m+n
-coordinates (the eps block first) together with m.  Arithmetic, sorting
-and hashing work on the flat tuple; the bilinear form, the pretty printer
-and `weight_json`, the one serializer, read the split.  The invariant
-bilinear form is diagonal:
+A weight is a coordinate vector over the split basis eps_1..eps_m,
+delta_1..delta_n.  Every weight the package builds lies in (1/2)Z: roots
+are integral and rho is a half-sum of roots.  So a weight is stored as one
+flat tuple of ints equal to twice its m+n coordinates (the eps block
+first), together with m, and a coordinate that would leave (1/2)Z raises
+StructuralError; nothing is rounded.  Hashing, equality, arithmetic and
+sorting work on the doubled tuple, which orders exactly like the
+coordinates.  Code that reads the coordinates themselves halves at its
+boundary: `Weight.coords` returns them as Fractions, and the bilinear
+form, the pretty printer and `weight_json`, the one serializer, halve as
+they read.  The invariant bilinear form is diagonal:
 (eps_i, eps_j) = delta_ij, (delta_i, delta_j) = -delta_ij, mixed pairs 0.
-Everything runs in exact rational arithmetic; no floats appear anywhere.
+Rationals remain only where they carry meaning: values of the form and
+solutions of `Elimination`.  No floats appear anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from operator import add, sub
+from math import gcd
+from operator import add, attrgetter, mul, neg, sub
 from typing import Optional, Sequence
 
 from .errors import StructuralError
 
-ZERO = Q(0)
-ONE = Q(1)
+
+def _doubled(c) -> int:
+    """2c as an int; StructuralError unless c lies in (1/2)Z."""
+    twice = 2 * Q(c)
+    if twice.denominator != 1:
+        raise StructuralError("coordinate %s is not in (1/2)Z" % c)
+    return twice.numerator
 
 
-def _frac_tuple(values) -> tuple:
-    return tuple(v if isinstance(v, Q) else Q(v) for v in values)
+def _half(v: int) -> str:
+    """The coordinate v/2 written as Fraction would write it."""
+    return str(v // 2) if v % 2 == 0 else "%d/2" % v
 
 
 @dataclass(frozen=True)
 class Weight:
-    """Immutable rational vector: the eps block, then the delta block."""
+    """Immutable vector in (1/2)Z, stored doubled: eps block, delta block."""
 
-    values: tuple
+    doubled: tuple
     m: int
 
     @staticmethod
     def make(eps, delta=()) -> "Weight":
-        return Weight(_frac_tuple(eps) + _frac_tuple(delta), len(eps))
+        """The weight with these coordinates, each an int or a Fraction."""
+        return Weight(tuple(map(_doubled, (*eps, *delta))), len(eps))
 
     @staticmethod
     def zero(m: int, n: int) -> "Weight":
-        return Weight((ZERO,) * (m + n), m)
+        return Weight((0,) * (m + n), m)
 
     @staticmethod
     def unit(k: int, m: int, n: int) -> "Weight":
         """The k-th basis vector of the flat layout; k is 0-based."""
-        coords = [ZERO] * (m + n)
-        coords[k] = ONE
-        return Weight(tuple(coords), m)
+        doubled = [0] * (m + n)
+        doubled[k] = 2
+        return Weight(tuple(doubled), m)
 
     @staticmethod
     def eps_unit(i: int, m: int, n: int) -> "Weight":
@@ -60,32 +74,39 @@ class Weight:
         return Weight.unit(m + j - 1, m, n)
 
     def dims(self) -> tuple:
-        return (self.m, len(self.values) - self.m)
+        return (self.m, len(self.doubled) - self.m)
 
     def coords(self) -> tuple:
-        """All coordinates, eps block first."""
-        return self.values
+        """The coordinates as Fractions, eps block first."""
+        return tuple(Q(v, 2) for v in self.doubled)
 
     def is_zero(self) -> bool:
-        return not any(self.values)
+        return not any(self.doubled)
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check(other)
-        return Weight(tuple(map(add, self.values, other.values)), self.m)
+        return Weight(tuple(map(add, self.doubled, other.doubled)), self.m)
 
     def __sub__(self, other: "Weight") -> "Weight":
         self._check(other)
-        return Weight(tuple(map(sub, self.values, other.values)), self.m)
+        return Weight(tuple(map(sub, self.doubled, other.doubled)), self.m)
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.values), self.m)
+        return Weight(tuple(map(neg, self.doubled)), self.m)
 
     def scale(self, c) -> "Weight":
-        c = c if isinstance(c, Q) else Q(c)
-        return Weight(tuple(c * a for a in self.values), self.m)
+        """c times the weight; StructuralError if it leaves (1/2)Z."""
+        c = Q(c)
+        out = []
+        for v in self.doubled:
+            q, r = divmod(c.numerator * v, c.denominator)
+            if r:
+                raise StructuralError("%s * (%s) leaves (1/2)Z" % (c, self))
+            out.append(q)
+        return Weight(tuple(out), self.m)
 
     def _check(self, other: "Weight") -> None:
-        if self.m != other.m or len(self.values) != len(other.values):
+        if self.m != other.m or len(self.doubled) != len(other.doubled):
             raise StructuralError(
                 "weight dimension mismatch: %s vs %s" % (self.dims(), other.dims())
             )
@@ -93,16 +114,16 @@ class Weight:
     def pretty(self) -> str:
         """Readable form such as 'e1 - d2' or '1/2*e1 + 3/2*d1'."""
         parts = []
-        for k, c in enumerate(self.values):
-            if c == 0:
+        for k, v in enumerate(self.doubled):
+            if v == 0:
                 continue
             name = "e%d" % (k + 1) if k < self.m else "d%d" % (k - self.m + 1)
-            if c == 1:
+            if v == 2:
                 parts.append(name)
-            elif c == -1:
+            elif v == -2:
                 parts.append("-" + name)
             else:
-                parts.append("%s*%s" % (c, name))
+                parts.append("%s*%s" % (_half(v), name))
         if not parts:
             return "0"
         out = parts[0]
@@ -114,39 +135,47 @@ class Weight:
         return self.pretty()
 
 
+# Sort key for weights: the doubled tuple orders like the coordinates.
+coordinate_order = attrgetter("doubled")
+
+
 def weight_json(w: Weight) -> dict:
     """The eps and delta coordinate lists of w, rationals as strings."""
-    return {"eps": [str(c) for c in w.values[:w.m]],
-            "delta": [str(c) for c in w.values[w.m:]]}
+    return {"eps": [_half(v) for v in w.doubled[:w.m]],
+            "delta": [_half(v) for v in w.doubled[w.m:]]}
 
 
-def bilinear_form(x: Weight, y: Weight):
+def bilinear_form(x: Weight, y: Weight) -> Q:
     """Invariant form: +1 on eps coordinates, -1 on delta coordinates."""
     if x.dims() != y.dims():
         raise StructuralError(
             "form needs equal dimensions: %s vs %s" % (x.dims(), y.dims())
         )
-    acc = ZERO
-    for k, (a, b) in enumerate(zip(x.values, y.values)):
-        if a and b:
-            acc = acc + a * b if k < x.m else acc - a * b
-    return acc
+    m = x.m
+    eps = sum(map(mul, x.doubled[:m], y.doubled[:m]))
+    delta = sum(map(mul, x.doubled[m:], y.doubled[m:]))
+    return Q(eps - delta, 4)
 
 
 class Elimination:
-    """Gauss-Jordan elimination of a fixed list of columns, over Fraction.
+    """Fraction-free Gauss-Jordan elimination of a fixed list of int columns.
 
-    Columns are equal-length coordinate tuples.  Pivots are taken in column
-    order and free variables are pinned to zero, so the answer is unique
-    whenever the columns are independent.  The row operations are kept as a
-    transform, so each solve is one matrix-vector product.
+    Columns are equal-length int tuples.  Pivots are taken in column order
+    and free variables are pinned to zero, so the answer is unique
+    whenever the columns are independent.  Rows stay integral: clearing
+    a column multiplies a row by the pivot before subtracting, then
+    divides out the row's gcd.  The row operations are kept as a
+    transform, so a solve is one integer matrix-vector product and one
+    Fraction (over the row's pivot) per unknown.  Scaling the columns and
+    the target by one factor changes no solution, so weights enter as
+    their doubled tuples.
     """
 
     def __init__(self, columns: Sequence[tuple]):
         self.ncols = len(columns)
         dim = len(columns[0]) if columns else 0
         aug = [[col[i] for col in columns] +
-               [ONE if k == i else ZERO for k in range(dim)]
+               [1 if k == i else 0 for k in range(dim)]
                for i in range(dim)]
         pivots = []
         r = 0
@@ -155,30 +184,32 @@ class Elimination:
             if row is None:
                 continue
             aug[r], aug[row] = aug[row], aug[r]
-            inv = ONE / aug[r][c]
-            aug[r] = [v * inv for v in aug[r]]
+            top = aug[r]
+            p = top[c]
             for i in range(dim):
-                if i != r and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+                f = aug[i][c]
+                if i != r and f != 0:
+                    # never all zero: the identity block keeps full rank
+                    new = [p * a - f * b for a, b in zip(aug[i], top)]
+                    g = gcd(*new)
+                    aug[i] = [v // g for v in new]
             pivots.append(c)
             r += 1
         self.rank = r
         self.pivots = tuple(pivots)
-        self.transform = [row[self.ncols:] for row in aug]
+        # (transform row, the pivot it divides by); 1 past the rank
+        self.transform = [(row[self.ncols:], row[pivots[k]] if k < r else 1)
+                          for k, row in enumerate(aug)]
 
     def solve(self, target: Sequence) -> Optional[list]:
         """x with sum_j x_j * columns[j] = target, or None if outside the span."""
         if not self.ncols:
             return [] if not any(target) else None
-        out = [ZERO] * self.ncols
-        for row, coeffs in enumerate(self.transform):
-            acc = ZERO
-            for cv, tv in zip(coeffs, target):
-                if tv and cv:
-                    acc += cv * tv
+        out = [Q(0)] * self.ncols
+        for row, (coeffs, den) in enumerate(self.transform):
+            acc = sum(map(mul, coeffs, target))
             if row < self.rank:
-                out[self.pivots[row]] = acc
+                out[self.pivots[row]] = Q(acc, den)
             elif acc != 0:
                 return None
         return out
@@ -198,5 +229,4 @@ class Elimination:
 
 def solve_in_span(vectors: Sequence[Weight], target: Weight) -> Optional[list]:
     """Exact coordinates of target in span(vectors), or None if outside."""
-    return Elimination([v.coords() for v in vectors]).solve(target.coords())
-
+    return Elimination([v.doubled for v in vectors]).solve(target.doubled)

@@ -184,6 +184,13 @@ def _timing_free(value):
     ("verify_c_2", ["verify", "--family", "C", "--n", "2"]),
     ("verify_d_2_1", ["verify", "--family", "D", "--m", "2", "--n", "1"]),
     ("qn_3", ["qn", "--n", "3"]),
+    ("build_b_4_3", ["build", "--family", "B", "--m", "4", "--n", "3"]),
+    ("build_d_4_2", ["build", "--family", "D", "--m", "4", "--n", "2"]),
+    ("build_c_5", ["build", "--family", "C", "--n", "5"]),
+    ("build_q_7", ["build", "--family", "Q", "--n", "7"]),
+    ("orbits_c_3_h12",
+     ["orbits", "--family", "C", "--n", "3", "--height", "12"]),
+    ("pairs_gl_2_2", ["pairs", "--family", "GL", "--m", "2", "--n", "2"]),
 ])
 def test_json_output_matches_golden(capsys, name, argv):
     code, out, _ = _run_main(capsys, argv + ["--output", "json"])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from superdenom.groups import (SignedPermutation, check_stabilizer_dichotomy,
                                weyl_generators, weyl_group)
 from superdenom.roots import SuperType, build
 from superdenom.simple import even_frame
-from superdenom.weights import Weight, bilinear_form
+from superdenom.weights import Weight, bilinear_form, coordinate_order
 
 
 def test_reflection_action():
@@ -124,7 +126,7 @@ def test_deterministic_enumeration():
 
 @st.composite
 def _group_cases(draw):
-    """A small system, two words in W's generators, two rational weights."""
+    """A small system, two words in W's generators, two weights in (1/2)Z."""
     family = draw(st.sampled_from(["GL", "B", "C", "D", "Q"]))
     if family in ("C", "Q"):
         stype = SuperType(family, n=draw(st.integers(2, 3)))
@@ -142,7 +144,7 @@ def _group_cases(draw):
         return w
 
     def weight():
-        coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        coord = st.builds(Fraction, st.integers(-6, 6), st.just(2))
         values = draw(st.lists(coord, min_size=rs.m + rs.n,
                                max_size=rs.m + rs.n))
         return Weight.make(values[:rs.m], values[rs.m:])
@@ -159,7 +161,7 @@ def test_signed_permutation_laws(case):
     assert a.compose(a.inverse()).is_identity()
     assert ab.sgn() == a.sgn() * b.sgn()
     assert bilinear_form(a.apply(x), a.apply(y)) == bilinear_form(x, y)
-    for alpha in sorted(rs.all_roots(), key=Weight.coords):
+    for alpha in sorted(rs.all_roots(), key=coordinate_order):
         norm = bilinear_form(alpha, alpha)
         if norm != 0:
             s = reflection(alpha)

@@ -355,6 +355,25 @@ def test_skew_expands_only_generators_that_move_the_terms(
             assert acted.eq_report(X.scale(g.sgn())) is None
 
 
+@pytest.mark.parametrize("stype,variant", [
+    (SuperType("GL", 3, 3), "step2"), (SuperType("C", n=3), "step2"),
+    (SuperType("B", 2, 2), "step2"), (SuperType("D", 3, 2), "second_class")])
+def test_verify_builds_the_w_sharp_terms_once(monkeypatch, stype, variant):
+    # the merged terms feed both the expansion of X and the skew test,
+    # also where skew expands a generator (B and D here)
+    pair = standard_pair(build(stype), variant)
+    calls = []
+    original = identity.closed_form_terms
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(identity, "closed_form_terms", counting)
+    assert verify(pair, H=5).equal
+    assert calls == [pair]
+
+
 def _shifted_rho(fam, m, n, unit):
     pair = _pair(fam, m, n)
     shift = getattr(pair.rs, unit)

@@ -178,9 +178,11 @@ def test_expand_terms_merges_the_q5_w_sum():
     zero = Weight.zero(rs.m, rs.n)
     terms = _alternating_terms(weyl_group(rs), zero, qn_standard_set(rs))
     # w and w composed with the swap of S's two roots give the same term
-    assert len(terms) == 120 and len(_merged(terms)) == 60
-    got = expand_terms(terms, frame, 6, offset=zero)
+    merged = _merged(terms)
+    assert len(terms) == 120 and len(merged) == 60
+    got = expand_terms(list(merged.values()), frame, 6, offset=zero)
     assert got.data == _term_by_term(terms, frame, 6, zero).data
+    assert got.data == expand_terms(terms, frame, 6, offset=zero).data
     assert got.nonzero_count() > 0
 
 
@@ -189,9 +191,16 @@ def test_expand_terms_merges_duplicated_and_cancelling_copies():
     frame = pair.system
     terms = list(closed_form_terms(pair))
     padded = terms + terms[:4] + _negated(terms[4:9])
-    got = expand_terms(padded, frame, 6)
+    merged = _merged(padded)
+    # six terms: four doubled, the last two cancelled
+    assert len(terms) == 6 and len(merged) == 4
+    assert [t.coeff for t in merged.values()][:4] == [2 * t.coeff
+                                                      for t in terms[:4]]
+    got = expand_terms(list(merged.values()), frame, 6)
     assert got.data == _term_by_term(padded, frame, 6, frame.rho).data
+    assert got.data == expand_terms(padded, frame, 6).data
     assert got.data != expand_terms(terms, frame, 6).data
+    assert _merged(terms + _negated(terms)) == {}
     cancelled = expand_terms(terms + _negated(terms), frame, 6)
     assert cancelled.data == {} and cancelled.H == 6
 

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from superdenom.errors import StructuralError
+from superdenom.roots import SuperType, build
+from superdenom.simple import even_frame, standard_pairs
 from superdenom.weights import (Elimination, Weight, bilinear_form,
-                                solve_in_span)
+                                solve_in_span, weight_json)
 
 
 def w(eps, delta=()):
@@ -113,20 +116,91 @@ def test_elimination_solves_ranks_and_rejects(case):
         assert sol is not None and _times(columns, sol, dim) == t
 
 
-def test_in_positive_cone_rings():
+def test_elimination_cone_rings():
     e1 = Weight.eps_unit(1, 2, 0)
     e2 = Weight.eps_unit(2, 2, 0)
-    cone = Elimination([(e1 - e2).coords(), e2.coords()]).cone
-    assert cone((e1 + e2).coords(), ring="integer") == (1, 2)
+    # columns and targets doubled alike, as weights enter
+    cone = Elimination([(e1 - e2).doubled, e2.doubled]).cone
+    assert cone((e1 + e2).doubled, ring="integer") == (1, 2)
     # half points are rejected over the integers but not over the rationals
     half = (e1 + e2).scale(Q(1, 2))
-    assert cone(half.coords(), ring="integer") is None
-    assert cone(half.coords(), ring="rational") == (Q(1, 2), 1)
+    assert cone(half.doubled, ring="integer") is None
+    assert cone(half.doubled, ring="rational") == (Q(1, 2), 1)
     # negative coordinates never pass
-    assert cone((e2 - e1).coords(), ring="rational") is None
+    assert cone((e2 - e1).doubled, ring="rational") is None
 
 
 def test_pretty_printing():
     assert str(w((1, 0), (-1,))) == "e1 - d1"
     assert str(w((Q(-1, 2), 0), (Q(1, 2),))) == "-1/2*e1 + 1/2*d1"
     assert str(Weight.zero(1, 1)) == "0"
+
+
+def test_weights_are_stored_doubled_in_half_integers():
+    x = w((Q(3, 2), -2), (Q(-1, 2),))
+    assert x.doubled == (3, -4, -1)
+    assert all(type(v) is int for v in x.doubled)
+    assert x.coords() == (Q(3, 2), -2, Q(-1, 2))
+    assert w((1,), ()).scale(Q(1, 2)).doubled == (1,)
+    assert x.scale(2).doubled == (6, -8, -2)
+    assert x.scale(Q(2, 1)).doubled == (6, -8, -2)
+
+
+@pytest.mark.parametrize("stype", [
+    SuperType("B", 4, 3), SuperType("D", 4, 2), SuperType("C", n=5),
+    SuperType("GL", 3, 2), SuperType("Q", n=4)])
+def test_built_weights_hold_ints(stype):
+    rs = build(stype)
+    frames = [even_frame(rs)]
+    if rs.family != "Q":
+        frames += [pair.system for _, pair in standard_pairs(rs)]
+    weights = list(rs.all_roots())
+    for frame in frames:
+        weights += [frame.rho0, frame.rho1, frame.rho, *frame.simple_roots]
+    assert all(type(v) is int for x in weights for v in x.doubled)
+
+
+@pytest.mark.parametrize("coord", [Q(1, 3), Q(1, 4), Q(-5, 6)])
+def test_make_rejects_coordinates_outside_half_integers(coord):
+    with pytest.raises(StructuralError):
+        w((0, coord), (1,))
+    with pytest.raises(StructuralError):
+        w((0,), (coord,))
+
+
+def test_scale_rejects_leaving_half_integers():
+    odd = w((Q(1, 2), 1), ())
+    with pytest.raises(StructuralError):
+        odd.scale(Q(1, 2))
+    with pytest.raises(StructuralError):
+        w((1, 1), ()).scale(Q(1, 3))
+    # a quarter of an even coordinate is fine; nothing is rounded
+    assert w((2, 0), ()).scale(Q(1, 4)).coords() == (Q(1, 2), 0)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_pretty_and_json_round_trip_through_make(m, n, data):
+    coords = data.draw(st.lists(st.builds(Q, st.integers(-9, 9), st.just(2)),
+                                min_size=m + n, max_size=m + n))
+    x = w(coords[:m], coords[m:])
+    doc = weight_json(x)
+    assert w([Q(c) for c in doc["eps"]], [Q(c) for c in doc["delta"]]) == x
+    assert doc == {"eps": [str(c) for c in coords[:m]],
+                   "delta": [str(c) for c in coords[m:]]}
+    assert _parse_pretty(x.pretty(), m, n) == x
+
+
+def _parse_pretty(text, m, n):
+    eps, delta = [Q(0)] * m, [Q(0)] * n
+    if text != "0":
+        for sign, part in zip(["+"] + text.split(" ")[1::2],
+                              text.split(" ")[::2]):
+            coeff, _, name = part.rpartition("*")
+            if not coeff:
+                coeff, name = ("-1", name[1:]) if name[0] == "-" \
+                    else ("1", name)
+            value = Q(coeff) * (1 if sign == "+" else -1)
+            block = eps if name[0] == "e" else delta
+            block[int(name[1:]) - 1] = value
+    return w(eps, delta)

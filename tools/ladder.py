@@ -1,0 +1,119 @@
+"""Time the verify ladder and the Tier-1 suite into BENCH_ladder.json.
+
+    python3 tools/ladder.py LABEL [--repo DIR]
+
+Each rung is the standard-pair `superdenom verify --variant step2
+--output json` on one tall system, run once in its own cold process from
+DIR/src.  The wall time is taken around the child; the per-phase times
+come from the report's own `timings` (microseconds).  The Tier-1 suite
+is `python -m pytest -q` in DIR, timed the same way, with pytest's
+summary line kept.  DIR defaults to this repository; point it at a
+checkout of the parent commit for the "before" numbers.
+
+The record is appended to the `runs` list of BENCH_ladder.json at the
+root of this repository under LABEL, together with the commit of DIR,
+the Python version and the processor count, so one file carries the
+before and after numbers of each change.  The record is written even
+when a rung fails; the exit code is then 1.  Only the standard library
+is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (label, family arguments, height): the tall rungs the benchmark leaves out
+LADDER = (
+    ("gl(5|5)", ("--family", "GL", "--m", "5", "--n", "5"), 12),
+    ("D(5,3)", ("--family", "D", "--m", "5", "--n", "3"), 10),
+    ("C(6)", ("--family", "C", "--n", "6"), 10),
+    ("B(4,3)", ("--family", "B", "--m", "4", "--n", "3"), 10),
+)
+
+
+def _env(repo: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(repo / "src")
+    return env
+
+
+def time_rung(repo: Path, family: tuple, height: int) -> dict:
+    """One cold `verify` process: wall seconds, phase seconds, verdict."""
+    argv = [sys.executable, "-m", "superdenom", "verify", *family,
+            "--height", str(height), "--variant", "step2", "--output", "json"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, cwd=repo, env=_env(repo),
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    out = {"command": " ".join(["superdenom"] + argv[3:]),
+           "wall_s": round(wall, 3), "exit": proc.returncode}
+    if proc.returncode != 0:
+        out["stderr"] = proc.stderr.strip().splitlines()[-1:]
+        return out
+    (report,) = json.loads(proc.stdout)["result"]["reports"]
+    out["equal"] = report["equal"]
+    out["phases_s"] = {k: round(v / 1e6, 3)
+                       for k, v in sorted(report["timings"].items())}
+    return out
+
+
+def time_tier1(repo: Path) -> dict:
+    """The Tier-1 suite in one process: wall seconds and pytest's summary."""
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, cwd=repo, env=_env(repo),
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": round(wall, 3), "exit": proc.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
+def _commit(repo: Path) -> str:
+    """HEAD of repo, marked '+dirty' when the tracked files differ from it."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), *args],
+                              capture_output=True, text=True)
+    head = git("rev-parse", "--short", "HEAD")
+    if head.returncode != 0:
+        return "unknown"
+    dirty = git("diff", "--quiet", "HEAD").returncode != 0
+    return head.stdout.strip() + ("+dirty" if dirty else "")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("label")
+    parser.add_argument("--repo", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+    out = ROOT / "BENCH_ladder.json"
+    repo = args.repo.resolve()
+    rungs = {}
+    for name, family, height in LADDER:
+        key = "%s H=%d" % (name, height)
+        rungs[key] = time_rung(repo, family, height)
+        print(key, rungs[key]["wall_s"], "s", flush=True)
+    tier1 = time_tier1(repo)
+    print("tier-1", tier1["wall_s"], "s:", tier1["summary"], flush=True)
+    record = {"label": args.label, "commit": _commit(repo),
+              "python": platform.python_version(), "nproc": os.cpu_count(),
+              "rungs": rungs, "tier1": tier1}
+    doc = json.loads(out.read_text()) if out.exists() else {"runs": []}
+    doc["runs"].append(record)
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    failed = [k for k, v in rungs.items() if v["exit"] != 0
+              or not v.get("equal")]
+    return 1 if failed or tier1["exit"] != 0 else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
