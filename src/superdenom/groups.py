@@ -2,19 +2,23 @@
 
 W acts on weights by permuting eps coordinates among themselves and delta
 coordinates among themselves, with optional sign flips where the family
-allows them.  A signed permutation stores one image per coordinate of the
-flat weight layout (eps block first, delta targets offset by m), so every
-operation is a single pass over m+n entries.  A group is the sorted tuple
-of its elements: `weyl_group` and `sharp_group` enumerate W and W# (the
-group generated by reflections in the positive-square even roots) once
-per root system.  `weyl_generators` keeps W's simple reflections apart,
-so a skewness check never enumerates W.
+allows them.  A signed permutation stores one flat gather tuple over the
+weight layout (eps block first, delta block offset by m): src[j] = +-(k+1)
+means w(x)[j] = +-x[k], the same kind of flat int tuple as a weight's
+doubled coordinates.  Acting on a weight, or composing, is one gather;
+`images`, where each basis vector goes, is derived from it.  A group is
+the sorted tuple of its elements: `weyl_group` and `sharp_group`
+enumerate W and W# (the group generated by reflections in the
+positive-square even roots) once per root system, by a closure on raw
+tuples with each generator compiled once.  `weyl_generators` keeps W's
+simple reflections apart, so a skewness check never enumerates W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ResourceLimitError, StructuralError
@@ -27,50 +31,84 @@ DEFAULT_CAP = 10 ** 6
 
 @dataclass(frozen=True)
 class SignedPermutation:
-    """Monomial map: basis vector k goes to sign * basis vector (target k).
+    """Monomial map on the flat layout, stored as one signed gather tuple.
 
-    images[k] = (j, s) means w(b_k) = s * b_j over the flat basis
-    b = (eps_1..eps_m, delta_1..delta_n); both indices are 0-based.
+    src[j] = s * (k + 1) means w(x)[j] = s * x[k] over the flat basis
+    b = (eps_1..eps_m, delta_1..delta_n), with j and k 0-based and s = +-1;
+    equivalently w(b_k) = s * b_j.  Acting on a coordinate tuple is one
+    gather, and `images`, the per-basis-vector view (j, s), is derived.
     """
 
-    images: tuple
+    src: tuple
     m: int
 
     @staticmethod
     def identity(m: int, n: int) -> "SignedPermutation":
-        return SignedPermutation(tuple((k, 1) for k in range(m + n)), m)
+        return SignedPermutation(tuple(range(1, m + n + 1)), m)
+
+    @staticmethod
+    def from_images(images: Sequence, m: int) -> "SignedPermutation":
+        """The map with w(b_k) = s * b_j for images[k] = (j, s)."""
+        src = [0] * len(images)
+        for k, (j, s) in enumerate(images):
+            src[j] = s * (k + 1)
+        return SignedPermutation(tuple(src), m)
+
+    @property
+    def images(self) -> tuple:
+        """images[k] = (j, s) with w(b_k) = s * b_j; inverts from_images."""
+        out = [None] * len(self.src)
+        for j, a in enumerate(self.src):
+            out[abs(a) - 1] = (j, 1 if a > 0 else -1)
+        return tuple(out)
 
     def apply(self, w: Weight) -> Weight:
-        if w.m != self.m or len(w.doubled) != len(self.images):
+        if w.m != self.m or len(w.doubled) != len(self.src):
             raise StructuralError("weight/permutation dimension mismatch")
-        out = [0] * len(self.images)
-        for c, (j, s) in zip(w.doubled, self.images):
-            if c:
-                out[j] = c if s == 1 else -c
-        return Weight(tuple(out), self.m)
+        return Weight(_gather(self.src, w.doubled), self.m)
 
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
         """self after other (acts as self(other(x)))."""
-        mine = self.images
-        return SignedPermutation(
-            tuple((mine[j][0], s * mine[j][1]) for j, s in other.images),
-            self.m)
+        return SignedPermutation(_gather(self.src, other.src), self.m)
 
     def inverse(self) -> "SignedPermutation":
-        images = [None] * len(self.images)
-        for k, (j, s) in enumerate(self.images):
-            images[j] = (k, s)
-        return SignedPermutation(tuple(images), self.m)
+        src = [0] * len(self.src)
+        for j, a in enumerate(self.src):
+            src[abs(a) - 1] = j + 1 if a > 0 else -(j + 1)
+        return SignedPermutation(tuple(src), self.m)
 
     def is_identity(self) -> bool:
-        return all(j == k and s == 1 for k, (j, s) in enumerate(self.images))
+        return self.src == tuple(range(1, len(self.src) + 1))
 
     def sgn(self) -> int:
         """Determinant: permutation parity times the product of signs."""
-        out = _perm_parity([j for j, _ in self.images])
-        for _, s in self.images:
-            out *= s
+        out = _perm_parity([abs(a) - 1 for a in self.src])
+        for a in self.src:
+            if a < 0:
+                out = -out
         return out
+
+
+def _gather(src: tuple, values: tuple) -> tuple:
+    """The signed gather out[j] = +-values[k] for src[j] = +-(k + 1).
+
+    This is w(x) for w with gather tuple src; applied to another gather
+    tuple it composes.  Private on purpose: it runs once per weight.
+    """
+    return tuple([values[a - 1] if a > 0 else -values[-a - 1] for a in src])
+
+
+def _compiled(g: SignedPermutation):
+    """g as one callable on raw tuples, built once per caller.
+
+    An itemgetter when g flips no sign (most simple reflections); with a
+    sign flip, or on a single coordinate, the gather itself, which costs
+    the same as an itemgetter followed by a pass of signs.
+    """
+    src = g.src
+    if len(src) > 1 and min(src) > 0:
+        return itemgetter(*[a - 1 for a in src])
+    return partial(_gather, src)
 
 
 def _perm_parity(perm: Sequence[int]) -> int:
@@ -109,7 +147,7 @@ def reflection(alpha: Weight) -> SignedPermutation:
             raise StructuralError(
                 "reflection image %s is not a signed unit of its block" % img)
         images.append((hits[0][0], 1 if hits[0][1] > 0 else -1))
-    return SignedPermutation(tuple(images), m)
+    return SignedPermutation.from_images(images, m)
 
 
 def simple_reflections(positive: Iterable[Weight]) -> tuple:
@@ -119,23 +157,38 @@ def simple_reflections(positive: Iterable[Weight]) -> tuple:
 
 def enumerate_group(generators: Sequence[SignedPermutation], dims: tuple,
                     cap: int = DEFAULT_CAP) -> tuple:
-    """Deterministic BFS closure of the generating set, sorted by images."""
-    ident = SignedPermutation.identity(*dims)
-    seen = {ident}
+    """Deterministic BFS closure of the generating set, sorted by images.
+
+    The closure runs on raw gather tuples: each generator is compiled
+    once, and g.compose(w) is that compiled gather applied to w's tuple.
+    Each new element also gets its inverse's tuple, w^-1 g^-1, because
+    images(u)[k] = (|v[k]| - 1, sign v[k]) for v = u^-1: sorting by the
+    rank of v's entries under (j, s) -> 2j + (s > 0) orders the elements
+    by images without building images.
+    """
+    acts = [(_compiled(g), g.inverse().src) for g in generators]
+    ident = SignedPermutation.identity(*dims).src
+    seen = {ident: ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in generators:
-                u = g.compose(w)
+            w_inv = seen[w]
+            for act, g_inv in acts:
+                u = act(w)
                 if u not in seen:
-                    seen.add(u)
+                    seen[u] = _gather(w_inv, g_inv)
                     nxt.append(u)
                     if len(seen) > cap:
                         raise ResourceLimitError(
                             "group enumeration exceeded cap %d" % cap)
         frontier = nxt
-    return tuple(sorted(seen, key=lambda p: p.images))
+    size = len(ident)
+    rank = [0] * (2 * size + 1)     # indexed by +-(j + 1)
+    for j in range(size):
+        rank[j + 1], rank[-j - 1] = 2 * j + 1, 2 * j
+    order = sorted(seen, key=lambda u: tuple(map(rank.__getitem__, seen[u])))
+    return tuple(SignedPermutation(u, dims[0]) for u in order)
 
 
 @lru_cache(maxsize=None)
@@ -167,8 +220,8 @@ def external_delta_flips(rs: RootSystem) -> tuple:
         return ()
     size = rs.m + rs.n
     return tuple(
-        SignedPermutation(tuple((k, -1 if k == j else 1) for k in range(size)),
-                          rs.m)
+        SignedPermutation(tuple(-(k + 1) if k == j else k + 1
+                                for k in range(size)), rs.m)
         for j in range(rs.m, size))
 
 

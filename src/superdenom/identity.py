@@ -19,7 +19,7 @@ from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, StructuralError
-from .groups import (SignedPermutation, check_stabilizer_dichotomy,
+from .groups import (SignedPermutation, _compiled, check_stabilizer_dichotomy,
                      dominant_representative, enumerate_group, is_dominant,
                      orbit, orbit_intersects_shifted_cone, reflection,
                      sharp_group, stabilizer, weyl_generators, weyl_group)
@@ -123,11 +123,19 @@ def rhs_closed(pair: AdmissiblePair, H: int,
 
 
 def rhs_expanded(pair: AdmissiblePair, H: int) -> FormalSeries:
-    """X via the phi/|w| expansion; must agree with rhs_closed exactly."""
+    """X via the phi/|w| expansion; must agree with rhs_closed exactly.
+
+    An element w with ht(rho - w rho) > H is skipped before `phi_data`.
+    That is exact: w's base key rho - (w rho + phi) lies higher still, phi
+    being a sum of negative roots, and its keys only climb from there.
+    The span of rho - w rho is still checked.
+    """
     frame = pair.system
     rho = frame.rho
     acc = {}
     for w in sharp_group(pair.rs):
+        if frame._height(rho - w.apply(rho)) > H:
+            continue
         base, abs_w = phi_data(w, pair)
         steps = [frame.cone_int(abs_w[b]) for b in pair.S]
         _mu_accumulate(acc, base, steps, w.sgn(), H)
@@ -256,18 +264,19 @@ def skew_invariance_check(pair: AdmissiblePair, H: int,
 
 
 def _permutes_up_to_sign(g: SignedPermutation, merged: dict) -> bool:
-    """g(t) = sgn(g) t summed over the terms, on (exponent, denoms) keys.
+    """g(t) = sgn(g) t summed over the terms, on raw (exponent, denoms) keys.
 
-    merged maps each key to its term with the total coefficient (see
+    merged maps each raw key to its term with the total coefficient (see
     series._merged).  g acts injectively on keys, so the acted terms
     merge to {g(k): c}, and that equals {k: sgn(g) c} iff every key's
     image carries sgn(g) times its coefficient: one lookup per distinct
-    term, stopping at the first miss.
+    term, stopping at the first miss.  g is compiled once and maps the
+    raw key directly; no weight or term is built.
     """
     sign = g.sgn()
-    for t in merged.values():
-        image = act(g, t)
-        other = merged.get((image.exponent, image.denoms))
+    act = _compiled(g)
+    for (exponent, denoms), t in merged.items():
+        other = merged.get((act(exponent), tuple(sorted(map(act, denoms)))))
         if other is None or other.coeff != sign * t.coeff:
             return False
     return True

@@ -254,9 +254,21 @@ def _geometric(data: dict, step: tuple, H) -> dict:
 
 def expand_term(term: GeometricTerm, frame: SimpleSystem, H,
                 offset: Optional[Weight] = None) -> FormalSeries:
-    """Expand one normalized geometric term in the frame's directions."""
-    nt = normalize(term, frame)
+    """Expand one normalized geometric term in the frame's directions.
+
+    A term with ht(offset - exponent) > H comes back empty before it is
+    normalized or keyed.  That is exact: normalizing moves the exponent
+    down by positive roots and expanding only adds positive steps, so
+    every key of the term lies above that height.  Its denominators must
+    still be roots and offset - exponent must still lie in the span.
+    """
     offset = frame.rho if offset is None else offset
+    if frame._height(offset - term.exponent) > H:
+        for g in term.denoms:
+            if not (frame.is_positive_root(g) or frame.is_positive_root(-g)):
+                raise StructuralError("denominator %s is not a root here" % g)
+        return FormalSeries(frame, H, offset)
+    nt = normalize(term, frame)
     base = frame.cone_key(offset - nt.exponent)
     data = {base: nt.coeff} if _ht(base) <= H else {}
     for g in nt.denoms:
@@ -265,16 +277,17 @@ def expand_term(term: GeometricTerm, frame: SimpleSystem, H,
 
 
 def _merged(terms: Sequence[GeometricTerm]) -> dict:
-    """(exponent, denoms) -> the term with its total coefficient.
+    """Raw key (exponent, denoms) -> the term with its total coefficient.
 
-    Keys whose total is zero are dropped.  No normalization: two terms
-    share a key only when they are written alike, so merging is a dict
-    pass and needs no frame.  The values are the distinct terms, ready
-    for `expand_terms`.
+    The key is the doubled tuples: the exponent's and the sorted
+    denominators'.  Keys whose total is zero are dropped.  No
+    normalization: two terms share a key only when they are written
+    alike, so merging is a dict pass and needs no frame.  The values are
+    the distinct terms, ready for `expand_terms`.
     """
     acc = {}
     for t in terms:
-        key = (t.exponent, t.denoms)
+        key = (t.exponent.doubled, tuple([g.doubled for g in t.denoms]))
         cur = acc.get(key)
         acc[key] = t if cur is None else \
             GeometricTerm(cur.coeff + t.coeff, t.exponent, t.denoms)

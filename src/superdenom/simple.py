@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cached_property
 from itertools import combinations
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError, StructuralError, ValidationError
@@ -45,7 +48,6 @@ class SimpleSystem:
         self.rho = self.rho0 - self.rho1
         self._solver = solver
         self._int_cache = {}
-
     @property
     def m(self) -> int:
         return self.rs.m
@@ -102,8 +104,54 @@ class SimpleSystem:
     def cone(self, w: Weight, ring: str = "integer") -> Optional[tuple]:
         return self._solver.cone(w.doubled, ring)
 
+    @cached_property
+    def _height_functional(self) -> tuple:
+        """(row, den, null rows): ht(w) = (row . w.doubled) / den.
+
+        row sums the solve's rows over their pivots, so the dot product is
+        the sum of the simple coordinates; the null rows vanish exactly on
+        the simple-root span (with no simple roots, every unit row does).
+        Built on first use, since most frames never ask for a height.
+        """
+        solver = self._solver
+        rank, dim = solver.rank, self.m + self.n
+        den = lcm(*(d for _, d in solver.transform[:rank]))
+        row = [0] * dim
+        for coeffs, d in solver.transform[:rank]:
+            row = [a + den // d * c for a, c in zip(row, coeffs)]
+        g = gcd(den, *row)
+        null = [c for c, _ in solver.transform[rank:]] if rank else \
+            [Weight.unit(k, self.m, self.n).doubled for k in range(dim)]
+        return tuple(v // g for v in row), den // g, tuple(map(tuple, null))
+
+    def _height(self, w: Weight):
+        """ht(w), the sum of w's simple coordinates, as an int or Fraction.
+
+        One dot product with the height row, after the null rows check the
+        span: StructuralError outside the simple-root span, as in cone_key.
+        Private on purpose: it runs once per W#-sum term.
+        """
+        row, den, null = self._height_functional
+        t = w.doubled
+        for n in null:
+            if sum(map(mul, n, t)):
+                raise StructuralError("%s is outside the simple-root span" % w)
+        num = sum(map(mul, row, t))
+        q, r = divmod(num, den)
+        return Q(num, den) if r else q
+
     def height_int(self, w: Weight) -> int:
-        return sum(self.cone_int(w))
+        """ht(w) for a lattice vector of the span.
+
+        StructuralError unless every simple coordinate of w is an integer,
+        checked row by row in integers.
+        """
+        out = self._height(w)
+        t = w.doubled
+        if any(sum(map(mul, coeffs, t)) % d
+               for coeffs, d in self._solver.transform[:self._solver.rank]):
+            raise StructuralError("%s has non-integer simple coordinates" % w)
+        return out
 
     def to_json(self) -> dict:
         from .roots import root_json

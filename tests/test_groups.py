@@ -152,10 +152,21 @@ def _group_cases(draw):
     return rs, element(), element(), weight(), weight()
 
 
+def _apply_by_images(w, x):
+    """w(x) written as the per-coordinate loop over (target, sign) images."""
+    out = [0] * len(x.doubled)
+    for c, (j, s) in zip(x.doubled, w.images):
+        if c:
+            out[j] = c if s == 1 else -c
+    return Weight(tuple(out), x.m)
+
+
 @settings(deadline=None, max_examples=80)
 @given(_group_cases())
 def test_signed_permutation_laws(case):
     rs, a, b, x, y = case
+    assert a.apply(x) == _apply_by_images(a, x)
+    assert b.apply(y) == _apply_by_images(b, y)
     ab = a.compose(b)
     assert ab.apply(x) == a.apply(b.apply(x))
     assert a.compose(a.inverse()).is_identity()
@@ -168,3 +179,47 @@ def test_signed_permutation_laws(case):
             assert s.apply(x) == x - alpha.scale(2 * bilinear_form(x, alpha)
                                                  / norm)
             assert s.sgn() == -1
+
+
+def _reference_group(generators, dims):
+    """BFS closure composing tuples of (target, sign) images, sorted."""
+    ident = tuple((k, 1) for k in range(sum(dims)))
+    gens = [g.images for g in generators]
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                u = tuple((g[j][0], s * g[j][1]) for j, s in w)
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("stype", [
+    SuperType("GL", 3, 2), SuperType("B", 2, 2), SuperType("C", n=3),
+    SuperType("D", 3, 2), SuperType("Q", n=4)])
+def test_enumerate_group_matches_the_images_bfs(stype):
+    rs = build(stype)
+    cases = [([g for _, g in weyl_generators(rs)], weyl_group(rs)),
+             ([g for _, g in simple_reflections(rs.sharp & rs.positive_even)],
+              sharp_group(rs))]
+    for gens, cached in cases:
+        got = enumerate_group(gens, (rs.m, rs.n))
+        assert got == cached
+        assert [w.images for w in got] == _reference_group(gens,
+                                                           (rs.m, rs.n))
+
+
+def test_from_images_round_trip():
+    # w(b_0) = -b_1, w(b_1) = b_0, w(b_2) = b_2: w(x) = (x1, -x0, x2)
+    w = SignedPermutation.from_images(((1, -1), (0, 1), (2, 1)), 2)
+    assert w.src == (2, -1, 3)
+    assert w.images == ((1, -1), (0, 1), (2, 1))
+    x = Weight.make([1, 2], [3])
+    assert w.apply(x) == Weight.make([2, -1], [3])
+    for stype in (SuperType("B", 2, 2), SuperType("D", 3, 2)):
+        for g in weyl_group(build(stype)):
+            assert SignedPermutation.from_images(g.images, g.m) == g

@@ -355,6 +355,25 @@ def test_skew_expands_only_generators_that_move_the_terms(
             assert acted.eq_report(X.scale(g.sgn())) is None
 
 
+@pytest.mark.parametrize("stype", [
+    SuperType("GL", 3, 3), SuperType("C", n=3), SuperType("B", 2, 2)])
+def test_raw_key_skew_test_rejects_a_broken_sum(stype):
+    # negating one coefficient or deleting one key must make some W
+    # generator that settles the true sum fail the raw-key test
+    pair = standard_pair(build(stype), "step2")
+    merged = series._merged(closed_form_terms(pair))
+    gens = [g for _, g in groups.weyl_generators(pair.rs)]
+    settled = [g for g in gens if identity._permutes_up_to_sign(g, merged)]
+    assert settled
+    for key, term in merged.items():
+        negated = dict(merged)
+        negated[key] = GeometricTerm(-term.coeff, term.exponent, term.denoms)
+        deleted = {k: t for k, t in merged.items() if k != key}
+        for broken in (negated, deleted):
+            assert not all(identity._permutes_up_to_sign(g, broken)
+                           for g in settled)
+
+
 @pytest.mark.parametrize("stype,variant", [
     (SuperType("GL", 3, 3), "step2"), (SuperType("C", n=3), "step2"),
     (SuperType("B", 2, 2), "step2"), (SuperType("D", 3, 2), "second_class")])

@@ -10,10 +10,12 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superdenom.identity import (closed_form_terms, cross_multiplied_check,
-                                 rhs_closed, verify)
+from superdenom.groups import sharp_group
+from superdenom.identity import (_mu_accumulate, closed_form_terms,
+                                 cross_multiplied_check, phi_data,
+                                 rhs_closed, rhs_expanded, verify)
 from superdenom.roots import SuperType, build
-from superdenom.series import expand_terms
+from superdenom.series import _geometric, expand_term, expand_terms, normalize
 from superdenom.simple import enumerate_admissible_pairs, pair_neighbors
 
 _SYSTEMS = (
@@ -32,9 +34,9 @@ def _pairs(stype: SuperType) -> tuple:
 
 
 @st.composite
-def _pair_and_height(draw):
+def _pair_and_height(draw, max_height=5):
     pairs = _pairs(draw(st.sampled_from(_SYSTEMS)))
-    return draw(st.sampled_from(pairs)), draw(st.integers(0, 5))
+    return draw(st.sampled_from(pairs)), draw(st.integers(0, max_height))
 
 
 @settings(deadline=None, max_examples=40)
@@ -56,3 +58,25 @@ def test_random_pair_identity_oracles_and_moves(case):
     for nb in pair_neighbors(pair):
         moved = expand_terms(closed_form_terms(nb), pair.system, H)
         assert moved.eq_report(X) is None, (str(nb.S), H)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_pair_and_height(max_height=6))
+def test_height_culling_drops_only_terms_past_h(case):
+    # expand_term and rhs_expanded skip work past H before any solve; the
+    # references below do every solve and let truncation drop the keys
+    pair, H = case
+    frame = pair.system
+    for term in closed_form_terms(pair):
+        nt = normalize(term, frame)
+        base = frame.cone_key(frame.rho - nt.exponent)
+        want = {base: nt.coeff} if sum(base) <= H else {}
+        for g in nt.denoms:
+            want = _geometric(want, frame.cone_int(g), H)
+        assert expand_term(term, frame, H).data == want
+    acc = {}
+    for w in sharp_group(pair.rs):
+        base, abs_w = phi_data(w, pair)
+        _mu_accumulate(acc, base, [frame.cone_int(abs_w[b]) for b in pair.S],
+                       w.sgn(), H)
+    assert rhs_expanded(pair, H).data == {k: v for k, v in acc.items() if v}

@@ -236,3 +236,27 @@ def test_golden_gl_2_1():
     with open("tests/golden/gl_2_1_denominator_h5.txt") as fh:
         want = fh.read().splitlines()
     assert got == want
+
+
+def test_a_culled_term_still_checks_its_denominators():
+    rs, frame = _gl21()
+    beta = rs.eps(1) - rs.delta(1)
+    low = frame.rho - beta.scale(5)          # height 5, past H = 2
+    assert expand_term(GeometricTerm.make(1, low, [beta]), frame,
+                       2).data == {}
+    not_a_root = (rs.eps(1) - rs.eps(2)).scale(2)
+    with pytest.raises(StructuralError, match="not a root"):
+        expand_term(GeometricTerm.make(1, low, [not_a_root]), frame, 2)
+
+
+def test_a_weight_outside_the_span_still_raises():
+    # gl(2|2)'s simple roots span the hyperplane of coordinate sum 0
+    rs = build(SuperType("GL", 2, 2))
+    frame = standard_pair(rs, "step2").system
+    outside = frame.rho - rs.eps(1)
+    for H in (0, 10):
+        with pytest.raises(StructuralError, match="outside"):
+            expand_term(GeometricTerm.make(1, outside, []), frame, H)
+        far = outside - (rs.eps(1) - rs.delta(1)).scale(H + 3)
+        with pytest.raises(StructuralError, match="outside"):
+            expand_term(GeometricTerm.make(1, far, []), frame, H)

@@ -2,7 +2,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from superdenom.errors import DomainError, ValidationError
+from superdenom.errors import DomainError, StructuralError, ValidationError
+from superdenom.groups import sharp_group
 from superdenom.roots import SuperType, build
 from superdenom.simple import (derive, enumerate_admissible_pairs,
                                enumerate_simple_systems, even_frame,
@@ -11,7 +12,8 @@ from superdenom.simple import (derive, enumerate_admissible_pairs,
                                pairing,
                                pair_neighbors, pair_odd_reflection,
                                second_class_pair, second_type_move,
-                               second_type_moves, standard_pair)
+                               second_type_moves, standard_pair,
+                               standard_pairs)
 from superdenom.weights import Weight, bilinear_form
 
 
@@ -258,3 +260,35 @@ def test_enumerate_simple_systems_closure():
         assert sys.pos_even == rs.positive_even
         for beta in sys.isotropic_simples():
             assert odd_reflection(sys, beta) in systems
+
+
+@pytest.mark.parametrize("stype", [
+    SuperType("GL", 3, 2), SuperType("GL", 2, 2), SuperType("B", 2, 2),
+    SuperType("B", 2, 1), SuperType("D", 3, 2), SuperType("D", 2, 1),
+    SuperType("C", n=3)])
+def test_height_functional_sums_the_simple_coordinates(stype):
+    rs = build(stype)
+    for _, pair in standard_pairs(rs):
+        frame = pair.system
+        rho = frame.rho
+        weights = list(rs.all_roots()) + [rho - w.apply(rho)
+                                          for w in sharp_group(rs)]
+        for w in weights:
+            assert frame._height(w) == sum(frame.cone_key(w))
+            assert frame.height_int(w) == sum(frame.cone_key(w))
+    even = even_frame(rs)
+    for a in rs.positive_even:
+        assert even._height(a) == sum(even.cone_key(a))
+
+
+def test_height_int_needs_integer_coordinates():
+    rs = build(SuperType("GL", 2, 1))
+    frame = standard_pair(rs, "step2").system
+    half = (rs.eps(1) - rs.eps(2)).scale(Q(1, 2))
+    # its height is the integer 1, but both simple coordinates are 1/2
+    assert frame._height(half) == 1
+    assert frame.cone_key(half) == (Q(1, 2), Q(1, 2))
+    with pytest.raises(StructuralError, match="non-integer"):
+        frame.height_int(half)
+    with pytest.raises(StructuralError, match="outside"):
+        frame.height_int(rs.eps(1))

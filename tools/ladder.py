@@ -3,12 +3,18 @@
     python3 tools/ladder.py LABEL [--repo DIR]
 
 Each rung is the standard-pair `superdenom verify --variant step2
---output json` on one tall system, run once in its own cold process from
-DIR/src.  The wall time is taken around the child; the per-phase times
-come from the report's own `timings` (microseconds).  The Tier-1 suite
-is `python -m pytest -q` in DIR, timed the same way, with pytest's
-summary line kept.  DIR defaults to this repository; point it at a
-checkout of the parent commit for the "before" numbers.
+--output json` on one tall system, run three times, each in its own
+process from DIR/src; the record keeps the median wall time, the three
+samples and the per-phase times of the median run (from the report's own
+`timings`, in microseconds).  The Tier-1 suite is `python -m pytest -q`
+in DIR, timed the same way, with pytest's summary line kept.  DIR
+defaults to this repository; point it at a checkout of the parent commit
+for the "before" numbers.
+
+The children write their bytecode to .bench_build/pycache at the root of
+this repository (also when PYTHONDONTWRITEBYTECODE is set outside), and
+one untimed run of the cheapest rung fills it first, so no timed sample
+includes compiling the modules.
 
 The record is appended to the `runs` list of BENCH_ladder.json at the
 root of this repository under LABEL, together with the commit of DIR,
@@ -30,24 +36,37 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = 3
 
 # (label, family arguments, height): the tall rungs the benchmark leaves out
 LADDER = (
     ("gl(5|5)", ("--family", "GL", "--m", "5", "--n", "5"), 12),
     ("D(5,3)", ("--family", "D", "--m", "5", "--n", "3"), 10),
     ("C(6)", ("--family", "C", "--n", "6"), 10),
-    ("B(4,3)", ("--family", "B", "--m", "4", "--n", "3"), 10),
+    ("B(4,3)", ("--family", "B", "--m", "4", "--n", "3"), 10),    # cheapest
 )
 
 
 def _env(repo: Path) -> dict:
     env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPYCACHEPREFIX"] = str(ROOT / ".bench_build" / "pycache")
     env["PYTHONPATH"] = str(repo / "src")
     return env
 
 
+def _median_of(run) -> dict:
+    """SAMPLES calls of run(): the median one, or the first that failed,
+    with every wall time kept."""
+    samples = [run() for _ in range(SAMPLES)]
+    out = next((s for s in samples if s["exit"] != 0),
+               sorted(samples, key=lambda s: s["wall_s"])[SAMPLES // 2])
+    out["samples_s"] = [s["wall_s"] for s in samples]
+    return out
+
+
 def time_rung(repo: Path, family: tuple, height: int) -> dict:
-    """One cold `verify` process: wall seconds, phase seconds, verdict."""
+    """One `verify` process: wall seconds, phase seconds, verdict."""
     argv = [sys.executable, "-m", "superdenom", "verify", *family,
             "--height", str(height), "--variant", "step2", "--output", "json"]
     t0 = time.perf_counter()
@@ -97,12 +116,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = ROOT / "BENCH_ladder.json"
     repo = args.repo.resolve()
+    time_rung(repo, *LADDER[-1][1:])       # warm-up: fills the bytecode cache
     rungs = {}
     for name, family, height in LADDER:
         key = "%s H=%d" % (name, height)
-        rungs[key] = time_rung(repo, family, height)
-        print(key, rungs[key]["wall_s"], "s", flush=True)
-    tier1 = time_tier1(repo)
+        rungs[key] = _median_of(lambda: time_rung(repo, family, height))
+        print(key, rungs[key]["samples_s"], "s", flush=True)
+    tier1 = _median_of(lambda: time_tier1(repo))
     print("tier-1", tier1["wall_s"], "s:", tier1["summary"], flush=True)
     record = {"label": args.label, "commit": _commit(repo),
               "python": platform.python_version(), "nproc": os.cpu_count(),
