@@ -16,10 +16,10 @@ simple reflections apart, so a skewness check never enumerates W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError, StructuralError
 from .roots import RootSystem, simple_roots
@@ -37,10 +37,13 @@ class SignedPermutation:
     b = (eps_1..eps_m, delta_1..delta_n), with j and k 0-based and s = +-1;
     equivalently w(b_k) = s * b_j.  Acting on a coordinate tuple is one
     gather, and `images`, the per-basis-vector view (j, s), is derived.
+    sign is the determinant when the maker knows it (`enumerate_group`
+    carries it through its closure); it takes no part in equality.
     """
 
     src: tuple
     m: int
+    sign: Optional[int] = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def identity(m: int, n: int) -> "SignedPermutation":
@@ -82,6 +85,8 @@ class SignedPermutation:
 
     def sgn(self) -> int:
         """Determinant: permutation parity times the product of signs."""
+        if self.sign is not None:
+            return self.sign
         out = _perm_parity([abs(a) - 1 for a in self.src])
         for a in self.src:
             if a < 0:
@@ -164,20 +169,21 @@ def enumerate_group(generators: Sequence[SignedPermutation], dims: tuple,
     Each new element also gets its inverse's tuple, w^-1 g^-1, because
     images(u)[k] = (|v[k]| - 1, sign v[k]) for v = u^-1: sorting by the
     rank of v's entries under (j, s) -> 2j + (s > 0) orders the elements
-    by images without building images.
+    by images without building images.  The determinant rides along, as
+    sgn(g w) = sgn(g) sgn(w), so no element walks its parity.
     """
-    acts = [(_compiled(g), g.inverse().src) for g in generators]
+    acts = [(_compiled(g), g.inverse().src, g.sgn()) for g in generators]
     ident = SignedPermutation.identity(*dims).src
-    seen = {ident: ident}
+    seen = {ident: (ident, 1)}
     frontier = [ident]
     while frontier:
         nxt = []
         for w in frontier:
-            w_inv = seen[w]
-            for act, g_inv in acts:
+            w_inv, w_sign = seen[w]
+            for act, g_inv, g_sign in acts:
                 u = act(w)
                 if u not in seen:
-                    seen[u] = _gather(w_inv, g_inv)
+                    seen[u] = (_gather(w_inv, g_inv), g_sign * w_sign)
                     nxt.append(u)
                     if len(seen) > cap:
                         raise ResourceLimitError(
@@ -187,8 +193,9 @@ def enumerate_group(generators: Sequence[SignedPermutation], dims: tuple,
     rank = [0] * (2 * size + 1)     # indexed by +-(j + 1)
     for j in range(size):
         rank[j + 1], rank[-j - 1] = 2 * j + 1, 2 * j
-    order = sorted(seen, key=lambda u: tuple(map(rank.__getitem__, seen[u])))
-    return tuple(SignedPermutation(u, dims[0]) for u in order)
+    order = sorted(seen,
+                   key=lambda u: tuple(map(rank.__getitem__, seen[u][0])))
+    return tuple(SignedPermutation(u, dims[0], seen[u][1]) for u in order)
 
 
 @lru_cache(maxsize=None)

@@ -16,17 +16,21 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import product
+from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, StructuralError
-from .groups import (SignedPermutation, _compiled, check_stabilizer_dichotomy,
+from .groups import (SignedPermutation, _compiled, _gather,
+                     check_stabilizer_dichotomy,
                      dominant_representative, enumerate_group, is_dominant,
                      orbit, orbit_intersects_shifted_cone, reflection,
                      sharp_group, stabilizer, weyl_generators, weyl_group)
 from .lp import OPTIMAL, maximize
 from .roots import RootSystem, SuperType, build, simple_roots
-from .series import (FormalSeries, GeometricTerm, _accumulate, _merged,
-                     _times_binomial, act, canonical_terms, expand_terms)
+from .series import (FormalSeries, GeometricTerm, _accumulate,
+                     _binomial_packed, _geometric_packed, _ht, _Packing,
+                     act, canonical_terms, expand_terms, positive_step,
+                     terms_of)
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
                      isotropic_parts, second_type_move, standard_pair)
 from .weights import Weight, bilinear_form, coordinate_order, solve_in_span
@@ -77,6 +81,23 @@ def _alternating_terms(group: Sequence[SignedPermutation], exponent: Weight,
         for w in group)
 
 
+def _alternating_sum(group: Sequence[SignedPermutation], exponent: Weight,
+                     denoms: Sequence[Weight]) -> dict:
+    """The terms of `_alternating_terms` merged on raw keys; nothing built.
+
+    Raw key (w exponent, sorted w denoms), on doubled tuples, to the sum
+    of sgn(w) over the w giving it; zero sums drop.  This is the
+    `GeometricTerm.raw` of each term, made by one gather per weight, so
+    `terms_of` builds a term only for a key that is expanded.
+    """
+    e = exponent.doubled
+    ds = [b.doubled for b in denoms]
+    return _accumulate({}, (
+        ((_gather(w.src, e), tuple(sorted([_gather(w.src, d) for d in ds]))),
+         w.sgn())
+        for w in group))
+
+
 def _denominator(frame: SimpleSystem, offset: Weight, odd: Iterable[Weight],
                  even: Iterable[Weight], H: int) -> FormalSeries:
     """e^offset prod_{a in even}(1 - e^{-a}) / prod_{b in odd}(1 + e^{-b}).
@@ -87,21 +108,33 @@ def _denominator(frame: SimpleSystem, offset: Weight, odd: Iterable[Weight],
     gives the same truncated series; this one is the cheap one, because
     dividing first expands every odd geometric series to height H before
     the even factors cancel most of it (gl(5|4) at H=11: a peak support
-    of 75,582 keys for 8,324 kept, against 11,181 in this order).
+    of 75,582 keys for 8,324 kept, against 11,181 in this order).  The
+    keys are packed once, above lo = 0, for the whole product.
     """
-    series = FormalSeries(frame, H, offset,
-                          {(0,) * len(frame.simple_roots): 1} if H >= 0
-                          else {})
-    for a in sorted(even, key=coordinate_order):
-        series = series.mul_binomial(-1, a)
-    for b in sorted(odd, key=coordinate_order):
-        series = series.mul_geometric(b)
-    return series
+    binomials = [positive_step(frame, a)
+                 for a in sorted(even, key=coordinate_order)]
+    geometrics = [positive_step(frame, b)
+                  for b in sorted(odd, key=coordinate_order)]
+    if H < 0:
+        return FormalSeries(frame, H, offset)
+    zero = (0,) * len(frame.simple_roots)
+    codec = _Packing(zero, H)
+    data = {codec.key(zero): 1}
+    for step in binomials:
+        data = _binomial_packed(data, codec.step(step), -1, codec.limit)
+    for step in geometrics:
+        data = _geometric_packed(data, codec.step(step), codec.limit)
+    return FormalSeries(frame, H, offset, codec.unpack(data))
 
 
 def closed_form_terms(pair: AdmissiblePair) -> tuple:
     """The terms sgn(w) * w(Y) over W#, before any expansion."""
     return _alternating_terms(sharp_group(pair.rs), pair.system.rho, pair.S)
+
+
+def closed_form_sum(pair: AdmissiblePair) -> dict:
+    """`closed_form_terms` merged on raw keys (`_alternating_sum`)."""
+    return _alternating_sum(sharp_group(pair.rs), pair.system.rho, pair.S)
 
 
 def lhs(pair: AdmissiblePair, H: int) -> FormalSeries:
@@ -114,12 +147,14 @@ def rhs_closed(pair: AdmissiblePair, H: int,
                merged: Optional[dict] = None) -> FormalSeries:
     """X as the alternating W#-sum of geometric terms, expanded to H.
 
-    merged is `_merged(closed_form_terms(pair))`, built here unless the
-    caller has it: `verify` builds it once for this and the skew test.
+    merged is `closed_form_sum(pair)`, built here unless the caller has
+    it: `verify` builds it once for this and the skew test.  Only the
+    terms within H are built (`terms_of`).
     """
     if merged is None:
-        merged = _merged(closed_form_terms(pair))
-    return expand_terms(list(merged.values()), pair.system, H)
+        merged = closed_form_sum(pair)
+    frame = pair.system
+    return expand_terms(terms_of(merged, frame, H), frame, H)
 
 
 def rhs_expanded(pair: AdmissiblePair, H: int) -> FormalSeries:
@@ -128,35 +163,50 @@ def rhs_expanded(pair: AdmissiblePair, H: int) -> FormalSeries:
     An element w with ht(rho - w rho) > H is skipped before `phi_data`.
     That is exact: w's base key rho - (w rho + phi) lies higher still, phi
     being a sum of negative roots, and its keys only climb from there.
-    The span of rho - w rho is still checked.
+    The span of rho - w rho is still checked.  The keys are packed once,
+    above the minimum of the base keys within H.
     """
     frame = pair.system
     rho = frame.rho
-    acc = {}
+    r = rho.doubled
+    chains = []
     for w in sharp_group(pair.rs):
-        if frame._height(rho - w.apply(rho)) > H:
+        if frame._raw_height(tuple(map(sub, r, _gather(w.src, r)))) > H:
             continue
         base, abs_w = phi_data(w, pair)
         steps = [frame.cone_int(abs_w[b]) for b in pair.S]
-        _mu_accumulate(acc, base, steps, w.sgn(), H)
+        if _ht(base) <= H:
+            chains.append((base, steps, w.sgn()))
+    codec = _Packing.around([base for base, _, _ in chains], H)
+    if codec is None:
+        return FormalSeries(frame, H, rho)
+    acc = {}
+    for base, steps, sgn_w in chains:
+        _mu_accumulate(acc, codec.key(base), [codec.step(s) for s in steps],
+                       sgn_w, codec.limit)
     return FormalSeries(frame, H, rho,
-                        {k: v for k, v in acc.items() if v})
+                        codec.unpack({k: v for k, v in acc.items() if v}))
 
 
-def _mu_accumulate(acc: dict, base: tuple, steps: list, sgn_w: int, H) -> None:
-    """Add sgn_w * (-1)^{sum mu} at base + mu.steps for all mu >= 0 in range."""
+def _mu_accumulate(acc: dict, base: int, steps: list, sgn_w: int,
+                   limit: int) -> None:
+    """Add sgn_w * (-1)^{sum mu} at base + mu.steps for all mu >= 0 in range.
+
+    Keys and steps are packed (`series._Packing`); range is below limit.
+    """
+    last = len(steps)
+
     def rec(idx, key, sign):
-        if idx == len(steps):
-            if sum(key) <= H:
-                acc[key] = acc.get(key, 0) + sign
+        if idx == last:
+            acc[key] = acc.get(key, 0) + sign
             return
         step = steps[idx]
-        cur, flip = key, sign
-        while sum(cur) <= H:
-            rec(idx + 1, cur, flip)
-            cur = tuple(a + b for a, b in zip(cur, step))
-            flip = -flip
-    rec(0, base, sgn_w)
+        while key < limit:
+            rec(idx + 1, key, sign)
+            key += step
+            sign = -sign
+    if base < limit:
+        rec(0, base, sgn_w)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +254,7 @@ def verify(pair: AdmissiblePair, H: int = 8,
     left = lhs(pair, H)
     timings["lhs"] = _us(t)
     t = time.perf_counter()
-    merged = _merged(closed_form_terms(pair))
+    merged = closed_form_sum(pair)
     right = rhs_closed(pair, H, merged)
     timings["rhs_closed"] = _us(t)
     t = time.perf_counter()
@@ -239,8 +289,8 @@ def skew_invariance_check(pair: AdmissiblePair, H: int,
     """w X = sgn(w) X for every simple reflection of the full W.
 
     The W#-sum terms are merged once (series and merged are X and
-    `_merged(closed_form_terms(pair))` when the caller has them); W itself
-    is never enumerated.  A generator g is settled in closed form when g
+    `closed_form_sum(pair)` when the caller has them); W itself is never
+    enumerated.  A generator g is settled in closed form when g
     permutes the terms up to sgn(g): if the terms g(t) and sgn(g) t cancel
     coefficient by coefficient on their (exponent, denominators) keys,
     then g(X) = sgn(g) X exactly and nothing is expanded.  Any other
@@ -249,14 +299,16 @@ def skew_invariance_check(pair: AdmissiblePair, H: int,
     so acting on the merged terms gives the same g(X) as acting on all.
     """
     if merged is None:
-        merged = _merged(closed_form_terms(pair))
-    X = series
+        merged = closed_form_sum(pair)
+    X, terms = series, None
     for root, g in weyl_generators(pair.rs):
         if _permutes_up_to_sign(g, merged):
             continue
         if X is None:
             X = rhs_closed(pair, H, merged)
-        diff = acted_series(list(merged.values()), g, pair.system,
+        if terms is None:
+            terms = terms_of(merged, pair.system)
+        diff = acted_series(terms, g, pair.system,
                             H).eq_report(X.scale(g.sgn()))
         if diff is not None:
             return False, dict(diff, generator=str(root))
@@ -266,8 +318,8 @@ def skew_invariance_check(pair: AdmissiblePair, H: int,
 def _permutes_up_to_sign(g: SignedPermutation, merged: dict) -> bool:
     """g(t) = sgn(g) t summed over the terms, on raw (exponent, denoms) keys.
 
-    merged maps each raw key to its term with the total coefficient (see
-    series._merged).  g acts injectively on keys, so the acted terms
+    merged maps each raw key to its nonzero total coefficient (see
+    `_alternating_sum`).  g acts injectively on keys, so the acted terms
     merge to {g(k): c}, and that equals {k: sgn(g) c} iff every key's
     image carries sgn(g) times its coefficient: one lookup per distinct
     term, stopping at the first miss.  g is compiled once and maps the
@@ -275,9 +327,10 @@ def _permutes_up_to_sign(g: SignedPermutation, merged: dict) -> bool:
     """
     sign = g.sgn()
     act = _compiled(g)
-    for (exponent, denoms), t in merged.items():
-        other = merged.get((act(exponent), tuple(sorted(map(act, denoms)))))
-        if other is None or other.coeff != sign * t.coeff:
+    get = merged.get
+    for (exponent, denoms), c in merged.items():
+        if get((act(exponent), tuple(sorted(map(act, denoms)))), 0) \
+                != sign * c:
             return False
     return True
 
@@ -341,10 +394,16 @@ def cross_multiplied_check(pair: AdmissiblePair) -> tuple:
 
 def _poly(base_key: tuple, coeff, roots: Sequence[Weight],
           frame: SimpleSystem, sign: int) -> dict:
-    out = {base_key: coeff}
-    for r in roots:
-        out = _times_binomial(out, frame.cone_int(r), sign)
-    return out
+    """coeff e^{-base} prod_r (1 + sign e^{-r}), packed in one window.
+
+    The window ht(base) + sum ht(r) holds every key, so nothing drops.
+    """
+    steps = [frame.cone_int(r) for r in roots]
+    codec = _Packing(base_key, _ht(base_key) + sum(map(_ht, steps)))
+    data = {codec.key(base_key): coeff}
+    for step in steps:
+        data = _binomial_packed(data, codec.step(step), sign, codec.limit)
+    return codec.unpack(data)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +433,17 @@ def qn_standard_set(rs: RootSystem) -> tuple:
 
 
 def qn_a_set(rs: RootSystem, S: Sequence[Weight]) -> tuple:
-    """All w with wS inside the positive part, under w(eps_i) = eps_{w(i)}."""
-    pos = rs.positive_even
+    """All w with wS inside the positive part, under w(eps_i) = eps_{w(i)}.
+
+    Membership is tested on gathers of the doubled tuples; no weight is
+    built.
+    """
+    if any(b.dims() != (rs.m, rs.n) for b in S):
+        raise StructuralError("weight/permutation dimension mismatch")
+    pos = {a.doubled for a in rs.positive_even}
+    ds = [b.doubled for b in S]
     return tuple(w for w in weyl_group(rs)
-                 if all(w.apply(b) in pos for b in S))
+                 if all(_gather(w.src, d) in pos for d in ds))
 
 
 def qn_a_value(rs: RootSystem, S: Sequence[Weight]) -> int:
@@ -409,8 +475,9 @@ def qn_identity(n_or_rs, S: Optional[Sequence[Weight]] = None,
                         H).scale(a)
     timings["lhs"] = _us(t)
     t = time.perf_counter()
-    merged = _merged(_alternating_terms(weyl_group(rs), zero, S))
-    right = expand_terms(list(merged.values()), frame, H, offset=zero)
+    merged = _alternating_sum(weyl_group(rs), zero, S)
+    right = expand_terms(terms_of(merged, frame, H, zero), frame, H,
+                         offset=zero)
     timings["rhs"] = _us(t)
     first = left.eq_report(right)
     note = ("action w(eps_i) = eps_{w(i)}; a(S) = %d for S = {%s}"

@@ -4,21 +4,38 @@ Every series lives in a frame: a simple system whose positive cone fixes
 both the expansion directions and the coordinates.  A series stores the
 coefficient of e^{offset - mu} keyed by the coordinate tuple of mu in the
 simple basis; the offset is the frame's rho unless stated otherwise.
-Truncation is by height (coordinate sum) of mu.  Keys may go negative in
-intermediate sums; only assembled identities are expected to stay in the
-cone.
+Truncation is by height (coordinate sum) of mu.
 
 Geometric factors 1/(1 + e^{-gamma}) are expanded along the positive
 direction of the frame: a negative gamma is first rewritten via
 1/(1 + e^{gamma'}) = e^{-gamma'}/(1 + e^{-gamma'}) with gamma' = -gamma.
 Skipping that rewrite silently changes which power series the product
 denotes, so terms are always normalized before expansion.
+
+The kernels run on packed int keys.  A builder takes lo, the
+coordinatewise minimum of its starting keys (every later key only climbs
+from there, by steps with nonnegative coordinates and height >= 1), and
+packs each key mu with mu >= lo and height <= H as one int
+
+    p = (ht mu - sum lo) * B**r + sum_i (mu_i - lo_i) * B**i,
+    B = H - sum lo + 1,
+
+r being the rank.  The digits mu_i - lo_i are nonnegative and sum to
+ht mu - sum lo <= B - 1, so each is below B: adding a packed step is one
+int add that carries nowhere while the height stays <= H.  The top digit
+is the shifted height, so p >= B**(r + 1) exactly when ht mu > H (the
+lower digits stay below B**r whenever ht mu <= H), and sorting packed keys
+sorts them by height.  `_Packing` is the codec: it raises StructuralError
+for a key below lo or a non-integer key and never wraps.  Each builder
+packs once on entry and unpacks once on exit, so `FormalSeries.data` and
+every public signature stay tuple-keyed; `_geometric` and
+`_times_binomial` are the same pack, kernel, unpack round for one factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from .errors import StructuralError
@@ -38,6 +55,11 @@ class GeometricTerm:
     def make(coeff, exponent: Weight, denoms: Sequence[Weight]) -> "GeometricTerm":
         return GeometricTerm(coeff, exponent,
                              tuple(sorted(denoms, key=coordinate_order)))
+
+    @property
+    def raw(self) -> tuple:
+        """(exponent, denominators) as doubled tuples: the merge key."""
+        return (self.exponent.doubled, tuple([g.doubled for g in self.denoms]))
 
     def to_json(self) -> dict:
         return {
@@ -77,15 +99,14 @@ def canonical_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem) -> tupl
     acc = {}
     for t in terms:
         nt = normalize(t, frame)
-        key = (nt.exponent.doubled, tuple(g.doubled for g in nt.denoms))
+        key = nt.raw
         cur = acc.get(key)
         if cur is None:
             acc[key] = nt
         else:
             acc[key] = GeometricTerm(cur.coeff + nt.coeff, cur.exponent, cur.denoms)
     out = [t for t in acc.values() if t.coeff != 0]
-    return tuple(sorted(out, key=lambda t: (
-        t.exponent.doubled, tuple(g.doubled for g in t.denoms))))
+    return tuple(sorted(out, key=lambda t: t.raw))
 
 
 class FormalSeries:
@@ -123,24 +144,16 @@ class FormalSeries:
     def mul_binomial(self, sign: int, root: Weight) -> "FormalSeries":
         """Multiply by (1 + sign * e^{-root}) for a positive root."""
         return FormalSeries(self.frame, self.H, self.offset,
-                            _times_binomial(self.data, self._step(root),
+                            _times_binomial(self.data,
+                                            positive_step(self.frame, root),
                                             sign, self.H))
 
     def mul_geometric(self, root: Weight) -> "FormalSeries":
         """Multiply by 1/(1 + e^{-root}) for a positive root of the frame."""
         return FormalSeries(self.frame, self.H, self.offset,
-                            _geometric(self.data, self._step(root), self.H))
-
-    def _step(self, root: Weight) -> tuple:
-        """Simple coordinates of root; StructuralError unless it is positive.
-
-        A step of height < 1 would leave the height window (binomial) or
-        never reach its end (geometric).
-        """
-        step = self.frame.cone_int(root)
-        if min(step, default=0) < 0 or _ht(step) < 1:
-            raise StructuralError("%s is not positive in the frame" % root)
-        return step
+                            _geometric(self.data,
+                                       positive_step(self.frame, root),
+                                       self.H))
 
     def coefficient_at(self, weight: Weight):
         """Coefficient of e^{weight}."""
@@ -210,51 +223,187 @@ def _accumulate(acc: dict, items) -> dict:
     return acc
 
 
-def _times_binomial(data: dict, step: tuple, sign: int, H=None) -> dict:
-    """key->coeff data times (1 + sign * e^{-step}); keys past height H drop."""
-    shifted = ((tuple(map(add, k, step)), sign * v) for k, v in data.items())
-    if H is not None:
-        shifted = ((k, v) for k, v in shifted if _ht(k) <= H)
-    return _accumulate(dict(data), shifted)
+def positive_step(frame: SimpleSystem, root: Weight) -> tuple:
+    """Simple coordinates of root; StructuralError unless it is positive.
+
+    A step of height < 1 would leave the height window (binomial) or
+    never reach its end (geometric).
+    """
+    step = frame.cone_int(root)
+    if min(step, default=0) < 0 or _ht(step) < 1:
+        raise StructuralError("%s is not positive in the frame" % root)
+    return step
 
 
-def _geometric(data: dict, step: tuple, H) -> dict:
-    """Multiply key->coeff data by sum_k (-1)^k e^{-k * step}.
+class _Packing:
+    """The packed-key codec of one window: keys >= lo, height <= H.
+
+    See the module docstring for the layout and why adding a packed step
+    never carries inside the window.  `limit` = B**(r + 1): a key of
+    height <= H packs below it and a key past H strictly above it (its
+    lower digits are not all zero).  H must be at least sum(lo), or the
+    window holds no key >= lo.
+    """
+
+    __slots__ = ("lo", "H", "B", "weights", "shift", "limit")
+
+    def __init__(self, lo: tuple, H: int):
+        if any(type(c) is not int for c in lo) or H < sum(lo):
+            raise StructuralError("no packed window for keys >= %s at "
+                                  "height %s" % (lo, H))
+        self.lo, self.H = lo, H
+        self.B = B = H - sum(lo) + 1
+        top = B ** len(lo)
+        # p = sum_i mu_i * (B**i + top) - shift: the height digit is linear
+        self.weights = tuple(B ** i + top for i in range(len(lo)))
+        self.shift = sum(map(mul, lo, self.weights))
+        self.limit = top * B
+
+    @staticmethod
+    def around(keys, H) -> Optional["_Packing"]:
+        """The codec whose lo is the minimum of the keys of height <= H.
+
+        None when no key lies in the window.
+        """
+        keys = [k for k in keys if sum(k) <= H]
+        if not keys:
+            return None
+        return _Packing(tuple(map(min, zip(*keys))), H)
+
+    def keys(self, keys: list) -> list:
+        """The keys packed, one coordinate at a time over all of them.
+
+        A key past height H packs above limit; a key below lo, or with a
+        coordinate that is not an int (which turns the sum into a
+        Fraction), raises StructuralError.
+        """
+        out = [-self.shift] * len(keys)
+        for i, (lo, w) in enumerate(zip(self.lo, self.weights)):
+            col = [k[i] for k in keys]
+            if min(col, default=lo) < lo:
+                raise StructuralError(
+                    "key %s lies outside the packed window above %s"
+                    % (next(k for k in keys if k[i] < lo), self.lo))
+            out = [p + c * w for p, c in zip(out, col)]
+        if type(sum(out)) is not int:
+            raise StructuralError("key %s is not integral" % (next(
+                k for k in keys if any(type(c) is not int for c in k)),))
+        return out
+
+    def key(self, mu: tuple) -> int:
+        """One key packed (`keys`)."""
+        return self.keys([mu])[0]
+
+    def step(self, step: tuple) -> int:
+        """A positive step packed: the int that adding it adds."""
+        p = sum(map(mul, step, self.weights))
+        if type(p) is not int or min(step, default=0) < 0 or _ht(step) < 1:
+            raise StructuralError("step %s is not positive" % (step,))
+        return p
+
+    def pack(self, data: dict) -> dict:
+        """Tuple-keyed data packed; keys past height H drop."""
+        H = self.H
+        kept = [k for k in data if sum(k) <= H]
+        return dict(zip(self.keys(kept), map(data.__getitem__, kept)))
+
+    def unpack(self, data: dict) -> dict:
+        """Packed data back on coordinate tuples, one digit at a time."""
+        B = self.B
+        rest, cols = list(data), []
+        for lo in self.lo:
+            cols.append([p % B + lo for p in rest])
+            rest = [p // B for p in rest]
+        keys = zip(*cols) if cols else [()] * len(rest)
+        return dict(zip(keys, data.values()))
+
+
+def _binomial_packed(data: dict, step: int, sign: int, limit: int) -> dict:
+    """Packed data times (1 + sign * e^{-step}); keys >= limit drop."""
+    out = dict(data)
+    for k, v in data.items():
+        k += step
+        if k < limit:
+            nv = out.get(k, 0) + sign * v
+            if nv:
+                out[k] = nv
+            else:
+                out.pop(k, None)
+    return out
+
+
+def _geometric_packed(data: dict, step: int, limit: int) -> dict:
+    """Multiply packed data by sum_k (-1)^k e^{-k * step}; keys >= limit drop.
 
     Uses G[key] = F[key] - G[key - step] along each chain key + N*step;
     chains do not interact, and the step height is >= 1.  Keys of F are
-    taken in height order, and each one not yet reached starts a walk up
-    its chain: nothing below it on the chain is still nonzero, or that
-    walk would have reached it.  A walk stops where G vanishes (a later
-    key of F restarts the chain) or past height H.
+    taken in increasing order, which is height order, and each one not
+    yet reached starts a walk up its chain: nothing below it on the chain
+    is still nonzero, or that walk would have reached it.  A walk takes
+    the keys of F it reaches out of `pending`, and stops where G vanishes
+    (a later key of F restarts the chain) or at limit.
     """
     out = {}
-    reached = set()
-    hstep = _ht(step)
-    for start in sorted(data, key=_ht):
-        h = _ht(start)
-        if h > H:
+    pending = dict(data)
+    pop = pending.pop
+    for k in sorted(data):
+        if k >= limit:
             break
-        if start in reached:
+        g = pop(k, None)
+        if g is None:
             continue
-        k, g = start, data[start]
-        while True:
-            if k in data:
-                reached.add(k)
-            if not g:
-                break
+        while g:
             out[k] = g
-            h += hstep
-            if h > H:
+            k += step
+            if k >= limit:
                 break
-            k = tuple(map(add, k, step))
-            g = data.get(k, 0) - g
+            g = pop(k, 0) - g
     return out
+
+
+def _times_binomial(data: dict, step: tuple, sign: int, H=None) -> dict:
+    """key->coeff data times (1 + sign * e^{-step}); keys past height H drop.
+
+    H = None truncates nowhere: the window is then just tall enough.
+    """
+    if H is None:
+        H = max(map(_ht, data), default=0) + _ht(step)
+    codec = _Packing.around(data, H)
+    if codec is None:
+        return {}
+    return codec.unpack(_binomial_packed(codec.pack(data), codec.step(step),
+                                         sign, codec.limit))
+
+
+def _geometric(data: dict, step: tuple, H) -> dict:
+    """key->coeff data times sum_k (-1)^k e^{-k * step} to height H."""
+    codec = _Packing.around(data, H)
+    if codec is None:
+        return {}
+    return codec.unpack(_geometric_packed(codec.pack(data), codec.step(step),
+                                          codec.limit))
+
+
+def _culled(frame: SimpleSystem, H, offset: tuple, exponent: tuple,
+            denoms) -> bool:
+    """Is ht(offset - exponent) > H?  Doubled tuples in, nothing built.
+
+    A culled term still has its denominators checked to be roots, and
+    offset - exponent must lie in the span either way.
+    """
+    if frame._raw_height(tuple(map(sub, offset, exponent))) <= H:
+        return False
+    roots = frame._root_keys
+    for g in denoms:
+        if g not in roots:
+            raise StructuralError("denominator %s is not a root here"
+                                  % Weight(g, frame.m))
+    return True
 
 
 def expand_term(term: GeometricTerm, frame: SimpleSystem, H,
                 offset: Optional[Weight] = None) -> FormalSeries:
-    """Expand one normalized geometric term in the frame's directions.
+    """Expand one geometric term in the frame's directions (`expand_terms`).
 
     A term with ht(offset - exponent) > H comes back empty before it is
     normalized or keyed.  That is exact: normalizing moves the exponent
@@ -262,48 +411,54 @@ def expand_term(term: GeometricTerm, frame: SimpleSystem, H,
     every key of the term lies above that height.  Its denominators must
     still be roots and offset - exponent must still lie in the span.
     """
-    offset = frame.rho if offset is None else offset
-    if frame._height(offset - term.exponent) > H:
-        for g in term.denoms:
-            if not (frame.is_positive_root(g) or frame.is_positive_root(-g)):
-                raise StructuralError("denominator %s is not a root here" % g)
-        return FormalSeries(frame, H, offset)
-    nt = normalize(term, frame)
-    base = frame.cone_key(offset - nt.exponent)
-    data = {base: nt.coeff} if _ht(base) <= H else {}
-    for g in nt.denoms:
-        data = _geometric(data, frame.cone_int(g), H)
-    return FormalSeries(frame, H, offset, data)
+    return expand_terms([term], frame, H, offset)
 
 
-def _merged(terms: Sequence[GeometricTerm]) -> dict:
-    """Raw key (exponent, denoms) -> the term with its total coefficient.
+def terms_of(merged: dict, frame: SimpleSystem, H=None,
+             offset: Optional[Weight] = None) -> list:
+    """The terms of a raw sum, each built once; past height H none is built.
 
-    The key is the doubled tuples: the exponent's and the sorted
-    denominators'.  Keys whose total is zero are dropped.  No
-    normalization: two terms share a key only when they are written
-    alike, so merging is a dict pass and needs no frame.  The values are
-    the distinct terms, ready for `expand_terms`.
+    merged maps raw keys (`GeometricTerm.raw`, denominators sorted) to
+    coefficients, as `_accumulate` merges them.  With H given, a key that
+    `expand_terms` would cull is dropped on its raw tuples (`_culled`).
     """
-    acc = {}
-    for t in terms:
-        key = (t.exponent.doubled, tuple([g.doubled for g in t.denoms]))
-        cur = acc.get(key)
-        acc[key] = t if cur is None else \
-            GeometricTerm(cur.coeff + t.coeff, t.exponent, t.denoms)
-    return {k: t for k, t in acc.items() if t.coeff}
+    m = frame.m
+    if H is not None:
+        offset = (frame.rho if offset is None else offset).doubled
+        merged = {k: c for k, c in merged.items()
+                  if not _culled(frame, H, offset, *k)}
+    return [GeometricTerm(c, Weight(e, m), tuple([Weight(g, m) for g in d]))
+            for (e, d), c in merged.items()]
 
 
 def expand_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem, H,
                  offset: Optional[Weight] = None) -> FormalSeries:
-    """Sum of the expansions of the terms, one expansion per term.
+    """Sum of the expansions of the terms, in one packed window.
 
-    Expansion is linear in the coefficient, so a caller whose list repeats
-    terms merges it first (`_merged`) and expands the distinct terms:
-    q(7)'s 5,040 W-terms are 840 distinct ones.
+    Each term past height H is culled as in `expand_term`; the rest are
+    normalized and keyed, lo is the minimum of their base keys, and each
+    base walks its denominators' chains in packed ints.  Expansion is
+    linear in the coefficient, so a caller whose list repeats terms
+    merges it first on `GeometricTerm.raw` and builds the distinct terms
+    with `terms_of`: q(7)'s 5,040 W-terms are 840 distinct ones.
     """
     offset = frame.rho if offset is None else offset
-    acc = {}
+    chains = []
     for t in terms:
-        _accumulate(acc, expand_term(t, frame, H, offset).data.items())
-    return FormalSeries(frame, H, offset, acc)
+        if _culled(frame, H, offset.doubled, *t.raw):
+            continue
+        nt = normalize(t, frame)
+        base = frame.cone_key(offset - nt.exponent)
+        steps = [frame.cone_int(g) for g in nt.denoms]
+        if _ht(base) <= H:
+            chains.append((base, nt.coeff, steps))
+    codec = _Packing.around([base for base, _, _ in chains], H)
+    if codec is None:
+        return FormalSeries(frame, H, offset)
+    acc = {}
+    for base, coeff, steps in chains:
+        data = {codec.key(base): coeff}
+        for step in steps:
+            data = _geometric_packed(data, codec.step(step), codec.limit)
+        _accumulate(acc, data.items())
+    return FormalSeries(frame, H, offset, codec.unpack(acc))

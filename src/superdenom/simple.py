@@ -124,6 +124,12 @@ class SimpleSystem:
             [Weight.unit(k, self.m, self.n).doubled for k in range(dim)]
         return tuple(v // g for v in row), den // g, tuple(map(tuple, null))
 
+    @cached_property
+    def _root_keys(self) -> frozenset:
+        """The doubled tuples of every root, positive or negative."""
+        return frozenset(w.doubled for w in self.positive_roots) \
+            | frozenset((-w).doubled for w in self.positive_roots)
+
     def _height(self, w: Weight):
         """ht(w), the sum of w's simple coordinates, as an int or Fraction.
 
@@ -131,11 +137,15 @@ class SimpleSystem:
         span: StructuralError outside the simple-root span, as in cone_key.
         Private on purpose: it runs once per W#-sum term.
         """
+        return self._raw_height(w.doubled)
+
+    def _raw_height(self, t: tuple):
+        """`_height` of the weight with doubled coordinates t."""
         row, den, null = self._height_functional
-        t = w.doubled
         for n in null:
             if sum(map(mul, n, t)):
-                raise StructuralError("%s is outside the simple-root span" % w)
+                raise StructuralError("%s is outside the simple-root span"
+                                      % Weight(t, self.m))
         num = sum(map(mul, row, t))
         q, r = divmod(num, den)
         return Q(num, den) if r else q

@@ -211,6 +211,10 @@ def test_enumerate_group_matches_the_images_bfs(stype):
         assert got == cached
         assert [w.images for w in got] == _reference_group(gens,
                                                            (rs.m, rs.n))
+        # the determinant carried through the closure is the parity walk's
+        assert all(w.sign is not None for w in got)
+        assert [w.sgn() for w in got] == \
+            [SignedPermutation(w.src, w.m).sgn() for w in got]
 
 
 def test_from_images_round_trip():

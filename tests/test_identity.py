@@ -21,7 +21,6 @@ from superdenom.identity import (acted_series, closed_form_terms,
                                  verify, xi_presentation_unique,
                                  xi_uniqueness, y_fixed_by, y_shifts_by)
 from superdenom.roots import SuperType, build
-from superdenom.series import GeometricTerm
 from superdenom.simple import (AdmissiblePair, even_frame,
                                second_class_pair, second_type_moves,
                                standard_pair, standard_pairs)
@@ -227,14 +226,15 @@ def test_verify_catches_a_dropped_element_of_s():
 
 def test_verify_catches_a_flipped_term(monkeypatch):
     pair = _pair("GL", 2, 2)
-    original = identity.closed_form_terms
+    original = identity.closed_form_sum
 
     def flipped(p):
-        first, *rest = original(p)
-        return (GeometricTerm(-first.coeff, first.exponent, first.denoms),
-                *rest)
+        merged = original(p)
+        first = next(iter(merged))
+        merged[first] = -merged[first]
+        return merged
 
-    monkeypatch.setattr(identity, "closed_form_terms", flipped)
+    monkeypatch.setattr(identity, "closed_form_sum", flipped)
     assert _failed_checks(verify(pair, H=5)) == {
         "lhs_equals_rhs_closed", "expansion_matches_closed_form",
         "skew_invariance"}
@@ -311,13 +311,16 @@ def test_qn_left_side_matches_the_odd_first_order():
 
 
 def test_lhs_support_stays_near_its_final_size(monkeypatch):
+    # the packed kernels run every factor, for lhs and for the tuple
+    # wrappers _odd_first calls alike
     sizes = []
-    for name in ("_geometric", "_times_binomial"):
+    for name in ("_geometric_packed", "_binomial_packed"):
         def recording(*args, _original=getattr(series, name)):
             out = _original(*args)
             sizes.append(len(out))
             return out
         monkeypatch.setattr(series, name, recording)
+        monkeypatch.setattr(identity, name, recording)
     pair = _pair("GL", 4, 4)
     final = lhs(pair, 10).nonzero_count()
     assert final == 2782
@@ -361,13 +364,13 @@ def test_raw_key_skew_test_rejects_a_broken_sum(stype):
     # negating one coefficient or deleting one key must make some W
     # generator that settles the true sum fail the raw-key test
     pair = standard_pair(build(stype), "step2")
-    merged = series._merged(closed_form_terms(pair))
+    merged = identity.closed_form_sum(pair)
     gens = [g for _, g in groups.weyl_generators(pair.rs)]
     settled = [g for g in gens if identity._permutes_up_to_sign(g, merged)]
     assert settled
-    for key, term in merged.items():
+    for key, coeff in merged.items():
         negated = dict(merged)
-        negated[key] = GeometricTerm(-term.coeff, term.exponent, term.denoms)
+        negated[key] = -coeff
         deleted = {k: t for k, t in merged.items() if k != key}
         for broken in (negated, deleted):
             assert not all(identity._permutes_up_to_sign(g, broken)
@@ -382,13 +385,13 @@ def test_verify_builds_the_w_sharp_terms_once(monkeypatch, stype, variant):
     # also where skew expands a generator (B and D here)
     pair = standard_pair(build(stype), variant)
     calls = []
-    original = identity.closed_form_terms
+    original = identity.closed_form_sum
 
     def counting(p):
         calls.append(p)
         return original(p)
 
-    monkeypatch.setattr(identity, "closed_form_terms", counting)
+    monkeypatch.setattr(identity, "closed_form_sum", counting)
     assert verify(pair, H=5).equal
     assert calls == [pair]
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superdenom.groups import sharp_group
-from superdenom.identity import (_mu_accumulate, closed_form_terms,
+from superdenom.identity import (closed_form_terms,
                                  cross_multiplied_check, phi_data,
                                  rhs_closed, rhs_expanded, verify)
 from superdenom.roots import SuperType, build
@@ -58,6 +58,22 @@ def test_random_pair_identity_oracles_and_moves(case):
     for nb in pair_neighbors(pair):
         moved = expand_terms(closed_form_terms(nb), pair.system, H)
         assert moved.eq_report(X) is None, (str(nb.S), H)
+
+
+def _mu_accumulate(acc, base, steps, sgn_w, H):
+    """Tuple-keyed phi/|w| expansion: sgn_w (-1)^{sum mu} at base + mu.steps."""
+    def rec(idx, key, sign):
+        if idx == len(steps):
+            if sum(key) <= H:
+                acc[key] = acc.get(key, 0) + sign
+            return
+        step = steps[idx]
+        cur, flip = key, sign
+        while sum(cur) <= H:
+            rec(idx + 1, cur, flip)
+            cur = tuple(a + b for a, b in zip(cur, step))
+            flip = -flip
+    rec(0, base, sgn_w)
 
 
 @settings(deadline=None, max_examples=40)

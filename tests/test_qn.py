@@ -2,12 +2,13 @@ import math
 
 import pytest
 
-from superdenom.errors import DomainError
+from superdenom.errors import DomainError, StructuralError
+from superdenom.groups import weyl_group
 from superdenom.identity import (qn_a_set, qn_a_value, qn_identity,
                                  qn_standard_set, qn_system)
 from superdenom.roots import SuperType, build
 from superdenom.simple import orthogonal_subsets
-from superdenom.weights import bilinear_form
+from superdenom.weights import Weight, bilinear_form
 
 
 def test_standard_set_shape():
@@ -36,6 +37,15 @@ def test_a_set_size_consistency():
     assert sum(w.sgn() for w in members) == qn_a_value(rs, S)
     assert all(all(w.apply(b) in rs.positive_even for b in S)
                for w in members)
+    for n in (4, 5, 6):
+        rs = qn_system(n)
+        S = qn_standard_set(rs)
+        assert qn_a_set(rs, S) == tuple(
+            w for w in weyl_group(rs)
+            if all(w.apply(b) in rs.positive_even for b in S))
+    # a weight of another dimension is refused, as w.apply refuses it
+    with pytest.raises(StructuralError, match="dimension"):
+        qn_a_set(rs, [Weight.make([1, -1, 0, 0, 0, 0, 0])])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

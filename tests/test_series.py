@@ -1,17 +1,19 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superdenom.errors import StructuralError
 from superdenom.groups import reflection, weyl_group
-from superdenom.identity import (_alternating_terms, closed_form_terms,
-                                 qn_standard_set, qn_system)
+from superdenom.identity import (_alternating_sum, _alternating_terms,
+                                 closed_form_terms, qn_standard_set,
+                                 qn_system)
 from superdenom.roots import SuperType, build
-from superdenom.series import (FormalSeries, GeometricTerm, _geometric,
-                               _merged, act, canonical_terms, expand_term,
-                               expand_terms, normalize)
+from superdenom.series import (FormalSeries, GeometricTerm, _accumulate,
+                               _geometric, _Packing, _times_binomial, act,
+                               canonical_terms, expand_term, expand_terms,
+                               normalize, terms_of)
 from superdenom.simple import even_frame, standard_pair
 from superdenom.weights import Weight
 
@@ -119,25 +121,112 @@ def test_mul_binomial_rejects_a_root_that_is_not_positive():
 
 
 _KEYS = st.tuples(st.integers(-2, 4), st.integers(-2, 4), st.integers(0, 3))
+_STEPS = st.tuples(st.integers(0, 2), st.integers(0, 2),
+                   st.integers(0, 2)).filter(any)
 
 
+def _termwise(data, step, H, powers):
+    """sum_j c_j e^{-j*step} applied to each key on its own, then summed."""
+    want = {}
+    for k, v in data.items():
+        for j, c in enumerate(powers):
+            key = tuple(a + j * b for a, b in zip(k, step))
+            if sum(key) <= H:
+                want[key] = want.get(key, 0) + c * v
+    return {k: v for k, v in want.items() if v}
+
+
+# keys at height H = -1; a step that lands on the top digit, B - 1, where
+# a base one smaller would carry; a key exactly at height H
+@example(data={(-2, 1, 0): 1}, step=(1, 0, 0), H=-1)
+@example(data={(0, 0, 0): 1, (2, 0, 0): -1}, step=(1, 0, 0), H=3)
+@example(data={(-2, 4, 0): 2, (1, 1, 1): 1}, step=(0, 0, 1), H=3)
 @settings(max_examples=200, deadline=None)
 @given(data=st.dictionaries(_KEYS, st.integers(-2, 2), max_size=8),
-       step=st.tuples(st.integers(0, 2), st.integers(0, 2),
-                      st.integers(0, 2)).filter(any),
-       H=st.integers(-1, 9))
+       step=_STEPS, H=st.integers(-1, 9))
 def test_geometric_matches_the_termwise_expansion(data, step, H):
     # sum_j (-1)^j e^{-j*step} applied to each key on its own, no
     # cancellation shortcuts: the walk along chains must agree exactly
-    want = {}
-    for k, v in data.items():
-        j = 0
-        while sum(k) + j * sum(step) <= H:
-            key = tuple(a + j * b for a, b in zip(k, step))
-            want[key] = want.get(key, 0) + (-1) ** j * v
-            j += 1
-    want = {k: v for k, v in want.items() if v}
-    assert _geometric(data, step, H) == want
+    span = max(H - min(map(sum, data), default=H), 0) // sum(step) + 1
+    assert _geometric(data, step, H) == _termwise(
+        data, step, H, [(-1) ** j for j in range(span)])
+
+
+@example(data={(-2, 1, 0): 1}, step=(1, 0, 0), sign=1, H=-1)
+@example(data={(0, 0, 0): 1, (2, 0, 0): -1}, step=(1, 0, 0), sign=-1, H=3)
+@settings(max_examples=100, deadline=None)
+@given(data=st.dictionaries(_KEYS, st.integers(-2, 2), max_size=8),
+       step=_STEPS, sign=st.sampled_from((1, -1)), H=st.integers(-1, 9))
+def test_binomial_matches_the_termwise_expansion(data, step, sign, H):
+    # series data holds no zero coefficients
+    data = {k: v for k, v in data.items() if v}
+    assert _times_binomial(data, step, sign, H) == _termwise(
+        data, step, H, [1, sign])
+    # no H: nothing is truncated
+    tall = max(map(sum, data), default=0) + sum(step)
+    assert _times_binomial(data, step, sign) == _termwise(
+        data, step, tall, [1, sign])
+
+
+@st.composite
+def _windows(draw):
+    """(lo, H, keys): keys >= lo of height <= H, some exactly at H."""
+    rank = draw(st.integers(1, 4))
+    lo = tuple(draw(st.lists(st.integers(-3, 3), min_size=rank,
+                             max_size=rank)))
+    H = sum(lo) + draw(st.integers(0, 6))
+    keys = []
+    for _ in range(draw(st.integers(1, 6))):
+        digits = draw(st.lists(st.integers(0, H - sum(lo)), min_size=rank,
+                               max_size=rank))
+        # trim to height <= H, then top the first digit up to height H
+        while sum(digits) > H - sum(lo):
+            digits[digits.index(max(digits))] -= 1
+        if draw(st.booleans()):
+            digits[0] += H - sum(lo) - sum(digits)
+        keys.append(tuple(a + d for a, d in zip(lo, digits)))
+    return lo, H, keys
+
+
+@settings(max_examples=100, deadline=None)
+@given(_windows())
+def test_packed_keys_round_trip_in_height_order(case):
+    lo, H, keys = case
+    codec = _Packing(lo, H)
+    packed = [codec.key(k) for k in keys]
+    assert all(0 <= p < codec.limit for p in packed)
+    assert codec.unpack(dict.fromkeys(packed, 1)) == dict.fromkeys(keys, 1)
+    for a, pa in zip(keys, packed):
+        for b, pb in zip(keys, packed):
+            if sum(a) < sum(b):
+                assert pa < pb
+    # a key one step past height H packs strictly past the limit: its
+    # lower digits are not all zero
+    for k in keys:
+        if sum(k) == H:
+            bumped = (k[0] + 1,) + k[1:]
+            assert codec.key(bumped) > codec.limit
+            assert codec.key(k) + codec.step((1,) + (0,) * (len(k) - 1)) \
+                == codec.key(bumped)
+
+
+def test_a_key_below_the_window_raises_instead_of_wrapping():
+    codec = _Packing((0, -1), 4)
+    assert codec.unpack({codec.key((0, 4)): 1}) == {(0, 4): 1}
+    # (-1, 5) has height 4 as well, but would pack onto a wrong key
+    for bad in ((-1, 5), (3, -2)):
+        with pytest.raises(StructuralError, match="outside the packed"):
+            codec.key(bad)
+    with pytest.raises(StructuralError, match="not integral"):
+        codec.key((Q(1, 2), Q(3, 2)))
+    for step in ((1, -1), (0, 0)):
+        with pytest.raises(StructuralError, match="not positive"):
+            codec.step(step)
+    with pytest.raises(StructuralError, match="no packed window"):
+        _Packing((1, 1), 1)
+    # the wrappers take lo from the data, so every key of it packs
+    assert _geometric({(-3, 0): 1, (0, 0): 1}, (1, 0), 0) \
+        == {(-3, 0): 1, (-2, 0): -1, (-1, 0): 1}
 
 
 def test_incompatible_frames_rejected():
@@ -172,15 +261,22 @@ def _negated(terms):
     return [GeometricTerm(-t.coeff, t.exponent, t.denoms) for t in terms]
 
 
+def _merged(terms):
+    """Raw key -> total coefficient, zeros dropped."""
+    return _accumulate({}, ((t.raw, t.coeff) for t in terms))
+
+
 def test_expand_terms_merges_the_q5_w_sum():
     rs = qn_system(5)
     frame = even_frame(rs)
     zero = Weight.zero(rs.m, rs.n)
     terms = _alternating_terms(weyl_group(rs), zero, qn_standard_set(rs))
     # w and w composed with the swap of S's two roots give the same term
-    merged = _merged(terms)
+    merged = _alternating_sum(weyl_group(rs), zero, qn_standard_set(rs))
+    assert merged == _merged(terms)
     assert len(terms) == 120 and len(merged) == 60
-    got = expand_terms(list(merged.values()), frame, 6, offset=zero)
+    got = expand_terms(terms_of(merged, frame, 6, zero), frame, 6,
+                       offset=zero)
     assert got.data == _term_by_term(terms, frame, 6, zero).data
     assert got.data == expand_terms(terms, frame, 6, offset=zero).data
     assert got.nonzero_count() > 0
@@ -194,9 +290,8 @@ def test_expand_terms_merges_duplicated_and_cancelling_copies():
     merged = _merged(padded)
     # six terms: four doubled, the last two cancelled
     assert len(terms) == 6 and len(merged) == 4
-    assert [t.coeff for t in merged.values()][:4] == [2 * t.coeff
-                                                      for t in terms[:4]]
-    got = expand_terms(list(merged.values()), frame, 6)
+    assert list(merged.values())[:4] == [2 * t.coeff for t in terms[:4]]
+    got = expand_terms(terms_of(merged, frame), frame, 6)
     assert got.data == _term_by_term(padded, frame, 6, frame.rho).data
     assert got.data == expand_terms(padded, frame, 6).data
     assert got.data != expand_terms(terms, frame, 6).data
