@@ -27,10 +27,9 @@ from .groups import (SignedPermutation, _compiled, _gather,
                      sharp_group, stabilizer, weyl_generators, weyl_group)
 from .lp import OPTIMAL, maximize
 from .roots import RootSystem, SuperType, build, simple_roots
-from .series import (FormalSeries, GeometricTerm, _accumulate,
-                     _binomial_packed, _geometric_packed, _ht, _Packing,
-                     act, canonical_terms, expand_terms, positive_step,
-                     terms_of)
+from .series import (FormalSeries, GeometricTerm, _accumulate, _ht,
+                     _Packing, act, canonical_terms, expand_terms, multiply,
+                     positive_step, terms_of)
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
                      isotropic_parts, second_type_move, standard_pair)
 from .weights import Weight, bilinear_form, coordinate_order, solve_in_span
@@ -109,22 +108,14 @@ def _denominator(frame: SimpleSystem, offset: Weight, odd: Iterable[Weight],
     dividing first expands every odd geometric series to height H before
     the even factors cancel most of it (gl(5|4) at H=11: a peak support
     of 75,582 keys for 8,324 kept, against 11,181 in this order).  The
-    keys are packed once, above lo = 0, for the whole product.
+    whole product is one chain for `multiply`.
     """
-    binomials = [positive_step(frame, a)
-                 for a in sorted(even, key=coordinate_order)]
-    geometrics = [positive_step(frame, b)
-                  for b in sorted(odd, key=coordinate_order)]
-    if H < 0:
-        return FormalSeries(frame, H, offset)
+    factors = [(positive_step(frame, a), -1)
+               for a in sorted(even, key=coordinate_order)]
+    factors += [(positive_step(frame, b), None)
+                for b in sorted(odd, key=coordinate_order)]
     zero = (0,) * len(frame.simple_roots)
-    codec = _Packing(zero, H)
-    data = {codec.key(zero): 1}
-    for step in binomials:
-        data = _binomial_packed(data, codec.step(step), -1, codec.limit)
-    for step in geometrics:
-        data = _geometric_packed(data, codec.step(step), codec.limit)
-    return FormalSeries(frame, H, offset, codec.unpack(data))
+    return FormalSeries(frame, H, offset, multiply(H, [({zero: 1}, factors)]))
 
 
 def closed_form_terms(pair: AdmissiblePair) -> tuple:
@@ -374,36 +365,27 @@ def cross_multiplied_check(pair: AdmissiblePair) -> tuple:
     """Compare X * prod_{odd+}(1+e^{-a}) with e^rho * prod_{even+}(1-e^{-a}).
 
     Both sides are finite Laurent polynomials, computed exactly; keyed by
-    cone coordinates of rho - exponent.  Returns (equal, left, right).
+    cone coordinates of rho - exponent.  Each side is one `multiply`,
+    whose window reaches the tallest ht(base) + sum ht(step) of its
+    chains, so nothing drops.  Returns (equal, left, right).
     """
     frame = pair.system
-    odd_pos = sorted(frame.pos_odd, key=coordinate_order)
-    zero_key = frame.cone_key(_zero(pair.rs))
-    right = _poly(zero_key, 1,
-                  sorted(pair.rs.positive_even, key=coordinate_order),
-                  frame, -1)
-    left = {}
+    odd = [(a, frame.cone_int(a))
+           for a in sorted(frame.pos_odd, key=coordinate_order)]
+    even = [frame.cone_int(a)
+            for a in sorted(pair.rs.positive_even, key=coordinate_order)]
+    chains, H = [], 0
     for w in sharp_group(pair.rs):
         base, abs_w = phi_data(w, pair)
         dropped = set(abs_w.values())
-        part = _poly(base, w.sgn(),
-                     [a for a in odd_pos if a not in dropped], frame, +1)
-        _accumulate(left, part.items())
+        steps = [step for a, step in odd if a not in dropped]
+        H = max(H, _ht(base) + sum(map(_ht, steps)))
+        chains.append(({base: w.sgn()}, [(step, 1) for step in steps]))
+    left = multiply(H, chains)
+    zero = (0,) * len(frame.simple_roots)
+    right = multiply(sum(map(_ht, even)),
+                     [({zero: 1}, [(step, -1) for step in even])])
     return left == right, left, right
-
-
-def _poly(base_key: tuple, coeff, roots: Sequence[Weight],
-          frame: SimpleSystem, sign: int) -> dict:
-    """coeff e^{-base} prod_r (1 + sign e^{-r}), packed in one window.
-
-    The window ht(base) + sum ht(r) holds every key, so nothing drops.
-    """
-    steps = [frame.cone_int(r) for r in roots]
-    codec = _Packing(base_key, _ht(base_key) + sum(map(_ht, steps)))
-    data = {codec.key(base_key): coeff}
-    for step in steps:
-        data = _binomial_packed(data, codec.step(step), sign, codec.limit)
-    return codec.unpack(data)
 
 
 # ---------------------------------------------------------------------------

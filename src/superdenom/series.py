@@ -26,10 +26,10 @@ int add that carries nowhere while the height stays <= H.  The top digit
 is the shifted height, so p >= B**(r + 1) exactly when ht mu > H (the
 lower digits stay below B**r whenever ht mu <= H), and sorting packed keys
 sorts them by height.  `_Packing` is the codec: it raises StructuralError
-for a key below lo or a non-integer key and never wraps.  Each builder
-packs once on entry and unpacks once on exit, so `FormalSeries.data` and
-every public signature stay tuple-keyed; `_geometric` and
-`_times_binomial` are the same pack, kernel, unpack round for one factor.
+for a key below lo or a non-integer key and never wraps.  `multiply` is
+the one builder: it packs every chain of a product in one window and
+unpacks the sum once, so `FormalSeries.data` and every public signature
+stay tuple-keyed.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 from .errors import StructuralError
 from .simple import SimpleSystem
-from .weights import Weight, coordinate_order, weight_json
+from .weights import Weight, coordinate_order
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,6 @@ class GeometricTerm:
     def raw(self) -> tuple:
         """(exponent, denominators) as doubled tuples: the merge key."""
         return (self.exponent.doubled, tuple([g.doubled for g in self.denoms]))
-
-    def to_json(self) -> dict:
-        return {
-            "coeff": str(self.coeff),
-            "exponent": weight_json(self.exponent),
-            "denominators": [weight_json(g) for g in self.denoms],
-        }
 
 
 def normalize(term: GeometricTerm, frame: SimpleSystem) -> GeometricTerm:
@@ -143,17 +136,13 @@ class FormalSeries:
 
     def mul_binomial(self, sign: int, root: Weight) -> "FormalSeries":
         """Multiply by (1 + sign * e^{-root}) for a positive root."""
-        return FormalSeries(self.frame, self.H, self.offset,
-                            _times_binomial(self.data,
-                                            positive_step(self.frame, root),
-                                            sign, self.H))
+        return FormalSeries(self.frame, self.H, self.offset, multiply(
+            self.H, [(self.data, [(positive_step(self.frame, root), sign)])]))
 
     def mul_geometric(self, root: Weight) -> "FormalSeries":
         """Multiply by 1/(1 + e^{-root}) for a positive root of the frame."""
-        return FormalSeries(self.frame, self.H, self.offset,
-                            _geometric(self.data,
-                                       positive_step(self.frame, root),
-                                       self.H))
+        return FormalSeries(self.frame, self.H, self.offset, multiply(
+            self.H, [(self.data, [(positive_step(self.frame, root), None)])]))
 
     def coefficient_at(self, weight: Weight):
         """Coefficient of e^{weight}."""
@@ -194,14 +183,6 @@ class FormalSeries:
             out.append("%s [%s] e^(%s)"
                        % (v, mu, self.offset - self.frame.weight(k)))
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "offset": weight_json(self.offset),
-            "truncation_height": self.H,
-            "terms": [{"mu": [str(c) for c in k], "coeff": str(v)}
-                      for k, v in self.items_sorted()],
-        }
 
 
 def _ht(key: tuple):
@@ -302,9 +283,11 @@ class _Packing:
         return p
 
     def pack(self, data: dict) -> dict:
-        """Tuple-keyed data packed; keys past height H drop."""
+        """Tuple-keyed data packed; zeros and keys past height H drop."""
         H = self.H
-        kept = [k for k in data if sum(k) <= H]
+        kept = [k for k, v in data.items() if v and sum(k) <= H]
+        if not kept:
+            return {}
         return dict(zip(self.keys(kept), map(data.__getitem__, kept)))
 
     def unpack(self, data: dict) -> dict:
@@ -361,27 +344,35 @@ def _geometric_packed(data: dict, step: int, limit: int) -> dict:
     return out
 
 
-def _times_binomial(data: dict, step: tuple, sign: int, H=None) -> dict:
-    """key->coeff data times (1 + sign * e^{-step}); keys past height H drop.
+def multiply(H, chains) -> dict:
+    """Sum over the chains of data times its factors, to height H.
 
-    H = None truncates nowhere: the window is then just tall enough.
+    A chain is (data, factors): tuple-keyed data and a list of factors,
+    applied in the order given.  A factor (step, sign) multiplies by
+    (1 + sign * e^{-step}), and (step, None) divides by (1 + e^{-step}),
+    i.e. multiplies by sum_k (-1)^k e^{-k * step}; every step is the
+    simple coordinates of a positive root.  All chains share one packed
+    window, whose lo is the minimum of their keys within H.  A chain with
+    no key in it is skipped, since its keys only climb; the others run
+    the packed kernels, their sum is accumulated, and it is unpacked once.
+    The first product is the accumulator itself, so lhs is never copied.
     """
-    if H is None:
-        H = max(map(_ht, data), default=0) + _ht(step)
-    codec = _Packing.around(data, H)
+    codec = _Packing.around([k for data, _ in chains for k in data], H)
     if codec is None:
         return {}
-    return codec.unpack(_binomial_packed(codec.pack(data), codec.step(step),
-                                         sign, codec.limit))
-
-
-def _geometric(data: dict, step: tuple, H) -> dict:
-    """key->coeff data times sum_k (-1)^k e^{-k * step} to height H."""
-    codec = _Packing.around(data, H)
-    if codec is None:
-        return {}
-    return codec.unpack(_geometric_packed(codec.pack(data), codec.step(step),
-                                          codec.limit))
+    limit, acc = codec.limit, {}
+    for data, factors in chains:
+        data = codec.pack(data)
+        if not data:
+            continue
+        for step, sign in factors:
+            step = codec.step(step)
+            if sign is None:
+                data = _geometric_packed(data, step, limit)
+            else:
+                data = _binomial_packed(data, step, sign, limit)
+        acc = _accumulate(acc, data.items()) if acc else data
+    return codec.unpack(acc)
 
 
 def _culled(frame: SimpleSystem, H, offset: tuple, exponent: tuple,
@@ -399,19 +390,6 @@ def _culled(frame: SimpleSystem, H, offset: tuple, exponent: tuple,
             raise StructuralError("denominator %s is not a root here"
                                   % Weight(g, frame.m))
     return True
-
-
-def expand_term(term: GeometricTerm, frame: SimpleSystem, H,
-                offset: Optional[Weight] = None) -> FormalSeries:
-    """Expand one geometric term in the frame's directions (`expand_terms`).
-
-    A term with ht(offset - exponent) > H comes back empty before it is
-    normalized or keyed.  That is exact: normalizing moves the exponent
-    down by positive roots and expanding only adds positive steps, so
-    every key of the term lies above that height.  Its denominators must
-    still be roots and offset - exponent must still lie in the span.
-    """
-    return expand_terms([term], frame, H, offset)
 
 
 def terms_of(merged: dict, frame: SimpleSystem, H=None,
@@ -433,14 +411,18 @@ def terms_of(merged: dict, frame: SimpleSystem, H=None,
 
 def expand_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem, H,
                  offset: Optional[Weight] = None) -> FormalSeries:
-    """Sum of the expansions of the terms, in one packed window.
+    """Sum of the expansions of the terms in the frame's directions.
 
-    Each term past height H is culled as in `expand_term`; the rest are
-    normalized and keyed, lo is the minimum of their base keys, and each
-    base walks its denominators' chains in packed ints.  Expansion is
-    linear in the coefficient, so a caller whose list repeats terms
-    merges it first on `GeometricTerm.raw` and builds the distinct terms
-    with `terms_of`: q(7)'s 5,040 W-terms are 840 distinct ones.
+    A term with ht(offset - exponent) > H is culled before it is
+    normalized or keyed.  That is exact: normalizing moves the exponent
+    down by positive roots and expanding only adds positive steps, so
+    every key of the term lies above that height.  Its denominators must
+    still be roots and offset - exponent must still lie in the span.  The
+    rest are normalized, and each is one chain of geometric factors for
+    `multiply`.  Expansion is linear in the coefficient, so a caller
+    whose list repeats terms merges it first on `GeometricTerm.raw` and
+    builds the distinct terms with `terms_of`: q(7)'s 5,040 W-terms are
+    840 distinct ones.
     """
     offset = frame.rho if offset is None else offset
     chains = []
@@ -448,17 +430,6 @@ def expand_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem, H,
         if _culled(frame, H, offset.doubled, *t.raw):
             continue
         nt = normalize(t, frame)
-        base = frame.cone_key(offset - nt.exponent)
-        steps = [frame.cone_int(g) for g in nt.denoms]
-        if _ht(base) <= H:
-            chains.append((base, nt.coeff, steps))
-    codec = _Packing.around([base for base, _, _ in chains], H)
-    if codec is None:
-        return FormalSeries(frame, H, offset)
-    acc = {}
-    for base, coeff, steps in chains:
-        data = {codec.key(base): coeff}
-        for step in steps:
-            data = _geometric_packed(data, codec.step(step), codec.limit)
-        _accumulate(acc, data.items())
-    return FormalSeries(frame, H, offset, codec.unpack(acc))
+        chains.append(({frame.cone_key(offset - nt.exponent): nt.coeff},
+                       [(frame.cone_int(g), None) for g in nt.denoms]))
+    return FormalSeries(frame, H, offset, multiply(H, chains))

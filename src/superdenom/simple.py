@@ -130,17 +130,14 @@ class SimpleSystem:
         return frozenset(w.doubled for w in self.positive_roots) \
             | frozenset((-w).doubled for w in self.positive_roots)
 
-    def _height(self, w: Weight):
+    def _raw_height(self, t: tuple):
         """ht(w), the sum of w's simple coordinates, as an int or Fraction.
 
-        One dot product with the height row, after the null rows check the
-        span: StructuralError outside the simple-root span, as in cone_key.
-        Private on purpose: it runs once per W#-sum term.
+        t is w's doubled tuple.  One dot product with the height row, after
+        the null rows check the span: StructuralError outside the
+        simple-root span, as in cone_key.  Private on purpose: the W#-sum
+        cull runs it once per raw key.
         """
-        return self._raw_height(w.doubled)
-
-    def _raw_height(self, t: tuple):
-        """`_height` of the weight with doubled coordinates t."""
         row, den, null = self._height_functional
         for n in null:
             if sum(map(mul, n, t)):
@@ -156,8 +153,8 @@ class SimpleSystem:
         StructuralError unless every simple coordinate of w is an integer,
         checked row by row in integers.
         """
-        out = self._height(w)
         t = w.doubled
+        out = self._raw_height(t)
         if any(sum(map(mul, coeffs, t)) % d
                for coeffs, d in self._solver.transform[:self._solver.rank]):
             raise StructuralError("%s has non-integer simple coordinates" % w)
@@ -452,10 +449,13 @@ def standard_pair(rs: RootSystem, variant: str = "step3") -> AdmissiblePair:
 
 
 def standard_pairs(rs: RootSystem) -> list:
-    """(variant, pair) for every variant that is its own pair here.
+    """(variant, pair) for the standard variants of the system.
 
     step2 always; step3 for B and D; step3_prime and second_class for D
-    with more eps than delta.  On gl and C, step3 gives the step2 pair.
+    with m > n >= 1.  On gl and C, step3 gives the step2 pair and is left
+    out.  Listed variants can still coincide: step3 is step2 when n = 0
+    and on B(n,n), and step3_prime is second_class when n = 1; the verify
+    goldens of B(1,1) and D(2,1) pin those repeats.
     """
     names = ["step2"]
     if rs.family in ("B_EPS", "B_DELTA", "D_EPS", "D_DELTA"):

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,42 @@ def test_cross_multiplication_more_systems():
     for pair in [_pair("GL", 1, 1), _pair("B", 1, 1), _pair("D", 1, 2)]:
         equal, _, _ = cross_multiplied_check(pair)
         assert equal, pair.rs.stype
+
+
+def _even_product(pair) -> dict:
+    """prod_{alpha in Delta0+}(1 - e^{-alpha}), one subset of roots at a time.
+
+    Keyed like `cross_multiplied_check`'s right side: the cone key of the
+    subset's sum, with (-1)^|subset|; no window, so nothing can drop.
+    """
+    frame = pair.system
+    steps = [frame.cone_int(a) for a in pair.rs.positive_even]
+    zero, out = (0,) * len(frame.simple_roots), {}
+    for chosen in product((0, 1), repeat=len(steps)):
+        picked = [s for c, s in zip(chosen, steps) if c]
+        key = tuple(map(sum, zip(zero, *picked)))
+        out[key] = out.get(key, 0) + (-1) ** len(picked)
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("fam,m,n", [
+    ("GL", 2, 2), ("B", 1, 1), ("D", 2, 1), ("GL", 2, 1)])
+def test_cross_multiplication_catches_a_shifted_rho(fam, m, n):
+    equal, left, right = cross_multiplied_check(_pair(fam, m, n))
+    assert equal and right == _even_product(_pair(fam, m, n))
+    shifted = _shifted_rho(fam, m, n, "eps")
+    equal, left, right = cross_multiplied_check(shifted)
+    assert not equal and left != right
+    assert right == _even_product(_pair(fam, m, n))
+
+
+def test_cross_multiplication_misses_a_shift_w_sharp_fixes():
+    # W# fixes delta_1 - delta_2, so X and e^rho move by the same factor
+    # and the check still passes, as verify's lhs_equals_rhs_closed does
+    # (test_verify_catches_a_shifted_rho); only skewness under W_2 sees it
+    pair = _shifted_rho("GL", 2, 2, "delta")
+    equal, left, right = cross_multiplied_check(pair)
+    assert equal and right == _even_product(pair)
 
 
 def test_e_rho_coefficient_is_one():
@@ -278,12 +315,12 @@ def test_verify_enumerates_only_w_sharp(monkeypatch, stype):
 
 def _odd_first(frame, offset, odd, even, H):
     """The division-first order: every odd factor, then every even one."""
-    data = {frame.cone_key(offset - offset): 1}
-    for b in sorted(odd, key=Weight.coords):
-        data = series._geometric(data, frame.cone_int(b), H)
-    for a in sorted(even, key=Weight.coords):
-        data = series._times_binomial(data, frame.cone_int(a), -1, H)
-    return data
+    factors = [(frame.cone_int(b), None)
+               for b in sorted(odd, key=Weight.coords)]
+    factors += [(frame.cone_int(a), -1)
+                for a in sorted(even, key=Weight.coords)]
+    return series.multiply(H, [({frame.cone_key(offset - offset): 1},
+                                factors)])
 
 
 @pytest.mark.parametrize("stype,H", [
@@ -311,8 +348,8 @@ def test_qn_left_side_matches_the_odd_first_order():
 
 
 def test_lhs_support_stays_near_its_final_size(monkeypatch):
-    # the packed kernels run every factor, for lhs and for the tuple
-    # wrappers _odd_first calls alike
+    # series.multiply runs every factor through the packed kernels, for
+    # lhs and for _odd_first alike
     sizes = []
     for name in ("_geometric_packed", "_binomial_packed"):
         def recording(*args, _original=getattr(series, name)):
@@ -320,7 +357,6 @@ def test_lhs_support_stays_near_its_final_size(monkeypatch):
             sizes.append(len(out))
             return out
         monkeypatch.setattr(series, name, recording)
-        monkeypatch.setattr(identity, name, recording)
     pair = _pair("GL", 4, 4)
     final = lhs(pair, 10).nonzero_count()
     assert final == 2782

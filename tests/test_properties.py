@@ -15,7 +15,7 @@ from superdenom.identity import (closed_form_terms,
                                  cross_multiplied_check, phi_data,
                                  rhs_closed, rhs_expanded, verify)
 from superdenom.roots import SuperType, build
-from superdenom.series import _geometric, expand_term, expand_terms, normalize
+from superdenom.series import expand_terms, multiply, normalize
 from superdenom.simple import enumerate_admissible_pairs, pair_neighbors
 
 _SYSTEMS = (
@@ -79,17 +79,16 @@ def _mu_accumulate(acc, base, steps, sgn_w, H):
 @settings(deadline=None, max_examples=40)
 @given(_pair_and_height(max_height=6))
 def test_height_culling_drops_only_terms_past_h(case):
-    # expand_term and rhs_expanded skip work past H before any solve; the
+    # expand_terms and rhs_expanded skip work past H before any solve; the
     # references below do every solve and let truncation drop the keys
     pair, H = case
     frame = pair.system
     for term in closed_form_terms(pair):
         nt = normalize(term, frame)
         base = frame.cone_key(frame.rho - nt.exponent)
-        want = {base: nt.coeff} if sum(base) <= H else {}
-        for g in nt.denoms:
-            want = _geometric(want, frame.cone_int(g), H)
-        assert expand_term(term, frame, H).data == want
+        want = multiply(H, [({base: nt.coeff},
+                             [(frame.cone_int(g), None) for g in nt.denoms])])
+        assert expand_terms([term], frame, H).data == want
     acc = {}
     for w in sharp_group(pair.rs):
         base, abs_w = phi_data(w, pair)

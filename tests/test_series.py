@@ -11,9 +11,8 @@ from superdenom.identity import (_alternating_sum, _alternating_terms,
                                  qn_system)
 from superdenom.roots import SuperType, build
 from superdenom.series import (FormalSeries, GeometricTerm, _accumulate,
-                               _geometric, _Packing, _times_binomial, act,
-                               canonical_terms, expand_term, expand_terms,
-                               normalize, terms_of)
+                               _Packing, act, canonical_terms, expand_terms,
+                               multiply, normalize, terms_of)
 from superdenom.simple import even_frame, standard_pair
 from superdenom.weights import Weight
 
@@ -58,8 +57,8 @@ def test_expand_single_odd_factor():
     # e^0/(1 + e^{-b}) expands with alternating signs along b
     rs, frame = _gl21()
     beta = rs.eps(1) - rs.delta(1)
-    series = expand_term(GeometricTerm.make(1, Weight.zero(2, 1), [beta]),
-                         frame, 4, offset=Weight.zero(2, 1))
+    series = expand_terms([GeometricTerm.make(1, Weight.zero(2, 1), [beta])],
+                          frame, 4, offset=Weight.zero(2, 1))
     coeffs = [series.coefficient_at(beta.scale(-k)) for k in range(5)]
     assert coeffs == [1, -1, 1, -1, 1]
 
@@ -67,8 +66,8 @@ def test_expand_single_odd_factor():
 def test_add_scale_and_eq_report():
     rs, frame = _gl21()
     beta = rs.eps(1) - rs.delta(1)
-    base = expand_term(GeometricTerm.make(1, Weight.zero(2, 1), [beta]),
-                       frame, 3, offset=Weight.zero(2, 1))
+    base = expand_terms([GeometricTerm.make(1, Weight.zero(2, 1), [beta])],
+                        frame, 3, offset=Weight.zero(2, 1))
     doubled = base.copy().scale(2)
     summed = base.copy().add(base)
     assert doubled.eq_report(summed) is None
@@ -148,7 +147,7 @@ def test_geometric_matches_the_termwise_expansion(data, step, H):
     # sum_j (-1)^j e^{-j*step} applied to each key on its own, no
     # cancellation shortcuts: the walk along chains must agree exactly
     span = max(H - min(map(sum, data), default=H), 0) // sum(step) + 1
-    assert _geometric(data, step, H) == _termwise(
+    assert multiply(H, [(data, [(step, None)])]) == _termwise(
         data, step, H, [(-1) ** j for j in range(span)])
 
 
@@ -160,12 +159,53 @@ def test_geometric_matches_the_termwise_expansion(data, step, H):
 def test_binomial_matches_the_termwise_expansion(data, step, sign, H):
     # series data holds no zero coefficients
     data = {k: v for k, v in data.items() if v}
-    assert _times_binomial(data, step, sign, H) == _termwise(
+    assert multiply(H, [(data, [(step, sign)])]) == _termwise(
         data, step, H, [1, sign])
-    # no H: nothing is truncated
+    # a window this tall truncates nothing
     tall = max(map(sum, data), default=0) + sum(step)
-    assert _times_binomial(data, step, sign) == _termwise(
+    assert multiply(tall, [(data, [(step, sign)])]) == _termwise(
         data, step, tall, [1, sign])
+
+
+def _one_chain(data, factors, H):
+    """The factors applied to data termwise, one after another."""
+    for step, sign in factors:
+        if sign is None:
+            span = max(H - min(map(sum, data), default=H), 0) // sum(step) + 1
+            data = _termwise(data, step, H, [(-1) ** j for j in range(span)])
+        else:
+            data = _termwise(data, step, H, [1, sign])
+    return {k: v for k, v in data.items() if v and sum(k) <= H}
+
+
+_CHAINS = st.lists(st.tuples(
+    st.dictionaries(_KEYS, st.integers(-2, 2), max_size=4),
+    st.lists(st.tuples(_STEPS, st.sampled_from((1, -1, None))),
+             max_size=3)), max_size=4)
+
+
+# two chains that cancel key for key beside one that does not; a chain
+# wholly past H beside live ones; lo taken from both chains' negative keys
+@example(chains=[({(0, 0, 0): 1}, [((1, 0, 0), None), ((0, 1, 0), 1)]),
+                 ({(0, 0, 0): -1}, [((1, 0, 0), None), ((0, 1, 0), 1)]),
+                 ({(0, 1, 0): 1}, [((0, 0, 1), -1)])], H=3)
+@example(chains=[({(4, 4, 0): 1}, [((1, 0, 0), 1)]),
+                 ({(0, 0, 0): 2}, [((0, 1, 0), None), ((1, 0, 0), -1)])],
+         H=3)
+@example(chains=[({(-2, 1, 0): 1}, [((1, 0, 0), 1)]),
+                 ({(1, -2, 1): 1}, [((0, 1, 0), None), ((0, 0, 1), -1)])],
+         H=4)
+@settings(max_examples=100, deadline=None)
+@given(chains=_CHAINS, H=st.integers(-1, 9))
+def test_multiply_is_the_sum_of_each_chain_alone(chains, H):
+    # one shared window gives what each chain gives in its own, and each
+    # chain alone is its factors applied termwise in the order given
+    want = {}
+    for data, factors in chains:
+        alone = multiply(H, [(data, factors)])
+        assert alone == _one_chain(data, factors, H)
+        _accumulate(want, alone.items())
+    assert multiply(H, chains) == want
 
 
 @st.composite
@@ -224,8 +264,8 @@ def test_a_key_below_the_window_raises_instead_of_wrapping():
             codec.step(step)
     with pytest.raises(StructuralError, match="no packed window"):
         _Packing((1, 1), 1)
-    # the wrappers take lo from the data, so every key of it packs
-    assert _geometric({(-3, 0): 1, (0, 0): 1}, (1, 0), 0) \
+    # multiply takes lo from the data, so every key of it packs
+    assert multiply(0, [({(-3, 0): 1, (0, 0): 1}, [((1, 0), None)])]) \
         == {(-3, 0): 1, (-2, 0): -1, (-1, 0): 1}
 
 
@@ -238,14 +278,15 @@ def test_incompatible_frames_rejected():
         a.add(b)
 
 
-def test_expand_terms_is_sum_of_expand_term():
+def test_expand_terms_is_sum_of_each_term_expanded_alone():
     rs = build(SuperType("B", 2, 1))
     pair = standard_pair(rs, "step2")
     frame = pair.system
     terms = [GeometricTerm.make(1, frame.rho, list(pair.S)),
              GeometricTerm.make(-1, frame.rho - rs.eps(1), list(pair.S))]
     total = expand_terms(terms, frame, 5, offset=frame.rho)
-    first, second = (expand_term(t, frame, 5, offset=frame.rho) for t in terms)
+    first, second = (expand_terms([t], frame, 5, offset=frame.rho)
+                     for t in terms)
     assert total.eq_report(first.add(second)) is None
     assert total.nonzero_count() > 0
 
@@ -253,7 +294,7 @@ def test_expand_terms_is_sum_of_expand_term():
 def _term_by_term(terms, frame, H, offset):
     total = FormalSeries(frame, H, offset)
     for t in terms:
-        total = total.add(expand_term(t, frame, H, offset))
+        total = total.add(expand_terms([t], frame, H, offset))
     return total
 
 
@@ -303,8 +344,8 @@ def test_expand_terms_merges_duplicated_and_cancelling_copies():
 def test_dump_lines_sorted_by_height():
     rs, frame = _gl21()
     beta = rs.eps(1) - rs.delta(1)
-    series = expand_term(GeometricTerm.make(1, Weight.zero(2, 1), [beta]),
-                         frame, 3, offset=Weight.zero(2, 1))
+    series = expand_terms([GeometricTerm.make(1, Weight.zero(2, 1), [beta])],
+                          frame, 3, offset=Weight.zero(2, 1))
     lines = series.dump_lines()
     assert lines[0].startswith("1 [")
     heights = []
@@ -337,11 +378,11 @@ def test_a_culled_term_still_checks_its_denominators():
     rs, frame = _gl21()
     beta = rs.eps(1) - rs.delta(1)
     low = frame.rho - beta.scale(5)          # height 5, past H = 2
-    assert expand_term(GeometricTerm.make(1, low, [beta]), frame,
-                       2).data == {}
+    assert expand_terms([GeometricTerm.make(1, low, [beta])], frame,
+                        2).data == {}
     not_a_root = (rs.eps(1) - rs.eps(2)).scale(2)
     with pytest.raises(StructuralError, match="not a root"):
-        expand_term(GeometricTerm.make(1, low, [not_a_root]), frame, 2)
+        expand_terms([GeometricTerm.make(1, low, [not_a_root])], frame, 2)
 
 
 def test_a_weight_outside_the_span_still_raises():
@@ -351,7 +392,7 @@ def test_a_weight_outside_the_span_still_raises():
     outside = frame.rho - rs.eps(1)
     for H in (0, 10):
         with pytest.raises(StructuralError, match="outside"):
-            expand_term(GeometricTerm.make(1, outside, []), frame, H)
+            expand_terms([GeometricTerm.make(1, outside, [])], frame, H)
         far = outside - (rs.eps(1) - rs.delta(1)).scale(H + 3)
         with pytest.raises(StructuralError, match="outside"):
-            expand_term(GeometricTerm.make(1, far, []), frame, H)
+            expand_terms([GeometricTerm.make(1, far, [])], frame, H)

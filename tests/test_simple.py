@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
@@ -274,11 +275,11 @@ def test_height_functional_sums_the_simple_coordinates(stype):
         weights = list(rs.all_roots()) + [rho - w.apply(rho)
                                           for w in sharp_group(rs)]
         for w in weights:
-            assert frame._height(w) == sum(frame.cone_key(w))
+            assert frame._raw_height(w.doubled) == sum(frame.cone_key(w))
             assert frame.height_int(w) == sum(frame.cone_key(w))
     even = even_frame(rs)
     for a in rs.positive_even:
-        assert even._height(a) == sum(even.cone_key(a))
+        assert even._raw_height(a.doubled) == sum(even.cone_key(a))
 
 
 def test_height_int_needs_integer_coordinates():
@@ -286,9 +287,32 @@ def test_height_int_needs_integer_coordinates():
     frame = standard_pair(rs, "step2").system
     half = (rs.eps(1) - rs.eps(2)).scale(Q(1, 2))
     # its height is the integer 1, but both simple coordinates are 1/2
-    assert frame._height(half) == 1
+    assert frame._raw_height(half.doubled) == 1
     assert frame.cone_key(half) == (Q(1, 2), Q(1, 2))
     with pytest.raises(StructuralError, match="non-integer"):
         frame.height_int(half)
     with pytest.raises(StructuralError, match="outside"):
         frame.height_int(rs.eps(1))
+
+
+def test_standard_pairs_that_coincide():
+    # the variants are listed by name even where two give the same pair;
+    # the verify goldens of B(1,1) and D(2,1) carry both copies
+    with pytest.raises(DomainError):
+        standard_pairs(build(SuperType("D", 1, 0)))
+    for fam, m, n in product(("B", "D"), range(1, 5), range(5)):
+        if (fam, m, n) == ("D", 1, 0):
+            continue
+        choices = (None, "B_side", "C_side") if fam == "B" and m == n \
+            else (None,)
+        for choice in choices:
+            kw = {} if choice is None else {"sharp_choice": choice}
+            pairs = standard_pairs(build(SuperType(fam, m, n, **kw)))
+            same = {(a, b) for i, (a, p) in enumerate(pairs)
+                    for b, q in pairs[i + 1:] if p.key() == q.key()}
+            want = set()
+            if n == 0 or (fam == "B" and m == n):
+                want.add(("step2", "step3"))
+            if fam == "D" and m > n == 1:
+                want.add(("step3_prime", "second_class"))
+            assert same == want, (fam, m, n, choice)
