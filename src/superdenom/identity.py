@@ -32,7 +32,8 @@ from .series import (FormalSeries, GeometricTerm, _accumulate, _ht,
                      positive_step, terms_of)
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
                      isotropic_parts, second_type_move, standard_pair)
-from .weights import Weight, bilinear_form, coordinate_order, solve_in_span
+from .weights import (Elimination, Weight, bilinear_form, coordinate_order,
+                      solve_in_span)
 
 
 def _zero(rs: RootSystem) -> Weight:
@@ -485,30 +486,39 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10) -> list:
     """Dominant representatives of the regular W-orbits inside rho_0 - Q+.
 
     The search region is rho_0 - {mu in Q+ : height(mu) <= H} in the
-    standard frame; orbit containment in the cone is exact.  The result
-    must match the classification: only W rho_0 except for gl(n|n), where
-    the representatives are rho_0 - s*xi.
+    standard frame; orbit containment in the cone is exact.  The scan runs
+    on doubled int tuples: every lambda, its orbit and the integer cone
+    test of rho_0 - p for each orbit element p.  Only after the scan does
+    each accepted orbit become a Weight, its dominant representative.
+    The result must match the classification: only W rho_0 except for
+    gl(n|n), where the representatives are rho_0 - s*xi.
     """
     if rs.family not in ("GL", "C"):
         raise DomainError("orbit scans cover the gl and C families only")
-    pair = standard_pair(rs, "step2")
-    frame = pair.system
+    frame = standard_pair(rs, "step2").system
     group = weyl_group(rs)
-    rho0 = frame.rho0
+    acts = [_compiled(g) for g in group]
+    simples = [a.doubled for a in frame.simple_roots]
+    cone = Elimination(simples).cone
+    rho0 = frame.rho0.doubled
     evens = simple_roots(rs.positive_even)
-    reps = set()
+    accepted = []
     seen = set()
-    for key in _keys_up_to(len(frame.simple_roots), H):
-        lam = rho0 - frame.weight(key)
+    for key in _keys_up_to(len(simples), H):
+        lam = rho0
+        for k, a in zip(key, simples):
+            if k:
+                lam = tuple([x - k * y for x, y in zip(lam, a)])
         if lam in seen:
             continue
-        orb = orbit(lam, group)
+        orb = {act(lam) for act in acts}
         seen.update(orb)
         if len(orb) != len(group):
             continue
-        if all(frame.cone(rho0 - p, ring="integer") is not None for p in orb):
-            reps.add(dominant_representative(lam, group, evens))
-    out = sorted(reps, key=coordinate_order)
+        if all(cone(tuple(map(sub, rho0, p))) is not None for p in orb):
+            accepted.append(lam)
+    out = sorted({dominant_representative(Weight(lam, rs.m), group, evens)
+                  for lam in accepted}, key=coordinate_order)
     expected = expected_regular_orbit_reps(rs, H)
     if out != expected:
         raise StructuralError(

@@ -86,8 +86,12 @@ def act(w, term: GeometricTerm) -> GeometricTerm:
 def canonical_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem) -> tuple:
     """Normalize, merge equal (exponent, denominators) and drop zeros.
 
-    Two finite lists of geometric terms denote the same function iff their
-    canonical forms coincide, so this is the exact closed-form comparison.
+    Two finite lists of geometric terms denote the same function if their
+    canonical forms coincide, but not only if: in gl(2|1), with beta odd
+    and positive, e^rho/(1+e^{-beta}) + e^{rho-beta}/(1+e^{-beta}) - e^rho
+    is the zero function, yet its three terms have distinct keys and all
+    survive.  Equal canonical forms prove equality; unequal ones prove
+    nothing.
     """
     acc = {}
     for t in terms:

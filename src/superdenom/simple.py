@@ -15,7 +15,7 @@ from fractions import Fraction as Q
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ResourceLimitError, StructuralError, ValidationError
@@ -42,9 +42,8 @@ class SimpleSystem:
         self.pos_even = frozenset(positive_even)
         self.pos_odd = frozenset(positive_odd)
         self.positive_roots = self.pos_even | self.pos_odd
-        zero = Weight.zero(rs.m, rs.n)
-        self.rho0 = sum(self.pos_even, zero).scale(Q(1, 2))
-        self.rho1 = sum(self.pos_odd, zero).scale(Q(1, 2))
+        self.rho0 = _half_sum(self.pos_even, rs)
+        self.rho1 = _half_sum(self.pos_odd, rs)
         self.rho = self.rho0 - self.rho1
         self._solver = solver
         self._int_cache = {}
@@ -78,21 +77,37 @@ class SimpleSystem:
         Integer entries come back as ints, the rest as Fractions; the two
         hash alike, so mixed keys index the same series bucket.  The cache
         is keyed on the weight, whose hash is the doubled int tuple's.
+        derive checks that the simple roots are independent, so the k-th
+        numerator is the k-th coordinate.
         """
         cached = self._int_cache.get(w)
         if cached is not None:
             return cached
-        sol = self._solver.solve(w.doubled)
-        if sol is None:
+        nums = self._solver.numerators(w.doubled)
+        if nums is None:
             raise StructuralError("%s is outside the simple-root span" % w)
-        out = tuple(int(c) if c.denominator == 1 else c for c in sol)
+        out = tuple(Q(acc, den) if acc % den else acc // den
+                    for acc, den in nums)
         self._int_cache[w] = out
         return out
 
     def weight(self, key: tuple) -> Weight:
-        """The span vector with these simple coordinates; inverts cone_key."""
-        return sum((b.scale(c) for c, b in zip(key, self.simple_roots) if c),
-                   Weight.zero(self.m, self.n))
+        """The span vector with these simple coordinates; inverts cone_key.
+
+        Entries are ints or Fractions; the sum runs on ints over their
+        common denominator, and StructuralError marks a sum outside
+        (1/2)Z.
+        """
+        den = lcm(*(c.denominator for c in key))
+        acc = [0] * (self.m + self.n)
+        for c, b in zip(key, self.simple_roots):
+            if c:
+                s = c.numerator * (den // c.denominator)
+                acc = [x + s * y for x, y in zip(acc, b.doubled)]
+        if any(x % den for x in acc):
+            raise StructuralError("simple coordinates %s leave (1/2)Z"
+                                  % (tuple(map(str, key)),))
+        return Weight(tuple(x // den for x in acc), self.m)
 
     def cone_int(self, w: Weight) -> tuple:
         """Like cone_key but insists on integer (lattice) coordinates."""
@@ -150,15 +165,15 @@ class SimpleSystem:
     def height_int(self, w: Weight) -> int:
         """ht(w) for a lattice vector of the span.
 
-        StructuralError unless every simple coordinate of w is an integer,
-        checked row by row in integers.
+        StructuralError outside the span, and unless every simple
+        coordinate of w is an integer, checked row by row in integers.
         """
-        t = w.doubled
-        out = self._raw_height(t)
-        if any(sum(map(mul, coeffs, t)) % d
-               for coeffs, d in self._solver.transform[:self._solver.rank]):
+        nums = self._solver.numerators(w.doubled)
+        if nums is None:
+            raise StructuralError("%s is outside the simple-root span" % w)
+        if any(acc % den for acc, den in nums):
             raise StructuralError("%s has non-integer simple coordinates" % w)
-        return out
+        return sum(acc // den for acc, den in nums)
 
     def to_json(self) -> dict:
         from .roots import root_json
@@ -169,36 +184,54 @@ class SimpleSystem:
         }
 
 
+def _half_sum(roots: Iterable[Weight], rs: RootSystem) -> Weight:
+    """Half the sum of the roots, summed on their doubled tuples.
+
+    Roots are integral, so every doubled entry of the sum is even.
+    """
+    total = [0] * (rs.m + rs.n)
+    for a in roots:
+        total = list(map(add, total, a.doubled))
+    if any(v % 2 for v in total):
+        raise StructuralError("half the sum of the roots leaves (1/2)Z")
+    return Weight(tuple(v // 2 for v in total), rs.m)
+
+
 def derive(pi: Sequence[Weight], rs: RootSystem, universe: str = "super"
            ) -> SimpleSystem:
     """Build the simple system determined by pi; validates as it goes.
 
     universe='super' uses all roots; universe='even' restricts to the even
     part (used for plain Lie-algebra frames such as orbit computations).
+    One root of each +-pair is classified on the integer numerators of
+    its simple coordinates: exactly one of the pair must have them all
+    integral and nonnegative.
     """
     pi = tuple(sorted(pi, key=coordinate_order))
     if universe not in ("super", "even"):
         raise StructuralError("unknown universe %r" % universe)
-    even_universe = rs.even()
+    even_half = rs.positive_even
     odd_universe = rs.odd if universe == "super" else frozenset()
     for a in pi:
-        if a not in even_universe and a not in odd_universe:
+        if a not in even_half and -a not in even_half \
+                and a not in odd_universe:
             raise ValidationError("%s is not a root of the system" % a)
     solver = Elimination([a.doubled for a in pi])
     if solver.rank != len(pi):
         raise ValidationError("simple roots are linearly dependent")
+    # one root of each +- pair: a nonzero doubled tuple is above zero
+    # exactly when its first nonzero entry is positive
+    zero = (0,) * (rs.m + rs.n)
+    odd_half = [a for a in odd_universe if a.doubled > zero]
     pos_even, pos_odd = set(), set()
-    for universe_set, bucket in ((even_universe, pos_even), (odd_universe, pos_odd)):
-        seen = set()
-        for a in universe_set:
-            if a in seen:
-                continue
-            seen.add(a)
-            seen.add(-a)
-            sol = solver.solve(a.doubled)
-            integral = sol is not None and all(c.denominator == 1 for c in sol)
-            plus = integral and all(c >= 0 for c in sol)
-            minus = integral and all(c <= 0 for c in sol)
+    for half, bucket in ((even_half, pos_even), (odd_half, pos_odd)):
+        for a in half:
+            # den > 0: acc carries the coordinate's sign
+            nums = solver.numerators(a.doubled)
+            integral = nums is not None and \
+                not any(acc % den for acc, den in nums)
+            plus = integral and all(acc >= 0 for acc, _ in nums)
+            minus = integral and all(acc <= 0 for acc, _ in nums)
             if plus == minus:
                 raise ValidationError(
                     "not a simple system: %s and its negative are %s the cone"
@@ -626,32 +659,37 @@ def functional_for(sys: SimpleSystem) -> tuple:
     acts through `pairing`, not the bilinear form.  For gl the solution
     line is pinned by min value 1; elsewhere it is unique.
     The checks: integer nonzero on all roots, >= 1 on positives, = 1
-    exactly on the simples.
+    exactly on the simples.  They run on ints: f = F/den with F integral
+    and den > 0, so <f, alpha> = (F . alpha.doubled) / (2 den).
     """
     rs = sys.rs
     if rs.family not in ("GL", "B_EPS", "B_DELTA", "D_EPS", "D_DELTA"):
         raise DomainError("functionals are defined for gl/B/D only")
     # sum_k f_k * (2 alpha_k) = 2 on each simple alpha: the doubled system
-    columns = [tuple(a.doubled[k] for a in sys.simple_roots)
-               for k in range(rs.m + rs.n)]
-    sol = Elimination(columns).solve((2,) * len(sys.simple_roots))
-    if sol is None:
+    solver = Elimination([tuple(a.doubled[k] for a in sys.simple_roots)
+                          for k in range(rs.m + rs.n)])
+    nums = solver.numerators((2,) * len(sys.simple_roots))
+    if nums is None:
         raise ValidationError("no functional solves <f, Pi> = 1")
+    den = lcm(*(d for _, d in nums))
+    F = solver._coordinates(nums, lambda acc, d: acc * (den // d))
     if rs.family == "GL":
-        shift = Q(1) - min(sol)
-        sol = [x + shift for x in sol]
-    f = tuple(sol)
+        shift = den - min(F)
+        F = [x + shift for x in F]
+    one = 2 * den
     for a in rs.all_roots():
-        v = pairing(f, a)
-        if v == 0 or v.denominator != 1:
-            raise ValidationError("functional is %s on root %s" % (v, a))
+        v = sum(map(mul, F, a.doubled))
+        if v == 0 or v % one:
+            raise ValidationError("functional is %s on root %s"
+                                  % (Q(v, one), a))
     for a in sys.positive_roots:
-        v = pairing(f, a)
-        if v < 1:
-            raise ValidationError("functional is %s on positive root %s" % (v, a))
-        if (v == 1) != (a in sys.simple_roots):
+        v = sum(map(mul, F, a.doubled))
+        if v < one:
+            raise ValidationError("functional is %s on positive root %s"
+                                  % (Q(v, one), a))
+        if (v == one) != (a in sys.simple_roots):
             raise ValidationError("value 1 does not match simplicity at %s" % a)
-    return f
+    return tuple(Q(x, den) for x in F)
 
 
 def even_frame(rs: RootSystem) -> SimpleSystem:

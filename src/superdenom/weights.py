@@ -12,8 +12,11 @@ boundary: `Weight.coords` returns them as Fractions, and the bilinear
 form, the pretty printer and `weight_json`, the one serializer, halve as
 they read.  The invariant bilinear form is diagonal:
 (eps_i, eps_j) = delta_ij, (delta_i, delta_j) = -delta_ij, mixed pairs 0.
-Rationals remain only where they carry meaning: values of the form and
-solutions of `Elimination`.  No floats appear anywhere.
+`Elimination` decides span membership, sign and integrality on integer
+numerators.  Rationals are built only where a caller reads one: values
+of the form, `Weight.coords`, and the coordinates that
+`Elimination.solve` and `Elimination.cone(ring='rational')` return.  No
+floats appear anywhere.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
-from operator import add, attrgetter, mul, neg, sub
+from operator import add, attrgetter, floordiv, mul, neg, sub
 from typing import Optional, Sequence
 
 from .errors import StructuralError
@@ -165,10 +168,14 @@ class Elimination:
     whenever the columns are independent.  Rows stay integral: clearing
     a column multiplies a row by the pivot before subtracting, then
     divides out the row's gcd.  The row operations are kept as a
-    transform, so a solve is one integer matrix-vector product and one
-    Fraction (over the row's pivot) per unknown.  Scaling the columns and
-    the target by one factor changes no solution, so weights enter as
-    their doubled tuples.
+    transform of (coefficients, denominator) rows.  Each row up to the
+    rank belongs to one pivot; its sign is normalized so that its
+    denominator, the pivot, is positive.  Then the coordinate at that
+    pivot is acc/den for acc = coefficients . target, so acc alone gives
+    its sign and acc % den == 0 its integrality.  The rows past the rank
+    have denominator 1 and vanish exactly on the span.  Scaling the
+    columns and the target by one factor changes no solution, so weights
+    enter as their doubled tuples.
     """
 
     def __init__(self, columns: Sequence[tuple]):
@@ -197,34 +204,62 @@ class Elimination:
             r += 1
         self.rank = r
         self.pivots = tuple(pivots)
-        # (transform row, the pivot it divides by); 1 past the rank
-        self.transform = [(row[self.ncols:], row[pivots[k]] if k < r else 1)
-                          for k, row in enumerate(aug)]
+        self.transform = []
+        for k, row in enumerate(aug):
+            coeffs = tuple(row[self.ncols:])
+            den = row[pivots[k]] if k < r else 1
+            if den < 0:
+                coeffs, den = tuple(map(neg, coeffs)), -den
+            self.transform.append((coeffs, den))
+        self._rows = self.transform[:r]
+        self._null = [coeffs for coeffs, _ in self.transform[r:]]
 
-    def solve(self, target: Sequence) -> Optional[list]:
-        """x with sum_j x_j * columns[j] = target, or None if outside the span."""
+    def numerators(self, target: Sequence) -> Optional[list]:
+        """One (acc, den) per pivot, or None if target is outside the span.
+
+        The solution's coordinate at pivots[k] is acc/den for the k-th
+        pair, with den > 0; the other coordinates are zero.
+        """
         if not self.ncols:
             return [] if not any(target) else None
-        out = [Q(0)] * self.ncols
-        for row, (coeffs, den) in enumerate(self.transform):
-            acc = sum(map(mul, coeffs, target))
-            if row < self.rank:
-                out[self.pivots[row]] = Q(acc, den)
-            elif acc != 0:
+        for coeffs in self._null:
+            if sum(map(mul, coeffs, target)):
                 return None
+        return [(sum(map(mul, coeffs, target)), den)
+                for coeffs, den in self._rows]
+
+    def _coordinates(self, nums: list, make) -> list:
+        """The solution vector, make(acc, den) at each pivot, 0 elsewhere."""
+        out = [make(0, 1)] * self.ncols
+        for c, (acc, den) in zip(self.pivots, nums):
+            out[c] = make(acc, den)
         return out
+
+    def solve(self, target: Sequence) -> Optional[list]:
+        """x with sum_j x_j * columns[j] = target, or None if outside the span.
+
+        The coordinates are Fractions.
+        """
+        nums = self.numerators(target)
+        return None if nums is None else self._coordinates(nums, Q)
 
     def cone(self, target: Sequence, ring: str = "integer"
              ) -> Optional[tuple]:
-        """Nonnegative coordinates of target; integral unless ring='rational'."""
+        """Nonnegative coordinates of target; integral unless ring='rational'.
+
+        The decision reads only the numerators.  Over the integers the
+        coordinates come back as ints, over the rationals as Fractions.
+        """
         if ring not in ("integer", "rational"):
             raise StructuralError("unknown ring %r" % ring)
-        sol = self.solve(target)
-        if sol is None or any(c < 0 for c in sol):
+        nums = self.numerators(target)
+        if nums is None or any(acc < 0 for acc, _ in nums):
             return None
-        if ring == "integer" and any(c.denominator != 1 for c in sol):
+        if ring == "rational":
+            return tuple(self._coordinates(nums, Q))
+        if any(acc % den for acc, den in nums):
             return None
-        return tuple(sol)
+        return tuple(self._coordinates(nums, floordiv))
 
 
 def solve_in_span(vectors: Sequence[Weight], target: Weight) -> Optional[list]:

@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 from superdenom import groups, identity, series
-from superdenom.groups import reflection
-from superdenom.identity import (acted_series, closed_form_terms,
+from superdenom.errors import DomainError, StructuralError
+from superdenom.groups import (dominant_representative, orbit, reflection,
+                               weyl_group)
+from superdenom.identity import (_keys_up_to, acted_series, closed_form_terms,
                                  cross_multiplied_check,
                                  dropped_denominator_sum_vanishes,
                                  e_rho_coefficient, e_rho_coefficient_set,
@@ -21,11 +23,11 @@ from superdenom.identity import (acted_series, closed_form_terms,
                                  stabilizer_matches_zero_pairing_reflections,
                                  verify, xi_presentation_unique,
                                  xi_uniqueness, y_fixed_by, y_shifts_by)
-from superdenom.roots import SuperType, build
+from superdenom.roots import SuperType, build, simple_roots
 from superdenom.simple import (AdmissiblePair, even_frame,
                                second_class_pair, second_type_moves,
                                standard_pair, standard_pairs)
-from superdenom.weights import Weight
+from superdenom.weights import Weight, coordinate_order
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -230,6 +232,50 @@ def test_regular_orbit_scans():
     c2 = build(SuperType("C", n=2))
     got = regular_orbit_scan(c2, H=8)
     assert len(got) == 1
+
+
+def _weight_orbit_scan(rs, H):
+    """The orbit scan on Weights: orbits by `orbit`, lambda by frame.weight.
+
+    The reference for regular_orbit_scan, which runs on raw tuples; it
+    returns the representatives without the classification check.
+    """
+    frame = standard_pair(rs, "step2").system
+    group = weyl_group(rs)
+    rho0 = frame.rho0
+    evens = simple_roots(rs.positive_even)
+    reps, seen = set(), set()
+    for key in _keys_up_to(len(frame.simple_roots), H):
+        lam = rho0 - frame.weight(key)
+        if lam in seen:
+            continue
+        orb = orbit(lam, group)
+        seen.update(orb)
+        if len(orb) != len(group):
+            continue
+        if all(frame.cone(rho0 - p, ring="integer") is not None for p in orb):
+            reps.add(dominant_representative(lam, group, evens))
+    return sorted(reps, key=coordinate_order)
+
+
+@pytest.mark.parametrize("stype,H", [
+    (SuperType("GL", 2, 2), 8), (SuperType("GL", 3, 3), 10),
+    (SuperType("C", n=3), 12)])
+def test_raw_orbit_scan_matches_the_weight_scan(stype, H):
+    rs = build(stype)
+    assert regular_orbit_scan(rs, H) == _weight_orbit_scan(rs, H)
+
+
+def test_orbit_scan_rejects_a_classification_it_does_not_meet(monkeypatch):
+    rs = build(SuperType("GL", 2, 2))
+    full = identity.expected_regular_orbit_reps(rs, 8)
+    assert len(full) == 5
+    monkeypatch.setattr(identity, "expected_regular_orbit_reps",
+                        lambda rs, H: full[1:])
+    with pytest.raises(StructuralError, match="do not match"):
+        regular_orbit_scan(rs, 8)
+    with pytest.raises(DomainError):
+        regular_orbit_scan(build(SuperType("B", 2, 1)), 8)
 
 
 def test_xi_uniqueness_and_negative_control():

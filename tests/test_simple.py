@@ -6,7 +6,8 @@ import pytest
 from superdenom.errors import DomainError, StructuralError, ValidationError
 from superdenom.groups import sharp_group
 from superdenom.roots import SuperType, build
-from superdenom.simple import (derive, enumerate_admissible_pairs,
+from superdenom import simple
+from superdenom.simple import (SimpleSystem, derive, enumerate_admissible_pairs,
                                enumerate_simple_systems, even_frame,
                                functional_for, is_admissible, isotropic_parts,
                                make_pair, odd_reflection, pair_components,
@@ -15,7 +16,7 @@ from superdenom.simple import (derive, enumerate_admissible_pairs,
                                second_class_pair, second_type_move,
                                second_type_moves, standard_pair,
                                standard_pairs)
-from superdenom.weights import Weight, bilinear_form
+from superdenom.weights import Elimination, Weight, bilinear_form
 
 
 def test_derive_gl_2_1():
@@ -37,6 +38,21 @@ def test_derive_rejects_non_simple_sets():
         derive([e1 - e2], rs)                      # wrong size
     with pytest.raises(ValidationError):
         derive([e1 - e2, e1 + d1], rs)             # not a root
+
+
+def test_derive_classifies_on_signs_and_the_lattice():
+    # e1 - e2 has integer simple coordinates (1, -1) over B(2)'s short roots
+    b = build(SuperType("B", 2, 0))
+    with pytest.raises(ValidationError, match="both outside"):
+        derive([b.eps(1), b.eps(2)], b)
+    # over [-2*e1, e1 - d1] every root of B(1,1) on the C# side has simple
+    # coordinates of one sign, but e1 = -(1/2)(-2*e1) is off the lattice
+    c = build(SuperType("B", 1, 1, sharp_choice="C_side"))
+    e1, d1 = c.eps(1), c.delta(1)
+    with pytest.raises(ValidationError, match="both outside"):
+        derive([e1.scale(-2), e1 - d1], c)
+    with pytest.raises(StructuralError):
+        derive([b.eps(1), b.eps(2)], b, universe="odd")
 
 
 def test_rho_of_standard_pairs_pairs_with_simples():
@@ -61,6 +77,13 @@ def test_weight_inverts_cone_key():
             assert frame.weight(frame.cone_key(-w)) == -w
         zero = Weight.zero(frame.m, frame.n)
         assert frame.weight(frame.cone_key(zero)) == zero
+        # rational keys: halves of roots, summed over a common denominator
+        halves = [w.scale(Q(1, 2)) for w in frame.positive_roots]
+        assert any(type(c) is Q for h in halves for c in frame.cone_key(h))
+        for h in halves:
+            assert frame.weight(frame.cone_key(h)) == h
+        with pytest.raises(StructuralError, match="leave"):
+            frame.weight((Q(1, 8),) + (0,) * (len(frame.simple_roots) - 1))
 
 
 def test_odd_reflection_moves_rho_by_beta():
@@ -243,6 +266,51 @@ def test_functional_values():
         assert pairing(f, a) >= 1
     with pytest.raises(DomainError):
         functional_for(standard_pair(build(SuperType("C", n=2)), "step2").system)
+
+
+def test_functional_checks_can_fail():
+    rs = build(SuperType("GL", 2, 1))
+    e1, e2, d1 = rs.eps(1), rs.eps(2), rs.delta(1)
+    real = derive([d1 - e2, e1 - d1], rs)
+
+    def system(pi, pos_even=real.pos_even, pos_odd=real.pos_odd, rs=rs):
+        return SimpleSystem(pi, rs, pos_even, pos_odd,
+                            Elimination([a.doubled for a in pi]))
+
+    with pytest.raises(ValidationError, match="no functional"):
+        functional_for(system([e1 - d1, d1 - e1]))
+    # with e1 - d1 alone, f = (2, 1, 1) after the gl shift
+    with pytest.raises(ValidationError, match="functional is 0 on root"):
+        functional_for(system([e1 - d1]))
+    # f = (3, 1, 2): e2 - e1 is not positive, and e2 (not a root) sits at 1
+    with pytest.raises(ValidationError, match="-2 on positive root"):
+        functional_for(system(real.simple_roots, pos_even={e2 - e1}))
+    with pytest.raises(ValidationError, match="does not match simplicity"):
+        functional_for(system(real.simple_roots,
+                              pos_even=real.pos_even | {e2}))
+    b = build(SuperType("B", 1, 1, sharp_choice="C_side"))
+    half = b.eps(1).scale(-2), b.delta(1) - b.eps(1)
+    with pytest.raises(ValidationError, match="functional is 1/2 on root"):
+        functional_for(system(half, (), (), rs=b))
+
+
+def test_odd_reflection_post_checks_can_fail(monkeypatch):
+    rs = build(SuperType("GL", 2, 2))
+    sys = standard_pair(rs, "step2").system
+    beta = sys.isotropic_simples()[0]
+    real = simple.derive
+    monkeypatch.setattr(simple, "derive", lambda pi, rs: sys)
+    with pytest.raises(StructuralError, match="did not flip"):
+        odd_reflection(sys, beta)
+
+    def shifted(pi, rs):
+        out = real(pi, rs)
+        out.rho = out.rho + beta
+        return out
+
+    monkeypatch.setattr(simple, "derive", shifted)
+    with pytest.raises(StructuralError, match="rho did not shift"):
+        odd_reflection(sys, beta)
 
 
 def test_even_frame():

@@ -116,6 +116,73 @@ def test_elimination_solves_ranks_and_rejects(case):
         assert sol is not None and _times(columns, sol, dim) == t
 
 
+def _reference_solve(columns, target):
+    """Plain Fraction Gauss-Jordan: pivots in column order, free unknowns 0."""
+    rows = [[Q(c[i]) for c in columns] + [Q(t)] for i, t in enumerate(target)]
+    pivots = []
+    for c in range(len(columns)):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [a - row[c] * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
+    x = [Q(0)] * len(columns)
+    for k, c in enumerate(pivots):
+        x[c] = rows[k][-1]
+    return x
+
+
+def _reference_cone(sol, ring):
+    if sol is None or any(c < 0 for c in sol):
+        return None
+    if ring == "integer" and any(c.denominator != 1 for c in sol):
+        return None
+    return tuple(sol)
+
+
+@settings(deadline=None)
+@given(_columns_and_vectors())
+@example((2, [(2, 0), (0, 1)], [1, 1], (3, 1)))      # a half coordinate
+@example((2, [(1, 0), (0, 1)], [1, -1], (1, -1)))    # a negative one
+@example((2, [(1, 1)], [2], (1, 0)))                 # outside the span
+def test_numerators_agree_with_a_fraction_reference(case):
+    dim, columns, y, t = case
+    elim = Elimination(columns)
+    assert all(den > 0 for _, den in elim.transform)
+    for target in (t, _times(columns, y, dim)):
+        want = _reference_solve(columns, target)
+        assert elim.solve(target) == want
+        for ring in ("integer", "rational"):
+            assert elim.cone(target, ring) == _reference_cone(want, ring)
+        got = elim.cone(target, "integer")
+        assert got is None or all(type(c) is int for c in got)
+
+
+def test_each_way_out_of_the_cone():
+    elim = Elimination([(2, 0), (0, 1)])
+    # outside the span: a null row is nonzero
+    assert Elimination([(1, 1)]).numerators((1, 0)) is None
+    # a negative coordinate: the numerator carries the sign
+    nums = elim.numerators((2, -1))
+    assert [Q(a, d) for a, d in nums] == [1, -1] and nums[1][0] < 0
+    assert elim.cone((2, -1), "rational") is None
+    # a half coordinate: an odd numerator over the even pivot
+    assert elim.numerators((1, 1)) == [(1, 2), (1, 1)]
+    assert elim.cone((1, 1), "integer") is None
+    assert elim.cone((1, 1), "rational") == (Q(1, 2), 1)
+    # a negative pivot is normalized away
+    flipped = Elimination([(-2, 0), (0, 1)])
+    assert [den for _, den in flipped.transform] == [2, 1]
+    assert flipped.numerators((1, 1)) == [(-1, 2), (1, 1)]
+
+
 def test_elimination_cone_rings():
     e1 = Weight.eps_unit(1, 2, 0)
     e2 = Weight.eps_unit(2, 2, 0)

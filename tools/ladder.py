@@ -1,4 +1,4 @@
-"""Time the verify ladder and the Tier-1 suite into BENCH_ladder.json.
+"""Time the verify ladder, structure rungs and Tier-1 into BENCH_ladder.json.
 
     python3 tools/ladder.py LABEL [--repo DIR]
 
@@ -6,10 +6,12 @@ Each rung is the standard-pair `superdenom verify --variant step2
 --output json` on one tall system, run three times, each in its own
 process from DIR/src; the record keeps the median wall time, the three
 samples and the per-phase times of the median run (from the report's own
-`timings`, in microseconds).  The Tier-1 suite is `python -m pytest -q`
-in DIR, timed the same way, with pytest's summary line kept.  DIR
-defaults to this repository; point it at a checkout of the parent commit
-for the "before" numbers.
+`timings`, in microseconds).  The structure rungs (`pairs`, `diagram`
+and `orbits`, none of which expands a series) are timed the same way
+and keep only their wall times and exit codes.  The Tier-1 suite is
+`python -m pytest -q` in DIR, timed the same way, with pytest's summary
+line kept.  DIR defaults to this repository; point it at a checkout of
+the parent commit for the "before" numbers.
 
 The children write their bytecode to .bench_build/pycache at the root of
 this repository (also when PYTHONDONTWRITEBYTECODE is set outside), and
@@ -46,6 +48,14 @@ LADDER = (
     ("B(4,3)", ("--family", "B", "--m", "4", "--n", "3"), 10),    # cheapest
 )
 
+# (label, arguments): odd reflections, diagram classes and the orbit scan
+STRUCTURE = (
+    ("pairs gl(4|4)", ("pairs", "--family", "GL", "--m", "4", "--n", "4")),
+    ("diagram D(4,2)", ("diagram", "--family", "D", "--m", "4", "--n", "2")),
+    ("orbits gl(3|3) H=10", ("orbits", "--family", "GL", "--m", "3",
+                             "--n", "3", "--height", "10")),
+)
+
 
 def _env(repo: Path) -> dict:
     env = dict(os.environ)
@@ -65,10 +75,9 @@ def _median_of(run) -> dict:
     return out
 
 
-def time_rung(repo: Path, family: tuple, height: int) -> dict:
-    """One `verify` process: wall seconds, phase seconds, verdict."""
-    argv = [sys.executable, "-m", "superdenom", "verify", *family,
-            "--height", str(height), "--variant", "step2", "--output", "json"]
+def _run(repo: Path, args: tuple):
+    """One `superdenom ARGS --output json` process: its record and output."""
+    argv = [sys.executable, "-m", "superdenom", *args, "--output", "json"]
     t0 = time.perf_counter()
     proc = subprocess.run(argv, cwd=repo, env=_env(repo),
                           capture_output=True, text=True)
@@ -77,8 +86,16 @@ def time_rung(repo: Path, family: tuple, height: int) -> dict:
            "wall_s": round(wall, 3), "exit": proc.returncode}
     if proc.returncode != 0:
         out["stderr"] = proc.stderr.strip().splitlines()[-1:]
+    return out, proc.stdout
+
+
+def time_rung(repo: Path, family: tuple, height: int) -> dict:
+    """One `verify` process: wall seconds, phase seconds, verdict."""
+    out, stdout = _run(repo, ("verify", *family, "--height", str(height),
+                              "--variant", "step2"))
+    if out["exit"] != 0:
         return out
-    (report,) = json.loads(proc.stdout)["result"]["reports"]
+    (report,) = json.loads(stdout)["result"]["reports"]
     out["equal"] = report["equal"]
     out["phases_s"] = {k: round(v / 1e6, 3)
                        for k, v in sorted(report["timings"].items())}
@@ -122,16 +139,21 @@ def main(argv=None) -> int:
         key = "%s H=%d" % (name, height)
         rungs[key] = _median_of(lambda: time_rung(repo, family, height))
         print(key, rungs[key]["samples_s"], "s", flush=True)
+    structure = {}
+    for key, command in STRUCTURE:
+        structure[key] = _median_of(lambda: _run(repo, command)[0])
+        print(key, structure[key]["samples_s"], "s", flush=True)
     tier1 = _median_of(lambda: time_tier1(repo))
     print("tier-1", tier1["wall_s"], "s:", tier1["summary"], flush=True)
     record = {"label": args.label, "commit": _commit(repo),
               "python": platform.python_version(), "nproc": os.cpu_count(),
-              "rungs": rungs, "tier1": tier1}
+              "rungs": rungs, "structure": structure, "tier1": tier1}
     doc = json.loads(out.read_text()) if out.exists() else {"runs": []}
     doc["runs"].append(record)
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     failed = [k for k, v in rungs.items() if v["exit"] != 0
               or not v.get("equal")]
+    failed += [k for k, v in structure.items() if v["exit"] != 0]
     return 1 if failed or tier1["exit"] != 0 else 0
 
 
