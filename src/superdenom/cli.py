@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from . import diagrams, identity, simple
 from .errors import (DomainError, ResourceLimitError, StructuralError,
@@ -174,7 +173,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         code, payload, lines = run(args)

@@ -13,11 +13,11 @@ front and the rest normalizes the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Optional
+from operator import attrgetter
 
 from .errors import DomainError, StructuralError, ValidationError
+from .records import Frozen, _set
 from .roots import RootSystem
 from .simple import (PAIR_CAP, AdmissiblePair, derive,
                      enumerate_admissible_pairs, functional_for,
@@ -31,13 +31,20 @@ _ASCII = {SMILE: "(_)", FROWN: "(^)"}
 _DIAGRAM_FAMILIES = ("GL", "B_EPS", "B_DELTA", "D_EPS", "D_DELTA")
 
 
-@dataclass(frozen=True)
-class Diagram:
-    """Marks in increasing functional order plus adjacent disjoint bows."""
+class Diagram(Frozen):
+    """Marks in increasing functional order plus adjacent disjoint bows.
 
-    marks: tuple
-    bows: tuple        # (left, right, kind), sorted, right = left + 1
-    mode: str          # which user block carries the sharp roots
+    bows holds (left, right, kind), sorted, with right = left + 1; mode
+    names the user block that carries the sharp roots.
+    """
+
+    __slots__ = ("marks", "bows", "mode")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, marks: tuple, bows: tuple, mode: str):
+        _set(self, "marks", marks)
+        _set(self, "bows", bows)
+        _set(self, "mode", mode)
 
     def validate(self) -> "Diagram":
         if any(mk not in ("a", "b") for mk in self.marks):
@@ -70,7 +77,7 @@ class Diagram:
                 raise ValidationError("b at position %d is not a vertex" % p)
         return self
 
-    def bow_at(self, left: int) -> Optional[tuple]:
+    def bow_at(self, left: int) -> tuple | None:
         for bow in self.bows:
             if bow[0] == left:
                 return bow

@@ -16,21 +16,20 @@ simple reflections apart, so a skewness check never enumerates W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from functools import lru_cache, partial
-from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from operator import attrgetter, itemgetter
 
 from .errors import DomainError, ResourceLimitError, StructuralError
+from .records import Frozen, _set
 from .roots import RootSystem, simple_roots
 from .simple import SimpleSystem
-from .weights import Weight, bilinear_form, coordinate_order
+from .weights import Weight, bilinear_form, coordinate_order, form4
 
 DEFAULT_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(Frozen):
     """Monomial map on the flat layout, stored as one signed gather tuple.
 
     src[j] = s * (k + 1) means w(x)[j] = s * x[k] over the flat basis
@@ -41,9 +40,13 @@ class SignedPermutation:
     carries it through its closure); it takes no part in equality.
     """
 
-    src: tuple
-    m: int
-    sign: Optional[int] = field(default=None, compare=False, repr=False)
+    __slots__ = ("src", "m", "sign")
+    _key = attrgetter("src", "m")
+
+    def __init__(self, src: tuple, m: int, sign: int | None = None):
+        _set(self, "src", src)
+        _set(self, "m", m)
+        _set(self, "sign", sign)
 
     @staticmethod
     def identity(m: int, n: int) -> "SignedPermutation":
@@ -260,8 +263,7 @@ def check_stabilizer_dichotomy(lam: Weight,
 
 def is_dominant(mu: Weight, simples: Iterable[Weight]) -> bool:
     """Nonnegative pairing of mu with every simple coroot."""
-    return all(bilinear_form(mu, a) * bilinear_form(a, a) >= 0
-               for a in simples)
+    return all(form4(mu, a) * form4(a, a) >= 0 for a in simples)
 
 
 def dominant_representative(lam: Weight, group: Sequence[SignedPermutation],

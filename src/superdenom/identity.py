@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction as Q
 from itertools import product
-from operator import sub
-from typing import Iterable, Optional, Sequence
+from operator import attrgetter, sub
 
 from .errors import DomainError, StructuralError
 from .groups import (SignedPermutation, _compiled, _gather,
@@ -26,13 +25,14 @@ from .groups import (SignedPermutation, _compiled, _gather,
                      orbit, orbit_intersects_shifted_cone, reflection,
                      sharp_group, stabilizer, weyl_generators, weyl_group)
 from .lp import OPTIMAL, maximize
+from .records import Record
 from .roots import RootSystem, SuperType, build, simple_roots
 from .series import (FormalSeries, GeometricTerm, _accumulate, _ht,
                      _Packing, act, canonical_terms, expand_terms, multiply,
                      positive_step, terms_of)
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
                      isotropic_parts, second_type_move, standard_pair)
-from .weights import (Elimination, Weight, bilinear_form, coordinate_order,
+from .weights import (Elimination, Weight, coordinate_order, form4,
                       solve_in_span)
 
 
@@ -136,7 +136,7 @@ def lhs(pair: AdmissiblePair, H: int) -> FormalSeries:
 
 
 def rhs_closed(pair: AdmissiblePair, H: int,
-               merged: Optional[dict] = None) -> FormalSeries:
+               merged: dict | None = None) -> FormalSeries:
     """X as the alternating W#-sum of geometric terms, expanded to H.
 
     merged is `closed_form_sum(pair)`, built here unless the caller has
@@ -204,20 +204,21 @@ def _mu_accumulate(acc: dict, base: int, steps: list, sgn_w: int,
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Self-contained record of one verification run."""
 
-    system: SuperType
-    pair: Optional[AdmissiblePair]
-    H: int
-    lhs_terms: int
-    rhs_terms: int
-    equal: bool
-    first_discrepancy: Optional[dict]
-    timings: dict
-    checks: dict
-    note: str = ""
+    __slots__ = ("system", "pair", "H", "lhs_terms", "rhs_terms", "equal",
+                 "first_discrepancy", "timings", "checks", "note")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, system: SuperType, pair: AdmissiblePair | None,
+                 H: int, lhs_terms: int, rhs_terms: int, equal: bool,
+                 first_discrepancy: dict | None, timings: dict, checks: dict,
+                 note: str = ""):
+        for name, value in zip(self.__slots__, (
+                system, pair, H, lhs_terms, rhs_terms, equal,
+                first_discrepancy, timings, checks, note)):
+            setattr(self, name, value)
 
     def to_json(self) -> dict:
         return {
@@ -276,8 +277,8 @@ def verify(pair: AdmissiblePair, H: int = 8,
 
 
 def skew_invariance_check(pair: AdmissiblePair, H: int,
-                          series: Optional[FormalSeries] = None,
-                          merged: Optional[dict] = None) -> tuple:
+                          series: FormalSeries | None = None,
+                          merged: dict | None = None) -> tuple:
     """w X = sgn(w) X for every simple reflection of the full W.
 
     The W#-sum terms are merged once (series and merged are X and
@@ -433,7 +434,7 @@ def qn_a_value(rs: RootSystem, S: Sequence[Weight]) -> int:
     return sum(w.sgn() for w in qn_a_set(rs, S))
 
 
-def qn_identity(n_or_rs, S: Optional[Sequence[Weight]] = None,
+def qn_identity(n_or_rs, S: Sequence[Weight] | None = None,
                 H: int = 8) -> tuple:
     """Check a(S) * R = sum_w sgn(w) / prod_{b in S}(1 + e^{-w b}).
 
@@ -548,7 +549,7 @@ def _keys_up_to(rank: int, H: int):
 
 
 def xi_presentation_unique(pair: AdmissiblePair,
-                           target: Optional[Weight] = None) -> tuple:
+                           target: Weight | None = None) -> tuple:
     """Is target (default: sum of S) uniquely a cone combination of Delta+?
 
     Maximizes the total weight placed outside S with the exact simplex;
@@ -596,7 +597,7 @@ def lhs_xi_coefficient(rs: RootSystem, s: int):
 # the rho lemmas
 
 def simple_norms_nonnegative(pair: AdmissiblePair) -> bool:
-    return all(bilinear_form(a, a) >= 0 for a in pair.system.simple_roots)
+    return all(form4(a, a) >= 0 for a in pair.system.simple_roots)
 
 
 def rho_descent_holds(pair: AdmissiblePair) -> bool:
@@ -613,13 +614,13 @@ def stabilizer_matches_zero_pairing_reflections(pair: AdmissiblePair) -> bool:
     rho = pair.system.rho
     roots = [a for a in sorted(rs.sharp & rs.positive_even,
                                key=coordinate_order)
-             if bilinear_form(a, rho) == 0]
+             if form4(a, rho) == 0]
     generated = enumerate_group(tuple(reflection(a) for a in roots),
                                 (rs.m, rs.n))
     return set(generated) == set(stabilizer_elements(pair))
 
 
-def eps_symmetry_rank(pair: AdmissiblePair) -> Optional[int]:
+def eps_symmetry_rank(pair: AdmissiblePair) -> int | None:
     """k when Stab rho is exactly the permutations of eps_1..eps_k.
 
     Returns None when the stabilizer involves sign flips, touches the
@@ -666,7 +667,7 @@ def eps_symmetry_applicable(pair: AdmissiblePair) -> bool:
 # the classical orbit dichotomy (even root system, its own frame)
 
 def coefficient_box(frame: SimpleSystem, scale=1,
-                    offset: Optional[Weight] = None) -> list:
+                    offset: Weight | None = None) -> list:
     """offset + scale * mu, mu with simple coordinates in {-1, 0, 1}."""
     base = Weight.zero(frame.m, frame.n) if offset is None else offset
     return [base + frame.weight(tuple(c * scale for c in combo))

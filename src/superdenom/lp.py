@@ -7,8 +7,8 @@ termination (Bland never cycles) matters more than pivot heuristics.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction as Q
-from typing import Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"

@@ -13,11 +13,12 @@ depend on the choice of simple system and live in `simple.SimpleSystem`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections.abc import Iterable
+from operator import attrgetter
 
 from .errors import ValidationError
-from .weights import Weight, bilinear_form, coordinate_order, weight_json
+from .records import Frozen, _set
+from .weights import Weight, coordinate_order, form4, weight_json
 
 FAMILIES = ("GL", "B", "D", "C", "Q")
 
@@ -31,20 +32,23 @@ C_TAG = "C"
 Q_TAG = "Q"
 
 
-@dataclass(frozen=True)
-class SuperType:
+class SuperType(Frozen):
     """User-facing family label.  For C and Q only n is meaningful.
 
     C(n) is osp(2|2n): its even part sp(2n) sits on n eps coordinates, so
     this C(n) is Kac's C(n+1), not osp(2|2n-2).
     """
 
-    family: str
-    m: int = 1
-    n: int = 0
-    sharp_choice: Optional[str] = None  # only for B(n,n): 'B_side'/'C_side'
+    __slots__ = ("family", "m", "n", "sharp_choice")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
+    def __init__(self, family: str, m: int = 1, n: int = 0,
+                 sharp_choice: str | None = None):
+        # sharp_choice only for B(n,n): 'B_side'/'C_side'
+        _set(self, "family", family)
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "sharp_choice", sharp_choice)
         if self.family not in FAMILIES:
             raise ValidationError("unknown family %r" % (self.family,))
         if self.family in ("C", "Q"):
@@ -72,19 +76,24 @@ class SuperType:
         return "%s(%d,%d%s)" % (self.family, self.m, self.n, extra)
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """Root data in normalized coordinates (eps block >= delta block)."""
+class RootSystem(Frozen):
+    """Root data in normalized coordinates (eps block >= delta block).
 
-    stype: SuperType
-    family: str            # internal embedding tag
-    m: int                 # eps count
-    n: int                 # delta count
-    positive_even: frozenset
-    odd: frozenset
-    sharp: frozenset
-    defect: int
-    marking_mode: str      # 'M' or 'N', diagram metadata
+    family is the internal embedding tag, m and n the eps and delta
+    counts, and marking_mode 'M' or 'N', diagram metadata.
+    """
+
+    __slots__ = ("stype", "family", "m", "n", "positive_even", "odd",
+                 "sharp", "defect", "marking_mode")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, stype: SuperType, family: str, m: int, n: int,
+                 positive_even: frozenset, odd: frozenset, sharp: frozenset,
+                 defect: int, marking_mode: str):
+        for name, value in zip(self.__slots__, (
+                stype, family, m, n, positive_even, odd, sharp, defect,
+                marking_mode)):
+            _set(self, name, value)
 
     def even(self) -> frozenset:
         return self.positive_even | frozenset(-a for a in self.positive_even)
@@ -100,7 +109,7 @@ class RootSystem:
 
 
 def is_isotropic(alpha: Weight) -> bool:
-    return bilinear_form(alpha, alpha) == 0
+    return form4(alpha, alpha) == 0
 
 
 def _pair_roots(m: int, n: int) -> set:
@@ -214,7 +223,7 @@ def _positive_square(pos_even: Iterable[Weight]) -> frozenset:
     """Delta#: even roots of positive square length, both signs."""
     out = set()
     for a in pos_even:
-        if bilinear_form(a, a) > 0:
+        if form4(a, a) > 0:
             out.add(a)
             out.add(-a)
     return frozenset(out)

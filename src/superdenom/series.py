@@ -34,22 +34,25 @@ stay tuple-keyed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import mul, sub
-from typing import Optional, Sequence
+from collections.abc import Sequence
+from operator import attrgetter, mul, sub
 
 from .errors import StructuralError
+from .records import Frozen, _set
 from .simple import SimpleSystem
 from .weights import Weight, coordinate_order
 
 
-@dataclass(frozen=True)
-class GeometricTerm:
+class GeometricTerm(Frozen):
     """coeff * e^{exponent} / prod_{gamma in denoms} (1 + e^{-gamma})."""
 
-    coeff: object
-    exponent: Weight
-    denoms: tuple
+    __slots__ = ("coeff", "exponent", "denoms")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, coeff, exponent: Weight, denoms: tuple):
+        _set(self, "coeff", coeff)
+        _set(self, "exponent", exponent)
+        _set(self, "denoms", denoms)
 
     @staticmethod
     def make(coeff, exponent: Weight, denoms: Sequence[Weight]) -> "GeometricTerm":
@@ -111,8 +114,8 @@ class FormalSeries:
 
     __slots__ = ("frame", "H", "offset", "data")
 
-    def __init__(self, frame: SimpleSystem, H: int, offset: Optional[Weight] = None,
-                 data: Optional[dict] = None):
+    def __init__(self, frame: SimpleSystem, H: int, offset: Weight | None = None,
+                 data: dict | None = None):
         self.frame = frame
         self.H = H
         self.offset = frame.rho if offset is None else offset
@@ -156,7 +159,7 @@ class FormalSeries:
     def nonzero_count(self) -> int:
         return len(self.data)
 
-    def eq_report(self, other: "FormalSeries") -> Optional[dict]:
+    def eq_report(self, other: "FormalSeries") -> dict | None:
         """None if equal on the window; else data about the first difference."""
         self._compatible(other)
         diffs = []
@@ -245,7 +248,7 @@ class _Packing:
         self.limit = top * B
 
     @staticmethod
-    def around(keys, H) -> Optional["_Packing"]:
+    def around(keys, H) -> _Packing | None:
         """The codec whose lo is the minimum of the keys of height <= H.
 
         None when no key lies in the window.
@@ -397,7 +400,7 @@ def _culled(frame: SimpleSystem, H, offset: tuple, exponent: tuple,
 
 
 def terms_of(merged: dict, frame: SimpleSystem, H=None,
-             offset: Optional[Weight] = None) -> list:
+             offset: Weight | None = None) -> list:
     """The terms of a raw sum, each built once; past height H none is built.
 
     merged maps raw keys (`GeometricTerm.raw`, denominators sorted) to
@@ -414,7 +417,7 @@ def terms_of(merged: dict, frame: SimpleSystem, H=None,
 
 
 def expand_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem, H,
-                 offset: Optional[Weight] = None) -> FormalSeries:
+                 offset: Weight | None = None) -> FormalSeries:
     """Sum of the expansions of the terms in the frame's directions.
 
     A term with ht(offset - exponent) > H is culled before it is

@@ -10,18 +10,17 @@ pairwise orthogonal isotropic roots inside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction as Q
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, mul
-from typing import Iterable, Optional, Sequence
+from operator import add, attrgetter, mul
 
 from .errors import DomainError, ResourceLimitError, StructuralError, ValidationError
+from .records import Frozen, _set
 from .roots import RootSystem, is_isotropic
-from .weights import (Elimination, Weight, bilinear_form, coordinate_order,
-                      weight_json)
+from .weights import Elimination, Weight, coordinate_order, form4, weight_json
 
 PAIR_CAP = 10 ** 6
 
@@ -116,7 +115,7 @@ class SimpleSystem:
             raise StructuralError("%s has non-integer simple coordinates" % w)
         return out
 
-    def cone(self, w: Weight, ring: str = "integer") -> Optional[tuple]:
+    def cone(self, w: Weight, ring: str = "integer") -> tuple | None:
         return self._solver.cone(w.doubled, ring)
 
     @cached_property
@@ -255,7 +254,7 @@ def odd_reflection(sys: SimpleSystem, beta: Weight) -> SimpleSystem:
     for a in sys.simple_roots:
         if a == beta:
             new_pi.append(-beta)
-        elif bilinear_form(a, beta) == 0:
+        elif form4(a, beta) == 0:
             new_pi.append(a)
         else:
             new_pi.append(a + beta)
@@ -268,12 +267,15 @@ def odd_reflection(sys: SimpleSystem, beta: Weight) -> SimpleSystem:
     return out
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(Frozen):
     """A simple system together with its chosen maximal isotropic S."""
 
-    S: tuple
-    system: SimpleSystem
+    __slots__ = ("S", "system")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, S: tuple, system: SimpleSystem):
+        _set(self, "S", S)
+        _set(self, "system", system)
 
     @property
     def rs(self) -> RootSystem:
@@ -305,7 +307,7 @@ def is_admissible(S: Sequence[Weight], sys: SimpleSystem) -> tuple:
         if not is_isotropic(b):
             return False, "%s is not isotropic" % b
     for a, b in combinations(S, 2):
-        if bilinear_form(a, b) != 0:
+        if form4(a, b) != 0:
             return False, "%s and %s are not orthogonal" % (a, b)
     return True, None
 
@@ -345,7 +347,7 @@ def second_type_move(pair: AdmissiblePair, gamma: Weight, gamma_prime: Weight
     if (gamma + gamma_prime) not in pair.rs.sharp:
         raise DomainError("%s + %s does not lie in Delta#" % (gamma, gamma_prime))
     for b in pair.S:
-        if b != gamma and bilinear_form(b, gamma_prime) != 0:
+        if b != gamma and form4(b, gamma_prime) != 0:
             raise DomainError("%s is not orthogonal to %s" % (gamma_prime, b))
     new_S = [gamma_prime if b == gamma else b for b in pair.S]
     return make_pair(new_S, sys)
@@ -382,11 +384,11 @@ def second_type_moves(pair: AdmissiblePair, same_kind_only: bool = False) -> lis
             alpha = gamma + gp
             if alpha not in pair.rs.sharp:
                 continue
-            if any(bilinear_form(b, gp) != 0 for b in pair.S if b != gamma):
+            if any(form4(b, gp) != 0 for b in pair.S if b != gamma):
                 continue
             if same_kind_only \
                     and isotropic_parts(gamma)[2] != isotropic_parts(gp)[2] \
-                    and bilinear_form(alpha, alpha) != 4:
+                    and form4(alpha, alpha) != 16:
                 continue
             out.append((gamma, gp))
     return out
@@ -607,7 +609,7 @@ def orthogonal_subsets(roots: Iterable[Weight], size: int) -> list:
     They come in `combinations` order over the roots sorted by coordinates.
     """
     return [S for S in combinations(sorted(roots, key=coordinate_order), size)
-            if all(bilinear_form(a, b) == 0 for a, b in combinations(S, 2))]
+            if all(form4(a, b) == 0 for a, b in combinations(S, 2))]
 
 
 def pair_neighbors(pair: AdmissiblePair, same_kind_only: bool = False) -> list:

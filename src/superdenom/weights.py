@@ -21,13 +21,13 @@ floats appear anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction as Q
 from math import gcd
 from operator import add, attrgetter, floordiv, mul, neg, sub
-from typing import Optional, Sequence
 
 from .errors import StructuralError
+from .records import Frozen, _set
 
 
 def _doubled(c) -> int:
@@ -43,12 +43,25 @@ def _half(v: int) -> str:
     return str(v // 2) if v % 2 == 0 else "%d/2" % v
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Frozen):
     """Immutable vector in (1/2)Z, stored doubled: eps block, delta block."""
 
-    doubled: tuple
-    m: int
+    __slots__ = ("doubled", "m")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, doubled: tuple, m: int):
+        _set(self, "doubled", doubled)
+        _set(self, "m", m)
+
+    # Written out rather than inherited: weights are hashed and compared
+    # in every loop, and Frozen's generic methods take twice as long.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.doubled == other.doubled and self.m == other.m
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.doubled, self.m))
 
     @staticmethod
     def make(eps, delta=()) -> "Weight":
@@ -148,8 +161,8 @@ def weight_json(w: Weight) -> dict:
             "delta": [_half(v) for v in w.doubled[w.m:]]}
 
 
-def bilinear_form(x: Weight, y: Weight) -> Q:
-    """Invariant form: +1 on eps coordinates, -1 on delta coordinates."""
+def form4(x: Weight, y: Weight) -> int:
+    """4 (x, y) as an int, for callers that only compare the form."""
     if x.dims() != y.dims():
         raise StructuralError(
             "form needs equal dimensions: %s vs %s" % (x.dims(), y.dims())
@@ -157,7 +170,12 @@ def bilinear_form(x: Weight, y: Weight) -> Q:
     m = x.m
     eps = sum(map(mul, x.doubled[:m], y.doubled[:m]))
     delta = sum(map(mul, x.doubled[m:], y.doubled[m:]))
-    return Q(eps - delta, 4)
+    return eps - delta
+
+
+def bilinear_form(x: Weight, y: Weight) -> Q:
+    """Invariant form: +1 on eps coordinates, -1 on delta coordinates."""
+    return Q(form4(x, y), 4)
 
 
 class Elimination:
@@ -214,7 +232,7 @@ class Elimination:
         self._rows = self.transform[:r]
         self._null = [coeffs for coeffs, _ in self.transform[r:]]
 
-    def numerators(self, target: Sequence) -> Optional[list]:
+    def numerators(self, target: Sequence) -> list | None:
         """One (acc, den) per pivot, or None if target is outside the span.
 
         The solution's coordinate at pivots[k] is acc/den for the k-th
@@ -235,7 +253,7 @@ class Elimination:
             out[c] = make(acc, den)
         return out
 
-    def solve(self, target: Sequence) -> Optional[list]:
+    def solve(self, target: Sequence) -> list | None:
         """x with sum_j x_j * columns[j] = target, or None if outside the span.
 
         The coordinates are Fractions.
@@ -244,7 +262,7 @@ class Elimination:
         return None if nums is None else self._coordinates(nums, Q)
 
     def cone(self, target: Sequence, ring: str = "integer"
-             ) -> Optional[tuple]:
+             ) -> tuple | None:
         """Nonnegative coordinates of target; integral unless ring='rational'.
 
         The decision reads only the numerators.  Over the integers the
@@ -262,6 +280,6 @@ class Elimination:
         return tuple(self._coordinates(nums, floordiv))
 
 
-def solve_in_span(vectors: Sequence[Weight], target: Weight) -> Optional[list]:
+def solve_in_span(vectors: Sequence[Weight], target: Weight) -> list | None:
     """Exact coordinates of target in span(vectors), or None if outside."""
     return Elimination([v.doubled for v in vectors]).solve(target.doubled)

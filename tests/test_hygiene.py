@@ -1,15 +1,22 @@
-"""Code hygiene, checked with `ast`.
+"""Code hygiene, checked with `ast` and one child interpreter.
 
 Every module of the package and of the tests uses each name it imports
 (`__init__.py` is skipped there because it imports to re-export), and
 every public module-level function or class of the package is named
 somewhere in the package or the tests outside its own definition.
+Importing the CLI loads none of SLOW_IMPORTS: each CLI run is a fresh
+process, and `dataclasses` (which pulls in `inspect`, `ast` and `dis`)
+and `typing` would cost it tens of milliseconds before any work starts.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SLOW_IMPORTS = ("dataclasses", "typing", "inspect")
 PACKAGE = sorted((ROOT / "src" / "superdenom").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + TESTS
@@ -89,3 +96,22 @@ def test_no_unreferenced_public_definitions():
         return {p.relative_to(ROOT).as_posix(): p.read_text() for p in paths}
     assert len(PACKAGE) > 10
     assert _unreferenced_public(sources(PACKAGE), sources(TESTS)) == []
+
+
+def _slow_imports(statement: str) -> list:
+    """The SLOW_IMPORTS that `python -S -c statement` leaves loaded."""
+    probe = "%s\nimport sys\nprint(*(m for m in %r if m in sys.modules))" \
+        % (statement, SLOW_IMPORTS)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.split()
+
+
+def test_import_check_flags_a_loaded_module():
+    assert _slow_imports("import dataclasses") == ["dataclasses", "inspect"]
+    assert _slow_imports("import json") == []
+
+
+def test_cli_import_skips_slow_modules():
+    assert _slow_imports("import superdenom.cli") == []

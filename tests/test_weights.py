@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from superdenom.errors import StructuralError
 from superdenom.roots import SuperType, build
 from superdenom.simple import even_frame, standard_pairs
-from superdenom.weights import (Elimination, Weight, bilinear_form,
+from superdenom.weights import (Elimination, Weight, bilinear_form, form4,
                                 solve_in_span, weight_json)
 
 
@@ -56,6 +56,18 @@ def test_bilinear_form_is_symmetric_and_bilinear():
     assert bilinear_form(x, y) == bilinear_form(y, x)
     assert bilinear_form(x + z, y) == bilinear_form(x, y) + bilinear_form(z, y)
     assert bilinear_form(x.scale(3), y) == 3 * bilinear_form(x, y)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_form4_is_four_times_the_form(m, n, data):
+    doubled = st.lists(st.integers(-9, 9), min_size=m + n, max_size=m + n)
+    x = Weight(tuple(data.draw(doubled)), m)
+    y = Weight(tuple(data.draw(doubled)), m)
+    assert type(form4(x, y)) is int
+    assert bilinear_form(x, y) == Q(form4(x, y), 4)
+    with pytest.raises(StructuralError):
+        form4(x, Weight(y.doubled + (0,), m))
 
 
 def test_solve_in_span():

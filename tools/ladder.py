@@ -8,7 +8,10 @@ process from DIR/src; the record keeps the median wall time, the three
 samples and the per-phase times of the median run (from the report's own
 `timings`, in microseconds).  The structure rungs (`pairs`, `diagram`
 and `orbits`, none of which expands a series) are timed the same way
-and keep only their wall times and exit codes.  The Tier-1 suite is
+and keep only their wall times and exit codes.  The startup rung,
+`superdenom build` on gl(3|3), is mostly interpreter start-up and
+imports; it takes about 50 ms, so it keeps the median of
+STARTUP_SAMPLES runs.  The Tier-1 suite is
 `python -m pytest -q` in DIR, timed the same way, with pytest's summary
 line kept.  DIR defaults to this repository; point it at a checkout of
 the parent commit for the "before" numbers.
@@ -39,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = 3
+STARTUP_SAMPLES = 11
 
 # (label, family arguments, height): the tall rungs the benchmark leaves out
 LADDER = (
@@ -56,6 +60,9 @@ STRUCTURE = (
                              "--n", "3", "--height", "10")),
 )
 
+# a run that does almost no work: start-up and imports
+STARTUP = ("build", "--family", "GL", "--m", "3", "--n", "3")
+
 
 def _env(repo: Path) -> dict:
     env = dict(os.environ)
@@ -65,12 +72,12 @@ def _env(repo: Path) -> dict:
     return env
 
 
-def _median_of(run) -> dict:
-    """SAMPLES calls of run(): the median one, or the first that failed,
+def _median_of(run, count: int = SAMPLES) -> dict:
+    """count calls of run(): the median one, or the first that failed,
     with every wall time kept."""
-    samples = [run() for _ in range(SAMPLES)]
+    samples = [run() for _ in range(count)]
     out = next((s for s in samples if s["exit"] != 0),
-               sorted(samples, key=lambda s: s["wall_s"])[SAMPLES // 2])
+               sorted(samples, key=lambda s: s["wall_s"])[count // 2])
     out["samples_s"] = [s["wall_s"] for s in samples]
     return out
 
@@ -143,17 +150,22 @@ def main(argv=None) -> int:
     for key, command in STRUCTURE:
         structure[key] = _median_of(lambda: _run(repo, command)[0])
         print(key, structure[key]["samples_s"], "s", flush=True)
+    startup = _median_of(lambda: _run(repo, STARTUP)[0], STARTUP_SAMPLES)
+    print("startup", startup["samples_s"], "s", flush=True)
     tier1 = _median_of(lambda: time_tier1(repo))
     print("tier-1", tier1["wall_s"], "s:", tier1["summary"], flush=True)
     record = {"label": args.label, "commit": _commit(repo),
               "python": platform.python_version(), "nproc": os.cpu_count(),
-              "rungs": rungs, "structure": structure, "tier1": tier1}
+              "rungs": rungs, "structure": structure, "startup": startup,
+              "tier1": tier1}
     doc = json.loads(out.read_text()) if out.exists() else {"runs": []}
     doc["runs"].append(record)
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     failed = [k for k, v in rungs.items() if v["exit"] != 0
               or not v.get("equal")]
     failed += [k for k, v in structure.items() if v["exit"] != 0]
+    if startup["exit"] != 0:
+        failed.append("startup")
     return 1 if failed or tier1["exit"] != 0 else 0
 
 
