@@ -28,8 +28,12 @@ lower digits stay below B**r whenever ht mu <= H), and sorting packed keys
 sorts them by height.  `_Packing` is the codec: it raises StructuralError
 for a key below lo or a non-integer key and never wraps.  `multiply` is
 the one builder: it packs every chain of a product in one window and
-unpacks the sum once, so `FormalSeries.data` and every public signature
-stay tuple-keyed.
+returns that window's codec with the packed sum, which is what a
+`FormalSeries` holds.  Tuple keys appear only at the edges: the starting
+keys a builder packs, a queried coefficient, the witness of a failed
+comparison and printed output.  Two series in the same window compare
+their dicts directly; series from different windows are re-packed into
+the joint one first.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import attrgetter, mul, sub
 
-from .errors import StructuralError
+from .errors import DomainError, StructuralError
 from .records import Frozen, _set
 from .simple import SimpleSystem
 from .weights import Weight, coordinate_order
@@ -110,16 +114,24 @@ def canonical_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem) -> tupl
 
 
 class FormalSeries:
-    """Coefficients of e^{offset - mu}, mu keyed in the frame's simple basis."""
+    """Coefficients of e^{offset - mu}, mu packed in one window.
 
-    __slots__ = ("frame", "H", "offset", "data")
+    codec is the window's `_Packing` and data maps packed keys to nonzero
+    coefficients, as `multiply` returns them; a series with no key within
+    H may have no window (codec None, data empty).  Series in the same
+    window (same lo and H) compare their dicts directly; any other pair
+    is re-packed into the joint window first (`_joint`).  Tuple keys
+    appear only where a key is read or printed.
+    """
+
+    __slots__ = ("frame", "H", "offset", "codec", "data")
 
     def __init__(self, frame: SimpleSystem, H: int, offset: Weight | None = None,
-                 data: dict | None = None):
+                 window: tuple | None = None):
         self.frame = frame
         self.H = H
         self.offset = frame.rho if offset is None else offset
-        self.data = {} if data is None else data
+        self.codec, self.data = (None, {}) if window is None else window
 
     def _compatible(self, other: "FormalSeries") -> None:
         if self.frame is not other.frame and self.frame != other.frame:
@@ -127,60 +139,103 @@ class FormalSeries:
         if self.H != other.H or self.offset != other.offset:
             raise StructuralError("series windows differ")
 
+    def _joint(self, other: "FormalSeries") -> tuple:
+        """(codec, mine, theirs): both data packed in one window.
+
+        The joint lo is the coordinatewise minimum of the two; a series
+        with no window, being empty, fits in the other's.
+        """
+        self._compatible(other)
+        a, b = self.codec, other.codec
+        if a is None or b is None or (a.lo, a.H) == (b.lo, b.H):
+            return a or b, self.data, other.data
+        codec = _Packing(tuple(map(min, a.lo, b.lo)), self.H)
+        return (codec, codec.pack(a.unpack(self.data)),
+                codec.pack(b.unpack(other.data)))
+
+    def _with(self, codec, data: dict) -> "FormalSeries":
+        return FormalSeries(self.frame, self.H, self.offset, (codec, data))
+
     def copy(self) -> "FormalSeries":
-        return FormalSeries(self.frame, self.H, self.offset, dict(self.data))
+        return self._with(self.codec, dict(self.data))
 
     def add(self, other: "FormalSeries") -> "FormalSeries":
-        self._compatible(other)
-        return FormalSeries(self.frame, self.H, self.offset,
-                            _accumulate(dict(self.data), other.data.items()))
+        codec, mine, theirs = self._joint(other)
+        return self._with(codec, _accumulate(dict(mine), theirs.items()))
 
     def scale(self, c) -> "FormalSeries":
         if c == 0:
-            return FormalSeries(self.frame, self.H, self.offset, {})
-        return FormalSeries(self.frame, self.H, self.offset,
-                            {k: c * v for k, v in self.data.items()})
+            return self._with(self.codec, {})
+        return self._with(self.codec, {k: c * v for k, v in self.data.items()})
 
     def mul_binomial(self, sign: int, root: Weight) -> "FormalSeries":
         """Multiply by (1 + sign * e^{-root}) for a positive root."""
-        return FormalSeries(self.frame, self.H, self.offset, multiply(
-            self.H, [(self.data, [(positive_step(self.frame, root), sign)])]))
+        return self._times(positive_step(self.frame, root), sign)
 
     def mul_geometric(self, root: Weight) -> "FormalSeries":
         """Multiply by 1/(1 + e^{-root}) for a positive root of the frame."""
-        return FormalSeries(self.frame, self.H, self.offset, multiply(
-            self.H, [(self.data, [(positive_step(self.frame, root), None)])]))
+        return self._times(positive_step(self.frame, root), None)
+
+    def _times(self, step: tuple, sign) -> "FormalSeries":
+        if self.codec is None:
+            return self.copy()
+        return self._with(self.codec, _product(self.codec, self.data,
+                                               [(step, sign)]))
 
     def coefficient_at(self, weight: Weight):
-        """Coefficient of e^{weight}."""
+        """Coefficient of e^{weight}.
+
+        A weight past height H was never computed: DomainError.  One below
+        the window, or off the lattice, reads 0, since every key of the
+        series is an int tuple >= lo.
+        """
         key = self.frame.cone_key(self.offset - weight)
-        return self.data.get(key, 0)
+        if _ht(key) > self.H:
+            raise DomainError("%s lies past the truncation height %s"
+                              % (weight, self.H))
+        codec = self.codec
+        if codec is None or any(type(c) is not int or c < lo
+                                for c, lo in zip(key, codec.lo)):
+            return 0
+        return self.data.get(codec.key(key), 0)
 
     def nonzero_count(self) -> int:
         return len(self.data)
 
     def eq_report(self, other: "FormalSeries") -> dict | None:
-        """None if equal on the window; else data about the first difference."""
-        self._compatible(other)
-        diffs = []
-        for k in set(self.data) | set(other.data):
-            a, b = self.data.get(k, 0), other.data.get(k, 0)
-            if a != b:
-                diffs.append((_ht(k), k, a, b))
-        if not diffs:
+        """None if equal on the window; else data about the first difference.
+
+        The first difference is the least (height, key tuple).  Packed keys
+        sort by height, so only the differing keys of the least height are
+        unpacked.
+        """
+        codec, mine, theirs = self._joint(other)
+        if mine == theirs:
             return None
-        h, k, a, b = min(diffs)
+        get_a, get_b = mine.get, theirs.get
+        diffs = [k for k in mine.keys() | theirs.keys()
+                 if get_a(k, 0) != get_b(k, 0)]
+        if not diffs:                   # a stored zero reads as absent
+            return None
+        top = codec.limit // codec.B
+        h = min(diffs) // top
+        low = codec.unpack({p: p for p in diffs if p // top == h})
+        k = min(low)
         mu = self.frame.weight(k)
         return {
             "exponent": str(self.offset - mu),
             "mu": [str(c) for c in k],
-            "height": str(h),
-            "left": str(a),
-            "right": str(b),
+            "height": str(_ht(k)),
+            "left": str(get_a(low[k], 0)),
+            "right": str(get_b(low[k], 0)),
         }
 
     def items_sorted(self) -> list:
-        return sorted(self.data.items(), key=lambda kv: (_ht(kv[0]), kv[0]))
+        """(key tuple, coefficient) by height, then key."""
+        if self.codec is None:
+            return []
+        return sorted(self.codec.unpack(self.data).items(),
+                      key=lambda kv: (_ht(kv[0]), kv[0]))
 
     def dump_lines(self) -> list:
         """One line per term: coefficient, mu over the frame, exponent."""
@@ -351,7 +406,19 @@ def _geometric_packed(data: dict, step: int, limit: int) -> dict:
     return out
 
 
-def multiply(H, chains) -> dict:
+def _product(codec: _Packing, data: dict, factors) -> dict:
+    """Packed data times the factors of a chain (`multiply`), in order."""
+    limit = codec.limit
+    for step, sign in factors:
+        step = codec.step(step)
+        if sign is None:
+            data = _geometric_packed(data, step, limit)
+        else:
+            data = _binomial_packed(data, step, sign, limit)
+    return data
+
+
+def multiply(H, chains) -> tuple:
     """Sum over the chains of data times its factors, to height H.
 
     A chain is (data, factors): tuple-keyed data and a list of factors,
@@ -361,25 +428,21 @@ def multiply(H, chains) -> dict:
     simple coordinates of a positive root.  All chains share one packed
     window, whose lo is the minimum of their keys within H.  A chain with
     no key in it is skipped, since its keys only climb; the others run
-    the packed kernels, their sum is accumulated, and it is unpacked once.
-    The first product is the accumulator itself, so lhs is never copied.
+    the packed kernels and their sum is accumulated.  The first product
+    is the accumulator itself, so lhs is never copied.  Returns the
+    window `FormalSeries` takes: (codec, packed sum), or (None, {}) when
+    no key lies within H.
     """
     codec = _Packing.around([k for data, _ in chains for k in data], H)
     if codec is None:
-        return {}
-    limit, acc = codec.limit, {}
+        return None, {}
+    acc = {}
     for data, factors in chains:
         data = codec.pack(data)
-        if not data:
-            continue
-        for step, sign in factors:
-            step = codec.step(step)
-            if sign is None:
-                data = _geometric_packed(data, step, limit)
-            else:
-                data = _binomial_packed(data, step, sign, limit)
-        acc = _accumulate(acc, data.items()) if acc else data
-    return codec.unpack(acc)
+        if data:
+            data = _product(codec, data, factors)
+            acc = _accumulate(acc, data.items()) if acc else data
+    return codec, acc
 
 
 def _culled(frame: SimpleSystem, H, offset: tuple, exponent: tuple,

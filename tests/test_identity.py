@@ -90,7 +90,7 @@ def test_cross_multiplication_gl21():
     zero = rs.eps(1) - rs.eps(1)
     expect = {frame.cone_key(zero): 1,
               frame.cone_key(rs.eps(1) - rs.eps(2)): -1}
-    assert right == expect
+    assert dict(right.items_sorted()) == expect
 
 
 def test_cross_multiplication_more_systems():
@@ -119,11 +119,12 @@ def _even_product(pair) -> dict:
     ("GL", 2, 2), ("B", 1, 1), ("D", 2, 1), ("GL", 2, 1)])
 def test_cross_multiplication_catches_a_shifted_rho(fam, m, n):
     equal, left, right = cross_multiplied_check(_pair(fam, m, n))
-    assert equal and right == _even_product(_pair(fam, m, n))
+    assert equal and dict(right.items_sorted()) == _even_product(
+        _pair(fam, m, n))
     shifted = _shifted_rho(fam, m, n, "eps")
     equal, left, right = cross_multiplied_check(shifted)
-    assert not equal and left != right
-    assert right == _even_product(_pair(fam, m, n))
+    assert not equal and left.eq_report(right) is not None
+    assert dict(right.items_sorted()) == _even_product(_pair(fam, m, n))
 
 
 def test_cross_multiplication_misses_a_shift_w_sharp_fixes():
@@ -132,7 +133,7 @@ def test_cross_multiplication_misses_a_shift_w_sharp_fixes():
     # (test_verify_catches_a_shifted_rho); only skewness under W_2 sees it
     pair = _shifted_rho("GL", 2, 2, "delta")
     equal, left, right = cross_multiplied_check(pair)
-    assert equal and right == _even_product(pair)
+    assert equal and dict(right.items_sorted()) == _even_product(pair)
 
 
 def test_e_rho_coefficient_is_one():
@@ -359,14 +360,28 @@ def test_verify_enumerates_only_w_sharp(monkeypatch, stype):
     assert len(groups.weyl_group(rs)) > len(enumerated[0])
 
 
+def _in_order(frame, offset, factors, H):
+    """e^offset times the factors, applied in the order given."""
+    return series.FormalSeries(frame, H, offset, series.multiply(
+        H, [({frame.cone_key(offset - offset): 1}, factors)]))
+
+
 def _odd_first(frame, offset, odd, even, H):
     """The division-first order: every odd factor, then every even one."""
     factors = [(frame.cone_int(b), None)
                for b in sorted(odd, key=Weight.coords)]
     factors += [(frame.cone_int(a), -1)
                 for a in sorted(even, key=Weight.coords)]
-    return series.multiply(H, [({frame.cone_key(offset - offset): 1},
-                                factors)])
+    return _in_order(frame, offset, factors, H)
+
+
+def _coordinate_order(frame, offset, odd, even, H):
+    """Even factors first, then the odd ones, each in coordinate order."""
+    factors = [(frame.cone_int(a), -1)
+               for a in sorted(even, key=coordinate_order)]
+    factors += [(frame.cone_int(b), None)
+                for b in sorted(odd, key=coordinate_order)]
+    return _in_order(frame, offset, factors, H)
 
 
 @pytest.mark.parametrize("stype,H", [
@@ -378,8 +393,8 @@ def test_lhs_matches_the_odd_first_order(stype, H):
     frame = pair.system
     got = lhs(pair, H)
     assert got.nonzero_count() > 0
-    assert got.data == _odd_first(frame, frame.rho, frame.pos_odd,
-                                  pair.rs.positive_even, H)
+    assert got.eq_report(_odd_first(frame, frame.rho, frame.pos_odd,
+                                    pair.rs.positive_even, H)) is None
 
 
 def test_qn_left_side_matches_the_odd_first_order():
@@ -389,8 +404,8 @@ def test_qn_left_side_matches_the_odd_first_order():
     got = identity._denominator(frame, zero, rs.positive_even,
                                 rs.positive_even, 8)
     assert got.nonzero_count() > 0
-    assert got.data == _odd_first(frame, zero, rs.positive_even,
-                                  rs.positive_even, 8)
+    assert got.eq_report(_odd_first(frame, zero, rs.positive_even,
+                                    rs.positive_even, 8)) is None
 
 
 def test_lhs_support_stays_near_its_final_size(monkeypatch):
@@ -413,6 +428,38 @@ def test_lhs_support_stays_near_its_final_size(monkeypatch):
     frame = pair.system
     _odd_first(frame, frame.rho, frame.pos_odd, pair.rs.positive_even, 10)
     assert max(sizes) > 5 * final
+    # dividing by the tallest odd roots first walks at most half the keys
+    # of the coordinate order, summed over the odd factors' outputs
+    odd = len(frame.pos_odd)
+    sizes.clear()
+    assert lhs(pair, 10).nonzero_count() == final
+    tallest_first = sum(sizes[-odd:])
+    sizes.clear()
+    coordinate = _coordinate_order(frame, frame.rho, frame.pos_odd,
+                                   pair.rs.positive_even, 10)
+    assert (tallest_first, sum(sizes[-odd:])) == (16772, 37742)
+    assert 2 * tallest_first <= sum(sizes[-odd:])
+    assert coordinate.eq_report(lhs(pair, 10)) is None
+
+
+def test_passing_runs_stay_packed(monkeypatch):
+    # every side of a passing verify or q(n) run starts at key 0, so all
+    # share one window and compare their packed dicts: nothing is unpacked
+    calls = []
+    original = series._Packing.unpack
+
+    def counting(codec, data):
+        calls.append(len(data))
+        return original(codec, data)
+
+    monkeypatch.setattr(series._Packing, "unpack", counting)
+    pair = _pair("GL", 3, 3)
+    assert verify(pair, H=8).equal
+    for side in (lhs(pair, 8), rhs_closed(pair, 8), rhs_expanded(pair, 8)):
+        assert side.codec.lo == (0,) * 5 and side.codec.H == 8
+    report, a = identity.qn_identity(4)
+    assert report.equal and a == 2
+    assert calls == []
 
 
 @pytest.mark.parametrize("stype,variant,expanded", [

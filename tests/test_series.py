@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from superdenom.errors import StructuralError
+from superdenom.errors import DomainError, StructuralError
 from superdenom.groups import reflection, weyl_group
 from superdenom.identity import (_alternating_sum, _alternating_terms,
                                  closed_form_terms, qn_standard_set,
@@ -20,6 +20,12 @@ from superdenom.weights import Weight
 def _gl21():
     rs = build(SuperType("GL", 2, 1))
     return rs, standard_pair(rs, "step2").system
+
+
+def _tuples(window) -> dict:
+    """`multiply`'s (codec, packed data) on coordinate tuples."""
+    codec, data = window
+    return {} if codec is None else codec.unpack(data)
 
 
 def test_geometric_term_normalization():
@@ -63,6 +69,67 @@ def test_expand_single_odd_factor():
     assert coeffs == [1, -1, 1, -1, 1]
 
 
+def test_a_coefficient_past_the_height_raises():
+    # a weight past H was never computed; one below the window reads 0
+    rs, frame = _gl21()
+    beta = rs.eps(1) - rs.delta(1)
+    zero = Weight.zero(2, 1)
+    series = expand_terms([GeometricTerm.make(1, zero, [beta])], frame, 4,
+                          offset=zero)
+    assert [series.coefficient_at(beta.scale(-k)) for k in range(5)] \
+        == [1, -1, 1, -1, 1]
+    with pytest.raises(DomainError, match="past the truncation height"):
+        series.coefficient_at(beta.scale(-5))
+    assert series.codec.lo == (0, 0)
+    assert series.coefficient_at(beta) == 0                  # key (0, -1)
+    assert series.coefficient_at(rs.eps(2) - rs.eps(1)) == 0  # key (1, 1)
+    empty = expand_terms([], frame, 4, offset=zero)
+    assert empty.codec is None and empty.coefficient_at(zero) == 0
+    with pytest.raises(DomainError):
+        empty.coefficient_at(beta.scale(-5))
+
+
+def _keyed(frame, H, data):
+    """A series with offset 0 holding tuple-keyed data, packed by multiply."""
+    return FormalSeries(frame, H, Weight.zero(frame.m, frame.n),
+                        multiply(H, [(data, [])]))
+
+
+def test_eq_report_and_add_across_windows():
+    # b starts below key 0, so the two are re-packed into the joint window
+    # lo = (-1, -1) before they compare.  The witness is the least
+    # (height, key tuple): among the height-1 differences, (-1, 2) comes
+    # first, although (2, -1) packs lower
+    rs, frame = _gl21()
+    a = _keyed(frame, 4, {(1, 0): 1, (0, 1): 2, (1, 1): 3})
+    b = _keyed(frame, 4, {(-1, 2): 1, (2, -1): 1, (1, 1): 3})
+    assert a.codec.lo == (0, 0) and b.codec.lo == (-1, -1)
+    witness = {"exponent": "-2*e1 - e2 + 3*d1", "mu": ["-1", "2"],
+               "height": "1", "left": "0", "right": "1"}
+    assert a.eq_report(b) == witness
+    assert b.eq_report(a) == dict(witness, left="1", right="0")
+    assert a.add(b).items_sorted() == [
+        ((-1, 2), 1), ((0, 1), 2), ((1, 0), 1), ((2, -1), 1), ((1, 1), 6)]
+    assert a.add(b).eq_report(b.add(a)) is None
+    # 1/(1+e^{-beta}) + e^beta/(1+e^{-beta}) = e^beta, at key (0, -1)
+    beta = rs.eps(1) - rs.delta(1)
+    zero = Weight.zero(2, 1)
+    first, second = (expand_terms([GeometricTerm.make(1, e, [beta])],
+                                  frame, 4, offset=zero) for e in (zero, beta))
+    assert second.codec.lo == (0, -1)
+    assert first.eq_report(second) == {
+        "exponent": "e1 - d1", "mu": ["0", "-1"], "height": "-1",
+        "left": "0", "right": "1"}
+    total = first.add(second)
+    assert total.items_sorted() == [((0, -1), 1)]
+    assert total.eq_report(_keyed(frame, 4, {(0, -1): 1})) is None
+    # a series with no window is empty and fits in any other
+    empty = expand_terms([], frame, 4, offset=zero)
+    assert empty.eq_report(empty.copy()) is None
+    assert empty.add(second).eq_report(second) is None
+    assert empty.eq_report(first)["mu"] == ["0", "0"]
+
+
 def test_add_scale_and_eq_report():
     rs, frame = _gl21()
     beta = rs.eps(1) - rs.delta(1)
@@ -80,8 +147,7 @@ def test_add_scale_and_eq_report():
 def test_mul_binomial_and_geometric_inverse():
     rs, frame = _gl21()
     alpha = rs.eps(1) - rs.eps(2)
-    ones = FormalSeries(frame, 6, offset=Weight.zero(2, 1))
-    ones.data[frame.cone_int(Weight.zero(2, 1))] = 1
+    ones = _ones(frame, 6)
     grown = ones.copy().mul_geometric(alpha)   # 1/(1 + e^{-alpha})
     shrunk = grown.copy().mul_binomial(1, alpha)
     assert shrunk.eq_report(ones) is None
@@ -90,9 +156,7 @@ def test_mul_binomial_and_geometric_inverse():
 
 
 def _ones(frame, H):
-    zero = Weight.zero(frame.m, frame.n)
-    return FormalSeries(frame, H, offset=zero,
-                        data={frame.cone_int(zero): 1})
+    return _keyed(frame, H, {(0,) * len(frame.simple_roots): 1})
 
 
 def _not_positive(frame):
@@ -147,7 +211,7 @@ def test_geometric_matches_the_termwise_expansion(data, step, H):
     # sum_j (-1)^j e^{-j*step} applied to each key on its own, no
     # cancellation shortcuts: the walk along chains must agree exactly
     span = max(H - min(map(sum, data), default=H), 0) // sum(step) + 1
-    assert multiply(H, [(data, [(step, None)])]) == _termwise(
+    assert _tuples(multiply(H, [(data, [(step, None)])])) == _termwise(
         data, step, H, [(-1) ** j for j in range(span)])
 
 
@@ -159,11 +223,11 @@ def test_geometric_matches_the_termwise_expansion(data, step, H):
 def test_binomial_matches_the_termwise_expansion(data, step, sign, H):
     # series data holds no zero coefficients
     data = {k: v for k, v in data.items() if v}
-    assert multiply(H, [(data, [(step, sign)])]) == _termwise(
+    assert _tuples(multiply(H, [(data, [(step, sign)])])) == _termwise(
         data, step, H, [1, sign])
     # a window this tall truncates nothing
     tall = max(map(sum, data), default=0) + sum(step)
-    assert multiply(tall, [(data, [(step, sign)])]) == _termwise(
+    assert _tuples(multiply(tall, [(data, [(step, sign)])])) == _termwise(
         data, step, tall, [1, sign])
 
 
@@ -202,10 +266,10 @@ def test_multiply_is_the_sum_of_each_chain_alone(chains, H):
     # chain alone is its factors applied termwise in the order given
     want = {}
     for data, factors in chains:
-        alone = multiply(H, [(data, factors)])
+        alone = _tuples(multiply(H, [(data, factors)]))
         assert alone == _one_chain(data, factors, H)
         _accumulate(want, alone.items())
-    assert multiply(H, chains) == want
+    assert _tuples(multiply(H, chains)) == want
 
 
 @st.composite
@@ -265,7 +329,8 @@ def test_a_key_below_the_window_raises_instead_of_wrapping():
     with pytest.raises(StructuralError, match="no packed window"):
         _Packing((1, 1), 1)
     # multiply takes lo from the data, so every key of it packs
-    assert multiply(0, [({(-3, 0): 1, (0, 0): 1}, [((1, 0), None)])]) \
+    assert _tuples(multiply(0, [({(-3, 0): 1, (0, 0): 1},
+                                 [((1, 0), None)])])) \
         == {(-3, 0): 1, (-2, 0): -1, (-1, 0): 1}
 
 
@@ -318,8 +383,8 @@ def test_expand_terms_merges_the_q5_w_sum():
     assert len(terms) == 120 and len(merged) == 60
     got = expand_terms(terms_of(merged, frame, 6, zero), frame, 6,
                        offset=zero)
-    assert got.data == _term_by_term(terms, frame, 6, zero).data
-    assert got.data == expand_terms(terms, frame, 6, offset=zero).data
+    assert got.eq_report(_term_by_term(terms, frame, 6, zero)) is None
+    assert got.eq_report(expand_terms(terms, frame, 6, offset=zero)) is None
     assert got.nonzero_count() > 0
 
 
@@ -333,9 +398,9 @@ def test_expand_terms_merges_duplicated_and_cancelling_copies():
     assert len(terms) == 6 and len(merged) == 4
     assert list(merged.values())[:4] == [2 * t.coeff for t in terms[:4]]
     got = expand_terms(terms_of(merged, frame), frame, 6)
-    assert got.data == _term_by_term(padded, frame, 6, frame.rho).data
-    assert got.data == expand_terms(padded, frame, 6).data
-    assert got.data != expand_terms(terms, frame, 6).data
+    assert got.eq_report(_term_by_term(padded, frame, 6, frame.rho)) is None
+    assert got.eq_report(expand_terms(padded, frame, 6)) is None
+    assert got.eq_report(expand_terms(terms, frame, 6)) is not None
     assert _merged(terms + _negated(terms)) == {}
     cancelled = expand_terms(terms + _negated(terms), frame, 6)
     assert cancelled.data == {} and cancelled.H == 6
