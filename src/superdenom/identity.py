@@ -507,7 +507,8 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10) -> list:
     """
     if rs.family not in ("GL", "C"):
         raise DomainError("orbit scans cover the gl and C families only")
-    frame = standard_pair(rs, "step2").system
+    pair = standard_pair(rs, "step2")
+    frame = pair.system
     group = weyl_group(rs)
     acts = [_compiled(g) for g in group]
     simples = [a.doubled for a in frame.simple_roots]
@@ -531,7 +532,7 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10) -> list:
             accepted.append(lam)
     out = sorted({dominant_representative(Weight(lam, rs.m), group, evens)
                   for lam in accepted}, key=coordinate_order)
-    expected = expected_regular_orbit_reps(rs, H)
+    expected = expected_regular_orbit_reps(rs, H, pair)
     if out != expected:
         raise StructuralError(
             "regular orbits [%s] do not match the classification [%s]"
@@ -539,8 +540,13 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10) -> list:
     return out
 
 
-def expected_regular_orbit_reps(rs: RootSystem, H: int = 10) -> list:
-    pair = standard_pair(rs, "step2")
+def expected_regular_orbit_reps(rs: RootSystem, H: int = 10,
+                                pair: AdmissiblePair | None = None) -> list:
+    """The classification regular_orbit_scan must meet, in coordinate order.
+
+    pair is rs's step2 pair, derived here when not given.
+    """
+    pair = standard_pair(rs, "step2") if pair is None else pair
     rho0 = pair.system.rho0
     if rs.family == "C" or rs.m != rs.n:
         return [rho0]

@@ -239,12 +239,16 @@ def derive(pi: Sequence[Weight], rs: RootSystem, universe: str = "super"
     return SimpleSystem(pi, rs, pos_even, pos_odd, solver)
 
 
-def odd_reflection(sys: SimpleSystem, beta: Weight) -> SimpleSystem:
+def odd_reflection(sys: SimpleSystem, beta: Weight,
+                   systems: dict | None = None) -> SimpleSystem:
     """Odd reflection at an isotropic simple root.
 
     New simple roots: beta goes to -beta; roots orthogonal to beta stay;
     the rest gain beta.  The positive system changes only by beta -> -beta
-    and rho moves to rho + beta.
+    and rho moves to rho + beta.  systems maps SimpleSystem.key() to
+    systems already derived: the new Pi is looked up there first and
+    derived only on a miss.  The flip and rho checks run either way, so a
+    system found in the map is still checked against this parent.
     """
     if beta not in sys.simple_roots:
         raise DomainError("%s is not a simple root here" % beta)
@@ -258,7 +262,10 @@ def odd_reflection(sys: SimpleSystem, beta: Weight) -> SimpleSystem:
             new_pi.append(a)
         else:
             new_pi.append(a + beta)
-    out = derive(new_pi, sys.rs)
+    key = tuple(a.doubled for a in sorted(new_pi, key=coordinate_order))
+    out = systems.get(key) if systems else None
+    if out is None:
+        out = derive(new_pi, sys.rs)
     expected = (sys.positive_roots - {beta}) | {-beta}
     if out.positive_roots != expected:
         raise StructuralError("odd reflection did not flip exactly %s" % beta)
@@ -320,11 +327,15 @@ def make_pair(S: Sequence[Weight], sys: SimpleSystem) -> AdmissiblePair:
     return AdmissiblePair(S, sys)
 
 
-def pair_odd_reflection(pair: AdmissiblePair, beta: Weight) -> AdmissiblePair:
-    """Move the whole pair by the odd reflection at beta in S."""
+def pair_odd_reflection(pair: AdmissiblePair, beta: Weight,
+                        systems: dict | None = None) -> AdmissiblePair:
+    """Move the whole pair by the odd reflection at beta in S.
+
+    systems is passed on to odd_reflection.
+    """
     if beta not in pair.S:
         raise DomainError("%s is not in S" % beta)
-    sys2 = odd_reflection(pair.system, beta)
+    sys2 = odd_reflection(pair.system, beta, systems)
     new_S = [-b if b == beta else b for b in pair.S]
     return make_pair(new_S, sys2)
 
@@ -570,6 +581,8 @@ def enumerate_simple_systems(rs: RootSystem, cap: int = PAIR_CAP) -> list:
 
     Breadth-first closure under odd reflections from the standard seed;
     even reflections are excluded because the even positive part is fixed.
+    Each reflection looks its target up among the systems already found,
+    so every system is derived once, and every edge is still checked.
     """
     if rs.family == "Q":
         raise DomainError("Q(n) simple systems are not enumerated here")
@@ -580,7 +593,7 @@ def enumerate_simple_systems(rs: RootSystem, cap: int = PAIR_CAP) -> list:
         nxt = []
         for sys in frontier:
             for beta in sys.isotropic_simples():
-                out = odd_reflection(sys, beta)
+                out = odd_reflection(sys, beta, seen)
                 if out.key() not in seen:
                     seen[out.key()] = out
                     nxt.append(out)
@@ -612,9 +625,13 @@ def orthogonal_subsets(roots: Iterable[Weight], size: int) -> list:
             if all(form4(a, b) == 0 for a, b in combinations(S, 2))]
 
 
-def pair_neighbors(pair: AdmissiblePair, same_kind_only: bool = False) -> list:
-    """Pairs reachable by one move (odd reflection in S or exchange move)."""
-    out = [pair_odd_reflection(pair, b) for b in pair.S]
+def pair_neighbors(pair: AdmissiblePair, same_kind_only: bool = False,
+                   systems: dict | None = None) -> list:
+    """Pairs reachable by one move (odd reflection in S or exchange move).
+
+    systems is passed on to odd_reflection.
+    """
+    out = [pair_odd_reflection(pair, b, systems) for b in pair.S]
     out += [second_type_move(pair, g, gp)
             for g, gp in second_type_moves(pair, same_kind_only)]
     return out
@@ -622,8 +639,14 @@ def pair_neighbors(pair: AdmissiblePair, same_kind_only: bool = False) -> list:
 
 def pair_components(pairs: Sequence[AdmissiblePair],
                     same_kind_only: bool = False) -> list:
-    """Connected components of the move graph on the given pairs."""
+    """Connected components of the move graph on the given pairs.
+
+    Odd reflections look their targets up among the pairs' systems, so a
+    system is derived only when a move leaves them; every move is still
+    checked, and a move that leaves the given pairs is a StructuralError.
+    """
     index = {p.key(): i for i, p in enumerate(pairs)}
+    systems = {p.system.key(): p.system for p in pairs}
     seen = set()
     comps = []
     for p in pairs:
@@ -635,7 +658,7 @@ def pair_components(pairs: Sequence[AdmissiblePair],
         while stack:
             cur = stack.pop()
             comp.append(cur)
-            for nb in pair_neighbors(cur, same_kind_only):
+            for nb in pair_neighbors(cur, same_kind_only, systems):
                 k = nb.key()
                 if k not in index:
                     raise StructuralError("move left the enumerated pair set")

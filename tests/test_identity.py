@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from superdenom import groups, identity, series
+from superdenom import groups, identity, series, simple
 from superdenom.errors import DomainError, StructuralError
 from superdenom.groups import (dominant_representative, orbit, reflection,
                                weyl_group)
@@ -272,11 +272,22 @@ def test_orbit_scan_rejects_a_classification_it_does_not_meet(monkeypatch):
     full = identity.expected_regular_orbit_reps(rs, 8)
     assert len(full) == 5
     monkeypatch.setattr(identity, "expected_regular_orbit_reps",
-                        lambda rs, H: full[1:])
+                        lambda rs, H, pair=None: full[1:])
     with pytest.raises(StructuralError, match="do not match"):
         regular_orbit_scan(rs, 8)
     with pytest.raises(DomainError):
         regular_orbit_scan(build(SuperType("B", 2, 1)), 8)
+
+
+def test_orbit_scan_derives_its_frame_once(monkeypatch):
+    rs = build(SuperType("GL", 2, 2))
+    real = simple.derive
+    calls = []
+    monkeypatch.setattr(simple, "derive",
+                        lambda *a: calls.append(a) or real(*a))
+    reps = regular_orbit_scan(rs, 8)
+    assert len(calls) == 1
+    assert reps == identity.expected_regular_orbit_reps(rs, 8)
 
 
 def test_xi_uniqueness_and_negative_control():

@@ -59,6 +59,20 @@ def test_canonical_terms_merge_and_cancel():
     assert len(merged) == 1 and merged[0].coeff == Q(3, 2)
 
 
+def test_canonical_terms_decide_equality_if_not_only_if():
+    # e^rho/(1+e^{-b}) + e^{rho-b}/(1+e^{-b}) - e^rho is the zero function
+    rs, frame = _gl21()
+    beta = rs.delta(1) - rs.eps(2)
+    assert frame.is_positive_root(beta)
+    rho = frame.rho
+    terms = [GeometricTerm.make(1, rho, [beta]),
+             GeometricTerm.make(1, rho - beta, [beta]),
+             GeometricTerm.make(-1, rho, [])]
+    assert len(canonical_terms(terms, frame)) == 3
+    assert expand_terms(terms, frame, 10).nonzero_count() == 0
+    assert expand_terms(terms[:2], frame, 10).nonzero_count() == 1
+
+
 def test_expand_single_odd_factor():
     # e^0/(1 + e^{-b}) expands with alternating signs along b
     rs, frame = _gl21()

@@ -313,6 +313,76 @@ def test_odd_reflection_post_checks_can_fail(monkeypatch):
         odd_reflection(sys, beta)
 
 
+def test_odd_reflection_post_checks_fire_on_a_hit():
+    rs = build(SuperType("GL", 2, 2))
+    sys = standard_pair(rs, "step2").system
+    beta = sys.isotropic_simples()[0]
+    reflected = odd_reflection(sys, beta)
+    key = reflected.key()
+    with pytest.raises(StructuralError, match="did not flip"):
+        odd_reflection(sys, beta, {key: sys})
+    shifted = derive(reflected.simple_roots, rs)
+    shifted.rho = shifted.rho + beta
+    with pytest.raises(StructuralError, match="rho did not shift"):
+        odd_reflection(sys, beta, {key: shifted})
+
+
+def _derive_counter(monkeypatch) -> list:
+    """Count simple.derive calls from here on; returns the live counter."""
+    calls = []
+    real = simple.derive
+    monkeypatch.setattr(simple, "derive",
+                        lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def _derive_every_edge(monkeypatch) -> None:
+    """Make odd_reflection ignore its map, so every edge derives afresh."""
+    real = simple.odd_reflection
+    monkeypatch.setattr(simple, "odd_reflection",
+                        lambda sys, beta, systems=None: real(sys, beta))
+
+
+def _same_systems(a, b) -> bool:
+    return [(s.key(), s.positive_roots, s.rho) for s in a] \
+        == [(s.key(), s.positive_roots, s.rho) for s in b]
+
+
+def test_enumeration_derives_each_system_once(monkeypatch):
+    rs = build(SuperType("GL", 4, 4))
+    calls = _derive_counter(monkeypatch)
+    systems = enumerate_simple_systems(rs)
+    assert len(systems) == 70 and len(calls) == len(systems)
+    _derive_every_edge(monkeypatch)
+    del calls[:]
+    assert _same_systems(enumerate_simple_systems(rs), systems)
+    assert len(calls) > len(systems)
+
+
+def test_pair_components_derive_nothing_the_pairs_carry(monkeypatch):
+    rs = build(SuperType("D", 4, 2))
+    pairs = enumerate_admissible_pairs(rs)
+    calls = _derive_counter(monkeypatch)
+    comps = pair_components(pairs, same_kind_only=True)
+    assert calls == []
+    _derive_every_edge(monkeypatch)
+    assert enumerate_admissible_pairs(rs) == pairs
+    del calls[:]
+    fresh = pair_components(pairs, same_kind_only=True)
+    assert len(calls) > len({p.system.key() for p in pairs})
+    assert [[p.key() for p in c] for c in fresh] \
+        == [[p.key() for p in c] for c in comps]
+    assert all(_same_systems([p.system for p in c], [q.system for q in d])
+               for c, d in zip(fresh, comps))
+
+
+def test_pair_components_reject_a_move_off_the_given_pairs():
+    pairs = enumerate_admissible_pairs(build(SuperType("GL", 2, 2)))
+    with pytest.raises(StructuralError,
+                       match="move left the enumerated pair set"):
+        pair_components(pairs[1:])
+
+
 def test_even_frame():
     rs = build(SuperType("B", 2, 1))
     frame = even_frame(rs)
