@@ -13,16 +13,14 @@ front and the rest normalizes the same way.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from operator import attrgetter
 
 from .errors import DomainError, StructuralError, ValidationError
 from .records import Frozen, _set
 from .roots import RootSystem
-from .simple import (PAIR_CAP, AdmissiblePair, derive,
-                     enumerate_admissible_pairs, functional_for,
-                     isotropic_parts, make_pair, pair_components, pairing)
-from .weights import Weight
+from .simple import (PAIR_CAP, AdmissiblePair, enumerate_admissible_pairs,
+                     functional_for, isotropic_parts, pair_components,
+                     pair_from_word)
 
 SMILE = "smile"
 FROWN = "frown"
@@ -293,55 +291,16 @@ def equivalence_classes(rs: RootSystem, cap: int = PAIR_CAP) -> list:
 def pair_from_diagram(d: Diagram, rs: RootSystem) -> AdmissiblePair:
     """Rebuild the admissible pair a diagram came from.
 
-    The functional values are pinned by the family: consecutive integers
-    from 1 for gl and B; for D, integers from 0 when a coordinate sits at
-    zero (the frown situation) and half-integers otherwise.  Candidate
-    ladders that fail to produce a valid pair are discarded; the diagram
-    must determine the survivor uniquely and round-trip to itself.
+    simple.pair_from_word reads the rendered word.  The diagram comes from
+    outside, so it is validated first, must have the shape of rs, and the
+    rebuilt pair must draw back to it.
     """
     d.validate()
     if rs.family not in _DIAGRAM_FAMILIES:
         raise DomainError("diagrams cover the gl/B/D families")
-    size = rs.m + rs.n
-    if len(d.marks) != size or d.marks.count("a") != rs.m:
+    if len(d.marks) != rs.m + rs.n or d.marks.count("a") != rs.m:
         raise DomainError("diagram shape does not match %s" % rs.stype.label())
-    if rs.family in ("GL", "B_EPS", "B_DELTA"):
-        ladders = [[Q(p + 1) for p in range(size)]]
-    elif d.has_frown():
-        ladders = [[Q(p) for p in range(size)]]
-    else:
-        ladders = [[Q(2 * p + 1, 2) for p in range(size)],
-                   [Q(p) for p in range(size)]]
-    found = {}
-    for xs in ladders:
-        try:
-            pair = _reconstruct(d, rs, xs)
-        except (ValidationError, DomainError):
-            continue
-        found[pair.key()] = pair
-    if not found:
-        raise DomainError("no functional ladder reconstructs this diagram")
-    if len(found) > 1:
-        raise StructuralError("diagram does not determine the pair")
-    (pair,) = found.values()
+    pair = pair_from_word(rs, d.render())
     if from_pair(pair) != d:
         raise StructuralError("reconstructed pair draws differently")
     return pair
-
-
-def _reconstruct(d: Diagram, rs: RootSystem, xs: list) -> AdmissiblePair:
-    # eps_1 sits at the last a, delta_1 at the last b
-    order = [p for p in reversed(range(len(xs))) if d.marks[p] == "a"] \
-        + [p for p in reversed(range(len(xs))) if d.marks[p] == "b"]
-    x = [xs[p] for p in order]
-    at = {p: Weight.unit(k, rs.m, rs.n) for k, p in enumerate(order)}
-    pi = [a for a in rs.all_roots() if pairing(x, a) == 1]
-    sys = derive(pi, rs)
-    S = []
-    for left, right, kind in d.bows:
-        u, v = at[left], at[right]
-        beta = (v - u) if kind == SMILE else (v + u)
-        if not sys.is_positive_root(beta):
-            beta = -beta
-        S.append(beta)
-    return make_pair(S, sys)

@@ -3,12 +3,13 @@
 The identity equates R e^rho, the Weyl denominator of the fixed root
 datum times e^rho, with the alternating W#-sum X of the geometric terms
 e^rho / prod_{beta in S}(1 + e^{-beta}) attached to an admissible pair.
-Everything here is exact: truncated series carry rational coefficients,
-and cone questions go through rational elimination or the simplex in
-`lp`.  Closed-form statements compare canonical forms of finite term
-lists (`series.canonical_terms`): equal forms prove equality, but unequal
-ones prove nothing, since distinct term lists can denote the same
-function.  Nothing is sampled and nothing is floated.
+Everything here is exact: truncated series carry int coefficients, and
+cone questions go through `weights.Elimination`, which decides on integer
+numerators, or the simplex in `lp`.  Closed-form statements compare
+canonical forms of finite term lists (`series.canonical_terms`): equal
+forms prove equality, but unequal ones prove nothing, since distinct term
+lists can denote the same function.  Nothing is sampled and nothing is
+floated.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .series import (FormalSeries, GeometricTerm, _accumulate, _ht,
                      positive_step, terms_of)
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
                      isotropic_parts, second_type_move, standard_pair)
-from .weights import (Elimination, Weight, coordinate_order, form4,
-                      solve_in_span)
+from .weights import Weight, coordinate_order, form4, solve_in_span
 
 
 def _zero(rs: RootSystem) -> Weight:
@@ -512,7 +512,7 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10) -> list:
     group = weyl_group(rs)
     acts = [_compiled(g) for g in group]
     simples = [a.doubled for a in frame.simple_roots]
-    cone = Elimination(simples).cone
+    cone = frame._solver.cone   # derive's elimination of these columns
     rho0 = frame.rho0.doubled
     evens = simple_roots(rs.positive_even)
     accepted = []

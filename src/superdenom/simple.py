@@ -411,87 +411,40 @@ def second_type_moves(pair: AdmissiblePair, same_kind_only: bool = False) -> lis
 def standard_pair(rs: RootSystem, variant: str = "step3") -> AdmissiblePair:
     """Distinguished admissible pairs used as seeds and fixtures.
 
-    'step2' is the zigzag pair threading eps and delta from the front;
-    'step3' pins S to the tail coordinates; 'step3_prime' and
-    'second_class' lie in the second equivalence class, which exists only
-    for D with more eps than delta.
+    Each variant is a diagram word read by pair_from_word; k = m - n.
+    'step2' is a^k (b⌣a)^n, or (a⌣b)^n on B(n,n); 'step3' is
+    (a⌣b)^n a^k, and step2 on gl.  'step3_prime', a⌢b (a⌣b)^(n-1) a^k,
+    and 'second_class', a⌢b a^k (b⌣a)^(n-1), lie in the second
+    equivalence class, which exists only for D with more eps than delta.
+    C is no diagram family: its pair is built by hand.
     """
     if variant not in VARIANTS:
         raise DomainError("unknown variant %r" % variant)
-    if variant == "second_class":
-        return second_class_pair(rs)
     fam, m, n = rs.family, rs.m, rs.n
+    second = fam == "D_EPS" and m > n >= 1
+    if variant == "second_class" and not second:
+        raise DomainError("the second class exists only for D with m > n >= 1")
     if fam == "Q":
         raise DomainError("Q(n) has no admissible pairs; use the qn helpers")
-    e = lambda i: rs.eps(i)
-    d = lambda j: rs.delta(j)
-
-    if variant == "step3_prime":
-        if fam != "D_EPS" or not (m > n >= 1):
-            raise DomainError("step3_prime needs D with m > n >= 1")
-        S = [d(n - i) - e(m - i) for i in range(1, n)] + [d(n) + e(m)]
-        return make_pair(S, derive(_step3_pi(rs), rs))
-
+    if variant == "step3_prime" and not second:
+        raise DomainError("step3_prime needs D with m > n >= 1")
     if fam == "C":
-        pi = [e(i) - e(i + 1) for i in range(1, m)] + [e(m) - d(1), e(m) + d(1)]
-        return make_pair([e(m) - d(1)], derive(pi, rs))
-
-    if variant == "step3" and fam != "GL" and n >= 1:
-        S = [d(n - i) - e(m - i) for i in range(0, n)]
-        return make_pair(S, derive(_step3_pi(rs), rs))
-
-    # step2 (and the cases that collapse onto it)
-    if fam == "GL":
-        S = [e(i) - d(i) for i in range(1, n + 1)]
-        pi = _zigzag(rs, n)
-        if m > n:
-            if n >= 1:
-                pi.append(d(n) - e(n + 1))
-            pi += [e(j) - e(j + 1) for j in range(n + 1, m)]
-        return make_pair(S, derive(pi, rs))
-
-    if n == 0:
-        if fam == "D_EPS" and m < 2:
-            raise DomainError("no simple system for D with a single eps")
-        pi = [e(i) - e(i + 1) for i in range(1, m)]
-        if fam in ("B_EPS", "B_DELTA"):
-            pi.append(e(m))
-        elif fam == "D_DELTA":
-            pi.append(e(m).scale(2))
-        else:
-            pi.append(e(m - 1) + e(m))
-        return make_pair([], derive(pi, rs))
-
-    if m == n:
-        if fam in ("B_EPS", "B_DELTA"):
-            S = [d(i) - e(i) for i in range(1, n + 1)]
-            pi = []
-            for i in range(1, n + 1):
-                pi.append(d(i) - e(i))
-                if i < n:
-                    pi.append(e(i) - d(i + 1))
-            pi.append(e(n))
-        else:  # D with equal sides: the fork closes on the last eps
-            S = [e(i) - d(i) for i in range(1, n + 1)]
-            pi = _zigzag(rs, n) + [e(n) + d(n)]
-        return make_pair(S, derive(pi, rs))
-
-    # m > n >= 1
-    S = [e(i) - d(i) for i in range(1, n + 1)]
-    pi = _zigzag(rs, n)
-    pi.append(d(n) - e(n + 1))
-    if fam in ("B_EPS", "B_DELTA"):
-        pi += [e(j) - e(j + 1) for j in range(n + 1, m)]
-        pi.append(e(m))
-    elif fam == "D_DELTA":
-        pi += [e(j) - e(j + 1) for j in range(n + 1, m)]
-        pi.append(e(m).scale(2))
-    elif m >= n + 2:  # D with the eps chain long enough to fork at the end
-        pi += [e(j) - e(j + 1) for j in range(n + 1, m)]
-        pi.append(e(m - 1) + e(m))
-    else:  # D with m = n + 1: the chain is empty, the fork closes on delta
-        pi.append(d(n) + e(m))
-    return make_pair(S, derive(pi, rs))
+        e, d = rs.eps, rs.delta(1)
+        pi = [e(i) - e(i + 1) for i in range(1, m)] + [e(m) - d, e(m) + d]
+        return make_pair([e(m) - d], derive(pi, rs))
+    if fam == "D_EPS" and m < 2:
+        raise DomainError("no simple system for D with a single eps")
+    k = m - n
+    if variant == "second_class":
+        word = "a⌢b" + "a" * k + "b⌣a" * (n - 1)
+    elif variant == "step3_prime":
+        word = "a⌢b" + "a⌣b" * (n - 1) + "a" * k
+    elif variant == "step3" and fam != "GL" \
+            or fam in ("B_EPS", "B_DELTA") and k == 0:
+        word = "a⌣b" * n + "a" * k
+    else:
+        word = "a" * k + "b⌣a" * n
+    return pair_from_word(rs, word)
 
 
 def standard_pairs(rs: RootSystem) -> list:
@@ -511,66 +464,56 @@ def standard_pairs(rs: RootSystem) -> list:
     return [(name, standard_pair(rs, name)) for name in names]
 
 
-def second_class_pair(rs: RootSystem) -> AdmissiblePair:
-    """Anchor pair of the second equivalence class for D with m > n.
+def pair_from_word(rs: RootSystem, word: str) -> AdmissiblePair:
+    """The gl/B/D admissible pair drawn by a diagram word.
 
-    S threads the front of the zigzag and closes with the sum root
-    eps_m + delta_n; Pi runs the zigzag, then the eps chain, then forks at
-    delta_n.  For n = 1 this is the same pair as step3_prime; for larger n
-    the two share Pi only when m = n + 1, and S always differs.
+    The word lists the marks in increasing order of the functional f:
+    `a` for an eps coordinate, `b` for a delta one, eps_1 at the last a
+    and delta_1 at the last b.  ⌣ bows its two neighbours by their
+    difference, ⌢ by their sum; the sign making the root positive is
+    taken.  The values of f are pinned by the family: consecutive
+    integers from 1 for gl and B; for D, integers from 0 when a coordinate
+    sits at zero (the frown situation) and half-integers otherwise.  Pi is
+    the roots where f is 1, decided on ints: the doubled ladder dotted
+    with a root's doubled tuple is 4.  Ladders that give no admissible
+    pair are discarded; the survivor must be unique.
     """
-    fam, m, n = rs.family, rs.m, rs.n
-    if fam != "D_EPS" or not (m > n >= 1):
-        raise DomainError("the second class exists only for D with m > n >= 1")
-    e = lambda i: rs.eps(i)
-    d = lambda j: rs.delta(j)
-    pi = []
-    for i in range(1, n):
-        pi.append(e(i) - d(i))
-        pi.append(d(i) - e(i + 1))
-    pi += [e(i) - e(i + 1) for i in range(n, m - 1)]
-    pi += [e(m - 1) - d(n), d(n) - e(m), d(n) + e(m)]
-    S = [e(i) - d(i) for i in range(1, n)] + [e(m) + d(n)]
-    return make_pair(S, derive(pi, rs))
-
-
-def _zigzag(rs: RootSystem, n: int) -> list:
-    """eps_1-delta_1, delta_1-eps_2, ..., eps_n-delta_n."""
-    pi = []
-    for i in range(1, n + 1):
-        pi.append(rs.eps(i) - rs.delta(i))
-        if i < n:
-            pi.append(rs.delta(i) - rs.eps(i + 1))
-    return pi
-
-
-def _step3_pi(rs: RootSystem) -> list:
-    """Simple roots with S threaded through the tail coordinates."""
-    fam, m, n = rs.family, rs.m, rs.n
-    e = lambda i: rs.eps(i)
-    d = lambda j: rs.delta(j)
-    if m == n:
-        p = []
-        for i in range(1, n + 1):
-            p.append(d(i) - e(i))
-            if i < n:
-                p.append(e(i) - d(i + 1))
+    marks = [c for c in word if c in "ab"]
+    size = len(marks)
+    if rs.family in ("GL", "B_EPS", "B_DELTA"):
+        ladders = [range(2, 2 * size + 2, 2)]
+    elif "⌢" in word:
+        ladders = [range(0, 2 * size, 2)]
     else:
-        p = [e(i) - e(i + 1) for i in range(1, m - n)]
-        p.append(e(m - n) - d(1))
-        for j in range(1, n + 1):
-            p.append(d(j) - e(m - n + j))
-            if j < n:
-                p.append(e(m - n + j) - d(j + 1))
-    if fam in ("B_EPS", "B_DELTA"):
-        p.append(e(m))
-    elif fam == "D_EPS":
-        p.append(e(m) + d(n))
-    elif fam == "D_DELTA":
-        p.append(e(m).scale(2))
-    else:
-        raise DomainError("no tail-threaded pair for %s" % fam)
-    return p
+        ladders = [range(1, 2 * size, 2), range(0, 2 * size, 2)]
+    order = [p for p in reversed(range(size)) if marks[p] == "a"] \
+        + [p for p in reversed(range(size)) if marks[p] == "b"]
+    at = {p: Weight.unit(k, rs.m, rs.n) for k, p in enumerate(order)}
+    bows, p = [], -1
+    for c in word:
+        if c in "ab":
+            p += 1
+        else:
+            u, v = at[p], at[p + 1]
+            bows.append(v + u if c == "⌢" else v - u)
+    roots = rs.all_roots()
+    found = {}
+    for ladder in ladders:
+        x = [ladder[p] for p in order]
+        pi = [a for a in roots if sum(map(mul, x, a.doubled)) == 4]
+        try:
+            sys = derive(pi, rs)
+            S = [b if sys.is_positive_root(b) else -b for b in bows]
+            pair = make_pair(S, sys)
+        except (ValidationError, DomainError):
+            continue
+        found[pair.key()] = pair
+    if not found:
+        raise DomainError("no functional ladder reconstructs this diagram")
+    if len(found) > 1:
+        raise StructuralError("diagram does not determine the pair")
+    (pair,) = found.values()
+    return pair
 
 
 # ---------------------------------------------------------------------------

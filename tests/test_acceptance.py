@@ -34,9 +34,9 @@ from superdenom.roots import SuperType, build
 from superdenom.simple import (enumerate_admissible_pairs,
                                enumerate_simple_systems, even_frame,
                                odd_reflection,
-                               orthogonal_subsets, second_class_pair,
-                               second_type_move, second_type_moves,
-                               standard_pair, standard_pairs)
+                               orthogonal_subsets, second_type_move,
+                               second_type_moves, standard_pair,
+                               standard_pairs)
 
 # The fixture battery: every family, both sharp choices where the choice
 # exists, and both D(2,1) equivalence classes.
@@ -116,7 +116,8 @@ def test_criterion_2_e_rho_coefficient():
         # second-class anchor pairs: the full three-element coefficient set
         for m, n in [(2, 1), (3, 1), (3, 2)]:
             rs = build(SuperType("D", m, n))
-            got = frozenset(e_rho_coefficient_set(second_class_pair(rs)))
+            got = frozenset(e_rho_coefficient_set(
+                standard_pair(rs, "second_class")))
             assert got == second_class_expected_set(rs)
             assert sum(w.sgn() for w in got) == 1
 

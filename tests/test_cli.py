@@ -100,6 +100,22 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "GL", "--m", "2", "--n", "1", "--variant", "second_class"],
+     "the second class exists only for D with m > n >= 1"),
+    (["--family", "B", "--m", "2", "--n", "1", "--variant", "step3_prime"],
+     "step3_prime needs D with m > n >= 1"),
+    (["--family", "D", "--m", "1", "--n", "0"],
+     "no simple system for D with a single eps"),
+    (["--family", "Q", "--n", "3"],
+     "Q(n) has no admissible pairs; use the qn helpers"),
+])
+def test_unavailable_standard_pairs_exit_2(capsys, argv, message):
+    code, out, err = _run_main(capsys, ["verify"] + argv)
+    assert code == 2
+    assert out == "" and err == "error: %s\n" % message
+
+
 def test_resource_cap_exit_3(capsys):
     code, _, err = _run_main(capsys, ["pairs", "--family", "GL",
                                       "--m", "3", "--n", "2",

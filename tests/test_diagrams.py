@@ -1,3 +1,7 @@
+import json
+from itertools import product
+from pathlib import Path
+
 import pytest
 
 from superdenom.diagrams import (FROWN, SMILE, Diagram, available_moves,
@@ -7,7 +11,10 @@ from superdenom.diagrams import (FROWN, SMILE, Diagram, available_moves,
                                  pair_from_diagram)
 from superdenom.errors import DomainError, StructuralError, ValidationError
 from superdenom.roots import SuperType, build
-from superdenom.simple import enumerate_admissible_pairs, make_pair, derive
+from superdenom.simple import (VARIANTS, derive, enumerate_admissible_pairs,
+                               make_pair, standard_pair)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_validation_rules():
@@ -151,3 +158,50 @@ def test_moves_commute_with_pair_moves():
             from superdenom.simple import pair_neighbors
             keys = {p.key() for p in pair_neighbors(pair, same_kind_only=True)}
             assert neighbour.key() in keys
+
+
+def _standard_types():
+    """GL, B (both sharp choices on B(n,n)) and D with m + n <= 7; C(2)-C(5)."""
+    for fam, m, n in product(("GL", "B", "D"), range(1, 8), range(7)):
+        if m + n > 7 or (fam, m, n) == ("D", 1, 0):
+            continue
+        choices = ("B_side", "C_side") if fam == "B" and m == n else (None,)
+        for choice in choices:
+            yield SuperType(fam, m, n, choice)
+    for n in range(2, 6):
+        yield SuperType("C", n=n)
+
+
+def _word(rs, variant):
+    """The diagram of a standard variant, with k = m - n free a's."""
+    k, n = rs.m - rs.n, rs.n
+    if variant == "second_class":
+        return "a⌢b" + "a" * k + "b⌣a" * (n - 1)
+    if variant == "step3_prime":
+        return "a⌢b" + "a⌣b" * (n - 1) + "a" * k
+    if variant == "step3" and rs.family != "GL" \
+            or rs.family in ("B_EPS", "B_DELTA") and k == 0:
+        return "a⌣b" * n + "a" * k
+    return "a" * k + "b⌣a" * n
+
+
+def test_standard_pairs_match_golden_and_draw_their_words():
+    # every variant standard_pair accepts, with its pair key; from_pair
+    # orders the coordinates by functional_for, so the word check does not
+    # lean on how standard_pair builds the pair, and the key pins the D
+    # frown pairs, whose picture is shared with the odd reflection at the
+    # sum root
+    got = []
+    for st in _standard_types():
+        rs = build(st)
+        for variant in VARIANTS:
+            try:
+                pair = standard_pair(rs, variant)
+            except DomainError:
+                continue
+            got.append([st.label(), variant, pair.key()])
+            if rs.family != "C":
+                assert from_pair(pair).render() == _word(rs, variant), \
+                    (st.label(), variant)
+    want = json.loads((GOLDEN / "standard_pairs.json").read_text())
+    assert json.loads(json.dumps(got)) == want

@@ -24,8 +24,7 @@ from superdenom.identity import (_keys_up_to, acted_series, closed_form_terms,
                                  verify, xi_presentation_unique,
                                  xi_uniqueness, y_fixed_by, y_shifts_by)
 from superdenom.roots import SuperType, build, simple_roots
-from superdenom.simple import (AdmissiblePair, even_frame,
-                               second_class_pair, second_type_moves,
+from superdenom.simple import (AdmissiblePair, even_frame, second_type_moves,
                                standard_pair, standard_pairs)
 from superdenom.weights import Weight, coordinate_order
 
@@ -56,7 +55,7 @@ def test_identity_other_variants():
     for pair in [_pair("B", 2, 1, "step3"),
                  _pair("D", 2, 1, "step3"),
                  _pair("D", 2, 1, "step3_prime"),
-                 second_class_pair(build(SuperType("D", 2, 1)))]:
+                 standard_pair(build(SuperType("D", 2, 1)), "second_class")]:
         report = verify(pair, H=5)
         assert report.equal, (pair.key(), report.first_discrepancy)
 
@@ -139,14 +138,14 @@ def test_cross_multiplication_misses_a_shift_w_sharp_fixes():
 def test_e_rho_coefficient_is_one():
     for pair in [_pair("GL", 3, 2), _pair("B", 2, 2), _pair("D", 2, 1),
                  _pair("D", 2, 1, "step3_prime"), _pair("C", 1, 3),
-                 second_class_pair(build(SuperType("D", 3, 2)))]:
+                 standard_pair(build(SuperType("D", 3, 2)), "second_class")]:
         assert e_rho_coefficient(pair) == 1, pair.key()
 
 
 def test_second_class_coefficient_set():
     for m, n in [(2, 1), (3, 1), (3, 2)]:
         rs = build(SuperType("D", m, n))
-        pair = second_class_pair(rs)
+        pair = standard_pair(rs, "second_class")
         got = frozenset(e_rho_coefficient_set(pair))
         assert got == second_class_expected_set(rs)
         assert sum(w.sgn() for w in got) == 1
@@ -179,7 +178,7 @@ def test_eps_symmetry_scope():
     assert not eps_symmetry_applicable(_pair("C", 1, 2))
     assert not eps_symmetry_applicable(_pair("D", 2, 2))
     assert not eps_symmetry_applicable(
-        second_class_pair(build(SuperType("D", 2, 1))))
+        standard_pair(build(SuperType("D", 2, 1)), "second_class"))
 
 
 def test_partner_products_fix_y():

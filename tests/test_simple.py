@@ -13,8 +13,8 @@ from superdenom.simple import (SimpleSystem, derive, enumerate_admissible_pairs,
                                make_pair, odd_reflection, pair_components,
                                pairing,
                                pair_neighbors, pair_odd_reflection,
-                               second_class_pair, second_type_move,
-                               second_type_moves, standard_pair,
+                               second_type_move, second_type_moves,
+                               standard_pair,
                                standard_pairs)
 from superdenom.weights import Elimination, Weight, bilinear_form
 
@@ -138,13 +138,13 @@ def test_standard_pair_shapes():
 
 def test_second_class_pair_d_eps():
     rs = build(SuperType("D", 3, 2))
-    pair = second_class_pair(rs)
+    pair = standard_pair(rs, "second_class")
     e, d = rs.eps, rs.delta
     assert set(pair.S) == {e(1) - d(1), e(3) + d(2)}
     assert e(3) + d(2) in pair.system.simple_roots
     assert d(2) - e(3) in pair.system.simple_roots
     with pytest.raises(DomainError):
-        second_class_pair(build(SuperType("D", 2, 3)))
+        standard_pair(build(SuperType("D", 2, 3)), "second_class")
 
 
 def test_pair_odd_reflection_keeps_admissibility():
