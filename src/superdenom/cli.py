@@ -112,6 +112,10 @@ def run(args: argparse.Namespace) -> tuple:
         ok = True
         pairs = simple.standard_pairs(rs) if args.variant is None \
             else [(args.variant, simple.standard_pair(rs, args.variant))]
+        if args.variant not in (None, *simple.variants(rs)):
+            # standard_pair has refused every other unlisted variant
+            raise DomainError("%s is the step2 pair on %s; use --variant step2"
+                              % (args.variant, rs.stype.label()))
         for name, pair in pairs:
             report = identity.verify(pair, H=args.height)
             entry = report.to_json()

@@ -5,11 +5,10 @@ datum times e^rho, with the alternating W#-sum X of the geometric terms
 e^rho / prod_{beta in S}(1 + e^{-beta}) attached to an admissible pair.
 Everything here is exact: truncated series carry int coefficients, and
 cone questions go through `weights.Elimination`, which decides on integer
-numerators, or the simplex in `lp`.  Closed-form statements compare
-canonical forms of finite term lists (`series.canonical_terms`): equal
-forms prove equality, but unequal ones prove nothing, since distinct term
-lists can denote the same function.  Nothing is sampled and nothing is
-floated.
+numerators.  Closed-form statements compare canonical forms of finite
+term lists (`series.canonical_terms`): equal forms prove equality, but
+unequal ones prove nothing, since distinct term lists can denote the same
+function.  Nothing is sampled and nothing is floated.
 """
 
 from __future__ import annotations
@@ -19,15 +18,13 @@ import time
 from collections.abc import Iterable, Sequence
 from fractions import Fraction as Q
 from itertools import product
-from operator import attrgetter, sub
+from operator import attrgetter, mul, sub
 
 from .errors import DomainError, StructuralError
 from .groups import (SignedPermutation, _compiled, _gather,
-                     check_stabilizer_dichotomy,
-                     dominant_representative, enumerate_group, is_dominant,
+                     check_stabilizer_dichotomy, enumerate_group, is_dominant,
                      orbit, orbit_intersects_shifted_cone, reflection,
                      sharp_group, stabilizer, weyl_generators, weyl_group)
-from .lp import OPTIMAL, maximize
 from .records import Record
 from .roots import RootSystem, SuperType, build, simple_roots
 from .series import (FormalSeries, GeometricTerm, _accumulate, _ht,
@@ -35,7 +32,7 @@ from .series import (FormalSeries, GeometricTerm, _accumulate, _ht,
                      positive_step, terms_of)
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
                      isotropic_parts, second_type_move, standard_pair)
-from .weights import Weight, coordinate_order, form4, solve_in_span
+from .weights import Weight, coordinate_order, form4
 
 
 def _zero(rs: RootSystem) -> Weight:
@@ -495,13 +492,28 @@ def xi_vector(pair: AdmissiblePair) -> Weight:
 
 
 def regular_orbit_scan(rs: RootSystem, H: int = 10) -> list:
-    """Dominant representatives of the regular W-orbits inside rho_0 - Q+.
+    """Dominant elements of the regular W-orbits inside rho_0 - Q+.
 
-    The search region is rho_0 - {mu in Q+ : height(mu) <= H} in the
-    standard frame; orbit containment in the cone is exact.  The scan runs
-    on doubled int tuples: every lambda, its orbit and the integer cone
-    test of rho_0 - p for each orbit element p.  Only after the scan does
-    each accepted orbit become a Weight, its dominant representative.
+    The search region, the box, is rho_0 - {mu in Q+ : height(mu) <= H}
+    in the standard frame; a key lists mu's simple coordinates.  The scan
+    keeps exactly the strictly dominant lambda of the box: those with
+    <lambda, a^vee> > 0 for every even simple root a.  That pairing has
+    the sign of form4(lambda, a) * form4(a, a), and it is linear in the
+    key, so each key is tested on ints against one row per even simple
+    root; only the kept keys become Weights.  These are all the answers:
+
+    - Every lambda in the box has rho_0 - lambda in Q+, because its key
+      is >= 0.
+    - For a strictly dominant lambda and w in W, lambda - w lambda is a
+      nonnegative combination of positive even roots and lies in the
+      root lattice.  The simple roots are a Z-basis of that lattice, so
+      lambda - w lambda is in Q+.  Hence the whole orbit lies in
+      rho_0 - Q+, and lambda, which lies on no wall, is regular.
+    - Conversely, if an accepted orbit, regular and inside rho_0 - Q+,
+      meets the box at p, its dominant element mu is strictly dominant
+      and mu - p is in Q+ by the same argument.  So mu sits no higher
+      than p, and it is in the box itself.
+
     The result must match the classification: only W rho_0 except for
     gl(n|n), where the representatives are rho_0 - s*xi.
     """
@@ -509,29 +521,16 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10) -> list:
         raise DomainError("orbit scans cover the gl and C families only")
     pair = standard_pair(rs, "step2")
     frame = pair.system
-    group = weyl_group(rs)
-    acts = [_compiled(g) for g in group]
-    simples = [a.doubled for a in frame.simple_roots]
-    cone = frame._solver.cone   # derive's elimination of these columns
-    rho0 = frame.rho0.doubled
-    evens = simple_roots(rs.positive_even)
-    accepted = []
-    seen = set()
-    for key in _keys_up_to(len(simples), H):
-        lam = rho0
-        for k, a in zip(key, simples):
-            if k:
-                lam = tuple([x - k * y for x, y in zip(lam, a)])
-        if lam in seen:
-            continue
-        orb = {act(lam) for act in acts}
-        seen.update(orb)
-        if len(orb) != len(group):
-            continue
-        if all(cone(tuple(map(sub, rho0, p))) is not None for p in orb):
-            accepted.append(lam)
-    out = sorted({dominant_representative(Weight(lam, rs.m), group, evens)
-                  for lam in accepted}, key=coordinate_order)
+    walls = []
+    for a in simple_roots(rs.positive_even):
+        sign = 1 if form4(a, a) > 0 else -1
+        walls.append((sign * form4(frame.rho0, a),
+                      [sign * form4(b, a) for b in frame.simple_roots]))
+    out = sorted((frame.rho0 - frame.weight(key)
+                  for key in _keys_up_to(len(frame.simple_roots), H)
+                  if all(sum(map(mul, key, row)) < base
+                         for base, row in walls)),
+                 key=coordinate_order)
     expected = expected_regular_orbit_reps(rs, H, pair)
     if out != expected:
         raise StructuralError(
@@ -569,26 +568,32 @@ def xi_presentation_unique(pair: AdmissiblePair,
                            target: Weight | None = None) -> tuple:
     """Is target (default: sum of S) uniquely a cone combination of Delta+?
 
-    Maximizes the total weight placed outside S with the exact simplex;
-    the presentation is unique iff that optimum exists and is zero and S
-    itself carries coefficient 1 everywhere.  Returns (unique, detail).
+    Decided on simple coordinates.  Positive roots have nonnegative
+    integer simple coordinates, so a presentation of the target can use a
+    root only if the root's support lies in the target's.  Any such root
+    beta can carry some mass: for small c > 0, target - c*beta still has
+    positive coordinates on the target's support.  S lies in Pi, so when
+    no root outside S fits, the only presentation is the target's own
+    coordinates.  Hence the presentation is unique with coefficient 1 on
+    S iff the target is in the cone, no positive root outside S has its
+    support inside the target's, and the target's coordinates are 1 on S.
+    Returns (unique, detail).
     """
     frame = pair.system
     target = xi_vector(pair) if target is None else target
-    gens = sorted(frame.positive_roots, key=coordinate_order)
-    support = set(pair.S)
-    cost = [0 if g in support else 1 for g in gens]
-    dim = pair.rs.m + pair.rs.n
-    # A x = b has the same solutions with both sides doubled
-    A = [[g.doubled[i] for g in gens] for i in range(dim)]
-    status, value, _ = maximize(cost, A, target.doubled)
-    if status != OPTIMAL:
-        return False, "presentation program is %s" % status
-    if value != 0:
-        return False, "mass %s can sit outside S" % value
-    sol = solve_in_span(list(pair.S), target)
-    if sol is None or any(c != 1 for c in sol):
-        return False, "restriction to S gives %s" % (sol,)
+    coords = frame.cone(target, ring="rational")
+    if coords is None:
+        return False, "%s is outside the cone of positive roots" % target
+    support = {k for k, c in enumerate(coords) if c}
+    fits = [b for b in frame.positive_roots if b not in pair.S
+            and all(k in support for k, c in enumerate(frame.cone_int(b))
+                    if c)]
+    if fits:
+        return False, "%s lies outside S and fits the target's support" \
+            % min(fits, key=coordinate_order)
+    on_s = [coords[frame.simple_roots.index(b)] for b in pair.S]
+    if any(c != 1 for c in on_s):
+        return False, "coefficients on S are %s" % ", ".join(map(str, on_s))
     return True, "unique, coefficient 1 on each element of S"
 
 

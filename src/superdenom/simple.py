@@ -447,8 +447,8 @@ def standard_pair(rs: RootSystem, variant: str = "step3") -> AdmissiblePair:
     return pair_from_word(rs, word)
 
 
-def standard_pairs(rs: RootSystem) -> list:
-    """(variant, pair) for the standard variants of the system.
+def variants(rs: RootSystem) -> list:
+    """The standard variants of the system, the ones verify runs.
 
     step2 always; step3 for B and D; step3_prime and second_class for D
     with m > n >= 1.  On gl and C, step3 gives the step2 pair and is left
@@ -461,7 +461,12 @@ def standard_pairs(rs: RootSystem) -> list:
         names.append("step3")
     if rs.family == "D_EPS" and rs.n >= 1:
         names += ["step3_prime", "second_class"]
-    return [(name, standard_pair(rs, name)) for name in names]
+    return names
+
+
+def standard_pairs(rs: RootSystem) -> list:
+    """(variant, pair) for each of the system's standard variants."""
+    return [(name, standard_pair(rs, name)) for name in variants(rs)]
 
 
 def pair_from_word(rs: RootSystem, word: str) -> AdmissiblePair:

@@ -279,7 +279,3 @@ class Elimination:
             return None
         return tuple(self._coordinates(nums, floordiv))
 
-
-def solve_in_span(vectors: Sequence[Weight], target: Weight) -> list | None:
-    """Exact coordinates of target in span(vectors), or None if outside."""
-    return Elimination([v.doubled for v in vectors]).solve(target.doubled)

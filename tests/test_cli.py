@@ -116,6 +116,21 @@ def test_unavailable_standard_pairs_exit_2(capsys, argv, message):
     assert out == "" and err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv, label", [
+    (["--family", "GL", "--m", "2", "--n", "1"], "gl(2|1)"),
+    (["--family", "C", "--n", "2"], "C(2)"),
+])
+def test_step3_on_gl_and_c_is_refused(capsys, argv, label):
+    code, out, err = _run_main(capsys, ["verify"] + argv + [
+        "--variant", "step3", "--height", "4"])
+    assert code == 2
+    assert out == "" and err == (
+        "error: step3 is the step2 pair on %s; use --variant step2\n" % label)
+    code, out, _ = _run_main(capsys, ["verify"] + argv + [
+        "--variant", "step2", "--height", "4"])
+    assert code == 0 and out.startswith("%s [step2] H=4: equal" % label)
+
+
 def test_resource_cap_exit_3(capsys):
     code, _, err = _run_main(capsys, ["pairs", "--family", "GL",
                                       "--m", "3", "--n", "2",

@@ -260,7 +260,9 @@ def _weight_orbit_scan(rs, H):
 
 @pytest.mark.parametrize("stype,H", [
     (SuperType("GL", 2, 2), 8), (SuperType("GL", 3, 3), 10),
-    (SuperType("C", n=3), 12)])
+    (SuperType("C", n=3), 12), (SuperType("GL", 1, 1), 8),
+    (SuperType("GL", 3, 2), 10), (SuperType("GL", 4, 2), 8),
+    (SuperType("C", n=2), 12), (SuperType("C", n=4), 10)])
 def test_raw_orbit_scan_matches_the_weight_scan(stype, H):
     rs = build(stype)
     assert regular_orbit_scan(rs, H) == _weight_orbit_scan(rs, H)
@@ -301,6 +303,24 @@ def test_xi_uniqueness_and_negative_control():
     bad, detail = xi_presentation_unique(pair, target=xi + rs.eps(1) - rs.eps(2))
     assert not bad
     assert "outside S" in detail
+
+
+@pytest.mark.parametrize("fam,m,n", [("GL", 2, 2), ("GL", 3, 3), ("GL", 3, 1)])
+def test_xi_presentation_failure_modes(fam, m, n):
+    pair = _pair(fam, m, n)
+    xi = identity.xi_vector(pair)
+    assert xi_presentation_unique(pair) == (
+        True, "unique, coefficient 1 on each element of S")
+    ok, detail = xi_presentation_unique(pair, target=-xi)
+    assert not ok and "outside the cone" in detail
+    # a root outside S whose support lies inside the target's
+    beta = min((b for b in pair.system.positive_roots if b not in pair.S),
+               key=coordinate_order)
+    ok, detail = xi_presentation_unique(pair, target=xi + beta)
+    assert not ok and "outside S" in detail
+    ok, detail = xi_presentation_unique(pair, target=xi.scale(2))
+    assert not ok
+    assert detail == "coefficients on S are " + ", ".join(["2"] * len(pair.S))
 
 
 def _failed_checks(report) -> set:

@@ -8,7 +8,7 @@ from superdenom.errors import StructuralError
 from superdenom.roots import SuperType, build
 from superdenom.simple import even_frame, standard_pairs
 from superdenom.weights import (Elimination, Weight, bilinear_form, form4,
-                                solve_in_span, weight_json)
+                                weight_json)
 
 
 def w(eps, delta=()):
@@ -70,17 +70,15 @@ def test_form4_is_four_times_the_form(m, n, data):
         form4(x, Weight(y.doubled + (0,), m))
 
 
-def test_solve_in_span():
+def test_elimination_solve():
     e1 = Weight.eps_unit(1, 2, 1)
     e2 = Weight.eps_unit(2, 2, 1)
     d1 = Weight.delta_unit(1, 2, 1)
-    basis = [e1 - e2, e2 - d1]
-    sol = solve_in_span(basis, e1 - d1)
-    assert sol == [1, 1]
-    assert solve_in_span(basis, e1 + d1) is None
+    solve = Elimination([(e1 - e2).doubled, (e2 - d1).doubled]).solve
+    assert solve((e1 - d1).doubled) == [1, 1]
+    assert solve((e1 + d1).doubled) is None
     # rational coordinates come back exactly
-    sol = solve_in_span(basis, (e1 - e2).scale(Q(1, 2)))
-    assert sol == [Q(1, 2), 0]
+    assert solve((e1 - e2).scale(Q(1, 2)).doubled) == [Q(1, 2), 0]
     # ranks, the third column being the sum of the first two
     cols = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
     assert Elimination(cols[:2]).rank == 2

@@ -58,6 +58,8 @@ STRUCTURE = (
     ("diagram D(4,2)", ("diagram", "--family", "D", "--m", "4", "--n", "2")),
     ("orbits gl(3|3) H=10", ("orbits", "--family", "GL", "--m", "3",
                              "--n", "3", "--height", "10")),
+    ("orbits C(4) H=12", ("orbits", "--family", "C", "--n", "4",
+                          "--height", "12")),
 )
 
 # a run that does almost no work: start-up and imports
