@@ -122,10 +122,11 @@ def run(args: argparse.Namespace) -> tuple:
             entry["variant"] = name
             reports.append(entry)
             ok = ok and report.equal
-            lines.append("%s [%s] H=%d: %s (lhs %d terms, rhs %d terms)"
+            lines.append("%s [%s] H=%d: %s (lhs %d terms, rhs %d terms)%s"
                          % (rs.stype.label(), name, args.height,
                             "equal" if report.equal else "NOT EQUAL",
-                            report.lhs_terms, report.rhs_terms))
+                            report.lhs_terms, report.rhs_terms,
+                            report.note and "; " + report.note))
         payload["result"] = {"reports": reports, "equal": ok}
         return (EXIT_OK if ok else EXIT_VERIFICATION, payload, lines)
 

@@ -3,12 +3,15 @@
 The identity equates R e^rho, the Weyl denominator of the fixed root
 datum times e^rho, with the alternating W#-sum X of the geometric terms
 e^rho / prod_{beta in S}(1 + e^{-beta}) attached to an admissible pair.
-Everything here is exact: truncated series carry int coefficients, and
-cone questions go through `weights.Elimination`, which decides on integer
-numerators.  Closed-form statements compare canonical forms of finite
-term lists (`series.canonical_terms`): equal forms prove equality, but
-unequal ones prove nothing, since distinct term lists can denote the same
-function.  Nothing is sampled and nothing is floated.
+`verify` merges that sum once on raw doubled tuples and expands it with
+`series.expand_raw`; X is W#-alternating by construction, so skewness is
+checked under W_2 alone (W = W# x W_2).  Everything here is exact:
+truncated series carry int coefficients, and cone questions go through
+`weights.Elimination`, which decides on integer numerators.  Closed-form
+statements compare canonical forms of finite term lists
+(`series.canonical_terms`): equal forms prove equality, but unequal ones
+prove nothing, since distinct term lists can denote the same function.
+Nothing is sampled and nothing is floated.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .groups import (SignedPermutation, _compiled, _gather,
 from .records import Record
 from .roots import RootSystem, SuperType, build, simple_roots
 from .series import (FormalSeries, GeometricTerm, _accumulate, _ht,
-                     _Packing, act, canonical_terms, expand_terms, multiply,
-                     positive_step, terms_of)
+                     _Packing, act, canonical_terms, expand_raw, multiply,
+                     positive_step)
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
                      isotropic_parts, second_type_move, standard_pair)
 from .weights import Weight, coordinate_order, form4
@@ -47,23 +50,28 @@ def _us(t0: float) -> int:
 # the two sides
 
 def phi_data(w: SignedPermutation, pair: AdmissiblePair) -> tuple:
-    """(base_key, abs_w): per-element bookkeeping for the expanded form of X.
+    """(base_key, steps): per-element bookkeeping for the expanded form of X.
 
     phi is the sum of the w-images of S that land negative and base_key
-    the cone coordinates of rho - (w rho + phi); abs_w maps each beta in S
-    to the positive root +-w(beta).
+    the cone coordinates of rho - (w rho + phi); steps lists, in the order
+    of S, the simple coordinates of the positive root +-w(beta).  It runs
+    on gathers of doubled tuples, each image looked up in the frame's
+    table of roots (StructuralError if it is none).
     """
     frame = pair.system
-    phi = _zero(pair.rs)
-    abs_w = {}
+    roots = frame._root_steps
+    r = frame.rho.doubled
+    acc = tuple(map(sub, r, _gather(w.src, r)))
+    steps = []
     for b in pair.S:
-        wb = w.apply(b)
-        if frame.is_positive_root(wb):
-            abs_w[b] = wb
-        else:
-            phi = phi + wb
-            abs_w[b] = -wb
-    return frame.cone_key(frame.rho - (w.apply(frame.rho) + phi)), abs_w
+        wb = _gather(w.src, b.doubled)
+        if wb not in roots:
+            raise StructuralError("%s is not a root" % Weight(wb, frame.m))
+        step, negative = roots[wb]
+        if negative:
+            acc = tuple(map(sub, acc, wb))
+        steps.append(step)
+    return frame._raw_cone_key(acc), steps
 
 
 def y_term(pair: AdmissiblePair) -> GeometricTerm:
@@ -86,8 +94,8 @@ def _alternating_sum(group: Sequence[SignedPermutation], exponent: Weight,
 
     Raw key (w exponent, sorted w denoms), on doubled tuples, to the sum
     of sgn(w) over the w giving it; zero sums drop.  This is the
-    `GeometricTerm.raw` of each term, made by one gather per weight, so
-    `terms_of` builds a term only for a key that is expanded.
+    `GeometricTerm.raw` of each term, made by one gather per weight, and
+    what `expand_raw` expands.
     """
     e = exponent.doubled
     ds = [b.doubled for b in denoms]
@@ -146,13 +154,11 @@ def rhs_closed(pair: AdmissiblePair, H: int,
     """X as the alternating W#-sum of geometric terms, expanded to H.
 
     merged is `closed_form_sum(pair)`, built here unless the caller has
-    it: `verify` builds it once for this and the skew test.  Only the
-    terms within H are built (`terms_of`).
+    it: `verify` builds it once for this and the skew test.
     """
     if merged is None:
         merged = closed_form_sum(pair)
-    frame = pair.system
-    return expand_terms(terms_of(merged, frame, H), frame, H)
+    return expand_raw(merged, pair.system, H)
 
 
 def rhs_expanded(pair: AdmissiblePair, H: int) -> FormalSeries:
@@ -171,8 +177,7 @@ def rhs_expanded(pair: AdmissiblePair, H: int) -> FormalSeries:
     for w in sharp_group(pair.rs):
         if frame._raw_height(tuple(map(sub, r, _gather(w.src, r)))) > H:
             continue
-        base, abs_w = phi_data(w, pair)
-        steps = [frame.cone_int(abs_w[b]) for b in pair.S]
+        base, steps = phi_data(w, pair)
         if _ht(base) <= H:
             chains.append((base, steps, w.sgn()))
     codec = _Packing.around([base for base, _, _ in chains], H)
@@ -248,7 +253,7 @@ def verify(pair: AdmissiblePair, H: int = 8,
     Inequality is reported, never raised; the first discrepancy names the
     exponent and both coefficients.
     """
-    timings, checks = {}, {}
+    timings, checks, note = {}, {}, ""
     t = time.perf_counter()
     left = lhs(pair, H)
     timings["lhs"] = _us(t)
@@ -271,7 +276,11 @@ def verify(pair: AdmissiblePair, H: int = 8,
         t = time.perf_counter()
         ok, witness = skew_invariance_check(pair, H, series=right,
                                             merged=merged)
-        checks["skew_invariance"] = ok
+        if ok is None:
+            note = ("W2 is trivial, so skew-invariance had nothing to "
+                    "check: X is W#-alternating by construction")
+        else:
+            checks["skew_invariance"] = ok
         if first is None and witness is not None:
             first = witness
         timings["skew"] = _us(t)
@@ -279,39 +288,60 @@ def verify(pair: AdmissiblePair, H: int = 8,
         system=pair.rs.stype, pair=pair, H=H,
         lhs_terms=left.nonzero_count(), rhs_terms=right.nonzero_count(),
         equal=all(checks.values()), first_discrepancy=first,
-        timings=timings, checks=checks)
+        timings=timings, checks=checks, note=note)
 
 
 def skew_invariance_check(pair: AdmissiblePair, H: int,
                           series: FormalSeries | None = None,
                           merged: dict | None = None) -> tuple:
-    """w X = sgn(w) X for every simple reflection of the full W.
+    """w X = sgn(w) X for every simple reflection of W_2: (ok, witness).
 
-    The W#-sum terms are merged once (series and merged are X and
+    W = W# x W_2, and only W_2's generators are checked, since under W#
+    the statement is a tautology.  For g in W#, reindexing by u = gw gives
+    g(X) = sum_w sgn(w) gw(Y) = sgn(g) sum_u sgn(u) u(Y) = sgn(g) X: u runs
+    over W# once because W# is a group, and sgn(u) = sgn(g) sgn(w).  That
+    premise is guarded: `sharp_group` must have its closed-form order
+    (`_sharp_order`), or StructuralError.  Where W_2 is trivial (C,
+    gl(m|1), D(1,n), an empty delta block) there is nothing to check, and
+    ok is None.
+
+    The W#-sum is merged once (series and merged are X and
     `closed_form_sum(pair)` when the caller has them); W itself is never
-    enumerated.  A generator g is settled in closed form when g
-    permutes the terms up to sgn(g): if the terms g(t) and sgn(g) t cancel
-    coefficient by coefficient on their (exponent, denominators) keys,
+    enumerated.  A generator g is settled in closed form when g permutes
+    the terms up to sgn(g): if the terms g(t) and sgn(g) t cancel
+    coefficient by coefficient on their raw (exponent, denominators) keys,
     then g(X) = sgn(g) X exactly and nothing is expanded.  Any other
-    generator is expanded and compared on the window, which is also where
-    a failure and its witness come from.  g acts injectively on the keys,
-    so acting on the merged terms gives the same g(X) as acting on all.
+    generator is expanded (`acted_series`) and compared on the window,
+    which is also where a failure and its witness come from.
     """
+    rs = pair.rs
+    size, order = len(sharp_group(rs)), _sharp_order(rs)
+    if size != order:
+        raise StructuralError("W# of %s has %d elements, not %d"
+                              % (rs.stype.label(), size, order))
+    gens = [(root, g) for root, g in weyl_generators(rs)
+            if root not in rs.sharp]
+    if not gens:
+        return None, None
     if merged is None:
         merged = closed_form_sum(pair)
-    X, terms = series, None
-    for root, g in weyl_generators(pair.rs):
+    X = series
+    for root, g in gens:
         if _permutes_up_to_sign(g, merged):
             continue
         if X is None:
             X = rhs_closed(pair, H, merged)
-        if terms is None:
-            terms = terms_of(merged, pair.system)
-        diff = acted_series(terms, g, pair.system,
+        diff = acted_series(merged, g, pair.system,
                             H).eq_report(X.scale(g.sgn()))
         if diff is not None:
             return False, dict(diff, generator=str(root))
     return True, None
+
+
+def _sharp_order(rs: RootSystem) -> int:
+    """|W#| on m eps coordinates: m! (A), 2^m m! (B, C), 2^(m-1) m! (D)."""
+    twos = {"GL": 0, "Q": 0, "D_EPS": rs.m - 1}.get(rs.family, rs.m)
+    return 2 ** twos * math.factorial(rs.m)
 
 
 def _permutes_up_to_sign(g: SignedPermutation, merged: dict) -> bool:
@@ -334,10 +364,15 @@ def _permutes_up_to_sign(g: SignedPermutation, merged: dict) -> bool:
     return True
 
 
-def acted_series(terms: Sequence[GeometricTerm], g: SignedPermutation,
-                 frame: SimpleSystem, H: int) -> FormalSeries:
-    """g(X) for X given by its closed-form terms, expanded in frame."""
-    return expand_terms([act(g, t) for t in terms], frame, H)
+def acted_series(merged: dict, g: SignedPermutation, frame: SimpleSystem,
+                 H: int) -> FormalSeries:
+    """g(X) for X given by its merged raw sum, expanded in frame.
+
+    g acts injectively on raw keys, so the acted sum needs no merge.
+    """
+    move = _compiled(g)
+    return expand_raw({(move(exponent), tuple(sorted(map(move, denoms)))): c
+                       for (exponent, denoms), c in merged.items()}, frame, H)
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +415,14 @@ def cross_multiplied_check(pair: AdmissiblePair) -> tuple:
     left, right).
     """
     frame = pair.system
-    odd = [(a, frame.cone_int(a))
+    odd = [frame.cone_int(a)
            for a in sorted(frame.pos_odd, key=coordinate_order)]
     even = [frame.cone_int(a)
             for a in sorted(pair.rs.positive_even, key=coordinate_order)]
     chains, H = [], sum(map(_ht, even))
     for w in sharp_group(pair.rs):
-        base, abs_w = phi_data(w, pair)
-        dropped = set(abs_w.values())
-        steps = [step for a, step in odd if a not in dropped]
+        base, dropped = phi_data(w, pair)
+        steps = [step for step in odd if step not in dropped]
         H = max(H, _ht(base) + sum(map(_ht, steps)))
         chains.append(({base: w.sgn()}, [(step, 1) for step in steps]))
     zero = (0,) * len(frame.simple_roots)
@@ -467,9 +501,8 @@ def qn_identity(n_or_rs, S: Sequence[Weight] | None = None,
                         H).scale(a)
     timings["lhs"] = _us(t)
     t = time.perf_counter()
-    merged = _alternating_sum(weyl_group(rs), zero, S)
-    right = expand_terms(terms_of(merged, frame, H, zero), frame, H,
-                         offset=zero)
+    right = expand_raw(_alternating_sum(weyl_group(rs), zero, S), frame, H,
+                       offset=zero)
     timings["rhs"] = _us(t)
     first = left.eq_report(right)
     note = ("action w(eps_i) = eps_{w(i)}; a(S) = %d for S = {%s}"

@@ -445,61 +445,50 @@ def multiply(H, chains) -> tuple:
     return codec, acc
 
 
-def _culled(frame: SimpleSystem, H, offset: tuple, exponent: tuple,
-            denoms) -> bool:
-    """Is ht(offset - exponent) > H?  Doubled tuples in, nothing built.
+def expand_raw(merged: dict, frame: SimpleSystem, H,
+               offset: Weight | None = None) -> FormalSeries:
+    """Sum of the expansions of a merged raw sum in the frame's directions.
 
-    A culled term still has its denominators checked to be roots, and
-    offset - exponent must lie in the span either way.
+    merged maps raw keys (`GeometricTerm.raw`: exponent and sorted
+    denominators, doubled tuples) to coefficients; no weight or term is
+    built.  Every denominator must be a root, and offset - exponent must
+    lie in the span with an integer height.  A key past height H is then
+    culled, which is exact: normalizing moves the exponent down by
+    positive roots and expanding adds positive steps.  The rest are
+    normalized on their tuples, a negative denominator added to the
+    exponent and negated, with each step read from the frame's table
+    (`SimpleSystem._root_steps`); a base key off the lattice keeps a
+    Fraction, which packing refuses.  Expansion is linear and every step
+    positive, so the chains are grouped on their sorted steps, summing
+    their bases, into one `multiply` (C(5) at H=10 keeps 194 keys with 10
+    distinct factor lists).
     """
-    if frame._raw_height(tuple(map(sub, offset, exponent))) <= H:
-        return False
-    roots = frame._root_keys
-    for g in denoms:
-        if g not in roots:
-            raise StructuralError("denominator %s is not a root here"
-                                  % Weight(g, frame.m))
-    return True
-
-
-def terms_of(merged: dict, frame: SimpleSystem, H=None,
-             offset: Weight | None = None) -> list:
-    """The terms of a raw sum, each built once; past height H none is built.
-
-    merged maps raw keys (`GeometricTerm.raw`, denominators sorted) to
-    coefficients, as `_accumulate` merges them.  With H given, a key that
-    `expand_terms` would cull is dropped on its raw tuples (`_culled`).
-    """
-    m = frame.m
-    if H is not None:
-        offset = (frame.rho if offset is None else offset).doubled
-        merged = {k: c for k, c in merged.items()
-                  if not _culled(frame, H, offset, *k)}
-    return [GeometricTerm(c, Weight(e, m), tuple([Weight(g, m) for g in d]))
-            for (e, d), c in merged.items()]
+    offset = frame.rho if offset is None else offset
+    off, roots, chains = offset.doubled, frame._root_steps, {}
+    for (exponent, denoms), c in merged.items():
+        found = [roots.get(g) for g in denoms]
+        if None in found:
+            raise StructuralError("denominator %s is not a root here" % Weight(
+                denoms[found.index(None)], frame.m))
+        mu = tuple(map(sub, off, exponent))
+        ht = frame._raw_height(mu)
+        if type(ht) is not int:
+            raise StructuralError("%s is not integral" % Weight(mu, frame.m))
+        if ht > H:
+            continue
+        for g, (_, negative) in zip(denoms, found):
+            if negative:
+                mu = tuple(map(sub, mu, g))
+        data = chains.setdefault(tuple(sorted([s for s, _ in found])), {})
+        base = frame._raw_cone_key(mu)
+        data[base] = data.get(base, 0) + c
+    return FormalSeries(frame, H, offset, multiply(H, [
+        (data, [(step, None) for step in steps])
+        for steps, data in chains.items()]))
 
 
 def expand_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem, H,
                  offset: Weight | None = None) -> FormalSeries:
-    """Sum of the expansions of the terms in the frame's directions.
-
-    A term with ht(offset - exponent) > H is culled before it is
-    normalized or keyed.  That is exact: normalizing moves the exponent
-    down by positive roots and expanding only adds positive steps, so
-    every key of the term lies above that height.  Its denominators must
-    still be roots and offset - exponent must still lie in the span.  The
-    rest are normalized, and each is one chain of geometric factors for
-    `multiply`.  Expansion is linear in the coefficient, so a caller
-    whose list repeats terms merges it first on `GeometricTerm.raw` and
-    builds the distinct terms with `terms_of`: q(7)'s 5,040 W-terms are
-    840 distinct ones.
-    """
-    offset = frame.rho if offset is None else offset
-    chains = []
-    for t in terms:
-        if _culled(frame, H, offset.doubled, *t.raw):
-            continue
-        nt = normalize(t, frame)
-        chains.append(({frame.cone_key(offset - nt.exponent): nt.coeff},
-                       [(frame.cone_int(g), None) for g in nt.denoms]))
-    return FormalSeries(frame, H, offset, multiply(H, chains))
+    """The terms' raw keys merged, then expanded by `expand_raw`."""
+    return expand_raw(_accumulate({}, ((t.raw, t.coeff) for t in terms)),
+                      frame, H, offset)

@@ -82,13 +82,17 @@ class SimpleSystem:
         cached = self._int_cache.get(w)
         if cached is not None:
             return cached
-        nums = self._solver.numerators(w.doubled)
-        if nums is None:
-            raise StructuralError("%s is outside the simple-root span" % w)
-        out = tuple(Q(acc, den) if acc % den else acc // den
-                    for acc, den in nums)
-        self._int_cache[w] = out
+        out = self._int_cache[w] = self._raw_cone_key(w.doubled)
         return out
+
+    def _raw_cone_key(self, t: tuple) -> tuple:
+        """cone_key of the weight with doubled tuple t, solved uncached."""
+        nums = self._solver.numerators(t)
+        if nums is None:
+            raise StructuralError("%s is outside the simple-root span"
+                                  % Weight(t, self.m))
+        return tuple([Q(acc, den) if acc % den else acc // den
+                      for acc, den in nums])
 
     def weight(self, key: tuple) -> Weight:
         """The span vector with these simple coordinates; inverts cone_key.
@@ -139,10 +143,14 @@ class SimpleSystem:
         return tuple(v // g for v in row), den // g, tuple(map(tuple, null))
 
     @cached_property
-    def _root_keys(self) -> frozenset:
-        """The doubled tuples of every root, positive or negative."""
-        return frozenset(w.doubled for w in self.positive_roots) \
-            | frozenset((-w).doubled for w in self.positive_roots)
+    def _root_steps(self) -> dict:
+        """Every root's doubled tuple -> (step, negative): step is the
+        simple coordinates of the positive one of +-root."""
+        out = {}
+        for w in self.positive_roots:
+            step = self.cone_int(w)
+            out[w.doubled], out[(-w).doubled] = (step, False), (step, True)
+        return out
 
     def _raw_height(self, t: tuple):
         """ht(w), the sum of w's simple coordinates, as an int or Fraction.

@@ -13,7 +13,7 @@ from superdenom.groups import external_delta_flips, reflection
 from superdenom.identity import (acted_series, classical_dichotomy_check,
                                  classical_dominant_check,
                                  classical_regular_cone_check,
-                                 closed_form_terms, coefficient_box,
+                                 closed_form_sum, coefficient_box,
                                  cross_multiplied_check,
                                  dropped_denominator_sum_vanishes,
                                  e_rho_coefficient, e_rho_coefficient_set,
@@ -265,7 +265,11 @@ def test_criterion_7_skew_invariance_and_relations():
         for stype, variant in _FIXTURES:
             pair = standard_pair(build(stype), variant)
             ok, detail = skew_invariance_check(pair, 8)
-            assert ok, (stype.label(), variant, detail)
+            # with no even root outside Delta#, W = W# and there is
+            # nothing to check (C, gl(m|1), D(1,2)); the rest must pass
+            trivial = not (pair.rs.positive_even - pair.rs.sharp)
+            assert ok is (None if trivial else True), \
+                (stype.label(), variant, detail)
         # paired transpositions fix Y whenever S holds two or more roots
         for stype in [SuperType("GL", 2, 2), SuperType("GL", 3, 2),
                       SuperType("GL", 3, 3), SuperType("B", 2, 2),
@@ -301,7 +305,7 @@ def test_criterion_7_skew_invariance_and_relations():
             assert y_shifts_by(pair, w, -beta0), (m, n)
             assert dropped_denominator_sum_vanishes(pair, beta0, zero), (m, n)
             s_d = reflection(rs.delta(n).scale(2))
-            total = acted_series(closed_form_terms(pair), s_d, pair.system,
+            total = acted_series(closed_form_sum(pair), s_d, pair.system,
                                  8).add(rhs_closed(pair, 8))
             assert total.nonzero_count() == 0, (m, n)
         # D with the sharp component on the delta side: the external
@@ -310,11 +314,11 @@ def test_criterion_7_skew_invariance_and_relations():
             rs = build(SuperType("D", m, n))
             pair = standard_pair(rs, "step2")
             X = rhs_closed(pair, 8)
-            terms = closed_form_terms(pair)
+            merged = closed_form_sum(pair)
             flips = external_delta_flips(rs)
             assert flips, (m, n)
             for sigma in flips:
-                assert acted_series(terms, sigma, pair.system,
+                assert acted_series(merged, sigma, pair.system,
                                     8).eq_report(X) is None, (m, n, sigma)
         # D with a sum root in the tail: the paired flip on the last two
         # eps and delta coordinates fixes Y

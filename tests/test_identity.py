@@ -8,7 +8,7 @@ from superdenom import groups, identity, series, simple
 from superdenom.errors import DomainError, StructuralError
 from superdenom.groups import (dominant_representative, orbit, reflection,
                                weyl_group)
-from superdenom.identity import (_keys_up_to, acted_series, closed_form_terms,
+from superdenom.identity import (_keys_up_to, acted_series, closed_form_sum,
                                  cross_multiplied_check,
                                  dropped_denominator_sum_vanishes,
                                  e_rho_coefficient, e_rho_coefficient_set,
@@ -35,6 +35,11 @@ def _pair(fam, m, n, variant="step2", **kw):
     return standard_pair(build(SuperType(fam, m, n, **kw)), variant)
 
 
+def _w2_trivial(rs) -> bool:
+    """No even root outside Delta#: W = W#, and skewness has no content."""
+    return not (rs.positive_even - rs.sharp)
+
+
 @pytest.mark.parametrize("fam,m,n", [
     ("GL", 1, 1), ("GL", 2, 1), ("GL", 2, 2),
     ("B", 1, 1), ("B", 2, 1), ("D", 2, 1), ("D", 1, 2), ("C", 1, 2),
@@ -44,11 +49,15 @@ def test_identity_small(fam, m, n):
     pair = standard_pair(build(st), "step2")
     report = verify(pair, H=5)
     assert report.equal, report.first_discrepancy
-    assert report.checks == {
-        "lhs_equals_rhs_closed": True,
-        "expansion_matches_closed_form": True,
-        "skew_invariance": True,
-    }
+    checks = {"lhs_equals_rhs_closed": True,
+              "expansion_matches_closed_form": True}
+    if _w2_trivial(pair.rs):
+        # gl(1|1), gl(2|1), D(1,2) and C: the key is left out, and said so
+        assert "nothing to check" in report.note
+    else:
+        checks["skew_invariance"] = True
+        assert report.note == ""
+    assert report.checks == checks
 
 
 def test_identity_other_variants():
@@ -65,9 +74,10 @@ def test_report_json_round_trip():
     data = report.to_json()
     assert data["equal"] is True
     assert data["H"] == 4
+    # W_2 of gl(1|1) is trivial, so skewness is left out of the checks
     assert set(data["checks"]) == {"lhs_equals_rhs_closed",
-                                   "expansion_matches_closed_form",
-                                   "skew_invariance"}
+                                   "expansion_matches_closed_form"}
+    assert "nothing to check" in data["note"]
     assert all(isinstance(v, int) for v in data["timings"].values())
 
 
@@ -208,7 +218,7 @@ def test_d_eps_flip_shifts_y():
         pair, next(iter(pair.S)), rs.eps(1) - rs.eps(1))
     # (1 + s_{delta_n}) X = 0
     s_d = reflection(rs.delta(1).scale(2))
-    total = acted_series(closed_form_terms(pair), s_d, pair.system, 5).add(
+    total = acted_series(closed_form_sum(pair), s_d, pair.system, 5).add(
         rhs_closed(pair, 5))
     assert total.nonzero_count() == 0
 
@@ -218,7 +228,7 @@ def test_d_delta_sigma_fixes_x():
     pair = _pair("D", 1, 2)
     rs = pair.rs
     for sigma in external_delta_flips(rs):
-        acted = acted_series(closed_form_terms(pair), sigma, pair.system, 5)
+        acted = acted_series(closed_form_sum(pair), sigma, pair.system, 5)
         assert acted.eq_report(rhs_closed(pair, 5)) is None
 
 
@@ -498,23 +508,42 @@ def test_passing_runs_stay_packed(monkeypatch):
     (SuperType("D", 3, 2), "second_class", 2)])
 def test_skew_expands_only_generators_that_move_the_terms(
         monkeypatch, stype, variant, expanded):
+    # only W_2's generators are checked, and only those that do not
+    # permute the raw terms up to sign are expanded
     pair = standard_pair(build(stype), variant)
+    rs = pair.rs
     calls = []
     original = identity.acted_series
 
-    def counting(terms, g, frame, H):
+    def counting(merged, g, frame, H):
         calls.append(g)
-        return original(terms, g, frame, H)
+        return original(merged, g, frame, H)
 
     monkeypatch.setattr(identity, "acted_series", counting)
     assert verify(pair, H=5).equal
-    assert len(calls) == expanded
-    # every generator settled without expanding holds on the window too
-    terms, X = closed_form_terms(pair), rhs_closed(pair, 5)
-    for _, g in groups.weyl_generators(pair.rs):
+    w2 = [g for root, g in groups.weyl_generators(rs) if root not in rs.sharp]
+    assert len(calls) == expanded and all(g in w2 for g in calls)
+    # every generator not expanded, W#'s included, holds on the window too
+    merged, X = closed_form_sum(pair), rhs_closed(pair, 5)
+    for _, g in groups.weyl_generators(rs):
         if g not in calls:
-            acted = original(terms, g, pair.system, 5)
+            acted = original(merged, g, pair.system, 5)
             assert acted.eq_report(X.scale(g.sgn())) is None
+
+
+@pytest.mark.parametrize("stype", [SuperType("B", 2, 2), SuperType("C", n=3)])
+def test_skew_refuses_a_w_sharp_of_the_wrong_order(monkeypatch, stype):
+    # skewness under W# is dropped because W# is a group; a W# one element
+    # short must stop the check, also where W_2 is trivial (C)
+    pair = standard_pair(build(stype), "step2")
+    assert identity.skew_invariance_check(pair, 4)[0] is not False
+    original = groups.sharp_group
+    monkeypatch.setattr(identity, "sharp_group",
+                        lambda rs: original(rs)[:-1])
+    with pytest.raises(StructuralError, match="elements, not"):
+        identity.skew_invariance_check(pair, 4)
+    with pytest.raises(StructuralError, match="elements, not"):
+        verify(pair, H=4)
 
 
 @pytest.mark.parametrize("stype", [

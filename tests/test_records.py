@@ -90,7 +90,7 @@ def test_supertype_validates_in_init(args, kw):
 
 def test_verification_report_is_mutable_and_unhashable():
     report = verify(standard_pair(build(SuperType("GL", 1, 1)), "step2"), H=2)
-    assert report.note == ""
+    assert "nothing to check" in report.note          # W_2 is trivial
     fields = {f: getattr(report, f) for f in VerificationReport.__slots__}
     copy = VerificationReport(**fields)
     assert copy == report and copy != fields

@@ -11,8 +11,8 @@ from superdenom.identity import (_alternating_sum, _alternating_terms,
                                  qn_system)
 from superdenom.roots import SuperType, build
 from superdenom.series import (FormalSeries, GeometricTerm, _accumulate,
-                               _Packing, act, canonical_terms, expand_terms,
-                               multiply, normalize, terms_of)
+                               _Packing, act, canonical_terms, expand_raw,
+                               expand_terms, multiply, normalize)
 from superdenom.simple import even_frame, standard_pair
 from superdenom.weights import Weight
 
@@ -395,8 +395,7 @@ def test_expand_terms_merges_the_q5_w_sum():
     merged = _alternating_sum(weyl_group(rs), zero, qn_standard_set(rs))
     assert merged == _merged(terms)
     assert len(terms) == 120 and len(merged) == 60
-    got = expand_terms(terms_of(merged, frame, 6, zero), frame, 6,
-                       offset=zero)
+    got = expand_raw(merged, frame, 6, zero)
     assert got.eq_report(_term_by_term(terms, frame, 6, zero)) is None
     assert got.eq_report(expand_terms(terms, frame, 6, offset=zero)) is None
     assert got.nonzero_count() > 0
@@ -411,7 +410,7 @@ def test_expand_terms_merges_duplicated_and_cancelling_copies():
     # six terms: four doubled, the last two cancelled
     assert len(terms) == 6 and len(merged) == 4
     assert list(merged.values())[:4] == [2 * t.coeff for t in terms[:4]]
-    got = expand_terms(terms_of(merged, frame), frame, 6)
+    got = expand_raw(merged, frame, 6)
     assert got.eq_report(_term_by_term(padded, frame, 6, frame.rho)) is None
     assert got.eq_report(expand_terms(padded, frame, 6)) is None
     assert got.eq_report(expand_terms(terms, frame, 6)) is not None
@@ -475,3 +474,32 @@ def test_a_weight_outside_the_span_still_raises():
         far = outside - (rs.eps(1) - rs.delta(1)).scale(H + 3)
         with pytest.raises(StructuralError, match="outside"):
             expand_terms([GeometricTerm.make(1, far, [])], frame, H)
+
+
+def test_expand_raw_refuses_bad_keys_culled_or_kept():
+    # a key past H is culled before it is solved, yet a denominator that is
+    # no root, an exponent outside the span and a base key of half-integral
+    # height raise there as they do on a kept key
+    rs, frame = _gl21()
+    rho, beta = frame.rho, rs.eps(1) - rs.delta(1)
+    not_a_root = (rs.eps(1) - rs.eps(2)).scale(2)
+    a, b = frame.simple_roots
+    half = a.scale(Q(1, 2))
+    for lift, kept in ((Weight.zero(2, 1), 1), (beta.scale(5), 0)):
+        start = rho - lift
+        good = expand_raw({GeometricTerm.make(1, start, [beta]).raw: 1},
+                          frame, 2)
+        assert (good.nonzero_count() > 0) is bool(kept)
+        for exponent, denoms, match in (
+                (start, [beta, not_a_root], "not a root"),
+                (start - rs.eps(1), [beta], "outside"),
+                (start - half, [beta], "not integral")):
+            with pytest.raises(StructuralError, match=match):
+                expand_raw({GeometricTerm.make(1, exponent, denoms).raw: 1},
+                           frame, 2)
+    # half-integral coordinates of integer height are refused when packed
+    skew = half - b.scale(Q(1, 2))
+    assert sum(frame.cone_key(skew)) == 0
+    with pytest.raises(StructuralError):
+        expand_raw({GeometricTerm.make(1, rho - skew, [beta]).raw: 1},
+                   frame, 2)
