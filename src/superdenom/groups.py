@@ -10,20 +10,22 @@ doubled coordinates.  Acting on a weight, or composing, is one gather;
 the sorted tuple of its elements: `weyl_group` and `sharp_group`
 enumerate W and W# (the group generated by reflections in the
 positive-square even roots) once per root system, by a closure on raw
-tuples with each generator compiled once.  `weyl_generators` keeps W's
-simple reflections apart, so a skewness check never enumerates W.
+tuples with each generator compiled once; `sharp_ball` walks to the W#
+elements within a height only.  `weyl_generators` keeps W's simple
+reflections apart, so a skewness check never enumerates W.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from functools import lru_cache, partial
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, sub
 
 from .errors import DomainError, ResourceLimitError, StructuralError
 from .records import Frozen, _set
 from .roots import RootSystem, simple_roots
-from .simple import SimpleSystem
+from .simple import AdmissiblePair, SimpleSystem
 from .weights import Weight, bilinear_form, coordinate_order, form4
 
 DEFAULT_CAP = 10 ** 6
@@ -158,7 +160,8 @@ def reflection(alpha: Weight) -> SignedPermutation:
     return SignedPermutation.from_images(images, m)
 
 
-def simple_reflections(positive: Iterable[Weight]) -> tuple:
+@lru_cache(maxsize=None)
+def simple_reflections(positive: frozenset) -> tuple:
     """(root, reflection) for each simple root of a positive even system."""
     return tuple((a, reflection(a)) for a in simple_roots(positive))
 
@@ -215,9 +218,53 @@ def weyl_group(rs: RootSystem) -> tuple:
 
 @lru_cache(maxsize=None)
 def sharp_group(rs: RootSystem) -> tuple:
-    """The elements of W#, generated by the positive-square even roots."""
+    """The elements of W#: StructuralError unless there are m! (A), 2^m m!
+    (B, C) or 2^(m-1) m! (D), as sums over W# reindex by it as a group."""
     gens = simple_reflections(rs.sharp & rs.positive_even)
-    return enumerate_group([g for _, g in gens], (rs.m, rs.n))
+    out = enumerate_group([g for _, g in gens], (rs.m, rs.n))
+    twos = {"GL": 0, "Q": 0, "D_EPS": rs.m - 1}.get(rs.family, rs.m)
+    order = 2 ** twos * math.factorial(rs.m)
+    if len(out) != order:
+        raise StructuralError("W# of %s has %d elements, not %d"
+                              % (rs.stype.label(), len(out), order))
+    return out
+
+
+def sharp_ball(pair: AdmissiblePair, H: int) -> tuple:
+    """The w in W# with ht(rho - w rho) <= H, signs carried, sorted by images.
+
+    Heights are in the pair's frame, where W#'s simple roots alpha must be
+    positive (StructuralError).  v, made by reflecting in them while
+    <mu, alpha^vee> < 0, takes rho to its W#-dominant rho+ (v = 1 on
+    admissible pairs, by rho-descent), and w rho = x rho+ for x = w v^-1.
+    If s_alpha x is longer than x, then x^-1 alpha > 0, so ht(rho+ -
+    s_alpha x rho+) = ht(rho+ - x rho+) + <rho+, (x^-1 alpha)^vee> ht(alpha)
+    is no less: the height never falls along a reduced word, and a walk
+    from v, left-multiplying by simple reflections and pruned past H,
+    reaches the whole ball (also below H = 0, where 1 is outside it).  A
+    term `series.expand_raw` keeps has base height ht(rho - w rho - phi)
+    >= ht(rho - w rho), phi a sum of negative roots: the ball holds it.
+    """
+    rs, frame = pair.rs, pair.system
+    gens = simple_reflections(rs.sharp & rs.positive_even)
+    if any(not frame.is_positive_root(a) for a, _ in gens):
+        raise StructuralError("a simple root of W# is negative in this frame")
+    mu, v, sign = frame.rho, SignedPermutation.identity(rs.m, rs.n).src, 1
+    while bent := [g for a, g in gens if form4(mu, a) * form4(a, a) < 0]:
+        mu, v, sign = bent[0].apply(mu), _gather(bent[0].src, v), -sign
+    r, acts = frame.rho.doubled, [(_compiled(g), g.sgn()) for _, g in gens]
+    seen, todo = {}, [(v, sign)]            # tuple -> sign, 0 past H
+    while todo:
+        w, sign = todo.pop()
+        if w not in seen:
+            inside = frame._raw_height(tuple(map(sub, r, _gather(w, r)))) <= H
+            seen[w] = sign if inside else 0
+            if len(seen) > DEFAULT_CAP:
+                raise ResourceLimitError("walk exceeded cap %d" % DEFAULT_CAP)
+            if inside:
+                todo += [(act(w), g_sign * sign) for act, g_sign in acts]
+    ball = [SignedPermutation(w, rs.m, s) for w, s in seen.items() if s]
+    return tuple(sorted(ball, key=attrgetter("images")))
 
 
 def external_delta_flips(rs: RootSystem) -> tuple:

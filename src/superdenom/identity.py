@@ -5,9 +5,11 @@ datum times e^rho, with the alternating W#-sum X of the geometric terms
 e^rho / prod_{beta in S}(1 + e^{-beta}) attached to an admissible pair.
 `verify` merges that sum once on raw doubled tuples and expands it with
 `series.expand_raw`; X is W#-alternating by construction, so skewness is
-checked under W_2 alone (W = W# x W_2).  Everything here is exact:
-truncated series carry int coefficients, and cone questions go through
-`weights.Elimination`, which decides on integer numerators.  Closed-form
+checked under W_2 alone (W = W# x W_2).  The sum runs over the W#
+elements within H (`groups.sharp_ball`), or over all of W# where skew
+reads every term.  Everything here is exact: truncated series carry int
+coefficients, and cone questions go through `weights.Elimination`, which
+decides on integer numerators.  Closed-form
 statements compare canonical forms of finite term lists
 (`series.canonical_terms`): equal forms prove equality, but unequal ones
 prove nothing, since distinct term lists can denote the same function.
@@ -27,7 +29,8 @@ from .errors import DomainError, StructuralError
 from .groups import (SignedPermutation, _compiled, _gather,
                      check_stabilizer_dichotomy, enumerate_group, is_dominant,
                      orbit, orbit_intersects_shifted_cone, reflection,
-                     sharp_group, stabilizer, weyl_generators, weyl_group)
+                     sharp_ball, sharp_group, stabilizer, weyl_generators,
+                     weyl_group)
 from .records import Record
 from .roots import RootSystem, SuperType, build, simple_roots
 from .series import (FormalSeries, GeometricTerm, _accumulate, _ht,
@@ -138,9 +141,11 @@ def closed_form_terms(pair: AdmissiblePair) -> tuple:
     return _alternating_terms(sharp_group(pair.rs), pair.system.rho, pair.S)
 
 
-def closed_form_sum(pair: AdmissiblePair) -> dict:
-    """`closed_form_terms` merged on raw keys (`_alternating_sum`)."""
-    return _alternating_sum(sharp_group(pair.rs), pair.system.rho, pair.S)
+def closed_form_sum(pair: AdmissiblePair,
+                    elements: Sequence | None = None) -> dict:
+    """`closed_form_terms` merged on raw keys, over elements (default W#)."""
+    return _alternating_sum(sharp_group(pair.rs) if elements is None
+                            else elements, pair.system.rho, pair.S)
 
 
 def lhs(pair: AdmissiblePair, H: int) -> FormalSeries:
@@ -153,19 +158,21 @@ def rhs_closed(pair: AdmissiblePair, H: int,
                merged: dict | None = None) -> FormalSeries:
     """X as the alternating W#-sum of geometric terms, expanded to H.
 
-    merged is `closed_form_sum(pair)`, built here unless the caller has
-    it: `verify` builds it once for this and the skew test.
+    merged is `closed_form_sum` over `sharp_ball(pair, H)`, built here
+    unless the caller has it: `verify` builds it once for this and skew.
     """
     if merged is None:
-        merged = closed_form_sum(pair)
+        merged = closed_form_sum(pair, sharp_ball(pair, H))
     return expand_raw(merged, pair.system, H)
 
 
-def rhs_expanded(pair: AdmissiblePair, H: int) -> FormalSeries:
+def rhs_expanded(pair: AdmissiblePair, H: int,
+                 elements: Sequence | None = None) -> FormalSeries:
     """X via the phi/|w| expansion; must agree with rhs_closed exactly.
 
-    An element w with ht(rho - w rho) > H is skipped before `phi_data`.
-    That is exact: w's base key rho - (w rho + phi) lies higher still, phi
+    The sum runs over elements of W# (default: `sharp_ball(pair, H)`).  An
+    element w with ht(rho - w rho) > H is skipped before `phi_data`.  That
+    is exact: w's base key rho - (w rho + phi) lies higher still, phi
     being a sum of negative roots, and its keys only climb from there.
     The span of rho - w rho is still checked.  The keys are packed once,
     above the minimum of the base keys within H.
@@ -174,7 +181,7 @@ def rhs_expanded(pair: AdmissiblePair, H: int) -> FormalSeries:
     rho = frame.rho
     r = rho.doubled
     chains = []
-    for w in sharp_group(pair.rs):
+    for w in sharp_ball(pair, H) if elements is None else elements:
         if frame._raw_height(tuple(map(sub, r, _gather(w.src, r)))) > H:
             continue
         base, steps = phi_data(w, pair)
@@ -258,7 +265,10 @@ def verify(pair: AdmissiblePair, H: int = 8,
     left = lhs(pair, H)
     timings["lhs"] = _us(t)
     t = time.perf_counter()
-    merged = closed_form_sum(pair)
+    # both sides of X sum over one list; skew's raw-key test reads all of W#
+    elements = sharp_group(pair.rs) if skew and _w2_generators(pair.rs) \
+        else sharp_ball(pair, H)
+    merged = closed_form_sum(pair, elements)
     right = rhs_closed(pair, H, merged)
     timings["rhs_closed"] = _us(t)
     t = time.perf_counter()
@@ -266,7 +276,7 @@ def verify(pair: AdmissiblePair, H: int = 8,
     checks["lhs_equals_rhs_closed"] = first is None
     timings["compare"] = _us(t)
     t = time.perf_counter()
-    expand = rhs_expanded(pair, H)
+    expand = rhs_expanded(pair, H, elements)
     diff = right.eq_report(expand)
     checks["expansion_matches_closed_form"] = diff is None
     if first is None:
@@ -300,10 +310,10 @@ def skew_invariance_check(pair: AdmissiblePair, H: int,
     the statement is a tautology.  For g in W#, reindexing by u = gw gives
     g(X) = sum_w sgn(w) gw(Y) = sgn(g) sum_u sgn(u) u(Y) = sgn(g) X: u runs
     over W# once because W# is a group, and sgn(u) = sgn(g) sgn(w).  That
-    premise is guarded: `sharp_group` must have its closed-form order
-    (`_sharp_order`), or StructuralError.  Where W_2 is trivial (C,
-    gl(m|1), D(1,n), an empty delta block) there is nothing to check, and
-    ok is None.
+    premise is guarded: `sharp_group` must have its closed-form order, or
+    StructuralError.  Where W_2 is trivial (C, gl(m|1), D(1,n), an empty
+    delta block) there is nothing to check, ok is None, and W# is not
+    touched.
 
     The W#-sum is merged once (series and merged are X and
     `closed_form_sum(pair)` when the caller has them); W itself is never
@@ -314,13 +324,7 @@ def skew_invariance_check(pair: AdmissiblePair, H: int,
     generator is expanded (`acted_series`) and compared on the window,
     which is also where a failure and its witness come from.
     """
-    rs = pair.rs
-    size, order = len(sharp_group(rs)), _sharp_order(rs)
-    if size != order:
-        raise StructuralError("W# of %s has %d elements, not %d"
-                              % (rs.stype.label(), size, order))
-    gens = [(root, g) for root, g in weyl_generators(rs)
-            if root not in rs.sharp]
+    gens = _w2_generators(pair.rs)
     if not gens:
         return None, None
     if merged is None:
@@ -338,10 +342,10 @@ def skew_invariance_check(pair: AdmissiblePair, H: int,
     return True, None
 
 
-def _sharp_order(rs: RootSystem) -> int:
-    """|W#| on m eps coordinates: m! (A), 2^m m! (B, C), 2^(m-1) m! (D)."""
-    twos = {"GL": 0, "Q": 0, "D_EPS": rs.m - 1}.get(rs.family, rs.m)
-    return 2 ** twos * math.factorial(rs.m)
+def _w2_generators(rs: RootSystem) -> list:
+    """W's simple roots outside Delta#, with their reflections: W_2's."""
+    return [(root, g) for root, g in weyl_generators(rs)
+            if root not in rs.sharp]
 
 
 def _permutes_up_to_sign(g: SignedPermutation, merged: dict) -> bool:

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superdenom.errors import ResourceLimitError
+from superdenom import groups
+from superdenom.errors import ResourceLimitError, StructuralError
 from superdenom.groups import (SignedPermutation, check_stabilizer_dichotomy,
                                dominant_representative, enumerate_group,
                                external_delta_flips, orbit,
                                orbit_intersects_shifted_cone, reflection,
-                               sharp_group, simple_reflections, stabilizer,
-                               weyl_generators, weyl_group)
+                               sharp_ball, sharp_group, simple_reflections,
+                               stabilizer, weyl_generators, weyl_group)
 from superdenom.roots import SuperType, build
-from superdenom.simple import even_frame
+from superdenom.simple import AdmissiblePair, derive, even_frame, standard_pair
 from superdenom.weights import Weight, bilinear_form, coordinate_order
 
 
@@ -227,3 +228,32 @@ def test_from_images_round_trip():
     for stype in (SuperType("B", 2, 2), SuperType("D", 3, 2)):
         for g in weyl_group(build(stype)):
             assert SignedPermutation.from_images(g.images, g.m) == g
+
+
+def test_sharp_ball_on_c5_at_height_10(monkeypatch):
+    # the W#-sum of verify-wsharp's C(5) job: 194 of 3,840 elements
+    rs = build(SuperType("C", n=5))
+    pair = standard_pair(rs, "step2")
+    frame = pair.system
+    rho = frame.rho
+    ball = sharp_ball(pair, 10)
+    assert len(ball) == 194 and len(sharp_group(rs)) == 3840
+    assert [(w, w.sgn()) for w in ball] == [
+        (w, w.sgn()) for w in sharp_group(rs)
+        if sum(frame.cone_key(rho - w.apply(rho))) <= 10]
+    monkeypatch.setattr(groups, "DEFAULT_CAP", 100)
+    with pytest.raises(ResourceLimitError, match="cap 100"):
+        sharp_ball(pair, 10)
+
+
+def test_sharp_ball_refuses_a_frame_with_a_negative_w_sharp_root():
+    # in s_alpha(Pi) the W# simple root alpha is negative, and the walk's
+    # heights would fall along a reduced word
+    rs = build(SuperType("C", n=3))
+    pair = standard_pair(rs, "step2")
+    alpha, s = simple_reflections(rs.sharp & rs.positive_even)[0]
+    frame = derive([s.apply(a) for a in pair.system.simple_roots], rs)
+    assert -alpha in frame.positive_roots
+    turned = AdmissiblePair(tuple(s.apply(b) for b in pair.S), frame)
+    with pytest.raises(StructuralError, match="negative in this frame"):
+        sharp_ball(turned, 4)

@@ -349,19 +349,22 @@ def test_verify_catches_a_dropped_element_of_s():
 
 
 def test_verify_catches_a_flipped_term(monkeypatch):
-    pair = _pair("GL", 2, 2)
+    # the identity's term has base key 0, so no height culls it, whether
+    # verify sums over all of W# (gl(2|2)) or over the ball (C, gl(3|1))
     original = identity.closed_form_sum
 
-    def flipped(p):
-        merged = original(p)
-        first = next(iter(merged))
-        merged[first] = -merged[first]
+    def flipped(p, elements=None):
+        merged = original(p, elements)
+        own = (p.system.rho.doubled, tuple(sorted(b.doubled for b in p.S)))
+        merged[own] = -merged[own]
         return merged
 
     monkeypatch.setattr(identity, "closed_form_sum", flipped)
-    assert _failed_checks(verify(pair, H=5)) == {
-        "lhs_equals_rhs_closed", "expansion_matches_closed_form",
-        "skew_invariance"}
+    for fam, m, n in (("GL", 2, 2), ("C", 1, 3), ("GL", 3, 1)):
+        pair = _pair(fam, m, n)
+        skew = set() if _w2_trivial(pair.rs) else {"skew_invariance"}
+        assert _failed_checks(verify(pair, H=5)) == {
+            "lhs_equals_rhs_closed", "expansion_matches_closed_form"} | skew
 
 
 def test_verify_catches_a_shifted_rho():
@@ -375,11 +378,26 @@ def test_verify_catches_a_shifted_rho():
     pair = _pair("GL", 2, 2)
     pair.system.rho = pair.system.rho + (rs.delta(1) - rs.delta(2))
     assert _failed_checks(verify(pair, H=5)) == {"skew_invariance"}
+    # W_2 is trivial on C and gl(3|1), so verify sums over the ball; k = -3
+    # leaves rho non-dominant, and the walk starts from its straightening
+    for (fam, m, n), k in product((("C", 1, 3), ("GL", 3, 1)), (1, -3)):
+        pair = _pair(fam, m, n)
+        rs, frame = pair.rs, pair.system
+        frame.rho = frame.rho + (rs.eps(1) - rs.eps(2)).scale(k)
+        sharp = [a for a, _ in groups.simple_reflections(
+            rs.sharp & rs.positive_even)]
+        assert groups.is_dominant(frame.rho, sharp) is (k > 0)
+        assert _failed_checks(verify(pair, H=5)) == {"lhs_equals_rhs_closed"}
+        whole = series.expand_raw(closed_form_sum(pair), frame, 5)
+        assert rhs_closed(pair, 5).eq_report(whole) is None
 
 
-@pytest.mark.parametrize("stype", [SuperType("B", 2, 2),
-                                   SuperType("D", 2, 1)])
+@pytest.mark.parametrize("stype", [
+    SuperType("B", 2, 2), SuperType("D", 2, 1), SuperType("C", n=3),
+    SuperType("GL", 3, 1)])
 def test_verify_enumerates_only_w_sharp(monkeypatch, stype):
+    # W never; W# once per system where skew reads the whole W#-sum, that
+    # is where W_2 is nontrivial, and otherwise never (the ball walk)
     rs = build(stype)
     enumerated = []
     original = groups.enumerate_group
@@ -393,9 +411,12 @@ def test_verify_enumerates_only_w_sharp(monkeypatch, stype):
     groups.sharp_group.cache_clear()
     groups.weyl_group.cache_clear()
     variants = standard_pairs(rs)
-    assert len(variants) == (2 if rs.family == "B_DELTA" else 4)
+    assert len(variants) == {"B_DELTA": 2, "D_EPS": 4}.get(rs.family, 1)
     for _, pair in variants:
         assert verify(pair, H=4).equal
+    if _w2_trivial(rs):
+        assert enumerated == []
+        return
     assert enumerated == [groups.sharp_group(rs)]
     assert len(groups.weyl_group(rs)) > len(enumerated[0])
 
@@ -534,12 +555,26 @@ def test_skew_expands_only_generators_that_move_the_terms(
 @pytest.mark.parametrize("stype", [SuperType("B", 2, 2), SuperType("C", n=3)])
 def test_skew_refuses_a_w_sharp_of_the_wrong_order(monkeypatch, stype):
     # skewness under W# is dropped because W# is a group; a W# one element
-    # short must stop the check, also where W_2 is trivial (C)
-    pair = standard_pair(build(stype), "step2")
+    # short must stop sharp_group, and with it the skew check (B); where
+    # W_2 is trivial (C), verify never calls sharp_group at all
+    rs = build(stype)
+    pair = standard_pair(rs, "step2")
     assert identity.skew_invariance_check(pair, 4)[0] is not False
-    original = groups.sharp_group
-    monkeypatch.setattr(identity, "sharp_group",
-                        lambda rs: original(rs)[:-1])
+    original = groups.enumerate_group
+    monkeypatch.setattr(groups, "enumerate_group",
+                        lambda *args: original(*args)[:-1])
+    groups.sharp_group.cache_clear()
+    with pytest.raises(StructuralError, match="elements, not"):
+        groups.sharp_group(rs)
+    if _w2_trivial(rs):
+        assert identity.skew_invariance_check(pair, 4) == (None, None)
+
+        def refused(rs):
+            raise AssertionError("verify enumerated W#")
+
+        monkeypatch.setattr(identity, "sharp_group", refused)
+        assert verify(pair, H=4).equal
+        return
     with pytest.raises(StructuralError, match="elements, not"):
         identity.skew_invariance_check(pair, 4)
     with pytest.raises(StructuralError, match="elements, not"):
@@ -575,9 +610,9 @@ def test_verify_builds_the_w_sharp_terms_once(monkeypatch, stype, variant):
     calls = []
     original = identity.closed_form_sum
 
-    def counting(p):
+    def counting(p, elements=None):
         calls.append(p)
-        return original(p)
+        return original(p, elements)
 
     monkeypatch.setattr(identity, "closed_form_sum", counting)
     assert verify(pair, H=5).equal

@@ -10,14 +10,14 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superdenom.groups import sharp_group
+from superdenom.groups import sharp_ball, sharp_group
 from superdenom.identity import (closed_form_sum, closed_form_terms,
                                  cross_multiplied_check, phi_data,
                                  rhs_closed, rhs_expanded, verify)
 from superdenom.roots import SuperType, build
 from superdenom.series import expand_raw, expand_terms, multiply, normalize
 from superdenom.simple import enumerate_admissible_pairs, pair_neighbors
-from superdenom.weights import Weight
+from superdenom.weights import Weight, coordinate_order
 
 _SYSTEMS = (
     [SuperType("GL", m, n) for m in range(1, 6) for n in range(6 - m)]
@@ -126,3 +126,30 @@ def test_raw_expander_matches_the_per_term_pipeline(case):
     want = {} if codec is None else codec.unpack(packed)
     got = expand_raw(closed_form_sum(pair), frame, H)
     assert dict(got.items_sorted()) == {k: v for k, v in want.items() if v}
+
+
+@settings(deadline=None, max_examples=60)
+@given(_pair_and_height(max_height=12), st.data())
+def test_sharp_ball_is_the_height_filter_of_w_sharp(case, data):
+    # the pruned walk against the filter of the whole group, signs too,
+    # with rho shifted by a root (often off the dominant chamber) or not;
+    # below height 0 the identity is outside the ball, and only the walk's
+    # start at rho's straightening finds the rest
+    pair, H = case
+    frame = pair.system
+    roots = sorted(frame.positive_roots, key=coordinate_order)
+    shift = data.draw(st.sampled_from([None] + roots))
+    scale = data.draw(st.sampled_from([1, -1, 3, -3]))
+    rho = frame.rho
+    try:
+        if shift is not None:
+            frame.rho = rho + shift.scale(scale)
+        heights = [(w, w.sgn(), sum(frame.cone_key(
+            frame.rho - w.apply(frame.rho)))) for w in sharp_group(pair.rs)]
+        # past the top height the ball is all of W#
+        top = max(h for _, _, h in heights)
+        for bound in (H, H - 3, top):
+            assert [(w, w.sgn()) for w in sharp_ball(pair, bound)] == [
+                (w, sign) for w, sign, h in heights if h <= bound]
+    finally:
+        frame.rho = rho
