@@ -10,9 +10,9 @@ elements within H (`groups.sharp_ball`), or over all of W# where skew
 reads every term.  Everything here is exact: truncated series carry int
 coefficients, and cone questions go through `weights.Elimination`, which
 decides on integer numerators.  Closed-form
-statements compare canonical forms of finite term lists
-(`series.canonical_terms`): equal forms prove equality, but unequal ones
-prove nothing, since distinct term lists can denote the same function.
+statements compare normal forms of merged raw sums (`series.normalize`):
+equal forms prove equality, but unequal ones prove nothing, since
+distinct sums can denote the same function.
 Nothing is sampled and nothing is floated.
 """
 
@@ -33,9 +33,8 @@ from .groups import (SignedPermutation, _compiled, _gather,
                      weyl_group)
 from .records import Record
 from .roots import RootSystem, SuperType, build, simple_roots
-from .series import (FormalSeries, GeometricTerm, _accumulate, _ht,
-                     _Packing, act, canonical_terms, expand_raw, multiply,
-                     positive_step)
+from .series import (FormalSeries, _accumulate, _ht, _Packing, expand_raw,
+                     multiply, normalize, positive_step)
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
                      isotropic_parts, second_type_move, standard_pair)
 from .weights import Weight, coordinate_order, form4
@@ -77,28 +76,13 @@ def phi_data(w: SignedPermutation, pair: AdmissiblePair) -> tuple:
     return frame._raw_cone_key(acc), steps
 
 
-def y_term(pair: AdmissiblePair) -> GeometricTerm:
-    """Y = e^rho / prod_{beta in S}(1 + e^{-beta})."""
-    return GeometricTerm.make(1, pair.system.rho, pair.S)
-
-
-def _alternating_terms(group: Sequence[SignedPermutation], exponent: Weight,
-                       denoms: Sequence[Weight]) -> tuple:
-    """sgn(w) w(e^exponent / prod_{b in denoms}(1 + e^{-b})) for w in group."""
-    return tuple(
-        GeometricTerm.make(w.sgn(), w.apply(exponent),
-                           [w.apply(b) for b in denoms])
-        for w in group)
-
-
 def _alternating_sum(group: Sequence[SignedPermutation], exponent: Weight,
                      denoms: Sequence[Weight]) -> dict:
-    """The terms of `_alternating_terms` merged on raw keys; nothing built.
+    """sgn(w) w(e^exponent / prod_{b in denoms}(1 + e^{-b})) over the group.
 
-    Raw key (w exponent, sorted w denoms), on doubled tuples, to the sum
-    of sgn(w) over the w giving it; zero sums drop.  This is the
-    `GeometricTerm.raw` of each term, made by one gather per weight, and
-    what `expand_raw` expands.
+    The merged raw sum: (w exponent, sorted w denoms), on doubled tuples,
+    to the sum of sgn(w) over the w giving it, zeros dropped; one gather
+    per weight, and no weight or term is built.
     """
     e = exponent.doubled
     ds = [b.doubled for b in denoms]
@@ -136,14 +120,9 @@ def _denominator(frame: SimpleSystem, offset: Weight, odd: Iterable[Weight],
     return FormalSeries(frame, H, offset, multiply(H, [({zero: 1}, factors)]))
 
 
-def closed_form_terms(pair: AdmissiblePair) -> tuple:
-    """The terms sgn(w) * w(Y) over W#, before any expansion."""
-    return _alternating_terms(sharp_group(pair.rs), pair.system.rho, pair.S)
-
-
 def closed_form_sum(pair: AdmissiblePair,
                     elements: Sequence | None = None) -> dict:
-    """`closed_form_terms` merged on raw keys, over elements (default W#)."""
+    """sgn(w) w(Y) over elements (default W#), merged on raw keys."""
     return _alternating_sum(sharp_group(pair.rs) if elements is None
                             else elements, pair.system.rho, pair.S)
 
@@ -317,12 +296,12 @@ def skew_invariance_check(pair: AdmissiblePair, H: int,
 
     The W#-sum is merged once (series and merged are X and
     `closed_form_sum(pair)` when the caller has them); W itself is never
-    enumerated.  A generator g is settled in closed form when g permutes
-    the terms up to sgn(g): if the terms g(t) and sgn(g) t cancel
-    coefficient by coefficient on their raw (exponent, denominators) keys,
-    then g(X) = sgn(g) X exactly and nothing is expanded.  Any other
-    generator is expanded (`acted_series`) and compared on the window,
-    which is also where a failure and its witness come from.
+    enumerated.  Each generator g maps the raw keys once (`_acted`).  g
+    acts injectively on keys and merged holds no zero, so the acted sum
+    equals sgn(g) merged exactly when every acted key carries sgn(g)
+    times its coefficient in merged; then g(X) = sgn(g) X and nothing is
+    expanded.  Otherwise that acted sum is expanded and compared on the
+    window, which is also where a failure and its witness come from.
     """
     gens = _w2_generators(pair.rs)
     if not gens:
@@ -330,13 +309,15 @@ def skew_invariance_check(pair: AdmissiblePair, H: int,
     if merged is None:
         merged = closed_form_sum(pair)
     X = series
+    signed = {1: merged, -1: {k: -c for k, c in merged.items()}}
     for root, g in gens:
-        if _permutes_up_to_sign(g, merged):
+        sign = g.sgn()
+        acted = _acted(merged, g)
+        if acted == signed[sign]:
             continue
         if X is None:
             X = rhs_closed(pair, H, merged)
-        diff = acted_series(merged, g, pair.system,
-                            H).eq_report(X.scale(g.sgn()))
+        diff = expand_raw(acted, pair.system, H).eq_report(X.scale(sign))
         if diff is not None:
             return False, dict(diff, generator=str(root))
     return True, None
@@ -348,35 +329,12 @@ def _w2_generators(rs: RootSystem) -> list:
             if root not in rs.sharp]
 
 
-def _permutes_up_to_sign(g: SignedPermutation, merged: dict) -> bool:
-    """g(t) = sgn(g) t summed over the terms, on raw (exponent, denoms) keys.
-
-    merged maps each raw key to its nonzero total coefficient (see
-    `_alternating_sum`).  g acts injectively on keys, so the acted terms
-    merge to {g(k): c}, and that equals {k: sgn(g) c} iff every key's
-    image carries sgn(g) times its coefficient: one lookup per distinct
-    term, stopping at the first miss.  g is compiled once and maps the
-    raw key directly; no weight or term is built.
-    """
-    sign = g.sgn()
-    act = _compiled(g)
-    get = merged.get
-    for (exponent, denoms), c in merged.items():
-        if get((act(exponent), tuple(sorted(map(act, denoms)))), 0) \
-                != sign * c:
-            return False
-    return True
-
-
-def acted_series(merged: dict, g: SignedPermutation, frame: SimpleSystem,
-                 H: int) -> FormalSeries:
-    """g(X) for X given by its merged raw sum, expanded in frame.
-
-    g acts injectively on raw keys, so the acted sum needs no merge.
-    """
+def _acted(merged: dict, g: SignedPermutation) -> dict:
+    """g applied to each raw key of a merged sum; g is injective on keys,
+    so nothing merges."""
     move = _compiled(g)
-    return expand_raw({(move(exponent), tuple(sorted(map(move, denoms)))): c
-                       for (exponent, denoms), c in merged.items()}, frame, H)
+    return {(move(exponent), tuple(sorted(map(move, denoms)))): c
+            for (exponent, denoms), c in merged.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -774,17 +732,18 @@ def classical_regular_cone_check(rs: RootSystem) -> bool:
 # closed-form generator relations
 
 def y_fixed_by(pair: AdmissiblePair, g: SignedPermutation) -> bool:
-    """g(Y) = Y as normalized closed forms."""
+    """g(Y) = Y as normal forms."""
     return y_shifts_by(pair, g, _zero(pair.rs))
 
 
 def y_shifts_by(pair: AdmissiblePair, g: SignedPermutation,
                 shift: Weight) -> bool:
-    """g(Y) = e^{shift} Y as normalized closed forms."""
+    """g(Y) = e^{shift} Y as normal forms of one-key sums."""
     frame = pair.system
-    target = GeometricTerm.make(1, frame.rho + shift, pair.S)
-    return canonical_terms([act(g, y_term(pair))], frame) \
-        == canonical_terms([target], frame)
+    denoms = tuple(sorted([b.doubled for b in pair.S]))
+    y = {(frame.rho.doubled, denoms): 1}
+    target = {((frame.rho + shift).doubled, denoms): 1}
+    return normalize(_acted(y, g), frame) == normalize(target, frame)
 
 
 def partner_map(pair: AdmissiblePair) -> dict:
@@ -832,6 +791,6 @@ def dropped_denominator_sum_vanishes(pair: AdmissiblePair, beta: Weight,
     if beta not in pair.S:
         raise DomainError("%s is not in S" % beta)
     frame = pair.system
-    terms = _alternating_terms(sharp_group(pair.rs), frame.rho + shift,
-                               [b for b in pair.S if b != beta])
-    return canonical_terms(terms, frame) == ()
+    return normalize(_alternating_sum(
+        sharp_group(pair.rs), frame.rho + shift,
+        [b for b in pair.S if b != beta]), frame) == {}

@@ -6,11 +6,12 @@ coefficient of e^{offset - mu} keyed by the coordinate tuple of mu in the
 simple basis; the offset is the frame's rho unless stated otherwise.
 Truncation is by height (coordinate sum) of mu.
 
-Geometric factors 1/(1 + e^{-gamma}) are expanded along the positive
-direction of the frame: a negative gamma is first rewritten via
-1/(1 + e^{gamma'}) = e^{-gamma'}/(1 + e^{-gamma'}) with gamma' = -gamma.
-Skipping that rewrite silently changes which power series the product
-denotes, so terms are always normalized before expansion.
+A sum of geometric terms c e^{exponent} / prod_gamma (1 + e^{-gamma}) has
+one form, the merged raw dict {(exponent, sorted denominators): c} on
+doubled int tuples.  Its factors expand along the frame's positive
+direction, so `normalize` first makes every gamma positive; `expand_raw`
+expands only what it returns, since skipping that rewrite silently
+changes which power series the product denotes.
 
 The kernels run on packed int keys.  A builder takes lo, the
 coordinatewise minimum of its starting keys (every later key only climbs
@@ -38,79 +39,11 @@ the joint one first.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from operator import attrgetter, mul, sub
+from operator import add, mul, neg, sub
 
 from .errors import DomainError, StructuralError
-from .records import Frozen, _set
 from .simple import SimpleSystem
-from .weights import Weight, coordinate_order
-
-
-class GeometricTerm(Frozen):
-    """coeff * e^{exponent} / prod_{gamma in denoms} (1 + e^{-gamma})."""
-
-    __slots__ = ("coeff", "exponent", "denoms")
-    _key = attrgetter(*__slots__)
-
-    def __init__(self, coeff, exponent: Weight, denoms: tuple):
-        _set(self, "coeff", coeff)
-        _set(self, "exponent", exponent)
-        _set(self, "denoms", denoms)
-
-    @staticmethod
-    def make(coeff, exponent: Weight, denoms: Sequence[Weight]) -> "GeometricTerm":
-        return GeometricTerm(coeff, exponent,
-                             tuple(sorted(denoms, key=coordinate_order)))
-
-    @property
-    def raw(self) -> tuple:
-        """(exponent, denominators) as doubled tuples: the merge key."""
-        return (self.exponent.doubled, tuple([g.doubled for g in self.denoms]))
-
-
-def normalize(term: GeometricTerm, frame: SimpleSystem) -> GeometricTerm:
-    """Rewrite all denominator roots to be positive in the frame."""
-    exponent = term.exponent
-    denoms = []
-    for g in term.denoms:
-        if frame.is_positive_root(g):
-            denoms.append(g)
-        elif frame.is_positive_root(-g):
-            exponent = exponent + g
-            denoms.append(-g)
-        else:
-            raise StructuralError("denominator %s is not a root here" % g)
-    return GeometricTerm.make(term.coeff, exponent, denoms)
-
-
-def act(w, term: GeometricTerm) -> GeometricTerm:
-    """Image of the term under a signed permutation (coefficient untouched)."""
-    return GeometricTerm.make(term.coeff, w.apply(term.exponent),
-                              [w.apply(g) for g in term.denoms])
-
-
-def canonical_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem) -> tuple:
-    """Normalize, merge equal (exponent, denominators) and drop zeros.
-
-    Two finite lists of geometric terms denote the same function if their
-    canonical forms coincide, but not only if: in gl(2|1), with beta odd
-    and positive, e^rho/(1+e^{-beta}) + e^{rho-beta}/(1+e^{-beta}) - e^rho
-    is the zero function, yet its three terms have distinct keys and all
-    survive.  Equal canonical forms prove equality; unequal ones prove
-    nothing.
-    """
-    acc = {}
-    for t in terms:
-        nt = normalize(t, frame)
-        key = nt.raw
-        cur = acc.get(key)
-        if cur is None:
-            acc[key] = nt
-        else:
-            acc[key] = GeometricTerm(cur.coeff + nt.coeff, cur.exponent, cur.denoms)
-    out = [t for t in acc.values() if t.coeff != 0]
-    return tuple(sorted(out, key=lambda t: t.raw))
+from .weights import Weight
 
 
 class FormalSeries:
@@ -445,50 +378,85 @@ def multiply(H, chains) -> tuple:
     return codec, acc
 
 
+def normalize(merged: dict, frame: SimpleSystem) -> dict:
+    """The merged raw sum with every denominator positive in the frame.
+
+    merged maps raw keys (exponent, sorted denominators), doubled tuples,
+    to coefficients.  A denominator gamma negative in the frame
+    (`SimpleSystem._root_steps`) is added to the exponent and negated,
+    since 1/(1 + e^{-gamma}) = e^{gamma}/(1 + e^{gamma}); the key is then
+    re-sorted, equal keys merge and zero totals drop.  A denominator that
+    is no root raises StructuralError.  No span is needed.
+
+    Two sums denote the same function if their normal forms coincide, but
+    not only if: in gl(2|1), with beta odd and positive,
+    e^rho/(1+e^{-beta}) + e^{rho-beta}/(1+e^{-beta}) - e^rho is the zero
+    function, yet its three keys are distinct and all survive.  Equal
+    normal forms prove equality; unequal ones prove nothing.
+    """
+    roots, moves, out = frame._root_steps, {}, {}
+    for (exponent, denoms), c in merged.items():
+        move = moves.get(denoms)
+        if move is None:
+            move = moves[denoms] = _positive(denoms, roots, frame)
+        shift, denoms = move
+        if shift is not None:
+            exponent = tuple(map(add, exponent, shift))
+        key = (exponent, denoms)
+        total = out.get(key, 0) + c     # `_accumulate`, inlined per key
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _positive(denoms: tuple, roots: dict, frame: SimpleSystem) -> tuple:
+    """(sum of the negative denominators or None, the denominators
+    negated where negative and sorted) for one sorted denominator tuple."""
+    try:
+        negative = [roots[g][1] for g in denoms]
+    except KeyError as exc:
+        raise StructuralError("denominator %s is not a root here"
+                              % Weight(exc.args[0], frame.m)) from None
+    if True not in negative:
+        return None, denoms
+    shift, positive = None, []
+    for g, flip in zip(denoms, negative):
+        if flip:
+            shift = g if shift is None else tuple(map(add, shift, g))
+            g = tuple(map(neg, g))
+        positive.append(g)
+    return shift, tuple(sorted(positive))
+
+
 def expand_raw(merged: dict, frame: SimpleSystem, H,
                offset: Weight | None = None) -> FormalSeries:
     """Sum of the expansions of a merged raw sum in the frame's directions.
 
-    merged maps raw keys (`GeometricTerm.raw`: exponent and sorted
-    denominators, doubled tuples) to coefficients; no weight or term is
-    built.  Every denominator must be a root, and offset - exponent must
-    lie in the span with an integer height.  A key past height H is then
-    culled, which is exact: normalizing moves the exponent down by
-    positive roots and expanding adds positive steps.  The rest are
-    normalized on their tuples, a negative denominator added to the
-    exponent and negated, with each step read from the frame's table
-    (`SimpleSystem._root_steps`); a base key off the lattice keeps a
-    Fraction, which packing refuses.  Expansion is linear and every step
-    positive, so the chains are grouped on their sorted steps, summing
-    their bases, into one `multiply` (C(5) at H=10 keeps 194 keys with 10
-    distinct factor lists).
+    merged is a merged raw sum (see `normalize`); no weight or term is
+    built.  Its normal form is expanded: offset - exponent must lie in the
+    span with an integer height, and a key past height H is then culled,
+    which is exact: expanding adds positive steps.  Each step is read from
+    the frame's table (`SimpleSystem._root_steps`); a base key off the
+    lattice keeps a Fraction, which packing refuses.  Expansion is linear
+    and every step positive, so the chains are grouped on their sorted
+    steps, summing their bases, into one `multiply` (C(5) at H=10 keeps
+    194 keys with 10 distinct factor lists).
     """
     offset = frame.rho if offset is None else offset
     off, roots, chains = offset.doubled, frame._root_steps, {}
-    for (exponent, denoms), c in merged.items():
-        found = [roots.get(g) for g in denoms]
-        if None in found:
-            raise StructuralError("denominator %s is not a root here" % Weight(
-                denoms[found.index(None)], frame.m))
+    for (exponent, denoms), c in normalize(merged, frame).items():
         mu = tuple(map(sub, off, exponent))
         ht = frame._raw_height(mu)
         if type(ht) is not int:
             raise StructuralError("%s is not integral" % Weight(mu, frame.m))
         if ht > H:
             continue
-        for g, (_, negative) in zip(denoms, found):
-            if negative:
-                mu = tuple(map(sub, mu, g))
-        data = chains.setdefault(tuple(sorted([s for s, _ in found])), {})
+        data = chains.setdefault(
+            tuple(sorted([roots[g][0] for g in denoms])), {})
         base = frame._raw_cone_key(mu)
         data[base] = data.get(base, 0) + c
     return FormalSeries(frame, H, offset, multiply(H, [
         (data, [(step, None) for step in steps])
         for steps, data in chains.items()]))
-
-
-def expand_terms(terms: Sequence[GeometricTerm], frame: SimpleSystem, H,
-                 offset: Weight | None = None) -> FormalSeries:
-    """The terms' raw keys merged, then expanded by `expand_raw`."""
-    return expand_raw(_accumulate({}, ((t.raw, t.coeff) for t in terms)),
-                      frame, H, offset)

@@ -3,13 +3,18 @@
 Every module of the package and of the tests uses each name it imports
 (`__init__.py` is skipped there because it imports to re-export), and
 every public module-level function or class of the package is named
-somewhere in the package or the tests outside its own definition.
+somewhere in the package or the tests outside its own definition.  Every
+name that the traced benchmark (`perfbench/spans.py`) looks up without a
+default resolves to a function or method of the package, so a rename
+fails here before it breaks a traced run.
 Importing the CLI loads none of SLOW_IMPORTS: each CLI run is a fresh
 process, and `dataclasses` (which pulls in `inspect`, `ast` and `dis`)
 and `typing` would cost it tens of milliseconds before any work starts.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -19,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SLOW_IMPORTS = ("dataclasses", "typing", "inspect")
 PACKAGE = sorted((ROOT / "src" / "superdenom").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+SPANS = ROOT / "perfbench" / "spans.py"
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + TESTS
 
 
@@ -115,3 +121,56 @@ def test_import_check_flags_a_loaded_module():
 
 def test_cli_import_skips_slow_modules():
     assert _slow_imports("import superdenom.cli") == []
+
+
+def _hard_lookups(source: str) -> list:
+    """The names a tracer source looks up with no default.
+
+    Each `originals["..."]` subscript with a literal key, and each entry
+    of the `METHODS` table as layer.Class.method.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "originals" \
+                and isinstance(node.slice, ast.Constant):
+            names.add(node.slice.value)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "METHODS"
+                for t in node.targets):
+            names.update("%s.%s" % (layer, method) for layer, methods
+                         in ast.literal_eval(node.value).items()
+                         for method in methods)
+    return sorted(names)
+
+
+def _resolves(name: str) -> bool:
+    """Is layer.function a public function defined in superdenom.layer,
+    or layer.Class.method a method defined on that module's class?"""
+    layer, *path = name.split(".")
+    module = importlib.import_module("superdenom." + layer)
+    obj = vars(module).get(path[0])
+    if len(path) == 1:
+        return not path[0].startswith("_") and inspect.isfunction(obj) \
+            and obj.__module__ == module.__name__
+    return isinstance(obj, type) and path[1] in vars(obj)
+
+
+def test_lookup_scan_finds_subscripts_and_methods():
+    source = ('METHODS = {"series": ("FormalSeries.copy",)}\n'
+              'a = originals["series.normalize"]\n'
+              'b = originals[name]\n')
+    assert _hard_lookups(source) == ["series.FormalSeries.copy",
+                                     "series.normalize"]
+    assert _resolves("series.normalize")
+    assert _resolves("series.FormalSeries.copy")
+    for missing in ("series.canonical_terms", "series._accumulate",
+                    "series.FormalSeries.absent", "series.Weight"):
+        assert not _resolves(missing)
+
+
+def test_traced_benchmark_names_resolve():
+    names = _hard_lookups(SPANS.read_text())
+    assert {"series.normalize", "simple.SimpleSystem.cone_key"} <= set(names)
+    assert [name for name in names if not _resolves(name)] == []

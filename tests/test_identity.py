@@ -7,8 +7,9 @@ import pytest
 from superdenom import groups, identity, series, simple
 from superdenom.errors import DomainError, StructuralError
 from superdenom.groups import (dominant_representative, orbit, reflection,
-                               weyl_group)
-from superdenom.identity import (_keys_up_to, acted_series, closed_form_sum,
+                               sharp_group, weyl_group)
+from superdenom.identity import (_acted, _alternating_sum, _keys_up_to,
+                                 closed_form_sum,
                                  cross_multiplied_check,
                                  dropped_denominator_sum_vanishes,
                                  e_rho_coefficient, e_rho_coefficient_set,
@@ -218,9 +219,60 @@ def test_d_eps_flip_shifts_y():
         pair, next(iter(pair.S)), rs.eps(1) - rs.eps(1))
     # (1 + s_{delta_n}) X = 0
     s_d = reflection(rs.delta(1).scale(2))
-    total = acted_series(closed_form_sum(pair), s_d, pair.system, 5).add(
-        rhs_closed(pair, 5))
+    total = series.expand_raw(_acted(closed_form_sum(pair), s_d),
+                              pair.system, 5).add(rhs_closed(pair, 5))
     assert total.nonzero_count() == 0
+
+
+def _y(pair, shift=None) -> dict:
+    """e^{rho + shift} / prod_{beta in S}(1 + e^{-beta}) as a one-key sum."""
+    frame = pair.system
+    exponent = frame.rho if shift is None else frame.rho + shift
+    return {(exponent.doubled, tuple(sorted(b.doubled for b in pair.S))): 1}
+
+
+def _minus(a: dict, b: dict) -> dict:
+    return series._accumulate(dict(a), ((k, -c) for k, c in b.items()))
+
+
+def test_closed_form_checks_can_fail():
+    # each check answers False on a false statement, and the expansion of
+    # the difference shows the statement really is false
+    pair = _pair("D", 2, 1, "step3")
+    rs, frame = pair.rs, pair.system
+    s = reflection(rs.eps(1) - rs.eps(2))
+    assert not y_fixed_by(pair, s)
+    assert series.expand_raw(_minus(_acted(_y(pair), s), _y(pair)), frame,
+                             6).nonzero_count() == 13
+    w = reflection(rs.eps(1)).compose(
+        reflection(rs.eps(2))).compose(reflection(rs.delta(1).scale(2)))
+    beta0 = rs.delta(1) - rs.eps(2)
+    assert y_shifts_by(pair, w, -beta0) and not y_shifts_by(pair, w, beta0)
+    for shift, keys in ((-beta0, 0), (beta0, 2)):
+        diff = _minus(_acted(_y(pair), w), _y(pair, shift))
+        assert series.expand_raw(diff, frame, 6).nonzero_count() == keys
+    # gl(2|2), shift 0: the sum with either denominator dropped survives
+    pair = _pair("GL", 2, 2)
+    rs, frame = pair.rs, pair.system
+    zero = rs.eps(1) - rs.eps(1)
+    counts = []
+    for beta in pair.S:
+        assert not dropped_denominator_sum_vanishes(pair, beta, zero)
+        rest = [b for b in pair.S if b != beta]
+        counts.append(series.expand_raw(_alternating_sum(
+            sharp_group(rs), frame.rho, rest), frame, 8).nonzero_count())
+    assert sorted(counts) == [10, 17]
+    # gl(3|2), beta = e1 - d1, shift e1 - e2
+    pair = _pair("GL", 3, 2)
+    rs, frame = pair.rs, pair.system
+    beta, shift = rs.eps(1) - rs.delta(1), rs.eps(1) - rs.eps(2)
+    assert not dropped_denominator_sum_vanishes(pair, beta, shift)
+    rest = [b for b in pair.S if b != beta]
+    assert series.expand_raw(_alternating_sum(
+        sharp_group(rs), frame.rho + shift, rest), frame,
+        6).nonzero_count() == 35
+    # a shift off the root lattice needs no span in closed form
+    assert not dropped_denominator_sum_vanishes(pair, beta, rs.eps(1))
 
 
 def test_d_delta_sigma_fixes_x():
@@ -228,7 +280,8 @@ def test_d_delta_sigma_fixes_x():
     pair = _pair("D", 1, 2)
     rs = pair.rs
     for sigma in external_delta_flips(rs):
-        acted = acted_series(closed_form_sum(pair), sigma, pair.system, 5)
+        acted = series.expand_raw(_acted(closed_form_sum(pair), sigma),
+                                  pair.system, 5)
         assert acted.eq_report(rhs_closed(pair, 5)) is None
 
 
@@ -529,27 +582,43 @@ def test_passing_runs_stay_packed(monkeypatch):
     (SuperType("D", 3, 2), "second_class", 2)])
 def test_skew_expands_only_generators_that_move_the_terms(
         monkeypatch, stype, variant, expanded):
-    # only W_2's generators are checked, and only those that do not
-    # permute the raw terms up to sign are expanded
+    # only W_2's generators are checked, each maps the raw keys exactly
+    # once, and only those that do not permute them up to sign expand
     pair = standard_pair(build(stype), variant)
     rs = pair.rs
-    calls = []
-    original = identity.acted_series
+    acted, moved, inside = [], [], []
+    act, expand = identity._acted, identity.expand_raw
+    skew = identity.skew_invariance_check
 
-    def counting(merged, g, frame, H):
-        calls.append(g)
-        return original(merged, g, frame, H)
+    def counting_act(merged, g):
+        acted.append(g)
+        return act(merged, g)
 
-    monkeypatch.setattr(identity, "acted_series", counting)
+    def counting_expand(merged, frame, H, offset=None):
+        if inside:
+            moved.append(acted[-1])
+        return expand(merged, frame, H, offset)
+
+    def marked_skew(*args, **kwargs):
+        inside.append(True)
+        try:
+            return skew(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(identity, "_acted", counting_act)
+    monkeypatch.setattr(identity, "expand_raw", counting_expand)
+    monkeypatch.setattr(identity, "skew_invariance_check", marked_skew)
     assert verify(pair, H=5).equal
     w2 = [g for root, g in groups.weyl_generators(rs) if root not in rs.sharp]
-    assert len(calls) == expanded and all(g in w2 for g in calls)
+    assert acted == w2
+    assert len(moved) == expanded and all(g in w2 for g in moved)
     # every generator not expanded, W#'s included, holds on the window too
     merged, X = closed_form_sum(pair), rhs_closed(pair, 5)
     for _, g in groups.weyl_generators(rs):
-        if g not in calls:
-            acted = original(merged, g, pair.system, 5)
-            assert acted.eq_report(X.scale(g.sgn())) is None
+        if g not in moved:
+            acted_X = expand(act(merged, g), pair.system, 5)
+            assert acted_X.eq_report(X.scale(g.sgn())) is None
 
 
 @pytest.mark.parametrize("stype", [SuperType("B", 2, 2), SuperType("C", n=3)])
@@ -589,15 +658,19 @@ def test_raw_key_skew_test_rejects_a_broken_sum(stype):
     pair = standard_pair(build(stype), "step2")
     merged = identity.closed_form_sum(pair)
     gens = [g for _, g in groups.weyl_generators(pair.rs)]
-    settled = [g for g in gens if identity._permutes_up_to_sign(g, merged)]
+
+    def settles(g, merged):
+        return _acted(merged, g) == {k: g.sgn() * c
+                                     for k, c in merged.items()}
+
+    settled = [g for g in gens if settles(g, merged)]
     assert settled
     for key, coeff in merged.items():
         negated = dict(merged)
         negated[key] = -coeff
         deleted = {k: t for k, t in merged.items() if k != key}
         for broken in (negated, deleted):
-            assert not all(identity._permutes_up_to_sign(g, broken)
-                           for g in settled)
+            assert not all(settles(g, broken) for g in settled)
 
 
 @pytest.mark.parametrize("stype,variant", [

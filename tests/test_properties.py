@@ -10,12 +10,14 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superdenom.groups import sharp_ball, sharp_group
-from superdenom.identity import (closed_form_sum, closed_form_terms,
-                                 cross_multiplied_check, phi_data,
-                                 rhs_closed, rhs_expanded, verify)
+from superdenom.groups import sharp_ball, sharp_group, weyl_generators
+from superdenom.identity import (_acted, _alternating_sum, closed_form_sum,
+                                 cross_multiplied_check,
+                                 dropped_denominator_sum_vanishes, phi_data,
+                                 rhs_closed, rhs_expanded, verify,
+                                 y_fixed_by)
 from superdenom.roots import SuperType, build
-from superdenom.series import expand_raw, expand_terms, multiply, normalize
+from superdenom.series import expand_raw, multiply
 from superdenom.simple import enumerate_admissible_pairs, pair_neighbors
 from superdenom.weights import Weight, coordinate_order
 
@@ -60,7 +62,7 @@ def test_random_pair_identity_oracles_and_moves(case):
     # this pair's frame, is the same series
     X = rhs_closed(pair, H)
     for nb in pair_neighbors(pair):
-        moved = expand_terms(closed_form_terms(nb), pair.system, H)
+        moved = expand_raw(closed_form_sum(nb), pair.system, H)
         assert moved.eq_report(X) is None, (str(nb.S), H)
 
 
@@ -80,20 +82,42 @@ def _mu_accumulate(acc, base, steps, sgn_w, H):
     rec(0, base, sgn_w)
 
 
+def _per_term(pair) -> list:
+    """(raw key, sgn w, multiply chain) of each term sgn(w) w(Y), w in W#.
+
+    The per-term pipeline on Weights: every term built with
+    `SignedPermutation.apply`, each denominator that is not a positive
+    root of the frame negated and added to the exponent, and the term
+    expanded as a chain of its own, its factors in the order of S.
+    """
+    frame = pair.system
+    out = []
+    for w in sharp_group(pair.rs):
+        exponent, denoms = w.apply(frame.rho), []
+        for b in pair.S:
+            wb = w.apply(b)
+            if not frame.is_positive_root(wb):
+                assert frame.is_positive_root(-wb)
+                exponent, wb = exponent + wb, -wb
+            denoms.append(wb)
+        key = (w.apply(frame.rho).doubled,
+               tuple(sorted(w.apply(b).doubled for b in pair.S)))
+        out.append((key, w.sgn(),
+                    ({frame.cone_key(frame.rho - exponent): w.sgn()},
+                     [(frame.cone_int(g), None) for g in denoms])))
+    return out
+
+
 @settings(deadline=None, max_examples=40)
 @given(_pair_and_height(max_height=6))
 def test_height_culling_drops_only_terms_past_h(case):
-    # expand_terms and rhs_expanded skip work past H before any solve; the
+    # expand_raw and rhs_expanded skip work past H before any solve; the
     # references below do every solve and let truncation drop the keys
     pair, H = case
     frame = pair.system
-    for term in closed_form_terms(pair):
-        nt = normalize(term, frame)
-        base = frame.cone_key(frame.rho - nt.exponent)
-        want = multiply(H, [({base: nt.coeff},
-                             [(frame.cone_int(g), None) for g in nt.denoms])])
-        codec, packed = want
-        assert dict(expand_terms([term], frame, H).items_sorted()) == (
+    for key, sign, chain in _per_term(pair):
+        codec, packed = multiply(H, [chain])
+        assert dict(expand_raw({key: sign}, frame, H).items_sorted()) == (
             {} if codec is None else codec.unpack(packed))
     acc = {}
     for w in sharp_group(pair.rs):
@@ -112,20 +136,45 @@ def test_height_culling_drops_only_terms_past_h(case):
 @settings(deadline=None, max_examples=40)
 @given(_pair_and_height(max_height=6))
 def test_raw_expander_matches_the_per_term_pipeline(case):
-    # the oracle is the pipeline expand_raw replaced: every W# term built,
-    # normalized as a GeometricTerm, and expanded as a multiply chain of
-    # its own, its factors in the order of its denominators
+    # the oracle is the per-term pipeline on Weights (`_per_term`): every
+    # W# term built, normalized and expanded as a multiply chain of its own
     pair, H = case
     frame = pair.system
-    chains = []
-    for term in closed_form_terms(pair):
-        nt = normalize(term, frame)
-        chains.append(({frame.cone_key(frame.rho - nt.exponent): nt.coeff},
-                       [(frame.cone_int(g), None) for g in nt.denoms]))
-    codec, packed = multiply(H, chains)
+    codec, packed = multiply(H, [chain for _, _, chain in _per_term(pair)])
     want = {} if codec is None else codec.unpack(packed)
     got = expand_raw(closed_form_sum(pair), frame, H)
     assert dict(got.items_sorted()) == {k: v for k, v in want.items() if v}
+
+
+@settings(deadline=None, max_examples=40)
+@given(_pair_and_height(max_height=6), st.data())
+def test_closed_form_verdicts_hold_on_the_expansion(case, data):
+    # a True closed-form verdict is a proof, so the truncated expansions
+    # must agree.  g is one or two of W's simple reflections: on these
+    # systems no single one fixes Y, while about a fifth of the products
+    # of two distinct ones do
+    pair, H = case
+    frame, rs = pair.system, pair.rs
+    gens = [g for _, g in weyl_generators(rs)]
+    if gens:
+        g = data.draw(st.sampled_from(gens))
+        if data.draw(st.booleans()):
+            g = g.compose(data.draw(st.sampled_from(gens)))
+        y = {(frame.rho.doubled,
+              tuple(sorted(b.doubled for b in pair.S))): 1}
+        if y_fixed_by(pair, g):
+            assert expand_raw(_acted(y, g), frame, H).eq_report(
+                expand_raw(y, frame, H)) is None
+    if not pair.S:
+        return
+    beta = data.draw(st.sampled_from(pair.S))
+    shift = data.draw(st.sampled_from(
+        [Weight.zero(rs.m, rs.n)] + [b.scale(k) for b in pair.S
+                                     for k in (1, -1)]))
+    if dropped_denominator_sum_vanishes(pair, beta, shift):
+        assert expand_raw(_alternating_sum(
+            sharp_group(rs), frame.rho + shift,
+            [b for b in pair.S if b != beta]), frame, H).nonzero_count() == 0
 
 
 @settings(deadline=None, max_examples=60)

@@ -13,22 +13,19 @@ from superdenom.errors import ValidationError
 from superdenom.groups import SignedPermutation
 from superdenom.identity import VerificationReport, verify
 from superdenom.roots import RootSystem, SuperType, build
-from superdenom.series import GeometricTerm
 from superdenom.simple import AdmissiblePair, standard_pair
 from superdenom.weights import Weight
 
 
 def _instances():
-    """(instance, a field name) for each of the seven frozen classes."""
+    """(instance, a field name) for each of the six frozen classes."""
     rs = build(SuperType("GL", 2, 1))
     pair = standard_pair(rs, "step2")
-    beta = pair.S[0]
     return [
         (Weight((2, 0), 1), "m"),
         (SignedPermutation((2, 1), 1, sign=-1), "sign"),
         (rs.stype, "family"),
         (rs, "defect"),
-        (GeometricTerm.make(1, beta, [beta]), "coeff"),
         (pair, "S"),
         (Diagram(("b", "a"), ((0, 1, SMILE),), "M"), "marks"),
     ]
@@ -71,8 +68,8 @@ def test_constructors_take_keywords_and_defaults():
     assert SignedPermutation(src=(1, 2), m=1).sign is None
     assert Weight(m=1, doubled=(2, 0)) == Weight((2, 0), 1)
     assert Diagram(marks=("a",), bows=(), mode="M").bows == ()
-    term = GeometricTerm(coeff=2, exponent=Weight((2, 0), 1), denoms=())
-    assert term.coeff == 2
+    flip = SignedPermutation(src=(-1, 2), m=1, sign=-1)
+    assert flip.src == (-1, 2) and flip.sign == -1
     rs = build(SuperType("GL", 1, 1))
     pair = standard_pair(rs, "step2")
     assert AdmissiblePair(S=pair.S, system=pair.system) == pair

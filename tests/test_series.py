@@ -5,14 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superdenom.errors import DomainError, StructuralError
-from superdenom.groups import reflection, weyl_group
-from superdenom.identity import (_alternating_sum, _alternating_terms,
-                                 closed_form_terms, qn_standard_set,
-                                 qn_system)
+from superdenom.groups import reflection, sharp_group, weyl_group
+from superdenom.identity import (_acted, _alternating_sum, closed_form_sum,
+                                 qn_standard_set, qn_system)
 from superdenom.roots import SuperType, build
-from superdenom.series import (FormalSeries, GeometricTerm, _accumulate,
-                               _Packing, act, canonical_terms, expand_raw,
-                               expand_terms, multiply, normalize)
+from superdenom.series import (FormalSeries, _accumulate, _Packing,
+                               expand_raw, multiply, normalize)
 from superdenom.simple import even_frame, standard_pair
 from superdenom.weights import Weight
 
@@ -20,6 +18,11 @@ from superdenom.weights import Weight
 def _gl21():
     rs = build(SuperType("GL", 2, 1))
     return rs, standard_pair(rs, "step2").system
+
+
+def _raw(exponent, *denoms) -> tuple:
+    """The raw key of e^exponent / prod(1 + e^{-d}): doubled tuples."""
+    return exponent.doubled, tuple(sorted(d.doubled for d in denoms))
 
 
 def _tuples(window) -> dict:
@@ -31,32 +34,34 @@ def _tuples(window) -> dict:
 def test_geometric_term_normalization():
     rs, frame = _gl21()
     beta = rs.eps(1) - rs.delta(1)
-    term = GeometricTerm.make(1, Weight.zero(2, 1), [-beta])
-    fixed = normalize(term, frame)
+    zero = Weight.zero(2, 1)
     # 1/(1 + e^{beta}) = e^{-beta}/(1 + e^{-beta})
-    assert fixed.denoms == (beta,)
-    assert fixed.exponent == -beta
-    assert fixed.coeff == 1
+    assert normalize({_raw(zero, -beta): 1}, frame) == {_raw(-beta, beta): 1}
+    # a positive denominator is left as it is; a mixed key is re-sorted
+    assert normalize({_raw(zero, beta): 1}, frame) == {_raw(zero, beta): 1}
+    gamma = rs.delta(1) - rs.eps(2)
+    assert frame.is_positive_root(gamma)
+    assert normalize({_raw(zero, beta, -gamma): 2}, frame) \
+        == {_raw(-gamma, beta, gamma): 2}
+    with pytest.raises(StructuralError, match="not a root"):
+        normalize({_raw(zero, beta.scale(2)): 1}, frame)
 
 
 def test_act_moves_exponent_and_denoms():
     rs, frame = _gl21()
     s = reflection(rs.eps(1) - rs.eps(2))
-    term = GeometricTerm.make(1, rs.eps(1), [rs.eps(1) - rs.delta(1)])
-    moved = act(s, term)
-    assert moved.exponent == rs.eps(2)
-    assert moved.denoms == (rs.eps(2) - rs.delta(1),)
+    beta = rs.eps(1) - rs.delta(1)
+    assert _acted({_raw(rs.eps(1), beta): 3}, s) \
+        == {_raw(rs.eps(2), rs.eps(2) - rs.delta(1)): 3}
 
 
 def test_canonical_terms_merge_and_cancel():
+    # e^{e1+b}/(1+e^{b}) normalizes onto the key of e^{e1}/(1+e^{-b})
     rs, frame = _gl21()
     beta = rs.eps(1) - rs.delta(1)
-    a = GeometricTerm.make(1, rs.eps(1), [beta])
-    b = GeometricTerm.make(-1, rs.eps(1), [beta])
-    assert canonical_terms([a, b], frame) == ()
-    c = GeometricTerm.make(Q(1, 2), rs.eps(1), [beta])
-    merged = canonical_terms([a, c], frame)
-    assert len(merged) == 1 and merged[0].coeff == Q(3, 2)
+    a, b = _raw(rs.eps(1), beta), _raw(rs.eps(1) + beta, -beta)
+    assert normalize({a: 1, b: -1}, frame) == {}
+    assert normalize({a: 1, b: Q(1, 2)}, frame) == {a: Q(3, 2)}
 
 
 def test_canonical_terms_decide_equality_if_not_only_if():
@@ -65,20 +70,19 @@ def test_canonical_terms_decide_equality_if_not_only_if():
     beta = rs.delta(1) - rs.eps(2)
     assert frame.is_positive_root(beta)
     rho = frame.rho
-    terms = [GeometricTerm.make(1, rho, [beta]),
-             GeometricTerm.make(1, rho - beta, [beta]),
-             GeometricTerm.make(-1, rho, [])]
-    assert len(canonical_terms(terms, frame)) == 3
-    assert expand_terms(terms, frame, 10).nonzero_count() == 0
-    assert expand_terms(terms[:2], frame, 10).nonzero_count() == 1
+    merged = {_raw(rho, beta): 1, _raw(rho - beta, beta): 1, _raw(rho): -1}
+    assert len(normalize(merged, frame)) == 3
+    assert expand_raw(merged, frame, 10).nonzero_count() == 0
+    two = {k: merged[k] for k in list(merged)[:2]}
+    assert expand_raw(two, frame, 10).nonzero_count() == 1
 
 
 def test_expand_single_odd_factor():
     # e^0/(1 + e^{-b}) expands with alternating signs along b
     rs, frame = _gl21()
     beta = rs.eps(1) - rs.delta(1)
-    series = expand_terms([GeometricTerm.make(1, Weight.zero(2, 1), [beta])],
-                          frame, 4, offset=Weight.zero(2, 1))
+    series = expand_raw({_raw(Weight.zero(2, 1), beta): 1}, frame, 4,
+                        offset=Weight.zero(2, 1))
     coeffs = [series.coefficient_at(beta.scale(-k)) for k in range(5)]
     assert coeffs == [1, -1, 1, -1, 1]
 
@@ -88,8 +92,7 @@ def test_a_coefficient_past_the_height_raises():
     rs, frame = _gl21()
     beta = rs.eps(1) - rs.delta(1)
     zero = Weight.zero(2, 1)
-    series = expand_terms([GeometricTerm.make(1, zero, [beta])], frame, 4,
-                          offset=zero)
+    series = expand_raw({_raw(zero, beta): 1}, frame, 4, offset=zero)
     assert [series.coefficient_at(beta.scale(-k)) for k in range(5)] \
         == [1, -1, 1, -1, 1]
     with pytest.raises(DomainError, match="past the truncation height"):
@@ -97,7 +100,7 @@ def test_a_coefficient_past_the_height_raises():
     assert series.codec.lo == (0, 0)
     assert series.coefficient_at(beta) == 0                  # key (0, -1)
     assert series.coefficient_at(rs.eps(2) - rs.eps(1)) == 0  # key (1, 1)
-    empty = expand_terms([], frame, 4, offset=zero)
+    empty = expand_raw({}, frame, 4, offset=zero)
     assert empty.codec is None and empty.coefficient_at(zero) == 0
     with pytest.raises(DomainError):
         empty.coefficient_at(beta.scale(-5))
@@ -128,8 +131,8 @@ def test_eq_report_and_add_across_windows():
     # 1/(1+e^{-beta}) + e^beta/(1+e^{-beta}) = e^beta, at key (0, -1)
     beta = rs.eps(1) - rs.delta(1)
     zero = Weight.zero(2, 1)
-    first, second = (expand_terms([GeometricTerm.make(1, e, [beta])],
-                                  frame, 4, offset=zero) for e in (zero, beta))
+    first, second = (expand_raw({_raw(e, beta): 1}, frame, 4, offset=zero)
+                     for e in (zero, beta))
     assert second.codec.lo == (0, -1)
     assert first.eq_report(second) == {
         "exponent": "e1 - d1", "mu": ["0", "-1"], "height": "-1",
@@ -138,7 +141,7 @@ def test_eq_report_and_add_across_windows():
     assert total.items_sorted() == [((0, -1), 1)]
     assert total.eq_report(_keyed(frame, 4, {(0, -1): 1})) is None
     # a series with no window is empty and fits in any other
-    empty = expand_terms([], frame, 4, offset=zero)
+    empty = expand_raw({}, frame, 4, offset=zero)
     assert empty.eq_report(empty.copy()) is None
     assert empty.add(second).eq_report(second) is None
     assert empty.eq_report(first)["mu"] == ["0", "0"]
@@ -147,8 +150,8 @@ def test_eq_report_and_add_across_windows():
 def test_add_scale_and_eq_report():
     rs, frame = _gl21()
     beta = rs.eps(1) - rs.delta(1)
-    base = expand_terms([GeometricTerm.make(1, Weight.zero(2, 1), [beta])],
-                        frame, 3, offset=Weight.zero(2, 1))
+    base = expand_raw({_raw(Weight.zero(2, 1), beta): 1}, frame, 3,
+                      offset=Weight.zero(2, 1))
     doubled = base.copy().scale(2)
     summed = base.copy().add(base)
     assert doubled.eq_report(summed) is None
@@ -361,69 +364,77 @@ def test_expand_terms_is_sum_of_each_term_expanded_alone():
     rs = build(SuperType("B", 2, 1))
     pair = standard_pair(rs, "step2")
     frame = pair.system
-    terms = [GeometricTerm.make(1, frame.rho, list(pair.S)),
-             GeometricTerm.make(-1, frame.rho - rs.eps(1), list(pair.S))]
-    total = expand_terms(terms, frame, 5, offset=frame.rho)
-    first, second = (expand_terms([t], frame, 5, offset=frame.rho)
+    terms = [(_raw(frame.rho, *pair.S), 1),
+             (_raw(frame.rho - rs.eps(1), *pair.S), -1)]
+    total = expand_raw(dict(terms), frame, 5, offset=frame.rho)
+    first, second = (expand_raw(dict([t]), frame, 5, offset=frame.rho)
                      for t in terms)
     assert total.eq_report(first.add(second)) is None
     assert total.nonzero_count() > 0
 
 
+def _terms(group, exponent, denoms) -> list:
+    """(raw key, sgn w) of each w(e^exponent / prod(1 + e^{-d})), unmerged.
+
+    Built on Weights with `SignedPermutation.apply`, one term per element.
+    """
+    return [(_raw(w.apply(exponent), *[w.apply(d) for d in denoms]), w.sgn())
+            for w in group]
+
+
 def _term_by_term(terms, frame, H, offset):
     total = FormalSeries(frame, H, offset)
-    for t in terms:
-        total = total.add(expand_terms([t], frame, H, offset))
+    for key, c in terms:
+        total = total.add(expand_raw({key: c}, frame, H, offset))
     return total
 
 
 def _negated(terms):
-    return [GeometricTerm(-t.coeff, t.exponent, t.denoms) for t in terms]
+    return [(key, -c) for key, c in terms]
 
 
 def _merged(terms):
     """Raw key -> total coefficient, zeros dropped."""
-    return _accumulate({}, ((t.raw, t.coeff) for t in terms))
+    return _accumulate({}, terms)
 
 
 def test_expand_terms_merges_the_q5_w_sum():
     rs = qn_system(5)
     frame = even_frame(rs)
     zero = Weight.zero(rs.m, rs.n)
-    terms = _alternating_terms(weyl_group(rs), zero, qn_standard_set(rs))
+    terms = _terms(weyl_group(rs), zero, qn_standard_set(rs))
     # w and w composed with the swap of S's two roots give the same term
     merged = _alternating_sum(weyl_group(rs), zero, qn_standard_set(rs))
     assert merged == _merged(terms)
     assert len(terms) == 120 and len(merged) == 60
     got = expand_raw(merged, frame, 6, zero)
     assert got.eq_report(_term_by_term(terms, frame, 6, zero)) is None
-    assert got.eq_report(expand_terms(terms, frame, 6, offset=zero)) is None
     assert got.nonzero_count() > 0
 
 
 def test_expand_terms_merges_duplicated_and_cancelling_copies():
     pair = standard_pair(build(SuperType("GL", 3, 2)), "step2")
     frame = pair.system
-    terms = list(closed_form_terms(pair))
+    terms = _terms(sharp_group(pair.rs), frame.rho, pair.S)
+    assert _merged(terms) == closed_form_sum(pair)
     padded = terms + terms[:4] + _negated(terms[4:9])
     merged = _merged(padded)
     # six terms: four doubled, the last two cancelled
     assert len(terms) == 6 and len(merged) == 4
-    assert list(merged.values())[:4] == [2 * t.coeff for t in terms[:4]]
+    assert list(merged.values())[:4] == [2 * c for _, c in terms[:4]]
     got = expand_raw(merged, frame, 6)
     assert got.eq_report(_term_by_term(padded, frame, 6, frame.rho)) is None
-    assert got.eq_report(expand_terms(padded, frame, 6)) is None
-    assert got.eq_report(expand_terms(terms, frame, 6)) is not None
+    assert got.eq_report(expand_raw(_merged(terms), frame, 6)) is not None
     assert _merged(terms + _negated(terms)) == {}
-    cancelled = expand_terms(terms + _negated(terms), frame, 6)
+    cancelled = expand_raw(_merged(terms + _negated(terms)), frame, 6)
     assert cancelled.data == {} and cancelled.H == 6
 
 
 def test_dump_lines_sorted_by_height():
     rs, frame = _gl21()
     beta = rs.eps(1) - rs.delta(1)
-    series = expand_terms([GeometricTerm.make(1, Weight.zero(2, 1), [beta])],
-                          frame, 3, offset=Weight.zero(2, 1))
+    series = expand_raw({_raw(Weight.zero(2, 1), beta): 1}, frame, 3,
+                        offset=Weight.zero(2, 1))
     lines = series.dump_lines()
     assert lines[0].startswith("1 [")
     heights = []
@@ -456,11 +467,10 @@ def test_a_culled_term_still_checks_its_denominators():
     rs, frame = _gl21()
     beta = rs.eps(1) - rs.delta(1)
     low = frame.rho - beta.scale(5)          # height 5, past H = 2
-    assert expand_terms([GeometricTerm.make(1, low, [beta])], frame,
-                        2).data == {}
+    assert expand_raw({_raw(low, beta): 1}, frame, 2).data == {}
     not_a_root = (rs.eps(1) - rs.eps(2)).scale(2)
     with pytest.raises(StructuralError, match="not a root"):
-        expand_terms([GeometricTerm.make(1, low, [not_a_root])], frame, 2)
+        expand_raw({_raw(low, not_a_root): 1}, frame, 2)
 
 
 def test_a_weight_outside_the_span_still_raises():
@@ -470,10 +480,10 @@ def test_a_weight_outside_the_span_still_raises():
     outside = frame.rho - rs.eps(1)
     for H in (0, 10):
         with pytest.raises(StructuralError, match="outside"):
-            expand_terms([GeometricTerm.make(1, outside, [])], frame, H)
+            expand_raw({_raw(outside): 1}, frame, H)
         far = outside - (rs.eps(1) - rs.delta(1)).scale(H + 3)
         with pytest.raises(StructuralError, match="outside"):
-            expand_terms([GeometricTerm.make(1, far, [])], frame, H)
+            expand_raw({_raw(far): 1}, frame, H)
 
 
 def test_expand_raw_refuses_bad_keys_culled_or_kept():
@@ -487,19 +497,16 @@ def test_expand_raw_refuses_bad_keys_culled_or_kept():
     half = a.scale(Q(1, 2))
     for lift, kept in ((Weight.zero(2, 1), 1), (beta.scale(5), 0)):
         start = rho - lift
-        good = expand_raw({GeometricTerm.make(1, start, [beta]).raw: 1},
-                          frame, 2)
+        good = expand_raw({_raw(start, beta): 1}, frame, 2)
         assert (good.nonzero_count() > 0) is bool(kept)
         for exponent, denoms, match in (
                 (start, [beta, not_a_root], "not a root"),
                 (start - rs.eps(1), [beta], "outside"),
                 (start - half, [beta], "not integral")):
             with pytest.raises(StructuralError, match=match):
-                expand_raw({GeometricTerm.make(1, exponent, denoms).raw: 1},
-                           frame, 2)
+                expand_raw({_raw(exponent, *denoms): 1}, frame, 2)
     # half-integral coordinates of integer height are refused when packed
     skew = half - b.scale(Q(1, 2))
     assert sum(frame.cone_key(skew)) == 0
     with pytest.raises(StructuralError):
-        expand_raw({GeometricTerm.make(1, rho - skew, [beta]).raw: 1},
-                   frame, 2)
+        expand_raw({_raw(rho - skew, beta): 1}, frame, 2)
