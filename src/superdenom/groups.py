@@ -6,25 +6,26 @@ allows them.  A signed permutation stores one flat gather tuple over the
 weight layout (eps block first, delta block offset by m): src[j] = +-(k+1)
 means w(x)[j] = +-x[k], the same kind of flat int tuple as a weight's
 doubled coordinates.  Acting on a weight, or composing, is one gather;
-`images`, where each basis vector goes, is derived from it.  A group is
-the sorted tuple of its elements: `weyl_group` and `sharp_group`
+`images`, where each basis vector goes, is derived from it.  One private
+closure on raw tuples, each generator compiled once and the determinant
+carried along, builds every element list: `weyl_group` and `sharp_group`
 enumerate W and W# (the group generated by reflections in the
-positive-square even roots) once per root system, by a closure on raw
-tuples with each generator compiled once; `sharp_ball` walks to the W#
-elements within a height only.  `weyl_generators` keeps W's simple
+positive-square even roots) once per root system, and `sharp_ball`
+walks to the W# elements within a height only.  Elements come in
+discovery order, which nothing reads.  `weyl_generators` keeps W's simple
 reflections apart, so a skewness check never enumerates W.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache, partial
 from operator import attrgetter, itemgetter, sub
 
 from .errors import DomainError, ResourceLimitError, StructuralError
 from .records import Frozen, _set
-from .roots import RootSystem, simple_roots
+from .roots import WEYL_TYPES, RootSystem, simple_roots
 from .simple import AdmissiblePair, SimpleSystem
 from .weights import Weight, bilinear_form, coordinate_order, form4
 
@@ -38,8 +39,8 @@ class SignedPermutation(Frozen):
     b = (eps_1..eps_m, delta_1..delta_n), with j and k 0-based and s = +-1;
     equivalently w(b_k) = s * b_j.  Acting on a coordinate tuple is one
     gather, and `images`, the per-basis-vector view (j, s), is derived.
-    sign is the determinant when the maker knows it (`enumerate_group`
-    carries it through its closure); it takes no part in equality.
+    sign is the determinant when the maker knows it (the group closure
+    carries it along); it takes no part in equality.
     """
 
     __slots__ = ("src", "m", "sign")
@@ -166,42 +167,45 @@ def simple_reflections(positive: frozenset) -> tuple:
     return tuple((a, reflection(a)) for a in simple_roots(positive))
 
 
-def enumerate_group(generators: Sequence[SignedPermutation], dims: tuple,
-                    cap: int = DEFAULT_CAP) -> tuple:
-    """Deterministic BFS closure of the generating set, sorted by images.
+def _closure(start: tuple, sign: int,
+             generators: Sequence[SignedPermutation], m: int, cap: int,
+             inside: Callable[[tuple], bool] | None = None) -> tuple:
+    """The elements reached from start by left-multiplying by generators.
 
-    The closure runs on raw gather tuples: each generator is compiled
-    once, and g.compose(w) is that compiled gather applied to w's tuple.
-    Each new element also gets its inverse's tuple, w^-1 g^-1, because
-    images(u)[k] = (|v[k]| - 1, sign v[k]) for v = u^-1: sorting by the
-    rank of v's entries under (j, s) -> 2j + (s > 0) orders the elements
-    by images without building images.  The determinant rides along, as
-    sgn(g w) = sgn(g) sgn(w), so no element walks its parity.
+    A BFS on raw gather tuples, each generator compiled once, so g w is
+    one compiled gather of w's tuple.  start is a gather tuple with
+    determinant sign, and the determinant rides along, as sgn(g w) =
+    sgn(g) sgn(w), so no element walks its parity.  A tuple that inside
+    rejects is stored as 0, left out of the result and never walked past.
+    Elements come in discovery order.
     """
-    acts = [(_compiled(g), g.inverse().src, g.sgn()) for g in generators]
-    ident = SignedPermutation.identity(*dims).src
-    seen = {ident: (ident, 1)}
-    frontier = [ident]
+    acts = [(_compiled(g), g.sgn()) for g in generators]
+    seen = {start: sign if inside is None or inside(start) else 0}
+    frontier = [start] if seen[start] else []
     while frontier:
         nxt = []
         for w in frontier:
-            w_inv, w_sign = seen[w]
-            for act, g_inv, g_sign in acts:
+            w_sign = seen[w]
+            for act, g_sign in acts:
                 u = act(w)
                 if u not in seen:
-                    seen[u] = (_gather(w_inv, g_inv), g_sign * w_sign)
-                    nxt.append(u)
+                    if inside is None or inside(u):
+                        seen[u] = g_sign * w_sign
+                        nxt.append(u)
+                    else:
+                        seen[u] = 0
                     if len(seen) > cap:
                         raise ResourceLimitError(
                             "group enumeration exceeded cap %d" % cap)
         frontier = nxt
-    size = len(ident)
-    rank = [0] * (2 * size + 1)     # indexed by +-(j + 1)
-    for j in range(size):
-        rank[j + 1], rank[-j - 1] = 2 * j + 1, 2 * j
-    order = sorted(seen,
-                   key=lambda u: tuple(map(rank.__getitem__, seen[u][0])))
-    return tuple(SignedPermutation(u, dims[0], seen[u][1]) for u in order)
+    return tuple(SignedPermutation(w, m, s) for w, s in seen.items() if s)
+
+
+def enumerate_group(generators: Sequence[SignedPermutation], dims: tuple,
+                    cap: int = DEFAULT_CAP) -> tuple:
+    """The group the generators generate, by the closure from 1."""
+    return _closure(SignedPermutation.identity(*dims).src, 1, generators,
+                    dims[0], cap)
 
 
 @lru_cache(maxsize=None)
@@ -219,10 +223,12 @@ def weyl_group(rs: RootSystem) -> tuple:
 @lru_cache(maxsize=None)
 def sharp_group(rs: RootSystem) -> tuple:
     """The elements of W#: StructuralError unless there are m! (A), 2^m m!
-    (B, C) or 2^(m-1) m! (D), as sums over W# reindex by it as a group."""
+    (B, C) or 2^(m-1) m! (D), by the eps block's type in `WEYL_TYPES`, as
+    sums over W# reindex by it as a group."""
     gens = simple_reflections(rs.sharp & rs.positive_even)
     out = enumerate_group([g for _, g in gens], (rs.m, rs.n))
-    twos = {"GL": 0, "Q": 0, "D_EPS": rs.m - 1}.get(rs.family, rs.m)
+    kind = WEYL_TYPES[rs.family][0]
+    twos = {"A": 0, "D": rs.m - 1}.get(kind, rs.m)
     order = 2 ** twos * math.factorial(rs.m)
     if len(out) != order:
         raise StructuralError("W# of %s has %d elements, not %d"
@@ -231,7 +237,7 @@ def sharp_group(rs: RootSystem) -> tuple:
 
 
 def sharp_ball(pair: AdmissiblePair, H: int) -> tuple:
-    """The w in W# with ht(rho - w rho) <= H, signs carried, sorted by images.
+    """The w in W# with ht(rho - w rho) <= H, signs carried.
 
     Heights are in the pair's frame, where W#'s simple roots alpha must be
     positive (StructuralError).  v, made by reflecting in them while
@@ -252,19 +258,10 @@ def sharp_ball(pair: AdmissiblePair, H: int) -> tuple:
     mu, v, sign = frame.rho, SignedPermutation.identity(rs.m, rs.n).src, 1
     while bent := [g for a, g in gens if form4(mu, a) * form4(a, a) < 0]:
         mu, v, sign = bent[0].apply(mu), _gather(bent[0].src, v), -sign
-    r, acts = frame.rho.doubled, [(_compiled(g), g.sgn()) for _, g in gens]
-    seen, todo = {}, [(v, sign)]            # tuple -> sign, 0 past H
-    while todo:
-        w, sign = todo.pop()
-        if w not in seen:
-            inside = frame._raw_height(tuple(map(sub, r, _gather(w, r)))) <= H
-            seen[w] = sign if inside else 0
-            if len(seen) > DEFAULT_CAP:
-                raise ResourceLimitError("walk exceeded cap %d" % DEFAULT_CAP)
-            if inside:
-                todo += [(act(w), g_sign * sign) for act, g_sign in acts]
-    ball = [SignedPermutation(w, rs.m, s) for w, s in seen.items() if s]
-    return tuple(sorted(ball, key=attrgetter("images")))
+    r = frame.rho.doubled
+    return _closure(v, sign, [g for _, g in gens], rs.m, DEFAULT_CAP,
+                    lambda w: frame._raw_height(
+                        tuple(map(sub, r, _gather(w, r)))) <= H)
 
 
 def external_delta_flips(rs: RootSystem) -> tuple:
@@ -273,7 +270,7 @@ def external_delta_flips(rs: RootSystem) -> tuple:
     Nonempty exactly for the embeddings whose delta block carries a D-type
     component (single flips there are diagram automorphisms, not Weyl).
     """
-    if rs.family != "D_DELTA":
+    if WEYL_TYPES[rs.family][1] != "D":
         return ()
     size = rs.m + rs.n
     return tuple(
@@ -283,15 +280,8 @@ def external_delta_flips(rs: RootSystem) -> tuple:
 
 
 def orbit(lam: Weight, group: Sequence[SignedPermutation]) -> list:
-    """Orbit as a deterministic list of distinct weights."""
-    seen = []
-    seen_set = set()
-    for w in group:
-        mu = w.apply(lam)
-        if mu not in seen_set:
-            seen_set.add(mu)
-            seen.append(mu)
-    return sorted(seen, key=coordinate_order)
+    """Orbit as a list of distinct weights in coordinate order."""
+    return sorted({w.apply(lam) for w in group}, key=coordinate_order)
 
 
 def stabilizer(lam: Weight, group: Sequence[SignedPermutation]) -> tuple:

@@ -232,8 +232,7 @@ class VerificationReport(Record):
         }
 
 
-def verify(pair: AdmissiblePair, H: int = 8,
-           skew: bool = True) -> VerificationReport:
+def verify(pair: AdmissiblePair, H: int = 8) -> VerificationReport:
     """Compare both sides to height H; cross-check the expansion and skewness.
 
     Inequality is reported, never raised; the first discrepancy names the
@@ -245,7 +244,7 @@ def verify(pair: AdmissiblePair, H: int = 8,
     timings["lhs"] = _us(t)
     t = time.perf_counter()
     # both sides of X sum over one list; skew's raw-key test reads all of W#
-    elements = sharp_group(pair.rs) if skew and _w2_generators(pair.rs) \
+    elements = sharp_group(pair.rs) if _w2_generators(pair.rs) \
         else sharp_ball(pair, H)
     merged = closed_form_sum(pair, elements)
     right = rhs_closed(pair, H, merged)
@@ -261,18 +260,16 @@ def verify(pair: AdmissiblePair, H: int = 8,
     if first is None:
         first = diff
     timings["rhs_expanded"] = _us(t)
-    if skew:
-        t = time.perf_counter()
-        ok, witness = skew_invariance_check(pair, H, series=right,
-                                            merged=merged)
-        if ok is None:
-            note = ("W2 is trivial, so skew-invariance had nothing to "
-                    "check: X is W#-alternating by construction")
-        else:
-            checks["skew_invariance"] = ok
-        if first is None and witness is not None:
-            first = witness
-        timings["skew"] = _us(t)
+    t = time.perf_counter()
+    ok, witness = skew_invariance_check(pair, H, series=right, merged=merged)
+    if ok is None:
+        note = ("W2 is trivial, so skew-invariance had nothing to "
+                "check: X is W#-alternating by construction")
+    else:
+        checks["skew_invariance"] = ok
+    if first is None and witness is not None:
+        first = witness
+    timings["skew"] = _us(t)
     return VerificationReport(
         system=pair.rs.stype, pair=pair, H=H,
         lhs_terms=left.nonzero_count(), rhs_terms=right.nonzero_count(),

@@ -6,6 +6,10 @@ Delta# = {alpha even : (alpha, alpha) > 0} lies in the span of the eps_i.
 A request such as B(1, 2) or gl(2|3) is re-embedded accordingly; the
 user-facing labels are kept on the SuperType for reporting.
 
+`WEYL_TYPES` names the Weyl type (A, B, C or D) of each embedding's eps
+and delta blocks.  The positive even roots are the two blocks' roots,
+generated from it, and `groups` reads W#'s order from its eps type.
+
 Root sets are stored as three frozensets: the fixed positive even roots,
 all odd roots, and Delta#.  Positive odd roots are not fixed here; they
 depend on the choice of simple system and live in `simple.SimpleSystem`.
@@ -13,7 +17,7 @@ depend on the choice of simple system and live in `simple.SimpleSystem`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from operator import attrgetter
 
 from .errors import ValidationError
@@ -30,6 +34,18 @@ D_EPS = "D_EPS"        # so(2m) on eps, sp(2n) on delta
 D_DELTA = "D_DELTA"    # sp(2m) on eps, so(2n) on delta
 C_TAG = "C"
 Q_TAG = "Q"
+
+# the Weyl types of each embedding's (eps, delta) blocks, which make
+# Delta_0+; a type-A block of zero or one coordinates has no roots
+WEYL_TYPES = {
+    GL_TAG: ("A", "A"),
+    B_EPS: ("B", "C"),
+    B_DELTA: ("C", "B"),
+    D_EPS: ("D", "C"),
+    D_DELTA: ("C", "D"),
+    C_TAG: ("C", "A"),
+    Q_TAG: ("A", "A"),
+}
 
 
 class SuperType(Frozen):
@@ -112,111 +128,70 @@ def is_isotropic(alpha: Weight) -> bool:
     return form4(alpha, alpha) == 0
 
 
-def _pair_roots(m: int, n: int) -> set:
-    """U': eps_i +- eps_j and delta_i +- delta_j, i < j."""
-    out = set()
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            a, b = Weight.eps_unit(i, m, n), Weight.eps_unit(j, m, n)
-            out.add(a - b)
-            out.add(a + b)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            a, b = Weight.delta_unit(i, m, n), Weight.delta_unit(j, m, n)
-            out.add(a - b)
-            out.add(a + b)
-    return out
+def _block_roots(kind: str, units: Sequence[Weight]) -> set:
+    """The positive roots of a type-kind block on its unit weights.
 
-
-def _mixed_odd(m: int, n: int) -> set:
-    """All +-eps_i +- delta_j."""
+    e_i - e_j (i < j), plus e_i + e_j unless the type is A, plus e_i on B
+    and 2 e_i on C.
+    """
     out = set()
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            e, d = Weight.eps_unit(i, m, n), Weight.delta_unit(j, m, n)
-            out.update({e + d, e - d, -e + d, -e - d})
+    for i, a in enumerate(units):
+        for b in units[i + 1:]:
+            out.add(a - b)
+            if kind != "A":
+                out.add(a + b)
+        if kind == "B":
+            out.add(a)
+        elif kind == "C":
+            out.add(a.scale(2))
     return out
 
 
 def build(stype: SuperType) -> RootSystem:
-    """Construct the normalized root data for a user-facing type."""
-    fam = stype.family
-    if fam == "GL":
-        m, n = max(stype.m, stype.n), min(stype.m, stype.n)
-        mode = "M" if stype.m >= stype.n else "N"
-        pos_even = set()
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                pos_even.add(Weight.eps_unit(i, m, n) - Weight.eps_unit(j, m, n))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                pos_even.add(Weight.delta_unit(i, m, n) - Weight.delta_unit(j, m, n))
-        odd = set()
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                v = Weight.eps_unit(i, m, n) - Weight.delta_unit(j, m, n)
-                odd.update({v, -v})
-        return RootSystem(stype, GL_TAG, m, n, frozenset(pos_even),
-                          frozenset(odd), _positive_square(pos_even),
-                          min(m, n), mode)
+    """Construct the normalized root data for a user-facing type.
 
-    if fam in ("B", "D"):
-        p, q = stype.m, stype.n
-        if fam == "B":
-            if p > q or (p == q and stype.sharp_choice == "B_side"):
-                tag, m, n = B_EPS, p, q
-            else:
-                tag, m, n = B_DELTA, q, p
+    The even roots are the two blocks' roots under `WEYL_TYPES`.  The odd
+    roots are +-(eps_i - delta_j) on gl and +-eps_i +- delta_j elsewhere,
+    plus +-e_i on the C block of B; on q they are a copy of Delta_0.
+    """
+    fam, p, q = stype.family, stype.m, stype.n
+    if fam in ("GL", "B", "D"):
+        on_eps = p > q or p == q and (
+            fam == "GL" or stype.sharp_choice == "B_side")
+        if fam == "GL":
+            tag = GL_TAG
+        elif fam == "B":
+            tag = B_EPS if on_eps else B_DELTA
         else:
-            if p > q:
-                tag, m, n = D_EPS, p, q
-            else:
-                tag, m, n = D_DELTA, q, p
-        mode = "M" if tag in (B_EPS, D_EPS) else "N"
-        pos_even = _pair_roots(m, n)
-        odd = _mixed_odd(m, n)
-        if tag == B_EPS:
-            pos_even |= {Weight.eps_unit(i, m, n) for i in range(1, m + 1)}
-            pos_even |= {Weight.delta_unit(j, m, n).scale(2) for j in range(1, n + 1)}
-            for j in range(1, n + 1):
-                d = Weight.delta_unit(j, m, n)
-                odd.update({d, -d})
-        elif tag == B_DELTA:
-            pos_even |= {Weight.eps_unit(i, m, n).scale(2) for i in range(1, m + 1)}
-            pos_even |= {Weight.delta_unit(j, m, n) for j in range(1, n + 1)}
-            for i in range(1, m + 1):
-                e = Weight.eps_unit(i, m, n)
-                odd.update({e, -e})
-        elif tag == D_EPS:
-            pos_even |= {Weight.delta_unit(j, m, n).scale(2) for j in range(1, n + 1)}
-        else:  # D_DELTA
-            pos_even |= {Weight.eps_unit(i, m, n).scale(2) for i in range(1, m + 1)}
-        return RootSystem(stype, tag, m, n, frozenset(pos_even), frozenset(odd),
-                          _positive_square(pos_even), min(p, q), mode)
-
-    if fam == "C":
+            tag = D_EPS if on_eps else D_DELTA
+        (m, n), mode = ((p, q), "M") if on_eps else ((q, p), "N")
+        defect = min(p, q)
+    elif fam == "C":
         # n eps coordinates carrying C_n, one delta coordinate; all odd
         # roots +-eps_i +- delta_1 are isotropic and the defect is 1.
-        m, n = stype.n, 1
-        pos_even = set()
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                a, b = Weight.eps_unit(i, m, n), Weight.eps_unit(j, m, n)
-                pos_even.update({a - b, a + b})
-        pos_even |= {Weight.eps_unit(i, m, n).scale(2) for i in range(1, m + 1)}
-        odd = _mixed_odd(m, n)
-        return RootSystem(stype, C_TAG, m, n, frozenset(pos_even), frozenset(odd),
-                          _positive_square(pos_even), 1, "M")
-
-    # Q(n): Delta_0 = Delta_1 = A_{n-1} on eps with the positive definite form
-    m, n = stype.n, 0
-    pos_even = set()
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            pos_even.add(Weight.eps_unit(i, m, n) - Weight.eps_unit(j, m, n))
-    odd = {v for v in pos_even} | {-v for v in pos_even}
-    return RootSystem(stype, Q_TAG, m, n, frozenset(pos_even), frozenset(odd),
-                      _positive_square(pos_even), 0, "M")
+        tag, m, n, mode, defect = C_TAG, q, 1, "M", 1
+    else:
+        # Q(n): Delta_0 = Delta_1 = A_{n-1} on eps with the positive
+        # definite form
+        tag, m, n, mode, defect = Q_TAG, q, 0, "M", 0
+    eps_kind, delta_kind = WEYL_TYPES[tag]
+    eps = [Weight.eps_unit(i, m, n) for i in range(1, m + 1)]
+    delta = [Weight.delta_unit(j, m, n) for j in range(1, n + 1)]
+    pos_even = _block_roots(eps_kind, eps) | _block_roots(delta_kind, delta)
+    if tag == Q_TAG:
+        odd = set(pos_even)
+    else:
+        odd = {e - d for e in eps for d in delta}
+        if tag != GL_TAG:
+            odd |= {e + d for e in eps for d in delta}
+        # osp(2k+1|2l): the short odd roots sit on the C block
+        if eps_kind == "B":
+            odd |= set(delta)
+        elif delta_kind == "B":
+            odd |= set(eps)
+    odd |= {-a for a in odd}
+    return RootSystem(stype, tag, m, n, frozenset(pos_even), frozenset(odd),
+                      _positive_square(pos_even), defect, mode)
 
 
 def _positive_square(pos_even: Iterable[Weight]) -> frozenset:

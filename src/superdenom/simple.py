@@ -19,7 +19,7 @@ from operator import add, attrgetter, mul
 
 from .errors import DomainError, ResourceLimitError, StructuralError, ValidationError
 from .records import Frozen, _set
-from .roots import RootSystem, is_isotropic
+from .roots import WEYL_TYPES, RootSystem, is_isotropic
 from .weights import Elimination, Weight, coordinate_order, form4, weight_json
 
 PAIR_CAP = 10 ** 6
@@ -461,8 +461,8 @@ def variants(rs: RootSystem) -> list:
     step2 always; step3 for B and D; step3_prime and second_class for D
     with m > n >= 1.  On gl and C, step3 gives the step2 pair and is left
     out.  Listed variants can still coincide: step3 is step2 when n = 0
-    and on B(n,n), and step3_prime is second_class when n = 1; the verify
-    goldens of B(1,1) and D(2,1) pin those repeats.
+    and on B(n,n), and step3_prime is second_class when n = 1;
+    `standard_pairs` keeps only the first of such a repeat.
     """
     names = ["step2"]
     if rs.family in ("B_EPS", "B_DELTA", "D_EPS", "D_DELTA"):
@@ -473,8 +473,16 @@ def variants(rs: RootSystem) -> list:
 
 
 def standard_pairs(rs: RootSystem) -> list:
-    """(variant, pair) for each of the system's standard variants."""
-    return [(name, standard_pair(rs, name)) for name in variants(rs)]
+    """(variant, pair) for each distinct pair of the standard variants.
+
+    A variant whose pair equals an earlier variant's is dropped, so each
+    pair is listed once, under the first name.
+    """
+    out = {}
+    for name in variants(rs):
+        pair = standard_pair(rs, name)
+        out.setdefault(pair.key(), (name, pair))
+    return list(out.values())
 
 
 def pair_from_word(rs: RootSystem, word: str) -> AdmissiblePair:
@@ -486,19 +494,20 @@ def pair_from_word(rs: RootSystem, word: str) -> AdmissiblePair:
     difference, ⌢ by their sum; the sign making the root positive is
     taken.  The values of f are pinned by the family: consecutive
     integers from 1 for gl and B; for D, integers from 0 when a coordinate
-    sits at zero (the frown situation) and half-integers otherwise.  Pi is
-    the roots where f is 1, decided on ints: the doubled ladder dotted
-    with a root's doubled tuple is 4.  Ladders that give no admissible
-    pair are discarded; the survivor must be unique.
+    sits at zero (a frown, or the lowest mark on the block of type D in
+    `WEYL_TYPES`) and half-integers when the lowest mark is on the block
+    of type C.  Pi is the roots where f is 1, decided on ints: the
+    doubled ladder dotted with a root's doubled tuple is 4.  A ladder
+    that gives no admissible pair is a DomainError.
     """
     marks = [c for c in word if c in "ab"]
     size = len(marks)
     if rs.family in ("GL", "B_EPS", "B_DELTA"):
-        ladders = [range(2, 2 * size + 2, 2)]
-    elif "⌢" in word:
-        ladders = [range(0, 2 * size, 2)]
+        ladder = range(2, 2 * size + 2, 2)
+    elif "⌢" in word or WEYL_TYPES[rs.family]["ab".index(marks[0])] == "D":
+        ladder = range(0, 2 * size, 2)
     else:
-        ladders = [range(1, 2 * size, 2), range(0, 2 * size, 2)]
+        ladder = range(1, 2 * size, 2)
     order = [p for p in reversed(range(size)) if marks[p] == "a"] \
         + [p for p in reversed(range(size)) if marks[p] == "b"]
     at = {p: Weight.unit(k, rs.m, rs.n) for k, p in enumerate(order)}
@@ -509,24 +518,15 @@ def pair_from_word(rs: RootSystem, word: str) -> AdmissiblePair:
         else:
             u, v = at[p], at[p + 1]
             bows.append(v + u if c == "⌢" else v - u)
-    roots = rs.all_roots()
-    found = {}
-    for ladder in ladders:
-        x = [ladder[p] for p in order]
-        pi = [a for a in roots if sum(map(mul, x, a.doubled)) == 4]
-        try:
-            sys = derive(pi, rs)
-            S = [b if sys.is_positive_root(b) else -b for b in bows]
-            pair = make_pair(S, sys)
-        except (ValidationError, DomainError):
-            continue
-        found[pair.key()] = pair
-    if not found:
-        raise DomainError("no functional ladder reconstructs this diagram")
-    if len(found) > 1:
-        raise StructuralError("diagram does not determine the pair")
-    (pair,) = found.values()
-    return pair
+    x = [ladder[p] for p in order]
+    pi = [a for a in rs.all_roots() if sum(map(mul, x, a.doubled)) == 4]
+    try:
+        sys = derive(pi, rs)
+        return make_pair([b if sys.is_positive_root(b) else -b
+                          for b in bows], sys)
+    except (ValidationError, DomainError):
+        raise DomainError(
+            "no functional ladder reconstructs this diagram") from None
 
 
 # ---------------------------------------------------------------------------

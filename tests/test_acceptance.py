@@ -89,7 +89,7 @@ def test_criterion_1_denominator_identity():
         for stype, variant in _FIXTURES:
             pair = standard_pair(build(stype), variant)
             start = time.perf_counter()
-            report = verify(pair, H=8, skew=False)
+            report = verify(pair, H=8)
             elapsed = time.perf_counter() - start
             assert report.equal, (stype.label(), report.first_discrepancy)
             assert report.checks["lhs_equals_rhs_closed"]
@@ -98,7 +98,7 @@ def test_criterion_1_denominator_identity():
         # deep check on gl(2|1): taller truncation, then the symbolic
         # cross-multiplication X (1+e^{-b1})(1+e^{-b2}) = 1 - e^{-(e1-e2)}
         pair = standard_pair(build(SuperType("GL", 2, 1)), "step2")
-        deep = verify(pair, H=14, skew=False)
+        deep = verify(pair, H=14)
         assert deep.equal, deep.first_discrepancy
         equal, left, right = cross_multiplied_check(pair)
         assert equal

@@ -10,9 +10,10 @@ from superdenom.diagrams import (FROWN, SMILE, Diagram, available_moves,
                                  from_pair, move_slide, move_swap,
                                  pair_from_diagram)
 from superdenom.errors import DomainError, StructuralError, ValidationError
-from superdenom.roots import SuperType, build
+from superdenom.roots import WEYL_TYPES, SuperType, build
 from superdenom.simple import (VARIANTS, derive, enumerate_admissible_pairs,
-                               make_pair, standard_pair)
+                               make_pair, pair_from_word, standard_pair)
+from superdenom.weights import Weight
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -205,3 +206,61 @@ def test_standard_pairs_match_golden_and_draw_their_words():
                     (st.label(), variant)
     want = json.loads((GOLDEN / "standard_pairs.json").read_text())
     assert json.loads(json.dumps(got)) == want
+
+
+def _ladder_pairs(rs, word):
+    """The two-ladder search: the pair each D ladder reads off a word.
+
+    Half-integers and integers from 0, each read as pair_from_word reads
+    its one ladder; None where the ladder gives no admissible pair.
+    """
+    marks = [c for c in word if c in "ab"]
+    size = len(marks)
+    order = [p for p in reversed(range(size)) if marks[p] == "a"] \
+        + [p for p in reversed(range(size)) if marks[p] == "b"]
+    at = {p: Weight.unit(k, rs.m, rs.n) for k, p in enumerate(order)}
+    bows, p = [], -1
+    for c in word:
+        if c in "ab":
+            p += 1
+        else:
+            bows.append(at[p + 1] + at[p] if c == "⌢" else at[p + 1] - at[p])
+    out = {}
+    for name, ladder in (("half", range(1, 2 * size, 2)),
+                         ("zero", range(0, 2 * size, 2))):
+        x = [ladder[p] for p in order]
+        pi = [a for a in rs.all_roots()
+              if sum(v * c for v, c in zip(x, a.doubled)) == 4]
+        try:
+            sys = derive(pi, rs)
+            out[name] = make_pair(
+                [b if sys.is_positive_root(b) else -b for b in bows], sys)
+        except (ValidationError, DomainError):
+            out[name] = None
+    return out
+
+
+def test_d_ladder_is_read_from_the_lowest_marks_block():
+    # on every frown-free D word of D systems with m + n <= 7, both
+    # embeddings, exactly one ladder gives an admissible pair: half-integers
+    # when the lowest mark's block has type C, integers from 0 when D
+    words = 0
+    for m, n in product(range(1, 8), range(8)):
+        if m + n > 7 or (m, n) == (1, 0):
+            continue
+        rs = build(SuperType("D", m, n))
+        drawn = set()
+        for pair in enumerate_admissible_pairs(rs):
+            try:
+                drawn.add(from_pair(pair).render())
+            except ValidationError:
+                continue   # sum root away from the front: no diagram
+        for word in sorted(w for w in drawn if "⌢" not in w):
+            kind = WEYL_TYPES[rs.family]["ab".index(word[0])]
+            found = _ladder_pairs(rs, word)
+            good, other = ("half", "zero") if kind == "C" else ("zero", "half")
+            assert found[other] is None, (rs.stype.label(), word)
+            assert found[good] is not None, (rs.stype.label(), word)
+            assert pair_from_word(rs, word).key() == found[good].key()
+            words += 1
+    assert words == 316

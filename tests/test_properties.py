@@ -198,7 +198,9 @@ def test_sharp_ball_is_the_height_filter_of_w_sharp(case, data):
         # past the top height the ball is all of W#
         top = max(h for _, _, h in heights)
         for bound in (H, H - 3, top):
-            assert [(w, w.sgn()) for w in sharp_ball(pair, bound)] == [
-                (w, sign) for w, sign, h in heights if h <= bound]
+            ball = sharp_ball(pair, bound)
+            want = {w: sign for w, sign, h in heights if h <= bound}
+            assert len(ball) == len(want)
+            assert {w: w.sgn() for w in ball} == want
     finally:
         frame.rho = rho

@@ -1,8 +1,12 @@
+import math
+from itertools import product
+
 import pytest
 
 from superdenom.errors import ValidationError
-from superdenom.roots import (SuperType, build, is_isotropic, simple_roots,
-                              system_json)
+from superdenom.groups import weyl_group
+from superdenom.roots import (WEYL_TYPES, SuperType, build, is_isotropic,
+                              simple_roots, system_json)
 from superdenom.weights import bilinear_form
 
 
@@ -131,3 +135,42 @@ def test_system_json_shape():
     assert data["type"] == "gl(1|1)"
     assert data["defect"] == 1
     assert isinstance(data["odd"], list) and len(data["odd"]) == 2
+
+
+def _table_types():
+    """GL, B (both B(n,n) choices), D with m + n <= 6; C(2)-C(5); Q(2)-Q(7)."""
+    for fam, m, n in product(("GL", "B", "D"), range(1, 7), range(6)):
+        if m + n <= 6:
+            choices = ("B_side", "C_side") if fam == "B" and m == n \
+                else (None,)
+            for choice in choices:
+                yield SuperType(fam, m, n, choice)
+    for n in range(2, 6):
+        yield SuperType("C", n=n)
+    for n in range(2, 8):
+        yield SuperType("Q", n=n)
+
+
+def _weyl_order(kind, k):
+    return math.factorial(k) * {"A": 1, "D": 2 ** max(k - 1, 0)}.get(
+        kind, 2 ** k)
+
+
+def _root_count(kind, k):
+    return {"A": k * (k - 1) // 2, "D": k * (k - 1)}.get(kind, k * k)
+
+
+def test_weyl_types_give_the_group_orders_and_root_counts():
+    # the table's two block types account for |W|, |Delta_0+| and Delta#:
+    # the positive-square roots are exactly the eps block's
+    for stype in _table_types():
+        rs = build(stype)
+        eps_kind, delta_kind = WEYL_TYPES[rs.family]
+        label = stype.label()
+        assert len(weyl_group(rs)) == _weyl_order(eps_kind, rs.m) \
+            * _weyl_order(delta_kind, rs.n), label
+        assert len(rs.positive_even) == _root_count(eps_kind, rs.m) \
+            + _root_count(delta_kind, rs.n), label
+        eps_roots = {a for a in rs.positive_even if not any(a.doubled[rs.m:])}
+        assert rs.sharp & rs.positive_even == eps_roots, label
+        assert len(eps_roots) == _root_count(eps_kind, rs.m), label

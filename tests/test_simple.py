@@ -434,8 +434,8 @@ def test_height_int_needs_integer_coordinates():
 
 
 def test_standard_pairs_that_coincide():
-    # the variants are listed by name even where two give the same pair;
-    # the verify goldens of B(1,1) and D(2,1) carry both copies
+    # variants can give the same pair; standard_pairs lists each pair once,
+    # under the first variant that gives it
     with pytest.raises(DomainError):
         standard_pairs(build(SuperType("D", 1, 0)))
     for fam, m, n in product(("B", "D"), range(1, 5), range(5)):
@@ -445,12 +445,17 @@ def test_standard_pairs_that_coincide():
             else (None,)
         for choice in choices:
             kw = {} if choice is None else {"sharp_choice": choice}
-            pairs = standard_pairs(build(SuperType(fam, m, n, **kw)))
-            same = {(a, b) for i, (a, p) in enumerate(pairs)
-                    for b, q in pairs[i + 1:] if p.key() == q.key()}
+            rs = build(SuperType(fam, m, n, **kw))
+            named = [(name, standard_pair(rs, name))
+                     for name in simple.variants(rs)]
+            same = {(a, b) for i, (a, p) in enumerate(named)
+                    for b, q in named[i + 1:] if p.key() == q.key()}
             want = set()
             if n == 0 or (fam == "B" and m == n):
                 want.add(("step2", "step3"))
             if fam == "D" and m > n == 1:
                 want.add(("step3_prime", "second_class"))
             assert same == want, (fam, m, n, choice)
+            kept = [(name, pair.key()) for name, pair in standard_pairs(rs)]
+            assert kept == [(name, pair.key()) for name, pair in named
+                            if name not in {b for _, b in want}]
