@@ -17,16 +17,15 @@ from operator import attrgetter
 
 from .errors import DomainError, StructuralError, ValidationError
 from .records import Frozen, _set
-from .roots import RootSystem
+from .roots import D_EPS, RootSystem, diagram_type
 from .simple import (PAIR_CAP, AdmissiblePair, enumerate_admissible_pairs,
-                     functional_for, isotropic_parts, pair_components,
+                     functional_numerators, isotropic_parts, pair_components,
                      pair_from_word)
 
 SMILE = "smile"
 FROWN = "frown"
 _GLYPH = {SMILE: "⌣", FROWN: "⌢"}
 _ASCII = {SMILE: "(_)", FROWN: "(^)"}
-_DIAGRAM_FAMILIES = ("GL", "B_EPS", "B_DELTA", "D_EPS", "D_DELTA")
 
 
 class Diagram(Frozen):
@@ -112,12 +111,16 @@ def _mk(marks, bows, mode) -> Diagram:
 
 
 def from_pair(pair: AdmissiblePair) -> Diagram:
-    """Draw the pair: order the coordinates by the functional, bow S."""
+    """Draw the pair: order the coordinates by the functional, bow S.
+
+    The functional's integer numerators, over one positive denominator,
+    order the coordinates as its values do.
+    """
     rs = pair.rs
-    if rs.family not in _DIAGRAM_FAMILIES:
+    if diagram_type(rs.family) is None:
         raise DomainError("diagrams cover the gl/B/D families")
-    f = functional_for(pair.system)
-    order = sorted(range(rs.m + rs.n), key=f.__getitem__)
+    F, _ = functional_numerators(pair.system)
+    order = sorted(range(rs.m + rs.n), key=F.__getitem__)
     position = {k: p for p, k in enumerate(order)}
     marks = ["a" if k < rs.m else "b" for k in order]
     bows = []
@@ -130,7 +133,7 @@ def from_pair(pair: AdmissiblePair) -> Diagram:
                 % beta)
         bows.append((p, q, FROWN if kind == "sum" else SMILE))
     diagram = _mk(marks, bows, rs.marking_mode)
-    if diagram.has_frown() and not (rs.family == "D_EPS" and rs.m > rs.n):
+    if diagram.has_frown() and not (rs.family == D_EPS and rs.m > rs.n):
         raise ValidationError("sum bows occur only for D with more a's")
     return diagram
 
@@ -255,7 +258,7 @@ def equivalence_classes(rs: RootSystem, cap: int = PAIR_CAP) -> list:
     except D with m > n, which splits into the frown-free class and the
     frown class.
     """
-    if rs.family not in _DIAGRAM_FAMILIES:
+    if diagram_type(rs.family) is None:
         raise DomainError("diagrams cover the gl/B/D families")
     if rs.defect < 1:
         raise DomainError("no bows without isotropic roots")
@@ -277,7 +280,7 @@ def equivalence_classes(rs: RootSystem, cap: int = PAIR_CAP) -> list:
     if len(set(out)) != len(out):
         raise StructuralError("distinct components share a canonical form")
     out.sort(key=lambda d: d.render())
-    expected = 2 if rs.family == "D_EPS" else 1
+    expected = 2 if rs.family == D_EPS else 1
     if len(out) != expected:
         raise StructuralError(
             "%s falls into %d diagram classes, expected %d"
@@ -296,7 +299,7 @@ def pair_from_diagram(d: Diagram, rs: RootSystem) -> AdmissiblePair:
     rebuilt pair must draw back to it.
     """
     d.validate()
-    if rs.family not in _DIAGRAM_FAMILIES:
+    if diagram_type(rs.family) is None:
         raise DomainError("diagrams cover the gl/B/D families")
     if len(d.marks) != rs.m + rs.n or d.marks.count("a") != rs.m:
         raise DomainError("diagram shape does not match %s" % rs.stype.label())

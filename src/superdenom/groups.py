@@ -143,21 +143,25 @@ def reflection(alpha: Weight) -> SignedPermutation:
     """Reflection in a non-isotropic root, realized as a signed permutation.
 
     Each basis vector must go to a signed basis vector of its own block.
+    The image b - 2 (b, alpha) / (alpha, alpha) alpha is computed on the
+    doubled ints times 4 (alpha, alpha), so no rational is built.
     """
-    norm = bilinear_form(alpha, alpha)
+    norm = form4(alpha, alpha)
     if norm == 0:
         raise DomainError("cannot reflect in isotropic root %s" % alpha)
     m, n = alpha.dims()
     images = []
     for k in range(m + n):
         b = Weight.unit(k, m, n)
-        img = b - alpha.scale(2 * bilinear_form(b, alpha) / norm)
-        hits = [(j, v) for j, v in enumerate(img.doubled) if v != 0]
-        if len(hits) != 1 or abs(hits[0][1]) != 2 \
+        f = 2 * form4(b, alpha)
+        img = [norm * x - f * a for x, a in zip(b.doubled, alpha.doubled)]
+        hits = [(j, v) for j, v in enumerate(img) if v != 0]
+        if len(hits) != 1 or abs(hits[0][1]) != 2 * abs(norm) \
                 or (hits[0][0] < m) != (k < m):
             raise StructuralError(
-                "reflection image %s is not a signed unit of its block" % img)
-        images.append((hits[0][0], 1 if hits[0][1] > 0 else -1))
+                "reflection image of %s in %s is not a signed unit of its "
+                "block" % (b, alpha))
+        images.append((hits[0][0], 1 if hits[0][1] * norm > 0 else -1))
     return SignedPermutation.from_images(images, m)
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Iterable, Sequence
-from fractions import Fraction as Q
 from itertools import product
 from operator import attrgetter, mul, sub
 
@@ -32,12 +31,13 @@ from .groups import (SignedPermutation, _compiled, _gather,
                      sharp_ball, sharp_group, stabilizer, weyl_generators,
                      weyl_group)
 from .records import Record
-from .roots import RootSystem, SuperType, build, simple_roots
+from .roots import (D_EPS, RootSystem, SuperType, build, diagram_type,
+                    simple_roots)
 from .series import (FormalSeries, _accumulate, _ht, _Packing, expand_raw,
                      multiply, normalize, positive_step)
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
                      isotropic_parts, second_type_move, standard_pair)
-from .weights import Weight, coordinate_order, form4
+from .weights import Q, Weight, coordinate_order, form4
 
 
 def _zero(rs: RootSystem) -> Weight:
@@ -667,11 +667,12 @@ def eps_symmetry_applicable(pair: AdmissiblePair) -> bool:
     two eps coordinates).
     """
     rs = pair.rs
-    if rs.family in ("C", "Q"):
+    kind = diagram_type(rs.family)
+    if kind is None:
         return False
-    if rs.family in ("D_EPS", "D_DELTA") and rs.m == rs.n:
+    if kind == "D" and rs.m == rs.n:
         return False
-    if rs.family == "D_EPS" and \
+    if rs.family == D_EPS and \
             (rs.eps(rs.m) + rs.delta(rs.n)) in pair.system.simple_roots:
         return False
     return True

@@ -9,6 +9,8 @@ user-facing labels are kept on the SuperType for reporting.
 `WEYL_TYPES` names the Weyl type (A, B, C or D) of each embedding's eps
 and delta blocks.  The positive even roots are the two blocks' roots,
 generated from it, and `groups` reads W#'s order from its eps type.
+`diagram_type` reads from it the one type that the standard pairs and
+bow diagrams of gl, B and D depend on.
 
 Root sets are stored as three frozensets: the fixed positive even roots,
 all odd roots, and Delta#.  Positive odd roots are not fixed here; they
@@ -46,6 +48,19 @@ WEYL_TYPES = {
     C_TAG: ("C", "A"),
     Q_TAG: ("A", "A"),
 }
+
+
+def diagram_type(tag: str) -> str | None:
+    """A, B or D: the type whose bow diagrams draw the embedding's pairs.
+
+    A on gl, and on B and D the type of the orthogonal block in
+    `WEYL_TYPES` (the other one is of type C).  None on C and q, which
+    have no diagrams.
+    """
+    if tag in (C_TAG, Q_TAG):
+        return None
+    eps, delta = WEYL_TYPES[tag]
+    return delta if eps == "C" else eps
 
 
 class SuperType(Frozen):

@@ -11,7 +11,6 @@ pairwise orthogonal isotropic roots inside it.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction as Q
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
@@ -19,8 +18,10 @@ from operator import add, attrgetter, mul
 
 from .errors import DomainError, ResourceLimitError, StructuralError, ValidationError
 from .records import Frozen, _set
-from .roots import WEYL_TYPES, RootSystem, is_isotropic
-from .weights import Elimination, Weight, coordinate_order, form4, weight_json
+from .roots import (C_TAG, D_EPS, Q_TAG, WEYL_TYPES, RootSystem,
+                    diagram_type, is_isotropic)
+from .weights import (Elimination, Q, Weight, coordinate_order, form4,
+                      weight_json)
 
 PAIR_CAP = 10 ** 6
 
@@ -429,26 +430,25 @@ def standard_pair(rs: RootSystem, variant: str = "step3") -> AdmissiblePair:
     if variant not in VARIANTS:
         raise DomainError("unknown variant %r" % variant)
     fam, m, n = rs.family, rs.m, rs.n
-    second = fam == "D_EPS" and m > n >= 1
+    second = fam == D_EPS and m > n >= 1
     if variant == "second_class" and not second:
         raise DomainError("the second class exists only for D with m > n >= 1")
-    if fam == "Q":
+    if fam == Q_TAG:
         raise DomainError("Q(n) has no admissible pairs; use the qn helpers")
     if variant == "step3_prime" and not second:
         raise DomainError("step3_prime needs D with m > n >= 1")
-    if fam == "C":
+    if fam == C_TAG:
         e, d = rs.eps, rs.delta(1)
         pi = [e(i) - e(i + 1) for i in range(1, m)] + [e(m) - d, e(m) + d]
         return make_pair([e(m) - d], derive(pi, rs))
-    if fam == "D_EPS" and m < 2:
+    if fam == D_EPS and m < 2:
         raise DomainError("no simple system for D with a single eps")
-    k = m - n
+    k, kind = m - n, diagram_type(fam)
     if variant == "second_class":
         word = "a⌢b" + "a" * k + "b⌣a" * (n - 1)
     elif variant == "step3_prime":
         word = "a⌢b" + "a⌣b" * (n - 1) + "a" * k
-    elif variant == "step3" and fam != "GL" \
-            or fam in ("B_EPS", "B_DELTA") and k == 0:
+    elif variant == "step3" and kind != "A" or kind == "B" and k == 0:
         word = "a⌣b" * n + "a" * k
     else:
         word = "a" * k + "b⌣a" * n
@@ -465,9 +465,9 @@ def variants(rs: RootSystem) -> list:
     `standard_pairs` keeps only the first of such a repeat.
     """
     names = ["step2"]
-    if rs.family in ("B_EPS", "B_DELTA", "D_EPS", "D_DELTA"):
+    if diagram_type(rs.family) in ("B", "D"):
         names.append("step3")
-    if rs.family == "D_EPS" and rs.n >= 1:
+    if rs.family == D_EPS and rs.n >= 1:
         names += ["step3_prime", "second_class"]
     return names
 
@@ -502,7 +502,7 @@ def pair_from_word(rs: RootSystem, word: str) -> AdmissiblePair:
     """
     marks = [c for c in word if c in "ab"]
     size = len(marks)
-    if rs.family in ("GL", "B_EPS", "B_DELTA"):
+    if diagram_type(rs.family) in ("A", "B"):
         ladder = range(2, 2 * size + 2, 2)
     elif "⌢" in word or WEYL_TYPES[rs.family]["ab".index(marks[0])] == "D":
         ladder = range(0, 2 * size, 2)
@@ -636,15 +636,25 @@ def pairing(x: tuple, w: Weight):
 def functional_for(sys: SimpleSystem) -> tuple:
     """Solve <f, alpha> = 1 on Pi and check the sorting properties.
 
-    Returns the values of f over the flat basis (eps block first); f
-    acts through `pairing`, not the bilinear form.  For gl the solution
-    line is pinned by min value 1; elsewhere it is unique.
-    The checks: integer nonzero on all roots, >= 1 on positives, = 1
-    exactly on the simples.  They run on ints: f = F/den with F integral
-    and den > 0, so <f, alpha> = (F . alpha.doubled) / (2 den).
+    Returns the values of f over the flat basis (eps block first), as
+    Fractions; f acts through `pairing`, not the bilinear form.
+    `functional_numerators` solves and checks.
+    """
+    F, den = functional_numerators(sys)
+    return tuple(Q(x, den) for x in F)
+
+
+def functional_numerators(sys: SimpleSystem) -> tuple:
+    """(F, den) with f = F/den, F an int tuple and den > 0.
+
+    For gl the solution line is pinned by min value 1; elsewhere it is
+    unique.  The checks: integer nonzero on all roots, >= 1 on
+    positives, = 1 exactly on the simples.  They run on ints, as
+    <f, alpha> = (F . alpha.doubled) / (2 den).
     """
     rs = sys.rs
-    if rs.family not in ("GL", "B_EPS", "B_DELTA", "D_EPS", "D_DELTA"):
+    kind = diagram_type(rs.family)
+    if kind is None:
         raise DomainError("functionals are defined for gl/B/D only")
     # sum_k f_k * (2 alpha_k) = 2 on each simple alpha: the doubled system
     solver = Elimination([tuple(a.doubled[k] for a in sys.simple_roots)
@@ -654,7 +664,7 @@ def functional_for(sys: SimpleSystem) -> tuple:
         raise ValidationError("no functional solves <f, Pi> = 1")
     den = lcm(*(d for _, d in nums))
     F = solver._coordinates(nums, lambda acc, d: acc * (den // d))
-    if rs.family == "GL":
+    if kind == "A":
         shift = den - min(F)
         F = [x + shift for x in F]
     one = 2 * den
@@ -670,7 +680,7 @@ def functional_for(sys: SimpleSystem) -> tuple:
                                   % (Q(v, one), a))
         if (v == one) != (a in sys.simple_roots):
             raise ValidationError("value 1 does not match simplicity at %s" % a)
-    return tuple(Q(x, den) for x in F)
+    return tuple(F), den
 
 
 def even_frame(rs: RootSystem) -> SimpleSystem:

@@ -15,14 +15,15 @@ they read.  The invariant bilinear form is diagonal:
 `Elimination` decides span membership, sign and integrality on integer
 numerators.  Rationals are built only where a caller reads one: values
 of the form, `Weight.coords`, and the coordinates that
-`Elimination.solve` and `Elimination.cone(ring='rational')` return.  No
-floats appear anywhere.
+`Elimination.solve` and `Elimination.cone(ring='rational')` return, and
+`Q` imports `fractions` (which loads `re` and `decimal`) only on its
+first call, so a run that builds no rational never loads it.  No floats
+appear anywhere.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction as Q
 from math import gcd
 from operator import add, attrgetter, floordiv, mul, neg, sub
 
@@ -30,8 +31,23 @@ from .errors import StructuralError
 from .records import Frozen, _set
 
 
+def Q(*args):
+    """Fraction(*args), importing `fractions` on the first call.
+
+    That call also rebinds this module's Q to Fraction itself; modules
+    that imported Q by name keep this function, which costs them one
+    cached import per call.
+    """
+    global Q
+    from fractions import Fraction
+    Q = Fraction
+    return Fraction(*args)
+
+
 def _doubled(c) -> int:
     """2c as an int; StructuralError unless c lies in (1/2)Z."""
+    if isinstance(c, int):
+        return 2 * c
     twice = 2 * Q(c)
     if twice.denominator != 1:
         raise StructuralError("coordinate %s is not in (1/2)Z" % c)
@@ -112,6 +128,8 @@ class Weight(Frozen):
 
     def scale(self, c) -> "Weight":
         """c times the weight; StructuralError if it leaves (1/2)Z."""
+        if isinstance(c, int):
+            return Weight(tuple([c * v for v in self.doubled]), self.m)
         c = Q(c)
         out = []
         for v in self.doubled:
@@ -173,7 +191,7 @@ def form4(x: Weight, y: Weight) -> int:
     return eps - delta
 
 
-def bilinear_form(x: Weight, y: Weight) -> Q:
+def bilinear_form(x: Weight, y: Weight) -> "Fraction":
     """Invariant form: +1 on eps coordinates, -1 on delta coordinates."""
     return Q(form4(x, y), 4)
 

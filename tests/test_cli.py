@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import superdenom
-from superdenom.cli import _parser, canonical_json, main, run
+from superdenom.cli import COMMANDS, canonical_json, main, parse_args, run
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -142,10 +144,80 @@ def test_resource_cap_exit_3(capsys):
 
 
 def test_run_config_direct():
-    code, payload, lines = run(_parser().parse_args(["qn", "--n", "3"]))
+    code, payload, lines = run(parse_args(["qn", "--n", "3"]))
     assert code == 0
     assert payload["a"] == -1
     assert lines and lines[0].startswith("q(3)")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+    (["build", "--family", "GL", "--bogus", "1"],
+     "unrecognized arguments: --bogus"),
+    (["build", "--family", "GL", "stray"], "unrecognized arguments: stray"),
+    (["verify", "--family", "GL", "--h", "3"],
+     "ambiguous option: --h could match --height, --help"),
+    (["build", "--m", "2"], "the following arguments are required: --family"),
+    (["qn", "--height", "3"], "the following arguments are required: --n"),
+    (["build", "--family", "GL", "--m", "two"],
+     "argument --m: invalid int value: 'two'"),
+    (["verify", "--family", "GL", "--variant", "step4"],
+     "argument --variant: invalid choice: 'step4'"),
+    (["build", "--family"], "argument --family: expected one argument"),
+    (["build", "--family", "GL", "--m", "--n", "1"],
+     "argument --m: expected one argument"),
+])
+def test_bad_command_line_exits_2(capsys, argv, message):
+    code, out, err = _run_main(capsys, argv)
+    assert code == 2 and out == ""
+    assert "error: " + message in err and "Traceback" not in err
+
+
+def test_bad_command_line_in_a_child_exits_2():
+    src = os.path.dirname(os.path.dirname(superdenom.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "superdenom", "verify", "--fam", "GL",
+         "--height", "x"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "error: argument --height: invalid int value: 'x'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_prefixes_equals_repeats_and_negative_ints_parse():
+    args = parse_args(["verify", "--fam", "GL", "--height=5", "--m", "2",
+                       "--m=3", "--n", "-1"])
+    assert (args.command, args.family, args.height, args.m, args.n) \
+        == ("verify", "GL", 5, 3, -1)
+    assert args.variant is None and args.sharp is None
+    assert args.output == "text"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [
+    [command, flag] for command in COMMANDS for flag in ("-h", "--help")])
+def test_help_exits_0(capsys, argv):
+    code, out, err = _run_main(capsys, argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: superdenom")
+    if len(argv) > 1:
+        assert COMMANDS[argv[0]][0] in out
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('⌢⌣"\\/\x00\n\t\x1f\x7f\U0001d11e'),
+                          st.characters()), max_size=8)
+_PAYLOADS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_PAYLOADS)
+def test_canonical_json_is_json_dumps(payload):
+    assert canonical_json(payload) == json.dumps(
+        payload, sort_keys=True, separators=(",", ":"))
 
 
 def test_console_entry_point():

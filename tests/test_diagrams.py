@@ -188,7 +188,7 @@ def _word(rs, variant):
 
 def test_standard_pairs_match_golden_and_draw_their_words():
     # every variant standard_pair accepts, with its pair key; from_pair
-    # orders the coordinates by functional_for, so the word check does not
+    # orders the coordinates by the functional, so the word check does not
     # lean on how standard_pair builds the pair, and the key pins the D
     # frown pairs, whose picture is shared with the odd reflection at the
     # sum root

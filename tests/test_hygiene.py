@@ -10,6 +10,11 @@ fails here before it breaks a traced run.
 Importing the CLI loads none of SLOW_IMPORTS: each CLI run is a fresh
 process, and `dataclasses` (which pulls in `inspect`, `ast` and `dis`)
 and `typing` would cost it tens of milliseconds before any work starts.
+`argparse`, `json` and `fractions` each load `re` (and `enum`), argparse
+builds `shutil` into its help formatter and `fractions` loads `decimal`:
+the CLI parses its own table and writes its own JSON, and rationals are
+built on first use, so `build` and `verify` runs stay clear of `re`,
+`fractions` and `argparse` too.
 """
 
 import ast
@@ -21,7 +26,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SLOW_IMPORTS = ("dataclasses", "typing", "inspect")
+SLOW_IMPORTS = ("dataclasses", "typing", "inspect", "re", "argparse",
+                "json", "fractions", "decimal", "shutil")
 PACKAGE = sorted((ROOT / "src" / "superdenom").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -105,22 +111,39 @@ def test_no_unreferenced_public_definitions():
 
 
 def _slow_imports(statement: str) -> list:
-    """The SLOW_IMPORTS that `python -S -c statement` leaves loaded."""
+    """The SLOW_IMPORTS that `python -S -c statement` leaves loaded.
+
+    They are read from the last line of the child's output, so the
+    statement may print lines of its own.
+    """
     probe = "%s\nimport sys\nprint(*(m for m in %r if m in sys.modules))" \
         % (statement, SLOW_IMPORTS)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    return proc.stdout.split()
+    return proc.stdout.splitlines()[-1].split()
 
 
 def test_import_check_flags_a_loaded_module():
-    assert _slow_imports("import dataclasses") == ["dataclasses", "inspect"]
-    assert _slow_imports("import json") == []
+    assert _slow_imports("import dataclasses") == ["dataclasses", "inspect",
+                                                   "re"]
+    assert _slow_imports("import json") == ["re", "json"]
+    assert _slow_imports("print('re json')\nimport math") == []
 
 
 def test_cli_import_skips_slow_modules():
     assert _slow_imports("import superdenom.cli") == []
+
+
+def test_build_and_verify_runs_skip_slow_modules():
+    runs = [["build", "--family", "GL", "--m", "2", "--n", "1"]] + [
+        ["verify", *system, "--height", "4", "--output", "json"]
+        for system in (["--family", "GL", "--m", "2", "--n", "1"],
+                       ["--family", "D", "--m", "2", "--n", "1"],
+                       ["--family", "B", "--m", "1", "--n", "1"])]
+    statement = "from superdenom.cli import main\n" + "".join(
+        "assert main(%r) == 0\n" % argv for argv in runs)
+    assert _slow_imports(statement) == []
 
 
 def _hard_lookups(source: str) -> list:
