@@ -80,12 +80,6 @@ class SignedPermutation(Frozen):
         """self after other (acts as self(other(x)))."""
         return SignedPermutation(_gather(self.src, other.src), self.m)
 
-    def inverse(self) -> "SignedPermutation":
-        src = [0] * len(self.src)
-        for j, a in enumerate(self.src):
-            src[abs(a) - 1] = j + 1 if a > 0 else -(j + 1)
-        return SignedPermutation(tuple(src), self.m)
-
     def is_identity(self) -> bool:
         return self.src == tuple(range(1, len(self.src) + 1))
 
@@ -268,21 +262,6 @@ def sharp_ball(pair: AdmissiblePair, H: int) -> tuple:
                         tuple(map(sub, r, _gather(w, r)))) <= H)
 
 
-def external_delta_flips(rs: RootSystem) -> tuple:
-    """Sign flips delta_i -> -delta_i that preserve Delta without lying in W.
-
-    Nonempty exactly for the embeddings whose delta block carries a D-type
-    component (single flips there are diagram automorphisms, not Weyl).
-    """
-    if WEYL_TYPES[rs.family][1] != "D":
-        return ()
-    size = rs.m + rs.n
-    return tuple(
-        SignedPermutation(tuple(-(k + 1) if k == j else k + 1
-                                for k in range(size)), rs.m)
-        for j in range(rs.m, size))
-
-
 def orbit(lam: Weight, group: Sequence[SignedPermutation]) -> list:
     """Orbit as a list of distinct weights in coordinate order."""
     return sorted({w.apply(lam) for w in group}, key=coordinate_order)
@@ -307,15 +286,6 @@ def is_dominant(mu: Weight, simples: Iterable[Weight]) -> bool:
     return all(form4(mu, a) * form4(a, a) >= 0 for a in simples)
 
 
-def dominant_representative(lam: Weight, group: Sequence[SignedPermutation],
-                            simples: Sequence[Weight]) -> Weight:
-    """The orbit element with nonnegative pairing against every simple coroot."""
-    for mu in orbit(lam, group):
-        if is_dominant(mu, simples):
-            return mu
-    raise StructuralError("orbit of %s has no dominant element" % lam)
-
-
 def orbit_intersects_shifted_cone(lam: Weight, orb: Sequence[Weight],
                                   frame: SimpleSystem, rho: Weight) -> bool:
     """Does orb, the orbit of lam, meet rho + (rational cone on simples)?
@@ -327,5 +297,5 @@ def orbit_intersects_shifted_cone(lam: Weight, orb: Sequence[Weight],
         if pairing.denominator != 1:
             raise DomainError("%s is not an integral weight: <.,%s^> = %s"
                               % (lam, a, pairing))
-    return any(frame.cone(mu - rho, ring="rational") is not None
+    return any(frame.cone(mu - rho) is not None
                for mu in orb)

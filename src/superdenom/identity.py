@@ -8,11 +8,12 @@ e^rho / prod_{beta in S}(1 + e^{-beta}) attached to an admissible pair.
 checked under W_2 alone (W = W# x W_2).  The sum runs over the W#
 elements within H (`groups.sharp_ball`), or over all of W# where skew
 reads every term.  Everything here is exact: truncated series carry int
-coefficients, and cone questions go through `weights.Elimination`, which
-decides on integer numerators.  Closed-form
-statements compare normal forms of merged raw sums (`series.normalize`):
-equal forms prove equality, but unequal ones prove nothing, since
-distinct sums can denote the same function.
+coefficients, and cone questions go through the frame's one solve
+(`SimpleSystem._raw_cone_key`, over `weights.Elimination`), which decides
+on integer numerators.  Closed-form statements compare normal forms of
+merged raw sums (`series.normalize`): equal forms prove equality, but
+unequal ones prove nothing, since distinct sums can denote the same
+function.
 Nothing is sampled and nothing is floated.
 """
 
@@ -374,9 +375,9 @@ def cross_multiplied_check(pair: AdmissiblePair) -> tuple:
     left, right).
     """
     frame = pair.system
-    odd = [frame.cone_int(a)
+    odd = [positive_step(frame, a)
            for a in sorted(frame.pos_odd, key=coordinate_order)]
-    even = [frame.cone_int(a)
+    even = [positive_step(frame, a)
             for a in sorted(pair.rs.positive_even, key=coordinate_order)]
     chains, H = [], sum(map(_ht, even))
     for w in sharp_group(pair.rs):
@@ -542,7 +543,7 @@ def expected_regular_orbit_reps(rs: RootSystem, H: int = 10,
     if rs.family == "C" or rs.m != rs.n:
         return [rho0]
     xi = xi_vector(pair)
-    step = pair.system.height_int(xi)
+    step = sum(pair.system.cone_key(xi))
     return sorted((rho0 - xi.scale(s) for s in range(H // step + 1)),
                   key=coordinate_order)
 
@@ -573,13 +574,13 @@ def xi_presentation_unique(pair: AdmissiblePair,
     """
     frame = pair.system
     target = xi_vector(pair) if target is None else target
-    coords = frame.cone(target, ring="rational")
+    coords = frame.cone(target)
     if coords is None:
         return False, "%s is outside the cone of positive roots" % target
     support = {k for k, c in enumerate(coords) if c}
     fits = [b for b in frame.positive_roots if b not in pair.S
-            and all(k in support for k, c in enumerate(frame.cone_int(b))
-                    if c)]
+            and all(k in support
+                    for k, c in enumerate(positive_step(frame, b)) if c)]
     if fits:
         return False, "%s lies outside S and fits the target's support" \
             % min(fits, key=coordinate_order)
@@ -603,7 +604,7 @@ def lhs_xi_coefficient(rs: RootSystem, s: int):
     pair = standard_pair(rs, "step2")
     frame = pair.system
     target = xi_vector(pair).scale(s)
-    H = frame.height_int(target)
+    H = sum(frame.cone_key(target))
     return lhs(pair, H).coefficient_at(frame.rho - target)
 
 
@@ -618,7 +619,7 @@ def rho_descent_holds(pair: AdmissiblePair) -> bool:
     """rho - w rho lies in the rational positive cone for every w in W#."""
     frame = pair.system
     rho = frame.rho
-    return all(frame.cone(rho - w.apply(rho), ring="rational") is not None
+    return all(frame.cone(rho - w.apply(rho)) is not None
                for w in sharp_group(pair.rs))
 
 

@@ -89,13 +89,6 @@ class FormalSeries:
     def _with(self, codec, data: dict) -> "FormalSeries":
         return FormalSeries(self.frame, self.H, self.offset, (codec, data))
 
-    def copy(self) -> "FormalSeries":
-        return self._with(self.codec, dict(self.data))
-
-    def add(self, other: "FormalSeries") -> "FormalSeries":
-        codec, mine, theirs = self._joint(other)
-        return self._with(codec, _accumulate(dict(mine), theirs.items()))
-
     def scale(self, c) -> "FormalSeries":
         if c == 0:
             return self._with(self.codec, {})
@@ -111,7 +104,7 @@ class FormalSeries:
 
     def _times(self, step: tuple, sign) -> "FormalSeries":
         if self.codec is None:
-            return self.copy()
+            return self._with(None, {})
         return self._with(self.codec, _product(self.codec, self.data,
                                                [(step, sign)]))
 
@@ -170,15 +163,6 @@ class FormalSeries:
         return sorted(self.codec.unpack(self.data).items(),
                       key=lambda kv: (_ht(kv[0]), kv[0]))
 
-    def dump_lines(self) -> list:
-        """One line per term: coefficient, mu over the frame, exponent."""
-        out = []
-        for k, v in self.items_sorted():
-            mu = ",".join(str(c) for c in k)
-            out.append("%s [%s] e^(%s)"
-                       % (v, mu, self.offset - self.frame.weight(k)))
-        return out
-
 
 def _ht(key: tuple):
     return sum(key)
@@ -200,14 +184,17 @@ def _accumulate(acc: dict, items) -> dict:
 
 
 def positive_step(frame: SimpleSystem, root: Weight) -> tuple:
-    """Simple coordinates of root; StructuralError unless it is positive.
+    """Simple coordinates of a positive root, read from the frame's table.
 
-    A step of height < 1 would leave the height window (binomial) or
-    never reach its end (geometric).
+    StructuralError for a weight that is no root of the frame, or a
+    negative one (`SimpleSystem._root_steps`).  Every step so has height
+    >= 1: a lower one would leave the height window (binomial) or never
+    reach its end (geometric).
     """
-    step = frame.cone_int(root)
-    if min(step, default=0) < 0 or _ht(step) < 1:
-        raise StructuralError("%s is not positive in the frame" % root)
+    step, negative = frame._root_steps.get(root.doubled, (None, True))
+    if negative:
+        raise StructuralError("%s is not a positive root of the frame"
+                              % root)
     return step
 
 

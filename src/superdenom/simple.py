@@ -33,7 +33,11 @@ class SimpleSystem:
 
     simple_roots come sorted by coordinates; solver is the elimination of
     their doubled tuples, which gives the simple coordinates of a doubled
-    target unchanged.
+    target unchanged.  Every simple-coordinate question is answered from
+    one solve, `_raw_cone_key` (cone_key and cone wrap it for Weights),
+    one height row, `_raw_height`, which is several times cheaper than a
+    solve when only the coordinate sum is read, and one table,
+    `_root_steps`, of the coordinates of every root.
     """
 
     def __init__(self, simple_roots, rs, positive_even, positive_odd, solver):
@@ -46,7 +50,7 @@ class SimpleSystem:
         self.rho1 = _half_sum(self.pos_odd, rs)
         self.rho = self.rho0 - self.rho1
         self._solver = solver
-        self._int_cache = {}
+
     @property
     def m(self) -> int:
         return self.rs.m
@@ -75,19 +79,18 @@ class SimpleSystem:
         """Coordinates of a span vector in the simple basis, signs free.
 
         Integer entries come back as ints, the rest as Fractions; the two
-        hash alike, so mixed keys index the same series bucket.  The cache
-        is keyed on the weight, whose hash is the doubled int tuple's.
+        hash alike, so mixed keys index the same series bucket.
+        StructuralError outside the simple-root span.  Each call solves;
+        the hot paths call the raw forms below.
+        """
+        return self._raw_cone_key(w.doubled)
+
+    def _raw_cone_key(self, t: tuple) -> tuple:
+        """cone_key of the weight with doubled tuple t.
+
         derive checks that the simple roots are independent, so the k-th
         numerator is the k-th coordinate.
         """
-        cached = self._int_cache.get(w)
-        if cached is not None:
-            return cached
-        out = self._int_cache[w] = self._raw_cone_key(w.doubled)
-        return out
-
-    def _raw_cone_key(self, t: tuple) -> tuple:
-        """cone_key of the weight with doubled tuple t, solved uncached."""
         nums = self._solver.numerators(t)
         if nums is None:
             raise StructuralError("%s is outside the simple-root span"
@@ -113,15 +116,17 @@ class SimpleSystem:
                                   % (tuple(map(str, key)),))
         return Weight(tuple(x // den for x in acc), self.m)
 
-    def cone_int(self, w: Weight) -> tuple:
-        """Like cone_key but insists on integer (lattice) coordinates."""
-        out = self.cone_key(w)
-        if any(not isinstance(c, int) for c in out):
-            raise StructuralError("%s has non-integer simple coordinates" % w)
-        return out
+    def cone(self, w: Weight) -> tuple | None:
+        """w's simple coordinates as Fractions if none is negative.
 
-    def cone(self, w: Weight, ring: str = "integer") -> tuple | None:
-        return self._solver.cone(w.doubled, ring)
+        None when one is negative or w is outside the span: w lies in
+        the rational cone of the simple roots exactly when this is not
+        None.  The sign is read off the numerators.
+        """
+        nums = self._solver.numerators(w.doubled)
+        if nums is None or any(acc < 0 for acc, _ in nums):
+            return None
+        return tuple(Q(acc, den) for acc, den in nums)
 
     @cached_property
     def _height_functional(self) -> tuple:
@@ -146,10 +151,17 @@ class SimpleSystem:
     @cached_property
     def _root_steps(self) -> dict:
         """Every root's doubled tuple -> (step, negative): step is the
-        simple coordinates of the positive one of +-root."""
+        simple coordinates of the positive one of +-root, ints.
+
+        Built on first use, one solve per positive root; a positive root
+        off the simple-root lattice is a StructuralError.
+        """
         out = {}
         for w in self.positive_roots:
-            step = self.cone_int(w)
+            step = self._raw_cone_key(w.doubled)
+            if any(type(c) is not int for c in step):
+                raise StructuralError(
+                    "%s has non-integer simple coordinates" % w)
             out[w.doubled], out[(-w).doubled] = (step, False), (step, True)
         return out
 
@@ -169,19 +181,6 @@ class SimpleSystem:
         num = sum(map(mul, row, t))
         q, r = divmod(num, den)
         return Q(num, den) if r else q
-
-    def height_int(self, w: Weight) -> int:
-        """ht(w) for a lattice vector of the span.
-
-        StructuralError outside the span, and unless every simple
-        coordinate of w is an integer, checked row by row in integers.
-        """
-        nums = self._solver.numerators(w.doubled)
-        if nums is None:
-            raise StructuralError("%s is outside the simple-root span" % w)
-        if any(acc % den for acc, den in nums):
-            raise StructuralError("%s has non-integer simple coordinates" % w)
-        return sum(acc // den for acc, den in nums)
 
     def to_json(self) -> dict:
         from .roots import root_json
@@ -628,28 +627,15 @@ def pair_components(pairs: Sequence[AdmissiblePair],
 # ---------------------------------------------------------------------------
 # root functionals
 
-def pairing(x: tuple, w: Weight):
-    """The coordinate pairing sum_k x_k w_k, not the bilinear form."""
-    return sum((v * xk for v, xk in zip(w.doubled, x) if v), Q(0)) / 2
-
-
-def functional_for(sys: SimpleSystem) -> tuple:
+def functional_numerators(sys: SimpleSystem) -> tuple:
     """Solve <f, alpha> = 1 on Pi and check the sorting properties.
 
-    Returns the values of f over the flat basis (eps block first), as
-    Fractions; f acts through `pairing`, not the bilinear form.
-    `functional_numerators` solves and checks.
-    """
-    F, den = functional_numerators(sys)
-    return tuple(Q(x, den) for x in F)
-
-
-def functional_numerators(sys: SimpleSystem) -> tuple:
-    """(F, den) with f = F/den, F an int tuple and den > 0.
-
-    For gl the solution line is pinned by min value 1; elsewhere it is
-    unique.  The checks: integer nonzero on all roots, >= 1 on
-    positives, = 1 exactly on the simples.  They run on ints, as
+    Returns (F, den) with f = F/den over the flat basis (eps block
+    first), F an int tuple and den > 0; f acts through the coordinate
+    pairing sum_k f_k alpha_k, not the bilinear form.  For gl the
+    solution line is pinned by min value 1; elsewhere it is unique.  The
+    checks: integer nonzero on all roots, >= 1 on positives, = 1 exactly
+    on the simples.  They run on ints, as
     <f, alpha> = (F . alpha.doubled) / (2 den).
     """
     rs = sys.rs
@@ -663,7 +649,9 @@ def functional_numerators(sys: SimpleSystem) -> tuple:
     if nums is None:
         raise ValidationError("no functional solves <f, Pi> = 1")
     den = lcm(*(d for _, d in nums))
-    F = solver._coordinates(nums, lambda acc, d: acc * (den // d))
+    F = [0] * solver.ncols
+    for c, (acc, d) in zip(solver.pivots, nums):
+        F[c] = acc * (den // d)
     if kind == "A":
         shift = den - min(F)
         F = [x + shift for x in F]

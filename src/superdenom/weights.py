@@ -12,20 +12,22 @@ boundary: `Weight.coords` returns them as Fractions, and the bilinear
 form, the pretty printer and `weight_json`, the one serializer, halve as
 they read.  The invariant bilinear form is diagonal:
 (eps_i, eps_j) = delta_ij, (delta_i, delta_j) = -delta_ij, mixed pairs 0.
-`Elimination` decides span membership, sign and integrality on integer
-numerators.  Rationals are built only where a caller reads one: values
-of the form, `Weight.coords`, and the coordinates that
-`Elimination.solve` and `Elimination.cone(ring='rational')` return, and
-`Q` imports `fractions` (which loads `re` and `decimal`) only on its
-first call, so a run that builds no rational never loads it.  No floats
-appear anywhere.
+`Elimination` is the one linear solve: `Elimination.numerators` gives
+each coordinate as an integer numerator over a positive denominator, so
+span membership, sign and integrality are decided on ints.  Rationals
+are built only where a caller reads one: values of the form,
+`Weight.coords`, and the simple coordinates that `SimpleSystem` turns
+into Fractions (`cone_key` off the lattice, `cone`), and `Q` imports
+`fractions` (which loads `re` and `decimal`) only on its first call, so
+a run that builds no rational never loads it.  No floats appear
+anywhere.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from math import gcd
-from operator import add, attrgetter, floordiv, mul, neg, sub
+from operator import add, attrgetter, mul, neg, sub
 
 from .errors import StructuralError
 from .records import Frozen, _set
@@ -111,9 +113,6 @@ class Weight(Frozen):
     def coords(self) -> tuple:
         """The coordinates as Fractions, eps block first."""
         return tuple(Q(v, 2) for v in self.doubled)
-
-    def is_zero(self) -> bool:
-        return not any(self.doubled)
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check(other)
@@ -263,37 +262,3 @@ class Elimination:
                 return None
         return [(sum(map(mul, coeffs, target)), den)
                 for coeffs, den in self._rows]
-
-    def _coordinates(self, nums: list, make) -> list:
-        """The solution vector, make(acc, den) at each pivot, 0 elsewhere."""
-        out = [make(0, 1)] * self.ncols
-        for c, (acc, den) in zip(self.pivots, nums):
-            out[c] = make(acc, den)
-        return out
-
-    def solve(self, target: Sequence) -> list | None:
-        """x with sum_j x_j * columns[j] = target, or None if outside the span.
-
-        The coordinates are Fractions.
-        """
-        nums = self.numerators(target)
-        return None if nums is None else self._coordinates(nums, Q)
-
-    def cone(self, target: Sequence, ring: str = "integer"
-             ) -> tuple | None:
-        """Nonnegative coordinates of target; integral unless ring='rational'.
-
-        The decision reads only the numerators.  Over the integers the
-        coordinates come back as ints, over the rationals as Fractions.
-        """
-        if ring not in ("integer", "rational"):
-            raise StructuralError("unknown ring %r" % ring)
-        nums = self.numerators(target)
-        if nums is None or any(acc < 0 for acc, _ in nums):
-            return None
-        if ring == "rational":
-            return tuple(self._coordinates(nums, Q))
-        if any(acc % den for acc, den in nums):
-            return None
-        return tuple(self._coordinates(nums, floordiv))
-

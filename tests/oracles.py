@@ -1,0 +1,66 @@
+"""Reference helpers that only the tests use.
+
+Each one is small, independent of the package's fast paths, and read by
+more than one test module, so it lives here rather than in the package.
+"""
+
+from fractions import Fraction as Q
+
+from superdenom.groups import SignedPermutation, is_dominant, orbit
+from superdenom.roots import WEYL_TYPES
+from superdenom.simple import functional_numerators
+
+
+def inverse(g: SignedPermutation) -> SignedPermutation:
+    """g^-1, built from the images: g(b_k) = s b_j gives g^-1(b_j) = s b_k."""
+    images = [None] * len(g.src)
+    for k, (j, s) in enumerate(g.images):
+        images[j] = (k, s)
+    return SignedPermutation.from_images(images, g.m)
+
+
+def external_delta_flips(rs) -> tuple:
+    """Sign flips delta_i -> -delta_i that preserve Delta without lying in W.
+
+    Nonempty exactly for the embeddings whose delta block carries a D-type
+    component (single flips there are diagram automorphisms, not Weyl).
+    """
+    if WEYL_TYPES[rs.family][1] != "D":
+        return ()
+    size = rs.m + rs.n
+    return tuple(
+        SignedPermutation(tuple(-(k + 1) if k == j else k + 1
+                                for k in range(size)), rs.m)
+        for j in range(rs.m, size))
+
+
+def dominant_representative(lam, group, simples):
+    """The orbit element with nonnegative pairing against every simple coroot."""
+    for mu in orbit(lam, group):
+        if is_dominant(mu, simples):
+            return mu
+    raise AssertionError("orbit of %s has no dominant element" % lam)
+
+
+def pairing(x: tuple, w) -> Q:
+    """The coordinate pairing sum_k x_k w_k, not the bilinear form."""
+    return sum((v * xk for v, xk in zip(w.doubled, x) if v), Q(0)) / 2
+
+
+def functional_for(sys) -> tuple:
+    """The values of the root functional f over the flat basis, as Fractions.
+
+    f acts through `pairing`; `functional_numerators` solves and checks.
+    """
+    F, den = functional_numerators(sys)
+    return tuple(Q(x, den) for x in F)
+
+
+def dump_lines(series) -> list:
+    """One line per term of a series: coefficient, mu over the frame, exponent.
+
+    Terms come by height, then key (`FormalSeries.items_sorted`).
+    """
+    return ["%s [%s] e^(%s)" % (v, ",".join(str(c) for c in k),
+                                series.offset - series.frame.weight(k))
+            for k, v in series.items_sorted()]

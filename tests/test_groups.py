@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 from superdenom import groups
 from superdenom.errors import ResourceLimitError, StructuralError
 from superdenom.groups import (SignedPermutation, check_stabilizer_dichotomy,
-                               dominant_representative, enumerate_group,
-                               external_delta_flips, orbit,
+                               enumerate_group, orbit,
                                orbit_intersects_shifted_cone, reflection,
                                sharp_ball, sharp_group, simple_reflections,
                                stabilizer, weyl_generators, weyl_group)
 from superdenom.roots import SuperType, build
 from superdenom.simple import AdmissiblePair, derive, even_frame, standard_pair
 from superdenom.weights import Weight, bilinear_form, coordinate_order
+
+from oracles import dominant_representative, external_delta_flips, inverse
 
 
 def test_reflection_action():
@@ -44,7 +45,7 @@ def test_compose_and_inverse():
     cycle = a.compose(b)  # apply b first, then a
     assert cycle.apply(e1) == e2 and cycle.apply(e2) == e3 and cycle.apply(e3) == e1
     assert cycle.sgn() == 1
-    assert cycle.compose(cycle.inverse()).is_identity()
+    assert cycle.compose(inverse(cycle)).is_identity()
 
 
 def test_enumerate_group_orders():
@@ -170,7 +171,7 @@ def test_signed_permutation_laws(case):
     assert b.apply(y) == _apply_by_images(b, y)
     ab = a.compose(b)
     assert ab.apply(x) == a.apply(b.apply(x))
-    assert a.compose(a.inverse()).is_identity()
+    assert a.compose(inverse(a)).is_identity()
     assert ab.sgn() == a.sgn() * b.sgn()
     assert bilinear_form(a.apply(x), a.apply(y)) == bilinear_form(x, y)
     for alpha in sorted(rs.all_roots(), key=coordinate_order):

@@ -181,13 +181,13 @@ def _resolves(name: str) -> bool:
 
 
 def test_lookup_scan_finds_subscripts_and_methods():
-    source = ('METHODS = {"series": ("FormalSeries.copy",)}\n'
+    source = ('METHODS = {"series": ("FormalSeries.eq_report",)}\n'
               'a = originals["series.normalize"]\n'
               'b = originals[name]\n')
-    assert _hard_lookups(source) == ["series.FormalSeries.copy",
+    assert _hard_lookups(source) == ["series.FormalSeries.eq_report",
                                      "series.normalize"]
     assert _resolves("series.normalize")
-    assert _resolves("series.FormalSeries.copy")
+    assert _resolves("series.FormalSeries.eq_report")
     for missing in ("series.canonical_terms", "series._accumulate",
                     "series.FormalSeries.absent", "series.Weight"):
         assert not _resolves(missing)

@@ -104,7 +104,7 @@ def _per_term(pair) -> list:
                tuple(sorted(w.apply(b).doubled for b in pair.S)))
         out.append((key, w.sgn(),
                     ({frame.cone_key(frame.rho - exponent): w.sgn()},
-                     [(frame.cone_int(g), None) for g in denoms])))
+                     [(frame.cone_key(g), None) for g in denoms])))
     return out
 
 
@@ -126,7 +126,7 @@ def test_height_culling_drops_only_terms_past_h(case):
         negative = [wb for wb in images if not frame.is_positive_root(wb)]
         assert base == frame.cone_key(frame.rho - w.apply(frame.rho) - sum(
             negative, Weight.zero(frame.m, frame.n)))
-        assert steps == [frame.cone_int(-wb if wb in negative else wb)
+        assert steps == [frame.cone_key(-wb if wb in negative else wb)
                          for wb in images]
         _mu_accumulate(acc, base, steps, w.sgn(), H)
     assert dict(rhs_expanded(pair, H).items_sorted()) == {
@@ -175,6 +175,27 @@ def test_closed_form_verdicts_hold_on_the_expansion(case, data):
         assert expand_raw(_alternating_sum(
             sharp_group(rs), frame.rho + shift,
             [b for b in pair.S if b != beta]), frame, H).nonzero_count() == 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(_pair_and_height(), st.data())
+def test_simple_coordinates_agree_on_combinations_of_roots(case, data):
+    # the height row, the solve and its inverse, and the cone test, on a
+    # random integer combination of roots of the pair's frame
+    pair, _ = case
+    frame = pair.system
+    zero = Weight.zero(frame.m, frame.n)
+    roots = sorted(pair.rs.all_roots(), key=coordinate_order) or [zero]
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(roots),
+                                         st.integers(-3, 3)), max_size=4))
+    w = sum((root.scale(c) for root, c in terms), zero)
+    key = frame._raw_cone_key(w.doubled)
+    assert frame._raw_height(w.doubled) == sum(key)
+    assert frame.cone_key(w) == key
+    assert frame.weight(key) == w
+    coords = frame.cone(w)
+    assert (coords is None) is any(c < 0 for c in key)
+    assert coords is None or coords == key
 
 
 @settings(deadline=None, max_examples=60)

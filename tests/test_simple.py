@@ -9,14 +9,15 @@ from superdenom.roots import SuperType, build
 from superdenom import simple
 from superdenom.simple import (SimpleSystem, derive, enumerate_admissible_pairs,
                                enumerate_simple_systems, even_frame,
-                               functional_for, is_admissible, isotropic_parts,
+                               is_admissible, isotropic_parts,
                                make_pair, odd_reflection, pair_components,
-                               pairing,
                                pair_neighbors, pair_odd_reflection,
                                second_type_move, second_type_moves,
                                standard_pair,
                                standard_pairs)
 from superdenom.weights import Elimination, Weight, bilinear_form
+
+from oracles import functional_for, pairing
 
 
 def test_derive_gl_2_1():
@@ -413,24 +414,38 @@ def test_height_functional_sums_the_simple_coordinates(stype):
         weights = list(rs.all_roots()) + [rho - w.apply(rho)
                                           for w in sharp_group(rs)]
         for w in weights:
-            assert frame._raw_height(w.doubled) == sum(frame.cone_key(w))
-            assert frame.height_int(w) == sum(frame.cone_key(w))
+            t = w.doubled
+            assert frame._raw_height(t) == sum(frame._raw_cone_key(t))
     even = even_frame(rs)
     for a in rs.positive_even:
-        assert even._raw_height(a.doubled) == sum(even.cone_key(a))
+        t = a.doubled
+        assert even._raw_height(t) == sum(even._raw_cone_key(t))
 
 
-def test_height_int_needs_integer_coordinates():
+def test_raw_height_of_a_half_point_and_outside_the_span():
     rs = build(SuperType("GL", 2, 1))
     frame = standard_pair(rs, "step2").system
     half = (rs.eps(1) - rs.eps(2)).scale(Q(1, 2))
     # its height is the integer 1, but both simple coordinates are 1/2
     assert frame._raw_height(half.doubled) == 1
-    assert frame.cone_key(half) == (Q(1, 2), Q(1, 2))
+    assert frame._raw_cone_key(half.doubled) == (Q(1, 2), Q(1, 2))
+    assert frame.cone(half) == (Q(1, 2), Q(1, 2))
+    for solve in (frame._raw_height, frame._raw_cone_key):
+        with pytest.raises(StructuralError, match="outside"):
+            solve(rs.eps(1).doubled)
+    assert frame.cone(rs.eps(1)) is None
+
+
+def test_root_steps_refuse_a_root_off_the_lattice():
+    # over [-2*e1, e1 - d1] the positive root e1 of B(1,1) has simple
+    # coordinates (-1/2, 0): the table of steps holds ints only
+    c = build(SuperType("B", 1, 1, sharp_choice="C_side"))
+    e1, d1 = c.eps(1), c.delta(1)
+    pi = (e1.scale(-2), e1 - d1)
+    frame = SimpleSystem(pi, c, {e1}, (), Elimination([a.doubled for a in pi]))
+    assert frame._raw_cone_key(e1.doubled) == (Q(-1, 2), 0)
     with pytest.raises(StructuralError, match="non-integer"):
-        frame.height_int(half)
-    with pytest.raises(StructuralError, match="outside"):
-        frame.height_int(rs.eps(1))
+        frame._root_steps
 
 
 def test_standard_pairs_that_coincide():

@@ -22,8 +22,7 @@ def test_arithmetic_and_units():
     assert (e1 + e2 - d1).coords() == (1, 1, -1)
     assert (-e1).coords() == (-1, 0, 0)
     assert e1.scale(Q(3, 2)).coords() == (Q(3, 2), 0, 0)
-    assert Weight.zero(2, 1).is_zero()
-    assert not e1.is_zero()
+    assert Weight.zero(2, 1).doubled == (0, 0, 0)
     assert e1.dims() == (2, 1)
 
 
@@ -74,7 +73,11 @@ def test_elimination_solve():
     e1 = Weight.eps_unit(1, 2, 1)
     e2 = Weight.eps_unit(2, 2, 1)
     d1 = Weight.delta_unit(1, 2, 1)
-    solve = Elimination([(e1 - e2).doubled, (e2 - d1).doubled]).solve
+    elim = Elimination([(e1 - e2).doubled, (e2 - d1).doubled])
+
+    def solve(target):
+        return _solve(elim, target)
+
     assert solve((e1 - d1).doubled) == [1, 1]
     assert solve((e1 + d1).doubled) is None
     # rational coordinates come back exactly
@@ -84,6 +87,18 @@ def test_elimination_solve():
     assert Elimination(cols[:2]).rank == 2
     assert Elimination(cols).rank == 2
     assert Elimination([]).rank == 0
+
+
+def _solve(elim, target):
+    """The solution vector read off `numerators`: acc/den at each pivot,
+    0 at every other column; None outside the span."""
+    nums = elim.numerators(target)
+    if nums is None:
+        return None
+    x = [Q(0)] * elim.ncols
+    for c, (acc, den) in zip(elim.pivots, nums):
+        x[c] = Q(acc, den)
+    return x
 
 
 def _times(columns, x, dim):
@@ -112,14 +127,14 @@ def test_elimination_solves_ranks_and_rejects(case):
     rows = [tuple(c[i] for c in columns) for i in range(dim)]
     assert elim.rank == Elimination(rows).rank <= min(len(columns), dim)
     # the rank counts the columns outside the span of those before them
-    assert elim.rank == sum(Elimination(columns[:k]).solve(c) is None
+    assert elim.rank == sum(_solve(Elimination(columns[:k]), c) is None
                             for k, c in enumerate(columns))
     # every vector in the span is solved exactly
     target = _times(columns, y, dim)
-    x = elim.solve(target)
+    x = _solve(elim, target)
     assert x is not None and _times(columns, x, dim) == target
     # t lies outside the span exactly when appending it raises the rank
-    sol = elim.solve(t)
+    sol = _solve(elim, t)
     if Elimination(columns + [t]).rank > elim.rank:
         assert sol is None
     else:
@@ -149,14 +164,6 @@ def _reference_solve(columns, target):
     return x
 
 
-def _reference_cone(sol, ring):
-    if sol is None or any(c < 0 for c in sol):
-        return None
-    if ring == "integer" and any(c.denominator != 1 for c in sol):
-        return None
-    return tuple(sol)
-
-
 @settings(deadline=None)
 @given(_columns_and_vectors())
 @example((2, [(2, 0), (0, 1)], [1, 1], (3, 1)))      # a half coordinate
@@ -168,11 +175,15 @@ def test_numerators_agree_with_a_fraction_reference(case):
     assert all(den > 0 for _, den in elim.transform)
     for target in (t, _times(columns, y, dim)):
         want = _reference_solve(columns, target)
-        assert elim.solve(target) == want
-        for ring in ("integer", "rational"):
-            assert elim.cone(target, ring) == _reference_cone(want, ring)
-        got = elim.cone(target, "integer")
-        assert got is None or all(type(c) is int for c in got)
+        assert _solve(elim, target) == want
+        nums = elim.numerators(target)
+        assert (nums is None) is (want is None)
+        if nums is not None:
+            # sign and integrality are read off the numerators alone
+            got = [want[c] for c in elim.pivots]
+            assert [acc < 0 for acc, _ in nums] == [c < 0 for c in got]
+            assert [acc % den == 0 for acc, den in nums] \
+                == [c.denominator == 1 for c in got]
 
 
 def test_each_way_out_of_the_cone():
@@ -182,29 +193,12 @@ def test_each_way_out_of_the_cone():
     # a negative coordinate: the numerator carries the sign
     nums = elim.numerators((2, -1))
     assert [Q(a, d) for a, d in nums] == [1, -1] and nums[1][0] < 0
-    assert elim.cone((2, -1), "rational") is None
     # a half coordinate: an odd numerator over the even pivot
     assert elim.numerators((1, 1)) == [(1, 2), (1, 1)]
-    assert elim.cone((1, 1), "integer") is None
-    assert elim.cone((1, 1), "rational") == (Q(1, 2), 1)
     # a negative pivot is normalized away
     flipped = Elimination([(-2, 0), (0, 1)])
     assert [den for _, den in flipped.transform] == [2, 1]
     assert flipped.numerators((1, 1)) == [(-1, 2), (1, 1)]
-
-
-def test_elimination_cone_rings():
-    e1 = Weight.eps_unit(1, 2, 0)
-    e2 = Weight.eps_unit(2, 2, 0)
-    # columns and targets doubled alike, as weights enter
-    cone = Elimination([(e1 - e2).doubled, e2.doubled]).cone
-    assert cone((e1 + e2).doubled, ring="integer") == (1, 2)
-    # half points are rejected over the integers but not over the rationals
-    half = (e1 + e2).scale(Q(1, 2))
-    assert cone(half.doubled, ring="integer") is None
-    assert cone(half.doubled, ring="rational") == (Q(1, 2), 1)
-    # negative coordinates never pass
-    assert cone((e2 - e1).doubled, ring="rational") is None
 
 
 def test_pretty_printing():
