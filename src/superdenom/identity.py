@@ -22,15 +22,15 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Iterable, Sequence
-from itertools import product
+from itertools import permutations, product
 from operator import attrgetter, mul, sub
 
-from .errors import DomainError, StructuralError
-from .groups import (SignedPermutation, _compiled, _gather,
-                     check_stabilizer_dichotomy, enumerate_group, is_dominant,
-                     orbit, orbit_intersects_shifted_cone, reflection,
-                     sharp_ball, sharp_group, stabilizer, weyl_generators,
-                     weyl_group)
+from .errors import DomainError, ResourceLimitError, StructuralError
+from .groups import (DEFAULT_CAP, SignedPermutation, _compiled, _gather,
+                     _perm_parity, check_stabilizer_dichotomy,
+                     enumerate_group, is_dominant, orbit,
+                     orbit_intersects_shifted_cone, reflection, sharp_ball,
+                     sharp_group, stabilizer, weyl_generators, weyl_group)
 from .records import Record
 from .roots import (D_EPS, RootSystem, SuperType, build, diagram_type,
                     simple_roots)
@@ -418,51 +418,140 @@ def qn_standard_set(rs: RootSystem) -> tuple:
     return tuple(rs.eps(i) - rs.eps(n + 1 - i) for i in range(1, n // 2 + 1))
 
 
-def qn_a_set(rs: RootSystem, S: Sequence[Weight]) -> tuple:
-    """All w with wS inside the positive part, under w(eps_i) = eps_{w(i)}.
+def _matchings(points: tuple, k: int):
+    """Every set of k disjoint pairs (p, q), p < q, of the sorted points.
 
-    Membership is tested on gathers of the doubled tuples; no weight is
-    built.
+    The pairs come sorted by p: the least point is either left out or
+    paired with a later one.
+    """
+    if k == 0:
+        yield ()
+        return
+    if len(points) < 2 * k:
+        return
+    first, rest = points[0], points[1:]
+    yield from _matchings(rest, k)
+    for i, q in enumerate(rest):
+        for tail in _matchings(rest[:i] + rest[i + 1:], k - 1):
+            yield ((first, q),) + tail
+
+
+def qn_matchings(rs: RootSystem, S: Sequence[Weight]) -> list:
+    """[(c_P, P)]: the matchings W carries S onto, with their coefficients.
+
+    S = {eps_{x_j} - eps_{y_j}} is k pairwise orthogonal positive roots of
+    A_{n-1}, i.e. k pairs with disjoint supports.  A w in S_n, acting by
+    w(eps_i) = eps_{w(i)}, sends S onto {+-gamma : gamma in P} for one
+    matching P, a set of k disjoint positive roots eps_p - eps_q.  The
+    canonical w for P sends x_j to p_j and y_j to q_j, pair j of S onto
+    pair j of P; a fill then places the n - 2k coordinates that S leaves
+    free onto those that P leaves free.  Every w is reached from some
+    canonical one by the two folds:
+
+    - Order fold.  Any ordering of S's images is reached by swaps of two
+      images; swapping gamma_i and gamma_j is left multiplication by
+      (p_i p_j)(q_i q_j), a product of two transpositions, so it is even
+      and gives the same term.  The k! orderings count alike.
+    - Sign fold.  Flipping one image gamma = eps_p - eps_q to -gamma is
+      left multiplication by (p q), which changes sgn, and
+      1/(1 + e^{-gamma}) - 1/(1 + e^{gamma}) = (1 - e^{-gamma})/(1 + e^{-gamma}).
+
+    So sum_w sgn(w)/prod_{b in S}(1 + e^{-wb}) is
+    sum_P c_P prod_{gamma in P}(1 - e^{-gamma})/(1 + e^{-gamma}), and
+    a(S), the sum of sgn(w) over the w with wS positive (one orientation
+    per image), is sum_P c_P, with c_P = k! sum_{fills} sgn(w).  The sign
+    of every (canonical w, fill) is computed: with n - 2k <= 1 there is
+    one fill, and with more the signs cancel to 0 in the sum.
+
+    P is a tuple of positive roots.  StructuralError for a weight of
+    another dimension; DomainError for a weight that is no positive root,
+    or an S whose supports overlap (a repeated or non-orthogonal root);
+    ResourceLimitError, before anything is enumerated, when the
+    n!/(2^k k!) (matching, fill) pairs exceed `groups.DEFAULT_CAP`.
     """
     if any(b.dims() != (rs.m, rs.n) for b in S):
         raise StructuralError("weight/permutation dimension mismatch")
-    pos = {a.doubled for a in rs.positive_even}
-    ds = [b.doubled for b in S]
-    return tuple(w for w in weyl_group(rs)
-                 if all(_gather(w.src, d) in pos for d in ds))
+    for b in S:
+        if b not in rs.positive_even:
+            raise DomainError("%s is not a positive root of q(n)" % b)
+    pairs = [(b.doubled.index(2), b.doubled.index(-2)) for b in S]
+    support = {i for pair in pairs for i in pair}
+    n, k = rs.m, len(S)
+    if len(support) != 2 * k:
+        raise DomainError("S = {%s} is not pairwise orthogonal: the roots "
+                          "of q(n) in S must have disjoint supports"
+                          % ", ".join(str(b) for b in S))
+    count = math.factorial(n) // (2 ** k * math.factorial(k))
+    if count > DEFAULT_CAP:
+        raise ResourceLimitError(
+            "q(%d) with |S| = %d has %d (matching, fill) pairs, over the "
+            "cap %d" % (n, k, count, DEFAULT_CAP))
+    points = tuple(range(n))
+    free = [i for i in points if i not in support]
+    out = []
+    for P in _matchings(points, k):
+        w = [0] * n
+        for (x, y), (p, q) in zip(pairs, P):
+            w[x], w[y] = p, q
+        taken = {i for pair in P for i in pair}
+        total = 0
+        for fill in permutations([i for i in points if i not in taken]):
+            for f, t in zip(free, fill):
+                w[f] = t
+            total += _perm_parity(w)
+        out.append((math.factorial(k) * total,
+                    tuple(rs.eps(p + 1) - rs.eps(q + 1) for p, q in P)))
+    return out
 
 
 def qn_a_value(rs: RootSystem, S: Sequence[Weight]) -> int:
-    return sum(w.sgn() for w in qn_a_set(rs, S))
+    """a(S) = sum of sgn(w) over the w in S_n with wS positive."""
+    return sum(c for c, _ in qn_matchings(rs, S))
+
+
+def qn_right_side(frame: SimpleSystem, matchings: Sequence,
+                  H: int) -> FormalSeries:
+    """sum_P c_P prod_{gamma in P}(1 - e^{-gamma})/(1 + e^{-gamma}) to H.
+
+    One `multiply` chain per matching (`qn_matchings`), from key 0; the
+    chains with c_P = 0 pack to nothing and are skipped.
+    """
+    zero = (0,) * len(frame.simple_roots)
+    chains = []
+    for c, P in matchings:
+        factors = []
+        for gamma in P:
+            step = positive_step(frame, gamma)
+            factors += [(step, -1), (step, None)]
+        chains.append(({zero: c}, factors))
+    return FormalSeries(frame, H, _zero(frame.rs), multiply(H, chains))
 
 
 def qn_identity(n_or_rs, S: Sequence[Weight] | None = None,
                 H: int = 8) -> tuple:
     """Check a(S) * R = sum_w sgn(w) / prod_{b in S}(1 + e^{-w b}).
 
-    Returns (report, a).  When a = 0 the right side must vanish to height
-    H, which is checked rather than skipped.
+    Returns (report, a).  Both a(S) and the right side come from one list
+    of matchings (`qn_matchings`); no group is enumerated.  When a = 0
+    the right side must vanish to height H, which is checked rather than
+    skipped.
     """
     rs = qn_system(n_or_rs) if isinstance(n_or_rs, int) else n_or_rs
     if rs.family != "Q":
         raise DomainError("the alternating-sum identity is specific to q(n)")
     S = qn_standard_set(rs) if S is None else tuple(S)
-    for b in S:
-        if b not in rs.positive_even:
-            raise DomainError("%s is not a positive root of q(n)" % b)
-    frame = even_frame(rs)
-    zero = _zero(rs)
     timings = {}
     t = time.perf_counter()
-    a = qn_a_value(rs, S)
+    matchings = qn_matchings(rs, S)
+    a = sum(c for c, _ in matchings)
     timings["a_value"] = _us(t)
+    frame = even_frame(rs)
     t = time.perf_counter()
-    left = _denominator(frame, zero, rs.positive_even, rs.positive_even,
+    left = _denominator(frame, _zero(rs), rs.positive_even, rs.positive_even,
                         H).scale(a)
     timings["lhs"] = _us(t)
     t = time.perf_counter()
-    right = expand_raw(_alternating_sum(weyl_group(rs), zero, S), frame, H,
-                       offset=zero)
+    right = qn_right_side(frame, matchings, H)
     timings["rhs"] = _us(t)
     first = left.eq_report(right)
     note = ("action w(eps_i) = eps_{w(i)}; a(S) = %d for S = {%s}"

@@ -6,9 +6,13 @@ more than one test module, so it lives here rather than in the package.
 
 from fractions import Fraction as Q
 
-from superdenom.groups import SignedPermutation, is_dominant, orbit
+from superdenom.groups import (SignedPermutation, _gather, is_dominant, orbit,
+                               weyl_group)
+from superdenom.identity import _alternating_sum
 from superdenom.roots import WEYL_TYPES
-from superdenom.simple import functional_numerators
+from superdenom.series import expand_raw
+from superdenom.simple import even_frame, functional_numerators
+from superdenom.weights import Weight
 
 
 def inverse(g: SignedPermutation) -> SignedPermutation:
@@ -32,6 +36,29 @@ def external_delta_flips(rs) -> tuple:
         SignedPermutation(tuple(-(k + 1) if k == j else k + 1
                                 for k in range(size)), rs.m)
         for j in range(rs.m, size))
+
+
+def qn_a_set(rs, S) -> tuple:
+    """The w in S_n with wS inside the positive part, w(eps_i) = eps_{w(i)}.
+
+    The S_n filter: every element of W is walked, and membership is
+    tested on gathers of the doubled tuples.  a(S) is its signed count.
+    """
+    pos = {a.doubled for a in rs.positive_even}
+    ds = [b.doubled for b in S]
+    return tuple(w for w in weyl_group(rs)
+                 if all(_gather(w.src, d) in pos for d in ds))
+
+
+def qn_w_sum(rs, S, H: int):
+    """sum_{w in S_n} sgn(w)/prod_{b in S}(1 + e^{-wb}) to height H.
+
+    The W-sum path: the alternating sum merged over all of S_n on raw
+    keys and expanded by `expand_raw` in the even frame, from key 0.
+    """
+    zero = Weight.zero(rs.m, rs.n)
+    return expand_raw(_alternating_sum(weyl_group(rs), zero, S),
+                      even_frame(rs), H, offset=zero)
 
 
 def dominant_representative(lam, group, simples):

@@ -66,6 +66,25 @@ def test_qn_line(capsys):
     assert "|a(S)| = 2, identity verified" in out
 
 
+def test_qn_reaches_q10(capsys):
+    code, out, _ = _run_main(capsys, ["qn", "--n", "10", "--height", "6"])
+    assert code == 0
+    assert out == "q(10): |a(S)| = 120, identity verified\n"
+
+
+def test_qn_cap_exits_3_before_enumerating(capsys, monkeypatch):
+    from superdenom import identity
+
+    def refused(*args):
+        raise AssertionError("matchings enumerated past the cap")
+
+    monkeypatch.setattr(identity, "_matchings", refused)
+    code, out, err = _run_main(capsys, ["qn", "--n", "16", "--height", "2"])
+    assert code == 3 and out == ""
+    assert err == ("resource limit: q(16) with |S| = 8 has 2027025 "
+                   "(matching, fill) pairs, over the cap 1000000\n")
+
+
 def test_orbits(capsys):
     code, out, _ = _run_main(capsys, ["orbits", "--family", "GL",
                                       "--m", "2", "--n", "1",

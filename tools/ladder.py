@@ -3,10 +3,10 @@
     python3 tools/ladder.py LABEL [--repo DIR]
 
 Each rung is the standard-pair `superdenom verify --variant step2
---output json` on one tall system, run three times, each in its own
-process from DIR/src; the record keeps the median wall time, the three
-samples and the per-phase times of the median run (from the report's own
-`timings`, in microseconds).  The structure rungs (`pairs`, `diagram`
+--output json` on one tall system, or a `superdenom qn` run, run three
+times, each in its own process from DIR/src; the record keeps the median
+wall time, the three samples and the per-phase times of the median run
+(from the report's own `timings`, in microseconds).  The structure rungs (`pairs`, `diagram`
 and `orbits`, none of which expands a series) are timed the same way
 and keep only their wall times and exit codes.  The startup rung,
 `superdenom build` on gl(3|3), is mostly interpreter start-up and
@@ -50,6 +50,11 @@ LADDER = (
     ("D(5,3)", ("--family", "D", "--m", "5", "--n", "3"), 10),
     ("C(6)", ("--family", "C", "--n", "6"), 10),
     ("B(4,3)", ("--family", "B", "--m", "4", "--n", "3"), 10),    # cheapest
+)
+
+# (label, arguments): the q(n) identity, its phases timed like a verify rung
+QN = (
+    ("qn q(8) H=8", ("qn", "--n", "8", "--height", "8")),
 )
 
 # (label, arguments): odd reflections, diagram classes and the orbit scan
@@ -98,13 +103,17 @@ def _run(repo: Path, args: tuple):
     return out, proc.stdout
 
 
-def time_rung(repo: Path, family: tuple, height: int) -> dict:
-    """One `verify` process: wall seconds, phase seconds, verdict."""
-    out, stdout = _run(repo, ("verify", *family, "--height", str(height),
-                              "--variant", "step2"))
+def _verify_args(family: tuple, height: int) -> tuple:
+    return ("verify", *family, "--height", str(height), "--variant", "step2")
+
+
+def time_rung(repo: Path, args: tuple) -> dict:
+    """One `verify` or `qn` process: wall seconds, phase seconds, verdict."""
+    out, stdout = _run(repo, args)
     if out["exit"] != 0:
         return out
-    (report,) = json.loads(stdout)["result"]["reports"]
+    result = json.loads(stdout)["result"]
+    (report,) = result.get("reports", [result])
     out["equal"] = report["equal"]
     out["phases_s"] = {k: round(v / 1e6, 3)
                        for k, v in sorted(report["timings"].items())}
@@ -142,11 +151,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = ROOT / "BENCH_ladder.json"
     repo = args.repo.resolve()
-    time_rung(repo, *LADDER[-1][1:])       # warm-up: fills the bytecode cache
+    # warm-up: fills the bytecode cache
+    time_rung(repo, _verify_args(*LADDER[-1][1:]))
     rungs = {}
-    for name, family, height in LADDER:
-        key = "%s H=%d" % (name, height)
-        rungs[key] = _median_of(lambda: time_rung(repo, family, height))
+    for key, args in [("%s H=%d" % (name, height), _verify_args(family, height))
+                      for name, family, height in LADDER] + list(QN):
+        rungs[key] = _median_of(lambda: time_rung(repo, args))
         print(key, rungs[key]["samples_s"], "s", flush=True)
     structure = {}
     for key, command in STRUCTURE:
