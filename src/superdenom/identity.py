@@ -454,7 +454,8 @@ def qn_matchings(rs: RootSystem, S: Sequence[Weight]) -> list:
       and gives the same term.  The k! orderings count alike.
     - Sign fold.  Flipping one image gamma = eps_p - eps_q to -gamma is
       left multiplication by (p q), which changes sgn, and
-      1/(1 + e^{-gamma}) - 1/(1 + e^{gamma}) = (1 - e^{-gamma})/(1 + e^{-gamma}).
+      1/(1 + e^{-gamma}) - 1/(1 + e^{gamma})
+          = (1 - e^{-gamma})/(1 + e^{-gamma}).
 
     So sum_w sgn(w)/prod_{b in S}(1 + e^{-wb}) is
     sum_P c_P prod_{gamma in P}(1 - e^{-gamma})/(1 + e^{-gamma}), and

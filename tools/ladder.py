@@ -6,9 +6,9 @@ Each rung is the standard-pair `superdenom verify --variant step2
 --output json` on one tall system, or a `superdenom qn` run, run three
 times, each in its own process from DIR/src; the record keeps the median
 wall time, the three samples and the per-phase times of the median run
-(from the report's own `timings`, in microseconds).  The structure rungs (`pairs`, `diagram`
-and `orbits`, none of which expands a series) are timed the same way
-and keep only their wall times and exit codes.  The startup rung,
+(from the report's own `timings`, in microseconds).  The structure rungs
+(`pairs`, `diagram` and `orbits`, none of which expands a series) are
+timed the same way and keep only their wall times and exit codes.  The startup rung,
 `superdenom build` on gl(3|3), is mostly interpreter start-up and
 imports; it takes about 50 ms, so it keeps the median of
 STARTUP_SAMPLES runs.  The Tier-1 suite is
@@ -154,9 +154,10 @@ def main(argv=None) -> int:
     # warm-up: fills the bytecode cache
     time_rung(repo, _verify_args(*LADDER[-1][1:]))
     rungs = {}
-    for key, args in [("%s H=%d" % (name, height), _verify_args(family, height))
-                      for name, family, height in LADDER] + list(QN):
-        rungs[key] = _median_of(lambda: time_rung(repo, args))
+    verify = [("%s H=%d" % (name, height), _verify_args(family, height))
+              for name, family, height in LADDER]
+    for key, command in verify + list(QN):
+        rungs[key] = _median_of(lambda: time_rung(repo, command))
         print(key, rungs[key]["samples_s"], "s", flush=True)
     structure = {}
     for key, command in STRUCTURE:
