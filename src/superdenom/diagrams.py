@@ -19,8 +19,7 @@ from .errors import DomainError, StructuralError, ValidationError
 from .records import Frozen, _set
 from .roots import D_EPS, RootSystem, diagram_type
 from .simple import (PAIR_CAP, AdmissiblePair, enumerate_admissible_pairs,
-                     functional_numerators, isotropic_parts, pair_components,
-                     pair_from_word)
+                     isotropic_parts, pair_components, pair_from_word)
 
 SMILE = "smile"
 FROWN = "frown"
@@ -114,12 +113,13 @@ def from_pair(pair: AdmissiblePair) -> Diagram:
     """Draw the pair: order the coordinates by the functional, bow S.
 
     The functional's integer numerators, over one positive denominator,
-    order the coordinates as its values do.
+    order the coordinates as its values do; each system solves for them
+    once (`SimpleSystem.functional`), however many pairs it carries.
     """
     rs = pair.rs
     if diagram_type(rs.family) is None:
         raise DomainError("diagrams cover the gl/B/D families")
-    F, _ = functional_numerators(pair.system)
+    F, _ = pair.system.functional
     order = sorted(range(rs.m + rs.n), key=F.__getitem__)
     position = {k: p for p, k in enumerate(order)}
     marks = ["a" if k < rs.m else "b" for k in order]

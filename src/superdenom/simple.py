@@ -3,9 +3,11 @@
 The even positive roots are fixed once and for all by the root datum; the
 odd positive roots depend on the choice of simple system Pi.  Changing Pi
 by the odd reflection at an isotropic simple root beta replaces beta by
--beta in the positive system and shifts rho by beta.  An admissible pair
-(S, Pi) consists of a simple system together with a maximal set of
-pairwise orthogonal isotropic roots inside it.
+-beta in the positive system and shifts rho by beta.  Only derive solves
+for simple coordinates; an odd reflection is an integer change of basis,
+so it carries the parent's table of root coordinates over instead.  An
+admissible pair (S, Pi) consists of a simple system together with a
+maximal set of pairwise orthogonal isotropic roots inside it.
 """
 
 from __future__ import annotations
@@ -31,16 +33,17 @@ VARIANTS = ("step2", "step3", "step3_prime", "second_class")
 class SimpleSystem:
     """A simple system with its derived positive roots and rho data.
 
-    simple_roots come sorted by coordinates; solver is the elimination of
-    their doubled tuples, which gives the simple coordinates of a doubled
-    target unchanged.  Every simple-coordinate question is answered from
-    one solve, `_raw_cone_key` (cone_key and cone wrap it for Weights),
-    one height row, `_raw_height`, which is several times cheaper than a
-    solve when only the coordinate sum is read, and one table,
-    `_root_steps`, of the coordinates of every root.
+    simple_roots come sorted by coordinates.  `_root_steps` maps each
+    root's doubled tuple to (step, negative), step being the int simple
+    coordinates of the positive one of +-root; derive fills it from its
+    solves, odd_reflection from the parent's table.  The elimination of
+    the simple roots is built only for a cone or height question:
+    `_raw_cone_key` (cone_key and cone wrap it) solves, and `_raw_height`
+    reads one height row, several times cheaper than a solve.
     """
 
-    def __init__(self, simple_roots, rs, positive_even, positive_odd, solver):
+    def __init__(self, simple_roots, rs, positive_even, positive_odd,
+                 root_steps, solver=None):
         self.simple_roots = tuple(simple_roots)
         self.rs = rs
         self.pos_even = frozenset(positive_even)
@@ -49,7 +52,13 @@ class SimpleSystem:
         self.rho0 = _half_sum(self.pos_even, rs)
         self.rho1 = _half_sum(self.pos_odd, rs)
         self.rho = self.rho0 - self.rho1
-        self._solver = solver
+        self._root_steps = root_steps
+        if solver is not None:
+            self._solver = solver
+
+    @cached_property
+    def _solver(self) -> Elimination:
+        return Elimination([a.doubled for a in self.simple_roots])
 
     @property
     def m(self) -> int:
@@ -88,8 +97,8 @@ class SimpleSystem:
     def _raw_cone_key(self, t: tuple) -> tuple:
         """cone_key of the weight with doubled tuple t.
 
-        derive checks that the simple roots are independent, so the k-th
-        numerator is the k-th coordinate.
+        The simple roots are independent (derive checks it, and odd
+        reflections keep it), so the k-th numerator is the k-th coordinate.
         """
         nums = self._solver.numerators(t)
         if nums is None:
@@ -129,6 +138,11 @@ class SimpleSystem:
         return tuple(Q(acc, den) for acc, den in nums)
 
     @cached_property
+    def functional(self) -> tuple:
+        """functional_numerators of this system, solved once, on first use."""
+        return functional_numerators(self)
+
+    @cached_property
     def _height_functional(self) -> tuple:
         """(row, den, null rows): ht(w) = (row . w.doubled) / den.
 
@@ -147,23 +161,6 @@ class SimpleSystem:
         null = [c for c, _ in solver.transform[rank:]] if rank else \
             [Weight.unit(k, self.m, self.n).doubled for k in range(dim)]
         return tuple(v // g for v in row), den // g, tuple(map(tuple, null))
-
-    @cached_property
-    def _root_steps(self) -> dict:
-        """Every root's doubled tuple -> (step, negative): step is the
-        simple coordinates of the positive one of +-root, ints.
-
-        Built on first use, one solve per positive root; a positive root
-        off the simple-root lattice is a StructuralError.
-        """
-        out = {}
-        for w in self.positive_roots:
-            step = self._raw_cone_key(w.doubled)
-            if any(type(c) is not int for c in step):
-                raise StructuralError(
-                    "%s has non-integer simple coordinates" % w)
-            out[w.doubled], out[(-w).doubled] = (step, False), (step, True)
-        return out
 
     def _raw_height(self, t: tuple):
         """ht(w), the sum of w's simple coordinates, as an int or Fraction.
@@ -212,7 +209,7 @@ def derive(pi: Sequence[Weight], rs: RootSystem, universe: str = "super"
     part (used for plain Lie-algebra frames such as orbit computations).
     One root of each +-pair is classified on the integer numerators of
     its simple coordinates: exactly one of the pair must have them all
-    integral and nonnegative.
+    integral and nonnegative.  Those coordinates become the root table.
     """
     pi = tuple(sorted(pi, key=coordinate_order))
     if universe not in ("super", "even"):
@@ -230,21 +227,37 @@ def derive(pi: Sequence[Weight], rs: RootSystem, universe: str = "super"
     # exactly when its first nonzero entry is positive
     zero = (0,) * (rs.m + rs.n)
     odd_half = [a for a in odd_universe if a.doubled > zero]
-    pos_even, pos_odd = set(), set()
-    for half, bucket in ((even_half, pos_even), (odd_half, pos_odd)):
+
+    def coordinates(a):
+        nums = solver.numerators(a.doubled)
+        if nums is not None and not any(acc % den for acc, den in nums):
+            return [acc // den for acc, den in nums]
+
+    return _classified(pi, rs, (even_half, odd_half), coordinates, solver)
+
+
+def _classified(pi, rs, halves, coordinates, solver=None) -> SimpleSystem:
+    """The system on pi from one root a of each +-pair in halves (even, odd).
+
+    coordinates(a) is a list of ints, or None off the lattice; exactly one
+    of +-a must have them all >= 0.  They fill the root table.
+    """
+    pos, steps = (set(), set()), {}
+    for half, bucket in zip(halves, pos):
         for a in half:
-            # den > 0: acc carries the coordinate's sign
-            nums = solver.numerators(a.doubled)
-            integral = nums is not None and \
-                not any(acc % den for acc, den in nums)
-            plus = integral and all(acc >= 0 for acc, _ in nums)
-            minus = integral and all(acc <= 0 for acc, _ in nums)
+            step = coordinates(a)
+            plus = step is not None and min(step) >= 0
+            minus = step is not None and max(step) <= 0
             if plus == minus:
                 raise ValidationError(
                     "not a simple system: %s and its negative are %s the cone"
                     % (a, "both in" if plus else "both outside"))
-            bucket.add(a if plus else -a)
-    return SimpleSystem(pi, rs, pos_even, pos_odd, solver)
+            if minus:
+                a, step = -a, [-v for v in step]
+            bucket.add(a)
+            step, t = tuple(step), a.doubled
+            steps[t], steps[tuple([-v for v in t])] = (step, False), (step, True)
+    return SimpleSystem(pi, rs, *pos, steps, solver)
 
 
 def odd_reflection(sys: SimpleSystem, beta: Weight,
@@ -254,32 +267,61 @@ def odd_reflection(sys: SimpleSystem, beta: Weight,
     New simple roots: beta goes to -beta; roots orthogonal to beta stay;
     the rest gain beta.  The positive system changes only by beta -> -beta
     and rho moves to rho + beta.  systems maps SimpleSystem.key() to
-    systems already derived: the new Pi is looked up there first and
-    derived only on a miss.  The flip and rho checks run either way, so a
-    system found in the map is still checked against this parent.
+    systems already built: the new Pi is looked up there first and
+    computed from sys's root table (`_reflected`) only on a miss, never
+    solved.  The flip and rho checks run either way, so a system found in
+    the map is still checked against this parent.
     """
     if beta not in sys.simple_roots:
         raise DomainError("%s is not a simple root here" % beta)
     if not is_isotropic(beta):
         raise DomainError("%s is not isotropic" % beta)
-    new_pi = []
-    for a in sys.simple_roots:
-        if a == beta:
-            new_pi.append(-beta)
-        elif form4(a, beta) == 0:
-            new_pi.append(a)
-        else:
-            new_pi.append(a + beta)
+    new_pi = [-a if a == beta else a + beta if form4(a, beta) else a
+              for a in sys.simple_roots]
     key = tuple(a.doubled for a in sorted(new_pi, key=coordinate_order))
     out = systems.get(key) if systems else None
     if out is None:
-        out = derive(new_pi, sys.rs)
+        out = _reflected(sys, beta, new_pi)
     expected = (sys.positive_roots - {beta}) | {-beta}
     if out.positive_roots != expected:
         raise StructuralError("odd reflection did not flip exactly %s" % beta)
     if out.rho != sys.rho + beta:
         raise StructuralError("rho did not shift by %s" % beta)
     return out
+
+
+def _reflected(sys: SimpleSystem, beta: Weight, new_pi: list) -> SimpleSystem:
+    """The system on new_pi, the images of Pi in order, from sys's table.
+
+    As a = (a + beta) + (-beta) and beta = -(-beta), a root keeps its
+    coordinates but at beta's place b, which becomes the sum at the places
+    where a gained beta minus the one at b.  That change of basis is the
+    identity but for row b, whose diagonal entry is -1; its determinant
+    is -1, so new_pi is independent and the coordinates stay ints.  Each
+    step must rebuild its root under t -> sum 9^k t_k, one-to-one on the
+    doubled tuples of roots (entries in [-4, 4]): a wrong or negated
+    entry in the table, or two swapped, is a StructuralError.
+    """
+    old, roots = sys.simple_roots, sys._root_steps
+    b = old.index(beta)
+    bent = [i for i, a in enumerate(old) if i != b and new_pi[i] != a]
+    for i in bent:
+        if new_pi[i].doubled not in roots:
+            raise ValidationError("%s is not a root of the system" % new_pi[i])
+    order = sorted(range(len(old)), key=lambda i: new_pi[i].doubled)
+    nines = [9 ** k for k in range(sys.m + sys.n)]
+    sums = [sum(map(mul, new_pi[i].doubled, nines)) for i in order]
+
+    def coordinates(a):
+        c, negative = roots[a.doubled]
+        c = c[:b] + (sum([c[i] for i in bent]) - c[b],) + c[b + 1:]
+        step = [-c[i] if negative else c[i] for i in order]
+        if sum(map(mul, step, sums)) != sum(map(mul, a.doubled, nines)):
+            raise StructuralError("the root table misplaces %s" % a)
+        return step
+
+    return _classified([new_pi[i] for i in order], sys.rs,
+                       (sys.pos_even, sys.pos_odd), coordinates)
 
 
 class AdmissiblePair(Frozen):
@@ -537,7 +579,8 @@ def enumerate_simple_systems(rs: RootSystem, cap: int = PAIR_CAP) -> list:
     Breadth-first closure under odd reflections from the standard seed;
     even reflections are excluded because the even positive part is fixed.
     Each reflection looks its target up among the systems already found,
-    so every system is derived once, and every edge is still checked.
+    so only the seed is derived and every other system is computed once
+    from a parent's table; every edge is still checked.
     """
     if rs.family == "Q":
         raise DomainError("Q(n) simple systems are not enumerated here")
@@ -597,7 +640,7 @@ def pair_components(pairs: Sequence[AdmissiblePair],
     """Connected components of the move graph on the given pairs.
 
     Odd reflections look their targets up among the pairs' systems, so a
-    system is derived only when a move leaves them; every move is still
+    system is computed only when a move leaves them; every move is still
     checked, and a move that leaves the given pairs is a StructuralError.
     """
     index = {p.key(): i for i, p in enumerate(pairs)}

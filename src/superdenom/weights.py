@@ -180,14 +180,12 @@ def weight_json(w: Weight) -> dict:
 
 def form4(x: Weight, y: Weight) -> int:
     """4 (x, y) as an int, for callers that only compare the form."""
-    if x.dims() != y.dims():
+    m, a, b = x.m, x.doubled, y.doubled
+    if m != y.m or len(a) != len(b):
         raise StructuralError(
             "form needs equal dimensions: %s vs %s" % (x.dims(), y.dims())
         )
-    m = x.m
-    eps = sum(map(mul, x.doubled[:m], y.doubled[:m]))
-    delta = sum(map(mul, x.doubled[m:], y.doubled[m:]))
-    return eps - delta
+    return sum(map(mul, a[:m], b[:m])) - sum(map(mul, a[m:], b[m:]))
 
 
 def bilinear_form(x: Weight, y: Weight) -> "Fraction":

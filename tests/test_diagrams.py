@@ -11,6 +11,7 @@ from superdenom.diagrams import (FROWN, SMILE, Diagram, available_moves,
                                  pair_from_diagram)
 from superdenom.errors import DomainError, StructuralError, ValidationError
 from superdenom.roots import WEYL_TYPES, SuperType, build
+from superdenom import simple
 from superdenom.simple import (VARIANTS, derive, enumerate_admissible_pairs,
                                make_pair, pair_from_word, standard_pair)
 from superdenom.weights import Weight
@@ -94,6 +95,16 @@ def test_equivalence_class_counts():
     assert [d.render() for d in two] == ["a⌢ba", "b⌣aa"]
     with pytest.raises(DomainError):
         equivalence_classes(build(SuperType("C", n=2)))
+
+
+def test_classes_solve_each_functional_once(monkeypatch):
+    # D(4,2): 36 pairs over 17 systems are drawn, one solve per system
+    calls = []
+    real = simple.functional_numerators
+    monkeypatch.setattr(simple, "functional_numerators",
+                        lambda sys: calls.append(sys.key()) or real(sys))
+    assert len(equivalence_classes(build(SuperType("D", 4, 2)))) == 2
+    assert len(calls) == len(set(calls)) == 17
 
 
 def test_d21_pair_diagram_table():

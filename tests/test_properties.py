@@ -18,7 +18,8 @@ from superdenom.identity import (_acted, _alternating_sum, closed_form_sum,
                                  y_fixed_by)
 from superdenom.roots import SuperType, build
 from superdenom.series import expand_raw, multiply
-from superdenom.simple import enumerate_admissible_pairs, pair_neighbors
+from superdenom.simple import (derive, enumerate_admissible_pairs,
+                               odd_reflection, pair_neighbors)
 from superdenom.weights import Weight, coordinate_order
 
 _SYSTEMS = (
@@ -64,6 +65,22 @@ def test_random_pair_identity_oracles_and_moves(case):
     for nb in pair_neighbors(pair):
         moved = expand_raw(closed_form_sum(nb), pair.system, H)
         assert moved.eq_report(X) is None, (str(nb.S), H)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_pair_and_height(), st.lists(st.integers(0, 7), max_size=8))
+def test_random_reflection_walks_match_derive(case, picks):
+    # each odd reflection transforms its parent's root table; deriving the
+    # reached Pi from scratch must give the same positive set, rho and table
+    sys = case[0].system
+    for pick in picks:
+        isotropic = sys.isotropic_simples()
+        if not isotropic:
+            break
+        sys = odd_reflection(sys, isotropic[pick % len(isotropic)])
+        fresh = derive(sys.simple_roots, sys.rs)
+        assert (sys.positive_roots, sys.rho, sys._root_steps) \
+            == (fresh.positive_roots, fresh.rho, fresh._root_steps)
 
 
 def _mu_accumulate(acc, base, steps, sgn_w, H):

@@ -15,7 +15,7 @@ from superdenom.simple import (SimpleSystem, derive, enumerate_admissible_pairs,
                                second_type_move, second_type_moves,
                                standard_pair,
                                standard_pairs)
-from superdenom.weights import Elimination, Weight, bilinear_form
+from superdenom.weights import Weight, bilinear_form
 
 from oracles import functional_for, pairing
 
@@ -275,8 +275,7 @@ def test_functional_checks_can_fail():
     real = derive([d1 - e2, e1 - d1], rs)
 
     def system(pi, pos_even=real.pos_even, pos_odd=real.pos_odd, rs=rs):
-        return SimpleSystem(pi, rs, pos_even, pos_odd,
-                            Elimination([a.doubled for a in pi]))
+        return SimpleSystem(pi, rs, pos_even, pos_odd, {})
 
     with pytest.raises(ValidationError, match="no functional"):
         functional_for(system([e1 - d1, d1 - e1]))
@@ -299,17 +298,17 @@ def test_odd_reflection_post_checks_can_fail(monkeypatch):
     rs = build(SuperType("GL", 2, 2))
     sys = standard_pair(rs, "step2").system
     beta = sys.isotropic_simples()[0]
-    real = simple.derive
-    monkeypatch.setattr(simple, "derive", lambda pi, rs: sys)
+    real = simple._reflected
+    monkeypatch.setattr(simple, "_reflected", lambda sys, beta, pi: sys)
     with pytest.raises(StructuralError, match="did not flip"):
         odd_reflection(sys, beta)
 
-    def shifted(pi, rs):
-        out = real(pi, rs)
+    def shifted(sys, beta, pi):
+        out = real(sys, beta, pi)
         out.rho = out.rho + beta
         return out
 
-    monkeypatch.setattr(simple, "derive", shifted)
+    monkeypatch.setattr(simple, "_reflected", shifted)
     with pytest.raises(StructuralError, match="rho did not shift"):
         odd_reflection(sys, beta)
 
@@ -328,49 +327,123 @@ def test_odd_reflection_post_checks_fire_on_a_hit():
         odd_reflection(sys, beta, {key: shifted})
 
 
-def _derive_counter(monkeypatch) -> list:
-    """Count simple.derive calls from here on; returns the live counter."""
+@pytest.mark.parametrize("stype", [
+    SuperType("GL", 3, 3), SuperType("GL", 4, 2), SuperType("B", 3, 2),
+    SuperType("B", 2, 2, sharp_choice="B_side"),
+    SuperType("B", 2, 2, sharp_choice="C_side"), SuperType("D", 4, 2),
+    SuperType("D", 3, 3), SuperType("C", n=3)])
+def test_reflected_systems_equal_their_derive(stype):
+    rs = build(stype)
+    systems = enumerate_simple_systems(rs)
+    assert _same_systems(systems, [derive(s.simple_roots, rs) for s in systems])
+
+
+def _with_table(sys, table):
+    return SimpleSystem(sys.simple_roots, sys.rs, sys.pos_even, sys.pos_odd,
+                        table)
+
+
+@pytest.mark.parametrize("stype", [
+    SuperType("GL", 3, 2), SuperType("B", 2, 2, sharp_choice="C_side"),
+    SuperType("D", 3, 2)])
+def test_reflection_rejects_a_wrong_parent_table(stype):
+    # one wrong coordinate, a negated step, a flipped sign flag, two
+    # different coordinates swapped, or a missing root: each must raise
+    rs = build(stype)
+    sys = standard_pair(rs, "step2").system
+    beta = sys.isotropic_simples()[0]
+    assert odd_reflection(_with_table(sys, dict(sys._root_steps)), beta) \
+        == odd_reflection(sys, beta)
+    mutants = []
+    for a in sys.positive_roots:
+        step = sys._root_steps[a.doubled][0]
+        for k in range(len(step)):
+            for d in (1, -1):
+                mutants.append((a, step[:k] + (step[k] + d,) + step[k + 1:],
+                                False))
+            for j in range(k):
+                if step[j] != step[k]:
+                    swapped = list(step)
+                    swapped[j], swapped[k] = step[k], step[j]
+                    mutants.append((a, tuple(swapped), False))
+        mutants += [(a, tuple(-c for c in step), False), (a, step, True)]
+    for a, step, negative in mutants:
+        table = dict(sys._root_steps)
+        table[a.doubled] = (step, negative)
+        with pytest.raises((StructuralError, ValidationError)):
+            odd_reflection(_with_table(sys, table), beta)
+    bent = [a + beta for a in sys.simple_roots
+            if a != beta and bilinear_form(a, beta) != 0]
+    assert bent
+    for root in bent:
+        table = dict(sys._root_steps)
+        del table[root.doubled]
+        with pytest.raises(ValidationError, match="is not a root"):
+            odd_reflection(_with_table(sys, table), beta)
+
+
+def _counter(monkeypatch, name: str) -> list:
+    """Count calls of simple.<name> from here on; returns the live counter."""
     calls = []
-    real = simple.derive
-    monkeypatch.setattr(simple, "derive",
-                        lambda *a: calls.append(a) or real(*a))
+    real = getattr(simple, name)
+    monkeypatch.setattr(simple, name, lambda *a: calls.append(a) or real(*a))
     return calls
 
 
 def _derive_every_edge(monkeypatch) -> None:
-    """Make odd_reflection ignore its map, so every edge derives afresh."""
+    """Make odd_reflection ignore its map, so every edge is computed afresh."""
     real = simple.odd_reflection
     monkeypatch.setattr(simple, "odd_reflection",
                         lambda sys, beta, systems=None: real(sys, beta))
 
 
 def _same_systems(a, b) -> bool:
-    return [(s.key(), s.positive_roots, s.rho) for s in a] \
-        == [(s.key(), s.positive_roots, s.rho) for s in b]
+    return [(s.key(), s.positive_roots, s.rho, s._root_steps) for s in a] \
+        == [(s.key(), s.positive_roots, s.rho, s._root_steps) for s in b]
 
 
 def test_enumeration_derives_each_system_once(monkeypatch):
+    # the seed is derived; every other system is one reflection step
     rs = build(SuperType("GL", 4, 4))
-    calls = _derive_counter(monkeypatch)
+    derived = _counter(monkeypatch, "derive")
+    reflected = _counter(monkeypatch, "_reflected")
     systems = enumerate_simple_systems(rs)
-    assert len(systems) == 70 and len(calls) == len(systems)
+    assert len(systems) == 70
+    assert len(derived) == 1 and len(reflected) == len(systems) - 1
     _derive_every_edge(monkeypatch)
-    del calls[:]
+    del derived[:], reflected[:]
     assert _same_systems(enumerate_simple_systems(rs), systems)
-    assert len(calls) > len(systems)
+    assert len(derived) == 1 and len(reflected) > len(systems)
+
+
+def test_enumeration_builds_one_elimination(monkeypatch):
+    # only the seed's derive solves; reflected frames build theirs on the
+    # first cone or height question
+    rs = build(SuperType("GL", 4, 4))
+    seed = [a.doubled for a in standard_pair(rs, "step2").system.simple_roots]
+    built = _counter(monkeypatch, "Elimination")
+    systems = enumerate_simple_systems(rs)
+    assert len(systems) == 70 and built == [(seed,)]
+    frame = next(s for s in systems if s.key() != tuple(seed))
+    root = next(iter(frame.positive_roots))
+    step = frame._root_steps[root.doubled][0]
+    assert frame._raw_height(root.doubled) == sum(step) and len(built) == 2
+    assert frame.cone(root) == step and len(built) == 2
 
 
 def test_pair_components_derive_nothing_the_pairs_carry(monkeypatch):
     rs = build(SuperType("D", 4, 2))
     pairs = enumerate_admissible_pairs(rs)
-    calls = _derive_counter(monkeypatch)
+    derived = _counter(monkeypatch, "derive")
+    reflected = _counter(monkeypatch, "_reflected")
     comps = pair_components(pairs, same_kind_only=True)
-    assert calls == []
+    assert derived == [] and reflected == []
     _derive_every_edge(monkeypatch)
     assert enumerate_admissible_pairs(rs) == pairs
-    del calls[:]
+    del derived[:], reflected[:]
     fresh = pair_components(pairs, same_kind_only=True)
-    assert len(calls) > len({p.system.key() for p in pairs})
+    assert derived == []
+    assert len(reflected) > len({p.system.key() for p in pairs})
     assert [[p.key() for p in c] for c in fresh] \
         == [[p.key() for p in c] for c in comps]
     assert all(_same_systems([p.system for p in c], [q.system for q in d])
@@ -438,14 +511,15 @@ def test_raw_height_of_a_half_point_and_outside_the_span():
 
 def test_root_steps_refuse_a_root_off_the_lattice():
     # over [-2*e1, e1 - d1] the positive root e1 of B(1,1) has simple
-    # coordinates (-1/2, 0): the table of steps holds ints only
+    # coordinates (-1/2, 0): derive, which fills the table of steps,
+    # refuses a Pi that leaves a root off the lattice
     c = build(SuperType("B", 1, 1, sharp_choice="C_side"))
     e1, d1 = c.eps(1), c.delta(1)
     pi = (e1.scale(-2), e1 - d1)
-    frame = SimpleSystem(pi, c, {e1}, (), Elimination([a.doubled for a in pi]))
+    frame = SimpleSystem(pi, c, {e1}, (), {})
     assert frame._raw_cone_key(e1.doubled) == (Q(-1, 2), 0)
-    with pytest.raises(StructuralError, match="non-integer"):
-        frame._root_steps
+    with pytest.raises(ValidationError, match="not a simple system"):
+        derive(pi, c)
 
 
 def test_standard_pairs_that_coincide():
