@@ -112,25 +112,25 @@ def _mk(marks, bows, mode) -> Diagram:
 def from_pair(pair: AdmissiblePair) -> Diagram:
     """Draw the pair: order the coordinates by the functional, bow S.
 
-    The functional's integer numerators, over one positive denominator,
-    order the coordinates as its values do; each system solves for them
-    once (`SimpleSystem.functional`), however many pairs it carries.
+    The functional f has <f, alpha> = 1 on Pi, and the frame's height row
+    orders the coordinates as f does.  The two agree on span(Pi), the
+    whole space on B and D; on gl the span is the sum-zero hyperplane,
+    where any two such functionals differ by c*(1, ..., 1), which keeps
+    the order.  For k != l, x_k - x_l is a root of gl, B or D, so its
+    height is a nonzero integer: the order has no ties.  An S root whose
+    ends are not neighbours fails the diagram's validation.
     """
     rs = pair.rs
     if diagram_type(rs.family) is None:
         raise DomainError("diagrams cover the gl/B/D families")
-    F, _ = pair.system.functional
-    order = sorted(range(rs.m + rs.n), key=F.__getitem__)
+    row = pair.system._height_functional[0]
+    order = sorted(range(rs.m + rs.n), key=row.__getitem__)
     position = {k: p for p, k in enumerate(order)}
     marks = ["a" if k < rs.m else "b" for k in order]
     bows = []
     for beta in pair.S:
         ei, dj, kind = isotropic_parts(beta)
         p, q = sorted((position[ei - 1], position[rs.m + dj - 1]))
-        if q != p + 1:
-            raise ValidationError(
-                "endpoints of %s are not neighbours in the functional order"
-                % beta)
         bows.append((p, q, FROWN if kind == "sum" else SMILE))
     diagram = _mk(marks, bows, rs.marking_mode)
     if diagram.has_frown() and not (rs.family == D_EPS and rs.m > rs.n):

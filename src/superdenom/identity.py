@@ -599,18 +599,26 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10) -> list:
 
     The result must match the classification: only W rho_0 except for
     gl(n|n), where the representatives are rho_0 - s*xi.
+    ResourceLimitError, before anything is enumerated, when the box's
+    C(H + r, r) keys (r simple roots) exceed `groups.DEFAULT_CAP`.
     """
     if rs.family not in ("GL", "C"):
         raise DomainError("orbit scans cover the gl and C families only")
     pair = standard_pair(rs, "step2")
     frame = pair.system
+    rank = len(frame.simple_roots)
+    count = math.comb(max(H + rank, 0), rank)
+    if count > DEFAULT_CAP:
+        raise ResourceLimitError(
+            "the height-%d box of %s has %d keys, over the cap %d"
+            % (H, rs.stype.label(), count, DEFAULT_CAP))
     walls = []
     for a in simple_roots(rs.positive_even):
         sign = 1 if form4(a, a) > 0 else -1
         walls.append((sign * form4(frame.rho0, a),
                       [sign * form4(b, a) for b in frame.simple_roots]))
     out = sorted((frame.rho0 - frame.weight(key)
-                  for key in _keys_up_to(len(frame.simple_roots), H)
+                  for key in _keys_up_to(rank, H)
                   if all(sum(map(mul, key, row)) < base
                          for base, row in walls)),
                  key=coordinate_order)

@@ -1,4 +1,4 @@
-"""Simple systems, odd reflections, admissible pairs and root functionals.
+"""Simple systems, odd reflections and admissible pairs.
 
 The even positive roots are fixed once and for all by the root datum; the
 odd positive roots depend on the choice of simple system Pi.  Changing Pi
@@ -81,7 +81,9 @@ class SimpleSystem:
     def is_positive_root(self, w: Weight) -> bool:
         return w in self.positive_roots
 
+    @cached_property
     def isotropic_simples(self) -> tuple:
+        """The isotropic simple roots, in simple_roots order."""
         return tuple(a for a in self.simple_roots if is_isotropic(a))
 
     def cone_key(self, w: Weight) -> tuple:
@@ -138,18 +140,15 @@ class SimpleSystem:
         return tuple(Q(acc, den) for acc, den in nums)
 
     @cached_property
-    def functional(self) -> tuple:
-        """functional_numerators of this system, solved once, on first use."""
-        return functional_numerators(self)
-
-    @cached_property
     def _height_functional(self) -> tuple:
         """(row, den, null rows): ht(w) = (row . w.doubled) / den.
 
         row sums the solve's rows over their pivots, so the dot product is
         the sum of the simple coordinates; the null rows vanish exactly on
         the simple-root span (with no simple roots, every unit row does).
-        Built on first use, since most frames never ask for a height.
+        den > 0, so row also orders the coordinates for a diagram
+        (`diagrams.from_pair`).  Built on first use, since most frames
+        never ask for a height.
         """
         solver = self._solver
         rank, dim = solver.rank, self.m + self.n
@@ -439,7 +438,7 @@ def second_type_moves(pair: AdmissiblePair, same_kind_only: bool = False) -> lis
     """
     out = []
     for gamma in pair.S:
-        for gp in pair.system.isotropic_simples():
+        for gp in pair.system.isotropic_simples:
             if gp in pair.S:
                 continue
             alpha = gamma + gp
@@ -590,7 +589,7 @@ def enumerate_simple_systems(rs: RootSystem, cap: int = PAIR_CAP) -> list:
     while frontier:
         nxt = []
         for sys in frontier:
-            for beta in sys.isotropic_simples():
+            for beta in sys.isotropic_simples:
                 out = odd_reflection(sys, beta, seen)
                 if out.key() not in seen:
                     seen[out.key()] = out
@@ -606,7 +605,7 @@ def enumerate_admissible_pairs(rs: RootSystem, cap: int = PAIR_CAP) -> list:
     """All admissible pairs over all simple systems."""
     out = []
     for sys in enumerate_simple_systems(rs, cap):
-        for S in orthogonal_subsets(sys.isotropic_simples(), rs.defect):
+        for S in orthogonal_subsets(sys.isotropic_simples, rs.defect):
             out.append(make_pair(S, sys))
             if len(out) > cap:
                 raise ResourceLimitError(
@@ -665,53 +664,6 @@ def pair_components(pairs: Sequence[AdmissiblePair],
                     stack.append(nb)
         comps.append(sorted(comp, key=lambda q: q.key()))
     return comps
-
-
-# ---------------------------------------------------------------------------
-# root functionals
-
-def functional_numerators(sys: SimpleSystem) -> tuple:
-    """Solve <f, alpha> = 1 on Pi and check the sorting properties.
-
-    Returns (F, den) with f = F/den over the flat basis (eps block
-    first), F an int tuple and den > 0; f acts through the coordinate
-    pairing sum_k f_k alpha_k, not the bilinear form.  For gl the
-    solution line is pinned by min value 1; elsewhere it is unique.  The
-    checks: integer nonzero on all roots, >= 1 on positives, = 1 exactly
-    on the simples.  They run on ints, as
-    <f, alpha> = (F . alpha.doubled) / (2 den).
-    """
-    rs = sys.rs
-    kind = diagram_type(rs.family)
-    if kind is None:
-        raise DomainError("functionals are defined for gl/B/D only")
-    # sum_k f_k * (2 alpha_k) = 2 on each simple alpha: the doubled system
-    solver = Elimination([tuple(a.doubled[k] for a in sys.simple_roots)
-                          for k in range(rs.m + rs.n)])
-    nums = solver.numerators((2,) * len(sys.simple_roots))
-    if nums is None:
-        raise ValidationError("no functional solves <f, Pi> = 1")
-    den = lcm(*(d for _, d in nums))
-    F = [0] * solver.ncols
-    for c, (acc, d) in zip(solver.pivots, nums):
-        F[c] = acc * (den // d)
-    if kind == "A":
-        shift = den - min(F)
-        F = [x + shift for x in F]
-    one = 2 * den
-    for a in rs.all_roots():
-        v = sum(map(mul, F, a.doubled))
-        if v == 0 or v % one:
-            raise ValidationError("functional is %s on root %s"
-                                  % (Q(v, one), a))
-    for a in sys.positive_roots:
-        v = sum(map(mul, F, a.doubled))
-        if v < one:
-            raise ValidationError("functional is %s on positive root %s"
-                                  % (Q(v, one), a))
-        if (v == one) != (a in sys.simple_roots):
-            raise ValidationError("value 1 does not match simplicity at %s" % a)
-    return tuple(F), den
 
 
 def even_frame(rs: RootSystem) -> SimpleSystem:

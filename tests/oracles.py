@@ -4,14 +4,12 @@ Each one is small, independent of the package's fast paths, and read by
 more than one test module, so it lives here rather than in the package.
 """
 
-from fractions import Fraction as Q
-
 from superdenom.groups import (SignedPermutation, _gather, is_dominant, orbit,
                                weyl_group)
 from superdenom.identity import _alternating_sum
 from superdenom.roots import WEYL_TYPES
 from superdenom.series import expand_raw
-from superdenom.simple import even_frame, functional_numerators
+from superdenom.simple import even_frame
 from superdenom.weights import Weight
 
 
@@ -67,20 +65,6 @@ def dominant_representative(lam, group, simples):
         if is_dominant(mu, simples):
             return mu
     raise AssertionError("orbit of %s has no dominant element" % lam)
-
-
-def pairing(x: tuple, w) -> Q:
-    """The coordinate pairing sum_k x_k w_k, not the bilinear form."""
-    return sum((v * xk for v, xk in zip(w.doubled, x) if v), Q(0)) / 2
-
-
-def functional_for(sys) -> tuple:
-    """The values of the root functional f over the flat basis, as Fractions.
-
-    f acts through `pairing`; `functional_numerators` solves and checks.
-    """
-    F, den = functional_numerators(sys)
-    return tuple(Q(x, den) for x in F)
 
 
 def dump_lines(series) -> list:

@@ -201,7 +201,7 @@ def test_criterion_5_lemma_suite():
         shifts = 0
         for rs in systems:
             for sys in enumerate_simple_systems(rs):
-                for beta in sys.isotropic_simples():
+                for beta in sys.isotropic_simples:
                     assert odd_reflection(sys, beta).rho == sys.rho + beta
                     shifts += 1
         assert shifts > 0

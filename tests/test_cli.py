@@ -93,6 +93,21 @@ def test_orbits(capsys):
     assert "1 regular orbit" in out
 
 
+def test_orbits_cap_exits_3_before_enumerating(capsys, monkeypatch):
+    from superdenom import identity
+
+    def refused(*args):
+        raise AssertionError("box keys enumerated past the cap")
+
+    monkeypatch.setattr(identity, "_keys_up_to", refused)
+    code, out, err = _run_main(capsys, ["orbits", "--family", "GL",
+                                        "--m", "3", "--n", "3",
+                                        "--height", "60"])
+    assert code == 3 and out == ""
+    assert err == ("resource limit: the height-60 box of gl(3|3) has "
+                   "8259888 keys, over the cap 1000000\n")
+
+
 def test_pairs_lists_diagrams(capsys):
     code, out, _ = _run_main(capsys, ["pairs", "--family", "GL",
                                       "--m", "2", "--n", "1"])

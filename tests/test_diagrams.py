@@ -13,7 +13,8 @@ from superdenom.errors import DomainError, StructuralError, ValidationError
 from superdenom.roots import WEYL_TYPES, SuperType, build
 from superdenom import simple
 from superdenom.simple import (VARIANTS, derive, enumerate_admissible_pairs,
-                               make_pair, pair_from_word, standard_pair)
+                               isotropic_parts, make_pair, pair_from_word,
+                               standard_pair)
 from superdenom.weights import Weight
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,14 +98,70 @@ def test_equivalence_class_counts():
         equivalence_classes(build(SuperType("C", n=2)))
 
 
-def test_classes_solve_each_functional_once(monkeypatch):
-    # D(4,2): 36 pairs over 17 systems are drawn, one solve per system
-    calls = []
-    real = simple.functional_numerators
-    monkeypatch.setattr(simple, "functional_numerators",
-                        lambda sys: calls.append(sys.key()) or real(sys))
+def test_classes_build_one_elimination_per_drawn_system(monkeypatch):
+    # D(4,2): 36 pairs over 17 systems are drawn; only the seed's derive
+    # and each reflected system's height row build an elimination
+    built = []
+    real = simple.Elimination
+    monkeypatch.setattr(simple, "Elimination",
+                        lambda cols: built.append(cols) or real(cols))
     assert len(equivalence_classes(build(SuperType("D", 4, 2)))) == 2
-    assert len(calls) == len(set(calls)) == 17
+    assert len(built) == len(set(map(tuple, built))) == 17
+
+
+def _positive_difference_order(pair) -> list:
+    """The coordinates in increasing order of the functional, with no solve.
+
+    For k != l, x_k - x_l is a root, positive exactly when f is larger at
+    k; so k's place is the number of l with x_k - x_l positive.
+    """
+    rs, positive = pair.rs, pair.system.positive_roots
+    units = [Weight.unit(k, rs.m, rs.n) for k in range(rs.m + rs.n)]
+    place = [sum(u - v in positive for v in units) for u in units]
+    assert sorted(place) == list(range(len(units)))
+    return sorted(range(len(units)), key=place.__getitem__)
+
+
+def _diagram_types():
+    for size in range(2, 7):
+        for m in range(size + 1):
+            n = size - m
+            if m and n:
+                yield SuperType("GL", m, n)
+            if m and m == n:
+                yield SuperType("B", n, n, sharp_choice="B_side")
+                yield SuperType("B", n, n, sharp_choice="C_side")
+            elif m:
+                yield SuperType("B", m, n)
+            if m >= 2 and n:
+                yield SuperType("D", m, n)
+
+
+def test_from_pair_orders_by_positive_differences():
+    # every pair of gl, B (both B(n,n) choices) and D with m + n <= 6 is
+    # drawn in the order of the positive differences; a pair is refused
+    # only when it has more b's, a sum bow, or an S root whose ends are
+    # not neighbours in that order
+    drawn = 0
+    for st in _diagram_types():
+        rs = build(st)
+        for pair in enumerate_admissible_pairs(rs):
+            order = _positive_difference_order(pair)
+            place = {k: p for p, k in enumerate(order)}
+            ends = [sorted((place[k] for k, v in enumerate(b.doubled) if v))
+                    for b in pair.S]
+            try:
+                d = from_pair(pair)
+            except ValidationError:
+                assert rs.m < rs.n or any(q != p + 1 for p, q in ends) \
+                    or any(isotropic_parts(b)[2] == "sum" for b in pair.S)
+                continue
+            drawn += 1
+            assert d.marks == tuple("a" if k < rs.m else "b" for k in order)
+            assert [b[:2] for b in d.bows] == sorted(map(tuple, ends))
+    assert drawn == 443
+    with pytest.raises(DomainError):
+        from_pair(standard_pair(build(SuperType("C", n=2)), "step2"))
 
 
 def test_d21_pair_diagram_table():

@@ -74,7 +74,7 @@ def test_random_reflection_walks_match_derive(case, picks):
     # reached Pi from scratch must give the same positive set, rho and table
     sys = case[0].system
     for pick in picks:
-        isotropic = sys.isotropic_simples()
+        isotropic = sys.isotropic_simples
         if not isotropic:
             break
         sys = odd_reflection(sys, isotropic[pick % len(isotropic)])

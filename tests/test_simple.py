@@ -10,14 +10,12 @@ from superdenom import simple
 from superdenom.simple import (SimpleSystem, derive, enumerate_admissible_pairs,
                                enumerate_simple_systems, even_frame,
                                is_admissible, isotropic_parts,
-                               make_pair, odd_reflection, pair_components,
+                               odd_reflection, pair_components,
                                pair_neighbors, pair_odd_reflection,
                                second_type_move, second_type_moves,
                                standard_pair,
                                standard_pairs)
 from superdenom.weights import Weight, bilinear_form
-
-from oracles import functional_for, pairing
 
 
 def test_derive_gl_2_1():
@@ -90,7 +88,7 @@ def test_weight_inverts_cone_key():
 def test_odd_reflection_moves_rho_by_beta():
     rs = build(SuperType("GL", 2, 2))
     sys = standard_pair(rs, "step2").system
-    for beta in sys.isotropic_simples():
+    for beta in sys.isotropic_simples:
         flipped = odd_reflection(sys, beta)
         assert flipped.rho == sys.rho + beta
         assert -beta in flipped.simple_roots
@@ -254,50 +252,29 @@ def test_neighbors_stay_admissible():
             assert ok, why
 
 
-def test_functional_values():
+def test_derive_refuses_pi_without_a_functional():
+    # a Pi with no functional f (<f, Pi> = 1, f >= 1 on Delta+) is
+    # refused by derive before any frame exists.  No case has a positive
+    # set that disagrees with its Pi (e2 - e1 positive, or e2 among the
+    # roots): derive and odd reflections classify every root from Pi
+    # itself, so only a hand-built SimpleSystem could carry one.
     rs = build(SuperType("GL", 2, 1))
-    pair = make_pair([rs.eps(1) - rs.delta(1)],
-                     derive([rs.delta(1) - rs.eps(2),
-                             rs.eps(1) - rs.delta(1)], rs))
-    f = functional_for(pair.system)
-    assert (f[1], f[2], f[0]) == (1, 2, 3)
-    for a in pair.system.simple_roots:
-        assert pairing(f, a) == 1
-    for a in pair.system.positive_roots:
-        assert pairing(f, a) >= 1
-    with pytest.raises(DomainError):
-        functional_for(standard_pair(build(SuperType("C", n=2)), "step2").system)
-
-
-def test_functional_checks_can_fail():
-    rs = build(SuperType("GL", 2, 1))
-    e1, e2, d1 = rs.eps(1), rs.eps(2), rs.delta(1)
-    real = derive([d1 - e2, e1 - d1], rs)
-
-    def system(pi, pos_even=real.pos_even, pos_odd=real.pos_odd, rs=rs):
-        return SimpleSystem(pi, rs, pos_even, pos_odd, {})
-
-    with pytest.raises(ValidationError, match="no functional"):
-        functional_for(system([e1 - d1, d1 - e1]))
-    # with e1 - d1 alone, f = (2, 1, 1) after the gl shift
-    with pytest.raises(ValidationError, match="functional is 0 on root"):
-        functional_for(system([e1 - d1]))
-    # f = (3, 1, 2): e2 - e1 is not positive, and e2 (not a root) sits at 1
-    with pytest.raises(ValidationError, match="-2 on positive root"):
-        functional_for(system(real.simple_roots, pos_even={e2 - e1}))
-    with pytest.raises(ValidationError, match="does not match simplicity"):
-        functional_for(system(real.simple_roots,
-                              pos_even=real.pos_even | {e2}))
+    e1, d1 = rs.eps(1), rs.delta(1)
+    with pytest.raises(ValidationError, match="linearly dependent"):
+        derive([e1 - d1, d1 - e1], rs)
+    with pytest.raises(ValidationError,
+                       match="e1 - e2 and its negative are both outside"):
+        derive([e1 - d1], rs)
     b = build(SuperType("B", 1, 1, sharp_choice="C_side"))
-    half = b.eps(1).scale(-2), b.delta(1) - b.eps(1)
-    with pytest.raises(ValidationError, match="functional is 1/2 on root"):
-        functional_for(system(half, (), (), rs=b))
+    with pytest.raises(ValidationError,
+                       match="d1 and its negative are both outside"):
+        derive([b.eps(1).scale(-2), b.delta(1) - b.eps(1)], b)
 
 
 def test_odd_reflection_post_checks_can_fail(monkeypatch):
     rs = build(SuperType("GL", 2, 2))
     sys = standard_pair(rs, "step2").system
-    beta = sys.isotropic_simples()[0]
+    beta = sys.isotropic_simples[0]
     real = simple._reflected
     monkeypatch.setattr(simple, "_reflected", lambda sys, beta, pi: sys)
     with pytest.raises(StructuralError, match="did not flip"):
@@ -316,7 +293,7 @@ def test_odd_reflection_post_checks_can_fail(monkeypatch):
 def test_odd_reflection_post_checks_fire_on_a_hit():
     rs = build(SuperType("GL", 2, 2))
     sys = standard_pair(rs, "step2").system
-    beta = sys.isotropic_simples()[0]
+    beta = sys.isotropic_simples[0]
     reflected = odd_reflection(sys, beta)
     key = reflected.key()
     with pytest.raises(StructuralError, match="did not flip"):
@@ -351,7 +328,7 @@ def test_reflection_rejects_a_wrong_parent_table(stype):
     # different coordinates swapped, or a missing root: each must raise
     rs = build(stype)
     sys = standard_pair(rs, "step2").system
-    beta = sys.isotropic_simples()[0]
+    beta = sys.isotropic_simples[0]
     assert odd_reflection(_with_table(sys, dict(sys._root_steps)), beta) \
         == odd_reflection(sys, beta)
     mutants = []
@@ -471,7 +448,7 @@ def test_enumerate_simple_systems_closure():
     assert len(systems) == 6   # six choices of Delta_+ over the fixed evens
     for sys in systems:
         assert sys.pos_even == rs.positive_even
-        for beta in sys.isotropic_simples():
+        for beta in sys.isotropic_simples:
             assert odd_reflection(sys, beta) in systems
 
 
