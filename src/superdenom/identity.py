@@ -154,8 +154,10 @@ def rhs_expanded(pair: AdmissiblePair, H: int,
     element w with ht(rho - w rho) > H is skipped before `phi_data`.  That
     is exact: w's base key rho - (w rho + phi) lies higher still, phi
     being a sum of negative roots, and its keys only climb from there.
-    The span of rho - w rho is still checked.  The keys are packed once,
-    above the minimum of the base keys within H.
+    The span of rho - w rho is still checked.  The window is packed
+    once, above the minimum of the base keys within H: every base key in
+    one `_Packing.keys` call, and each distinct step once into a dict
+    that every element's walk reads.
     """
     frame = pair.system
     rho = frame.rho
@@ -167,13 +169,16 @@ def rhs_expanded(pair: AdmissiblePair, H: int,
         base, steps = phi_data(w, pair)
         if _ht(base) <= H:
             chains.append((base, steps, w.sgn()))
-    codec = _Packing.around([base for base, _, _ in chains], H)
+    bases = [base for base, _, _ in chains]
+    codec = _Packing.around(bases, H)
     if codec is None:
         return FormalSeries(frame, H, rho)
+    packed = {s: codec.step(s) for s in {s for _, steps, _ in chains
+                                         for s in steps}}
     acc = {}
-    for base, steps, sgn_w in chains:
-        _mu_accumulate(acc, codec.key(base), [codec.step(s) for s in steps],
-                       sgn_w, codec.limit)
+    for key, (_, steps, sgn_w) in zip(codec.keys(bases), chains):
+        _mu_accumulate(acc, key, [packed[s] for s in steps], sgn_w,
+                       codec.limit)
     return FormalSeries(frame, H, rho,
                         (codec, {k: v for k, v in acc.items() if v}))
 

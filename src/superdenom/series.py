@@ -9,9 +9,11 @@ Truncation is by height (coordinate sum) of mu.
 A sum of geometric terms c e^{exponent} / prod_gamma (1 + e^{-gamma}) has
 one form, the merged raw dict {(exponent, sorted denominators): c} on
 doubled int tuples.  Its factors expand along the frame's positive
-direction, so `normalize` first makes every gamma positive; `expand_raw`
-expands only what it returns, since skipping that rewrite silently
-changes which power series the product denotes.
+direction, so `normalize` first makes every gamma positive and keys the
+term on (exponent, sorted steps), the steps being the simple coordinates
+of the positive denominators; `expand_raw` expands only what it returns,
+since skipping that rewrite silently changes which power series the
+product denotes, and reads each chain's factors straight from the key.
 
 The kernels run on packed int keys.  A builder takes lo, the
 coordinatewise minimum of its starting keys (every later key only climbs
@@ -28,18 +30,19 @@ is the shifted height, so p >= B**(r + 1) exactly when ht mu > H (the
 lower digits stay below B**r whenever ht mu <= H), and sorting packed keys
 sorts them by height.  `_Packing` is the codec: it raises StructuralError
 for a key below lo or a non-integer key and never wraps.  `multiply` is
-the one builder: it packs every chain of a product in one window and
-returns that window's codec with the packed sum, which is what a
+the one builder: it packs every chain of a product in one window, all
+starting keys in one `_Packing.keys` call and each distinct step once,
+and returns that window's codec with the packed sum, which is what a
 `FormalSeries` holds.  Tuple keys appear only at the edges: the starting
 keys a builder packs, a queried coefficient, the witness of a failed
 comparison and printed output.  Two series in the same window compare
-their dicts directly; series from different windows are re-packed into
-the joint one first.
+their dicts directly; for series from different windows, the side not
+already in the joint one is re-packed into it first.
 """
 
 from __future__ import annotations
 
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 
 from .errors import DomainError, StructuralError
 from .simple import SimpleSystem
@@ -52,9 +55,9 @@ class FormalSeries:
     codec is the window's `_Packing` and data maps packed keys to nonzero
     coefficients, as `multiply` returns them; a series with no key within
     H may have no window (codec None, data empty).  Series in the same
-    window (same lo and H) compare their dicts directly; any other pair
-    is re-packed into the joint window first (`_joint`).  Tuple keys
-    appear only where a key is read or printed.
+    window (same lo and H) compare their dicts directly; in any other
+    pair, a side outside the joint window is re-packed into it first
+    (`_joint`).  Tuple keys appear only where a key is read or printed.
     """
 
     __slots__ = ("frame", "H", "offset", "codec", "data")
@@ -76,15 +79,19 @@ class FormalSeries:
         """(codec, mine, theirs): both data packed in one window.
 
         The joint lo is the coordinatewise minimum of the two; a series
-        with no window, being empty, fits in the other's.
+        with no window, being empty, fits in the other's.  A side whose
+        window is already the joint one keeps its data as it is, so only
+        the other side is re-packed.
         """
         self._compatible(other)
         a, b = self.codec, other.codec
         if a is None or b is None or (a.lo, a.H) == (b.lo, b.H):
             return a or b, self.data, other.data
-        codec = _Packing(tuple(map(min, a.lo, b.lo)), self.H)
-        return (codec, codec.pack(a.unpack(self.data)),
-                codec.pack(b.unpack(other.data)))
+        lo = tuple(map(min, a.lo, b.lo))
+        codec = a if lo == a.lo else b if lo == b.lo else _Packing(lo, self.H)
+        return (codec,
+                self.data if codec is a else codec.pack(a.unpack(self.data)),
+                other.data if codec is b else codec.pack(b.unpack(other.data)))
 
     def _with(self, codec, data: dict) -> "FormalSeries":
         return FormalSeries(self.frame, self.H, self.offset, (codec, data))
@@ -106,7 +113,7 @@ class FormalSeries:
         if self.codec is None:
             return self._with(None, {})
         return self._with(self.codec, _product(self.codec, self.data,
-                                               [(step, sign)]))
+                                               [(step, sign)], {}))
 
     def coefficient_at(self, weight: Weight):
         """Coefficient of e^{weight}.
@@ -326,15 +333,21 @@ def _geometric_packed(data: dict, step: int, limit: int) -> dict:
     return out
 
 
-def _product(codec: _Packing, data: dict, factors) -> dict:
-    """Packed data times the factors of a chain (`multiply`), in order."""
+def _product(codec: _Packing, data: dict, factors, steps: dict) -> dict:
+    """Packed data times the factors of a chain (`multiply`), in order.
+
+    steps is the window's dict of packed steps: a step is packed the
+    first time a chain of the window reads it.
+    """
     limit = codec.limit
     for step, sign in factors:
-        step = codec.step(step)
+        p = steps.get(step)
+        if p is None:
+            p = steps[step] = codec.step(step)
         if sign is None:
-            data = _geometric_packed(data, step, limit)
+            data = _geometric_packed(data, p, limit)
         else:
-            data = _binomial_packed(data, step, sign, limit)
+            data = _binomial_packed(data, p, sign, limit)
     return data
 
 
@@ -346,34 +359,46 @@ def multiply(H, chains) -> tuple:
     (1 + sign * e^{-step}), and (step, None) divides by (1 + e^{-step}),
     i.e. multiplies by sum_k (-1)^k e^{-k * step}; every step is the
     simple coordinates of a positive root.  All chains share one packed
-    window, whose lo is the minimum of their keys within H.  A chain with
-    no key in it is skipped, since its keys only climb; the others run
-    the packed kernels and their sum is accumulated.  The first product
-    is the accumulator itself, so lhs is never copied.  Returns the
-    window `FormalSeries` takes: (codec, packed sum), or (None, {}) when
-    no key lies within H.
+    window, whose lo is the minimum of their keys within H, and the
+    window is packed once: the nonzero keys within H of every chain in
+    one `_Packing.keys` call, split back by chain, and each distinct step
+    once, into one dict that every chain reads.  A chain with no key
+    left is skipped, since its keys only climb; the others run the
+    packed kernels and their sum is accumulated.  The first product is
+    the accumulator itself, so lhs is never copied.  Returns the window
+    `FormalSeries` takes: (codec, packed sum), or (None, {}) when no key
+    lies within H.
     """
     codec = _Packing.around([k for data, _ in chains for k in data], H)
     if codec is None:
         return None, {}
-    acc = {}
-    for data, factors in chains:
-        data = codec.pack(data)
-        if data:
-            data = _product(codec, data, factors)
+    kept = [[k for k, v in data.items() if v and sum(k) <= H]
+            for data, _ in chains]
+    packed = codec.keys([k for keys in kept for k in keys])
+    acc, steps, i = {}, {}, 0
+    for keys, (data, factors) in zip(kept, chains):
+        if keys:
+            j = i + len(keys)
+            data = _product(codec, dict(zip(packed[i:j],
+                                            map(data.__getitem__, keys))),
+                            factors, steps)
             acc = _accumulate(acc, data.items()) if acc else data
+            i = j
     return codec, acc
 
 
 def normalize(merged: dict, frame: SimpleSystem) -> dict:
-    """The merged raw sum with every denominator positive in the frame.
+    """The merged raw sum on positive denominators, keyed by their steps.
 
     merged maps raw keys (exponent, sorted denominators), doubled tuples,
     to coefficients.  A denominator gamma negative in the frame
     (`SimpleSystem._root_steps`) is added to the exponent and negated,
-    since 1/(1 + e^{-gamma}) = e^{gamma}/(1 + e^{gamma}); the key is then
-    re-sorted, equal keys merge and zero totals drop.  A denominator that
-    is no root raises StructuralError.  No span is needed.
+    since 1/(1 + e^{-gamma}) = e^{gamma}/(1 + e^{gamma}).  The normal form
+    maps (exponent, sorted steps) to coefficients, a step being the simple
+    coordinates of a positive denominator, which fix it; equal keys merge
+    and zero totals drop.  Each distinct denominator tuple is looked up
+    in the frame's table once (`_positive`).  A denominator that is no
+    root raises StructuralError.  No span is needed.
 
     Two sums denote the same function if their normal forms coincide, but
     not only if: in gl(2|1), with beta odd and positive,
@@ -386,10 +411,10 @@ def normalize(merged: dict, frame: SimpleSystem) -> dict:
         move = moves.get(denoms)
         if move is None:
             move = moves[denoms] = _positive(denoms, roots, frame)
-        shift, denoms = move
+        shift, steps = move
         if shift is not None:
             exponent = tuple(map(add, exponent, shift))
-        key = (exponent, denoms)
+        key = (exponent, steps)
         total = out.get(key, 0) + c     # `_accumulate`, inlined per key
         if total:
             out[key] = total
@@ -399,22 +424,18 @@ def normalize(merged: dict, frame: SimpleSystem) -> dict:
 
 
 def _positive(denoms: tuple, roots: dict, frame: SimpleSystem) -> tuple:
-    """(sum of the negative denominators or None, the denominators
-    negated where negative and sorted) for one sorted denominator tuple."""
+    """(sum of the negative denominators or None, the sorted steps of the
+    denominators made positive) for one denominator tuple."""
     try:
-        negative = [roots[g][1] for g in denoms]
+        looked = [roots[g] for g in denoms]
     except KeyError as exc:
         raise StructuralError("denominator %s is not a root here"
                               % Weight(exc.args[0], frame.m)) from None
-    if True not in negative:
-        return None, denoms
-    shift, positive = None, []
-    for g, flip in zip(denoms, negative):
-        if flip:
+    shift = None
+    for g, (_, negative) in zip(denoms, looked):
+        if negative:
             shift = g if shift is None else tuple(map(add, shift, g))
-            g = tuple(map(neg, g))
-        positive.append(g)
-    return shift, tuple(sorted(positive))
+    return shift, tuple(sorted([step for step, _ in looked]))
 
 
 def expand_raw(merged: dict, frame: SimpleSystem, H,
@@ -424,24 +445,22 @@ def expand_raw(merged: dict, frame: SimpleSystem, H,
     merged is a merged raw sum (see `normalize`); no weight or term is
     built.  Its normal form is expanded: offset - exponent must lie in the
     span with an integer height, and a key past height H is then culled,
-    which is exact: expanding adds positive steps.  Each step is read from
-    the frame's table (`SimpleSystem._root_steps`); a base key off the
+    which is exact: expanding adds positive steps.  A base key off the
     lattice keeps a Fraction, which packing refuses.  Expansion is linear
-    and every step positive, so the chains are grouped on their sorted
-    steps, summing their bases, into one `multiply` (C(5) at H=10 keeps
-    194 keys with 10 distinct factor lists).
+    and every step positive, so the chains are grouped on the normal
+    form's sorted steps, summing their bases, into one `multiply` (C(5)
+    at H=10 keeps 194 keys with 10 distinct factor lists).
     """
     offset = frame.rho if offset is None else offset
-    off, roots, chains = offset.doubled, frame._root_steps, {}
-    for (exponent, denoms), c in normalize(merged, frame).items():
+    off, chains = offset.doubled, {}
+    for (exponent, steps), c in normalize(merged, frame).items():
         mu = tuple(map(sub, off, exponent))
         ht = frame._raw_height(mu)
         if type(ht) is not int:
             raise StructuralError("%s is not integral" % Weight(mu, frame.m))
         if ht > H:
             continue
-        data = chains.setdefault(
-            tuple(sorted([roots[g][0] for g in denoms])), {})
+        data = chains.setdefault(steps, {})
         base = frame._raw_cone_key(mu)
         data[base] = data.get(base, 0) + c
     return FormalSeries(frame, H, offset, multiply(H, [

@@ -8,7 +8,7 @@ from superdenom.groups import (SignedPermutation, _gather, is_dominant, orbit,
                                weyl_group)
 from superdenom.identity import _alternating_sum
 from superdenom.roots import WEYL_TYPES
-from superdenom.series import expand_raw
+from superdenom.series import _accumulate, _Packing, _product, expand_raw
 from superdenom.simple import even_frame
 from superdenom.weights import Weight
 
@@ -57,6 +57,24 @@ def qn_w_sum(rs, S, H: int):
     zero = Weight.zero(rs.m, rs.n)
     return expand_raw(_alternating_sum(weyl_group(rs), zero, S),
                       even_frame(rs), H, offset=zero)
+
+
+def multiply_chain_by_chain(H, chains) -> tuple:
+    """`series.multiply` with each chain packed and multiplied on its own.
+
+    One window for all chains, as there, but every chain's data goes
+    through `_Packing.pack` by itself and its factors through `_product`
+    with a step dict of its own; the products are summed.
+    """
+    codec = _Packing.around([k for data, _ in chains for k in data], H)
+    if codec is None:
+        return None, {}
+    acc = {}
+    for data, factors in chains:
+        packed = codec.pack(data)
+        if packed:
+            _accumulate(acc, _product(codec, packed, factors, {}).items())
+    return codec, acc
 
 
 def dominant_representative(lam, group, simples):

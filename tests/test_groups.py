@@ -36,6 +36,23 @@ def test_reflection_action():
     assert s.apply(e1 + d1.scale(3)) == e2 + d1.scale(3)
 
 
+def test_apply_and_reflection_refuse_what_they_cannot_act_on():
+    e1, e2, e3 = (Weight.eps_unit(i, 3, 0) for i in (1, 2, 3))
+    s = reflection(e1 - e2)
+    # a weight of another length, of the same length split otherwise, or
+    # split alike with a longer delta block
+    for w in (Weight.eps_unit(1, 2, 0), Weight.eps_unit(1, 2, 1),
+              Weight.eps_unit(1, 3, 1)):
+        with pytest.raises(StructuralError,
+                           match="weight/permutation dimension mismatch"):
+            s.apply(w)
+    # e1 + e2 + e3 is no isotropic root, but reflecting in it sends e1 to
+    # e1 - 2/3 (e1 + e2 + e3), which is no signed unit
+    with pytest.raises(StructuralError,
+                       match="not a signed unit of its block"):
+        reflection(e1 + e2 + e3)
+
+
 def test_compose_and_inverse():
     e1 = Weight.eps_unit(1, 3, 0)
     e2 = Weight.eps_unit(2, 3, 0)

@@ -610,6 +610,26 @@ def test_passing_runs_stay_packed(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("stype,variant", [
+    (SuperType("B", 2, 1), "step2"), (SuperType("D", 3, 1), "step2"),
+    (SuperType("D", 4, 2), "second_class")])
+def test_skew_repacks_only_the_side_outside_the_joint_window(
+        monkeypatch, stype, variant):
+    # here one generator's acted sum expands below X's window, whose lo is
+    # then the joint one: the acted data is kept and X alone is re-packed
+    calls = []
+    original = series._Packing.unpack
+
+    def counting(codec, data):
+        calls.append(len(data))
+        return original(codec, data)
+
+    monkeypatch.setattr(series._Packing, "unpack", counting)
+    report = verify(standard_pair(build(stype), variant), H=5)
+    assert report.equal
+    assert calls == [report.rhs_terms]
+
+
 @pytest.mark.parametrize("stype,variant,expanded", [
     (SuperType("GL", 3, 3), "step2", 0), (SuperType("C", n=3), "step2", 0),
     (SuperType("B", 2, 2), "step2", 1), (SuperType("D", 3, 2), "step2", 1),

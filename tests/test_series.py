@@ -5,8 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superdenom.errors import DomainError, StructuralError
-from superdenom.groups import reflection, sharp_group, weyl_group
+from superdenom.groups import reflection, sharp_ball, sharp_group, weyl_group
 from superdenom.identity import (_acted, _alternating_sum, closed_form_sum,
+                                 phi_data, rhs_closed, rhs_expanded,
                                  qn_standard_set, qn_system)
 from superdenom.roots import SuperType, build
 from superdenom.series import (FormalSeries, _accumulate, _Packing,
@@ -14,7 +15,7 @@ from superdenom.series import (FormalSeries, _accumulate, _Packing,
 from superdenom.simple import even_frame, standard_pair, standard_pairs
 from superdenom.weights import Weight
 
-from oracles import dump_lines
+from oracles import dump_lines, multiply_chain_by_chain
 
 
 def _gl21():
@@ -25,6 +26,11 @@ def _gl21():
 def _raw(exponent, *denoms) -> tuple:
     """The raw key of e^exponent / prod(1 + e^{-d}): doubled tuples."""
     return exponent.doubled, tuple(sorted(d.doubled for d in denoms))
+
+
+def _normal(exponent, *steps) -> tuple:
+    """A key of the normal form: the doubled exponent, the sorted steps."""
+    return exponent.doubled, tuple(sorted(steps))
 
 
 def _add(a, b):
@@ -40,17 +46,23 @@ def _tuples(window) -> dict:
 
 
 def test_geometric_term_normalization():
+    # the normal form keys each term on its exponent and the sorted simple
+    # coordinates of its denominators made positive: beta = e1 - d1 is
+    # (0, 1) and gamma = d1 - e2 is (1, 0) in gl(2|1)'s step2 frame
     rs, frame = _gl21()
     beta = rs.eps(1) - rs.delta(1)
     zero = Weight.zero(2, 1)
     # 1/(1 + e^{beta}) = e^{-beta}/(1 + e^{-beta})
-    assert normalize({_raw(zero, -beta): 1}, frame) == {_raw(-beta, beta): 1}
-    # a positive denominator is left as it is; a mixed key is re-sorted
-    assert normalize({_raw(zero, beta): 1}, frame) == {_raw(zero, beta): 1}
+    assert normalize({_raw(zero, -beta): 1}, frame) \
+        == {_normal(-beta, (0, 1)): 1}
+    # a positive denominator only trades for its steps; a mixed key's
+    # steps are sorted
+    assert normalize({_raw(zero, beta): 1}, frame) \
+        == {_normal(zero, (0, 1)): 1}
     gamma = rs.delta(1) - rs.eps(2)
     assert frame.is_positive_root(gamma)
     assert normalize({_raw(zero, beta, -gamma): 2}, frame) \
-        == {_raw(-gamma, beta, gamma): 2}
+        == {_normal(-gamma, (1, 0), (0, 1)): 2}
     with pytest.raises(StructuralError, match="not a root"):
         normalize({_raw(zero, beta.scale(2)): 1}, frame)
 
@@ -69,7 +81,8 @@ def test_canonical_terms_merge_and_cancel():
     beta = rs.eps(1) - rs.delta(1)
     a, b = _raw(rs.eps(1), beta), _raw(rs.eps(1) + beta, -beta)
     assert normalize({a: 1, b: -1}, frame) == {}
-    assert normalize({a: 1, b: Q(1, 2)}, frame) == {a: Q(3, 2)}
+    assert normalize({a: 1, b: Q(1, 2)}, frame) \
+        == {_normal(rs.eps(1), (0, 1)): Q(3, 2)}
 
 
 def test_canonical_terms_decide_equality_if_not_only_if():
@@ -129,6 +142,11 @@ def test_eq_report_and_add_across_windows():
     a = _keyed(frame, 4, {(1, 0): 1, (0, 1): 2, (1, 1): 3})
     b = _keyed(frame, 4, {(-1, 2): 1, (2, -1): 1, (1, 1): 3})
     assert a.codec.lo == (0, 0) and b.codec.lo == (-1, -1)
+    # b's window is the joint one, so b's data is kept as it is
+    codec, mine, theirs = a._joint(b)
+    assert codec is b.codec and theirs is b.data
+    assert mine == codec.pack(a.codec.unpack(a.data))
+    assert b._joint(a) == (codec, b.data, mine)
     witness = {"exponent": "-2*e1 - e2 + 3*d1", "mu": ["-1", "2"],
                "height": "1", "left": "0", "right": "1"}
     assert a.eq_report(b) == witness
@@ -331,6 +349,80 @@ def test_multiply_is_the_sum_of_each_chain_alone(chains, H):
         assert alone == _one_chain(data, factors, H)
         _accumulate(want, alone.items())
     assert _tuples(multiply(H, chains)) == want
+
+
+@st.composite
+def _chains_sharing_steps(draw):
+    """Chains whose binomial and geometric factors draw on a few steps.
+
+    Coefficients may be zero and keys may lie past H.
+    """
+    pool = draw(st.lists(_STEPS, min_size=1, max_size=3))
+    factor = st.tuples(st.sampled_from(pool), st.sampled_from((1, -1, None)))
+    return draw(st.lists(st.tuples(
+        st.dictionaries(_KEYS, st.integers(-2, 2), max_size=4),
+        st.lists(factor, max_size=4)), max_size=5))
+
+
+def _window(pair) -> tuple:
+    codec, data = pair
+    return None if codec is None else (codec.lo, codec.H), data
+
+
+# a zero coefficient and a key past H beside kept keys; a chain wholly
+# past H between two live ones; one step repeated within and across chains
+@example(chains=[({(0, 0, 0): 0, (1, 1, 0): 2, (4, 4, 3): 1},
+                  [((1, 0, 0), None), ((1, 0, 0), 1)])], H=3)
+@example(chains=[({(0, 0, 0): 1}, [((0, 1, 0), -1)]),
+                 ({(4, 4, 0): 1}, [((1, 0, 0), 1)]),
+                 ({(-1, 0, 0): 2}, [((0, 1, 0), None), ((0, 1, 0), None)])],
+         H=2)
+@settings(max_examples=100, deadline=None)
+@given(chains=_chains_sharing_steps(), H=st.integers(-1, 9))
+def test_multiply_packs_the_window_once_as_each_chain_alone(chains, H):
+    # packing every chain's keys in one call and reading each step from
+    # one dict gives, packed key for packed key, what packing and
+    # multiplying each chain on its own gives
+    assert _window(multiply(H, chains)) \
+        == _window(multiply_chain_by_chain(H, chains))
+
+
+def test_multiply_and_rhs_expanded_pack_keys_and_steps_once(monkeypatch):
+    keys, steps = [], []
+    pack_keys, pack_step = _Packing.keys, _Packing.step
+
+    def counting_keys(codec, batch):
+        keys.append(len(batch))
+        return pack_keys(codec, batch)
+
+    def counting_step(codec, step):
+        steps.append(step)
+        return pack_step(codec, step)
+
+    monkeypatch.setattr(_Packing, "keys", counting_keys)
+    monkeypatch.setattr(_Packing, "step", counting_step)
+    chains = [({(0, 0, 0): 1, (1, 0, 0): 2, (0, 0, 1): 0},
+               [((1, 0, 0), None), ((0, 1, 0), 1)]),
+              ({(0, 1, 0): 1}, [((1, 0, 0), -1), ((0, 1, 0), None)]),
+              ({(9, 0, 0): 1}, [((0, 0, 1), 1)])]
+    codec, data = multiply(4, chains)
+    # the zero and the chain past H are dropped before the one call; the
+    # skipped chain's step is never read
+    assert keys == [3] and sorted(steps) == [(0, 1, 0), (1, 0, 0)]
+    assert data == multiply_chain_by_chain(4, chains)[1]
+    # a non-integral key of a later chain still raises from the one call
+    with pytest.raises(StructuralError, match="not integral"):
+        multiply(2, [({(0, 0): 1}, []), ({(Q(1, 2), Q(1, 2)): 1}, [])])
+    pair = standard_pair(build(SuperType("B", 2, 2)), "step2")
+    keys.clear(), steps.clear()
+    expanded = rhs_expanded(pair, 6)
+    assert len(keys) == 1 and len(steps) == len(set(steps))
+    monkeypatch.undo()
+    kept = [phi_data(w, pair) for w in sharp_ball(pair, 6)]
+    kept = [(base, s) for base, s in kept if sum(base) <= 6]
+    assert keys[0] == len(kept)
+    assert set(steps) == {step for _, s in kept for step in s}
+    assert expanded.eq_report(rhs_closed(pair, 6)) is None
 
 
 @st.composite
