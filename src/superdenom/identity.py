@@ -3,14 +3,15 @@
 The identity equates R e^rho, the Weyl denominator of the fixed root
 datum times e^rho, with the alternating W#-sum X of the geometric terms
 e^rho / prod_{beta in S}(1 + e^{-beta}) attached to an admissible pair.
-`verify` merges that sum once on raw doubled tuples and expands it with
+`verify` merges that sum once on raw doubled tuples, over the W#
+elements within H (`groups.sharp_ball`), and expands it with
 `series.expand_raw`; X is W#-alternating by construction, so skewness is
-checked under W_2 alone (W = W# x W_2).  The sum runs over the W#
-elements within H (`groups.sharp_ball`), or over all of W# where skew
-reads every term.  Everything here is exact: truncated series carry int
-coefficients, and cone questions go through the frame's one solve
-(`SimpleSystem._raw_cone_key`, over `weights.Elimination`), which decides
-on integer numerators.  Closed-form statements compare normal forms of
+checked under W_2 alone (W = W# x W_2), at every height at once, on the
+W#-straightened Laurent polynomial X D1 (`straighten`), so `verify`
+enumerates neither W nor W#.  Everything here is exact: truncated series
+carry int coefficients, and cone questions go through the frame's one
+solve (`SimpleSystem._raw_cone_key`, over `weights.Elimination`), which
+decides on integer numerators.  Closed-form statements compare normal forms of
 merged raw sums (`series.normalize`): equal forms prove equality, but
 unequal ones prove nothing, since distinct sums can denote the same
 function.
@@ -26,7 +27,7 @@ from itertools import permutations, product
 from operator import attrgetter, mul, sub
 
 from .errors import DomainError, ResourceLimitError, StructuralError
-from .groups import (DEFAULT_CAP, SignedPermutation, _compiled, _gather,
+from .groups import (DEFAULT_CAP, SignedPermutation, _gather,
                      _perm_parity, check_stabilizer_dichotomy,
                      enumerate_group, is_dominant, orbit,
                      orbit_intersects_shifted_cone, reflection, sharp_ball,
@@ -38,6 +39,7 @@ from .series import (FormalSeries, _accumulate, _ht, _Packing, expand_raw,
                      multiply, normalize, positive_step)
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
                      isotropic_parts, second_type_move, standard_pair)
+from .straighten import Numerator
 from .weights import Q, Weight, coordinate_order, form4
 
 
@@ -139,7 +141,7 @@ def rhs_closed(pair: AdmissiblePair, H: int,
     """X as the alternating W#-sum of geometric terms, expanded to H.
 
     merged is `closed_form_sum` over `sharp_ball(pair, H)`, built here
-    unless the caller has it: `verify` builds it once for this and skew.
+    unless the caller has it: `verify` shares the ball with rhs_expanded.
     """
     if merged is None:
         merged = closed_form_sum(pair, sharp_ball(pair, H))
@@ -241,19 +243,18 @@ class VerificationReport(Record):
 def verify(pair: AdmissiblePair, H: int = 8) -> VerificationReport:
     """Compare both sides to height H; cross-check the expansion and skewness.
 
-    Inequality is reported, never raised; the first discrepancy names the
-    exponent and both coefficients.
+    Both sides of X sum over `sharp_ball(pair, H)`, and skewness is
+    decided by straightening (`skew_invariance_check`), so neither W nor
+    W# is enumerated.  Inequality is reported, never raised; the first
+    discrepancy names the exponent and both coefficients.
     """
     timings, checks, note = {}, {}, ""
     t = time.perf_counter()
     left = lhs(pair, H)
     timings["lhs"] = _us(t)
     t = time.perf_counter()
-    # both sides of X sum over one list; skew's raw-key test reads all of W#
-    elements = sharp_group(pair.rs) if _w2_generators(pair.rs) \
-        else sharp_ball(pair, H)
-    merged = closed_form_sum(pair, elements)
-    right = rhs_closed(pair, H, merged)
+    elements = sharp_ball(pair, H)
+    right = rhs_closed(pair, H, closed_form_sum(pair, elements))
     timings["rhs_closed"] = _us(t)
     t = time.perf_counter()
     first = left.eq_report(right)
@@ -267,7 +268,7 @@ def verify(pair: AdmissiblePair, H: int = 8) -> VerificationReport:
         first = diff
     timings["rhs_expanded"] = _us(t)
     t = time.perf_counter()
-    ok, witness = skew_invariance_check(pair, H, series=right, merged=merged)
+    ok, witness = skew_invariance_check(pair, H, series=right)
     if ok is None:
         note = ("W2 is trivial, so skew-invariance had nothing to "
                 "check: X is W#-alternating by construction")
@@ -284,60 +285,48 @@ def verify(pair: AdmissiblePair, H: int = 8) -> VerificationReport:
 
 
 def skew_invariance_check(pair: AdmissiblePair, H: int,
-                          series: FormalSeries | None = None,
-                          merged: dict | None = None) -> tuple:
+                          series: FormalSeries | None = None) -> tuple:
     """w X = sgn(w) X for every simple reflection of W_2: (ok, witness).
 
-    W = W# x W_2, and only W_2's generators are checked, since under W#
-    the statement is a tautology.  For g in W#, reindexing by u = gw gives
-    g(X) = sum_w sgn(w) gw(Y) = sgn(g) sum_u sgn(u) u(Y) = sgn(g) X: u runs
-    over W# once because W# is a group, and sgn(u) = sgn(g) sgn(w).  That
-    premise is guarded: `sharp_group` must have its closed-form order, or
-    StructuralError.  Where W_2 is trivial (C, gl(m|1), D(1,n), an empty
-    delta block) there is nothing to check, ok is None, and W# is not
-    touched.
-
-    The W#-sum is merged once (series and merged are X and
-    `closed_form_sum(pair)` when the caller has them); W itself is never
-    enumerated.  Each generator g maps the raw keys once (`_acted`).  g
-    acts injectively on keys and merged holds no zero, so the acted sum
-    equals sgn(g) merged exactly when every acted key carries sgn(g)
-    times its coefficient in merged; then g(X) = sgn(g) X and nothing is
-    expanded.  Otherwise that acted sum is expanded and compared on the
-    window, which is also where a failure and its witness come from.
+    W = W# x W_2 and X is W#-alternating, so only W_2's generators are
+    checked; where W_2 is trivial (C, gl(m|1), D(1,n)) ok is None.  Each
+    is decided at every height at once, with no expansion, on the
+    straightened X D1 (`straighten.Numerator`, whose docstring has the
+    proof).  Only a failing generator g is expanded, for the witness:
+    g(X) = sum_w sgn(w) w(g Y) over the ball of g rho, against sgn(g) X
+    (series, when the caller has it) on the window.  If no failing
+    generator differs there, the mismatch lies above H, and the witness
+    is the first one's least differing straightened key.
     """
     gens = _w2_generators(pair.rs)
     if not gens:
         return None, None
-    if merged is None:
-        merged = closed_form_sum(pair)
-    X = series
-    signed = {1: merged, -1: {k: -c for k, c in merged.items()}}
+    num = Numerator(pair)
+    signed = {1: num.terms, -1: {k: -c for k, c in num.terms.items()}}
+    frame, above = pair.system, None
     for root, g in gens:
         sign = g.sgn()
-        acted = _acted(merged, g)
+        acted = num.acted(g)
         if acted == signed[sign]:
             continue
-        if X is None:
-            X = rhs_closed(pair, H, merged)
-        diff = expand_raw(acted, pair.system, H).eq_report(X.scale(sign))
+        if series is None:
+            series = rhs_closed(pair, H)
+        start = g.apply(frame.rho)
+        moved = _alternating_sum(sharp_ball(pair, H, start), start,
+                                 [g.apply(b) for b in pair.S])
+        diff = expand_raw(moved, frame, H).eq_report(series.scale(sign))
         if diff is not None:
             return False, dict(diff, generator=str(root))
-    return True, None
+        if above is None:
+            above = dict(num.first_difference(acted, signed[sign]),
+                         generator=str(root))
+    return above is None, above
 
 
 def _w2_generators(rs: RootSystem) -> list:
     """W's simple roots outside Delta#, with their reflections: W_2's."""
     return [(root, g) for root, g in weyl_generators(rs)
             if root not in rs.sharp]
-
-
-def _acted(merged: dict, g: SignedPermutation) -> dict:
-    """g applied to each raw key of a merged sum; g is injective on keys,
-    so nothing merges."""
-    move = _compiled(g)
-    return {(move(exponent), tuple(sorted(map(move, denoms)))): c
-            for (exponent, denoms), c in merged.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -842,10 +831,11 @@ def y_shifts_by(pair: AdmissiblePair, g: SignedPermutation,
                 shift: Weight) -> bool:
     """g(Y) = e^{shift} Y as normal forms of one-key sums."""
     frame = pair.system
-    denoms = tuple(sorted([b.doubled for b in pair.S]))
-    y = {(frame.rho.doubled, denoms): 1}
-    target = {((frame.rho + shift).doubled, denoms): 1}
-    return normalize(_acted(y, g), frame) == normalize(target, frame)
+    denoms = [b.doubled for b in pair.S]
+    moved = {(g.apply(frame.rho).doubled,
+              tuple(sorted([_gather(g.src, d) for d in denoms]))): 1}
+    target = {((frame.rho + shift).doubled, tuple(sorted(denoms))): 1}
+    return normalize(moved, frame) == normalize(target, frame)
 
 
 def partner_map(pair: AdmissiblePair) -> dict:

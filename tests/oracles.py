@@ -4,9 +4,9 @@ Each one is small, independent of the package's fast paths, and read by
 more than one test module, so it lives here rather than in the package.
 """
 
-from superdenom.groups import (SignedPermutation, _gather, is_dominant, orbit,
-                               weyl_group)
-from superdenom.identity import _alternating_sum
+from superdenom.groups import (SignedPermutation, _compiled, _gather,
+                               is_dominant, orbit, sharp_group, weyl_group)
+from superdenom.identity import _alternating_sum, _w2_generators, rhs_closed
 from superdenom.roots import WEYL_TYPES
 from superdenom.series import _accumulate, _Packing, _product, expand_raw
 from superdenom.simple import even_frame
@@ -93,3 +93,76 @@ def dump_lines(series) -> list:
     return ["%s [%s] e^(%s)" % (v, ",".join(str(c) for c in k),
                                 series.offset - series.frame.weight(k))
             for k, v in series.items_sorted()]
+
+
+def acted_sum(merged: dict, g: SignedPermutation) -> dict:
+    """g applied to each raw key of a merged sum; g is injective on keys,
+    so nothing merges."""
+    move = _compiled(g)
+    return {(move(exponent), tuple(sorted(map(move, denoms)))): c
+            for (exponent, denoms), c in merged.items()}
+
+
+def window_skew_check(pair, H: int) -> tuple:
+    """W_2-skewness of X on the window: (ok, witness), ok None if W_2 is 1.
+
+    The W#-sum is merged over all of W# and, for each generator g of
+    W_2, mapped key by key; where that is not the sum times sgn(g), the
+    acted sum is expanded and compared with sgn(g) X up to height H.  It
+    sees no mismatch above H.
+    """
+    gens = _w2_generators(pair.rs)
+    if not gens:
+        return None, None
+    merged = _alternating_sum(sharp_group(pair.rs), pair.system.rho, pair.S)
+    X = rhs_closed(pair, H, merged)
+    for root, g in gens:
+        sign = g.sgn()
+        moved = acted_sum(merged, g)
+        if moved == {k: sign * c for k, c in merged.items()}:
+            continue
+        diff = expand_raw(moved, pair.system, H).eq_report(X.scale(sign))
+        if diff is not None:
+            return False, dict(diff, generator=str(root))
+    return True, None
+
+
+def simple_roots_of_type(kind: str, rank: int) -> list:
+    """The simple roots of type kind on rank coordinates, as int tuples:
+    e_i - e_{i+1}, then e_r (B), 2 e_r (C) or e_{r-1} + e_r (D)."""
+    def unit(*pairs):
+        out = [0] * rank
+        for i, c in pairs:
+            out[i] += c
+        return tuple(out)
+    roots = [unit((i, 1), (i + 1, -1)) for i in range(rank - 1)]
+    if kind == "B":
+        roots.append(unit((rank - 1, 1)))
+    elif kind == "C":
+        roots.append(unit((rank - 1, 2)))
+    elif kind == "D" and rank > 1:
+        roots.append(unit((rank - 2, 1), (rank - 1, 1)))
+    return roots
+
+
+def reflect_to_dominant(mu: tuple, kind: str):
+    """(mu's dominant form, sign) by simple reflections, or None if singular.
+
+    Reflects in a simple root alpha while <mu, alpha^vee> < 0, one sign
+    flip each; mu is singular if some (mu, alpha) = 0 at the end.
+    """
+    roots = simple_roots_of_type(kind, len(mu))
+    mu, sign = list(mu), 1
+    while True:
+        for alpha in roots:
+            pairing = sum(x * a for x, a in zip(mu, alpha))
+            if pairing < 0:
+                norm = sum(a * a for a in alpha)
+                mu = [x - 2 * pairing * a // norm for x, a in zip(mu, alpha)]
+                sign = -sign
+                break
+        else:
+            break
+    if any(sum(x * a for x, a in zip(mu, alpha)) == 0 for alpha in roots):
+        return None
+    return tuple(mu), sign

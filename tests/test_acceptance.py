@@ -10,7 +10,7 @@ import time
 from superdenom import groups, identity
 from superdenom.diagrams import equivalence_classes
 from superdenom.groups import reflection
-from superdenom.identity import (_acted, classical_dichotomy_check,
+from superdenom.identity import (classical_dichotomy_check,
                                  classical_dominant_check,
                                  classical_regular_cone_check,
                                  closed_form_sum, coefficient_box,
@@ -39,7 +39,7 @@ from superdenom.simple import (enumerate_admissible_pairs,
                                second_type_moves, standard_pair,
                                standard_pairs)
 
-from oracles import external_delta_flips
+from oracles import acted_sum, external_delta_flips
 
 # The fixture battery: every family, both sharp choices where the choice
 # exists, and both D(2,1) equivalence classes.
@@ -308,7 +308,7 @@ def test_criterion_7_skew_invariance_and_relations():
             assert y_shifts_by(pair, w, -beta0), (m, n)
             assert dropped_denominator_sum_vanishes(pair, beta0, zero), (m, n)
             s_d = reflection(rs.delta(n).scale(2))
-            acted = expand_raw(_acted(closed_form_sum(pair), s_d),
+            acted = expand_raw(acted_sum(closed_form_sum(pair), s_d),
                                pair.system, 8)
             assert acted.eq_report(rhs_closed(pair, 8).scale(-1)) is None, \
                 (m, n)
@@ -322,7 +322,7 @@ def test_criterion_7_skew_invariance_and_relations():
             flips = external_delta_flips(rs)
             assert flips, (m, n)
             for sigma in flips:
-                assert expand_raw(_acted(merged, sigma), pair.system,
+                assert expand_raw(acted_sum(merged, sigma), pair.system,
                                   8).eq_report(X) is None, (m, n, sigma)
         # D with a sum root in the tail: the paired flip on the last two
         # eps and delta coordinates fixes Y

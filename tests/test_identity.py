@@ -7,7 +7,7 @@ import pytest
 from superdenom import groups, identity, series, simple
 from superdenom.errors import DomainError, StructuralError
 from superdenom.groups import orbit, reflection, sharp_group, weyl_group
-from superdenom.identity import (_acted, _alternating_sum, _keys_up_to,
+from superdenom.identity import (_alternating_sum, _keys_up_to,
                                  closed_form_sum,
                                  cross_multiplied_check,
                                  dropped_denominator_sum_vanishes,
@@ -26,9 +26,11 @@ from superdenom.identity import (_acted, _alternating_sum, _keys_up_to,
 from superdenom.roots import SuperType, build, simple_roots
 from superdenom.simple import (AdmissiblePair, even_frame, second_type_moves,
                                standard_pair, standard_pairs)
+from superdenom.straighten import Numerator
 from superdenom.weights import Weight, coordinate_order
 
-from oracles import dominant_representative, external_delta_flips
+from oracles import (acted_sum, dominant_representative,
+                     external_delta_flips, window_skew_check)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -220,7 +222,7 @@ def test_d_eps_flip_shifts_y():
         pair, next(iter(pair.S)), rs.eps(1) - rs.eps(1))
     # (1 + s_{delta_n}) X = 0
     s_d = reflection(rs.delta(1).scale(2))
-    acted = series.expand_raw(_acted(closed_form_sum(pair), s_d),
+    acted = series.expand_raw(acted_sum(closed_form_sum(pair), s_d),
                               pair.system, 5)
     assert acted.eq_report(rhs_closed(pair, 5).scale(-1)) is None
 
@@ -243,14 +245,14 @@ def test_closed_form_checks_can_fail():
     rs, frame = pair.rs, pair.system
     s = reflection(rs.eps(1) - rs.eps(2))
     assert not y_fixed_by(pair, s)
-    assert series.expand_raw(_minus(_acted(_y(pair), s), _y(pair)), frame,
+    assert series.expand_raw(_minus(acted_sum(_y(pair), s), _y(pair)), frame,
                              6).nonzero_count() == 13
     w = reflection(rs.eps(1)).compose(
         reflection(rs.eps(2))).compose(reflection(rs.delta(1).scale(2)))
     beta0 = rs.delta(1) - rs.eps(2)
     assert y_shifts_by(pair, w, -beta0) and not y_shifts_by(pair, w, beta0)
     for shift, keys in ((-beta0, 0), (beta0, 2)):
-        diff = _minus(_acted(_y(pair), w), _y(pair, shift))
+        diff = _minus(acted_sum(_y(pair), w), _y(pair, shift))
         assert series.expand_raw(diff, frame, 6).nonzero_count() == keys
     # gl(2|2), shift 0: the sum with either denominator dropped survives
     pair = _pair("GL", 2, 2)
@@ -280,7 +282,7 @@ def test_d_delta_sigma_fixes_x():
     pair = _pair("D", 1, 2)
     rs = pair.rs
     for sigma in external_delta_flips(rs):
-        acted = series.expand_raw(_acted(closed_form_sum(pair), sigma),
+        acted = series.expand_raw(acted_sum(closed_form_sum(pair), sigma),
                                   pair.system, 5)
         assert acted.eq_report(rhs_closed(pair, 5)) is None
 
@@ -408,8 +410,9 @@ def test_verify_catches_a_dropped_element_of_s():
 
 
 def test_verify_catches_a_flipped_term(monkeypatch):
-    # the identity's term has base key 0, so no height culls it, whether
-    # verify sums over all of W# (gl(2|2)) or over the ball (C, gl(3|1))
+    # the identity's term has base key 0, so no height culls it from the
+    # ball's sum; skew straightens f, read off the pair, and never reads
+    # the merged sum, so the flip fails the two checks that do read it
     original = identity.closed_form_sum
 
     def flipped(p, elements=None):
@@ -420,10 +423,8 @@ def test_verify_catches_a_flipped_term(monkeypatch):
 
     monkeypatch.setattr(identity, "closed_form_sum", flipped)
     for fam, m, n in (("GL", 2, 2), ("C", 1, 3), ("GL", 3, 1)):
-        pair = _pair(fam, m, n)
-        skew = set() if _w2_trivial(pair.rs) else {"skew_invariance"}
-        assert _failed_checks(verify(pair, H=5)) == {
-            "lhs_equals_rhs_closed", "expansion_matches_closed_form"} | skew
+        assert _failed_checks(verify(_pair(fam, m, n), H=5)) == {
+            "lhs_equals_rhs_closed", "expansion_matches_closed_form"}
 
 
 def test_verify_catches_a_shifted_rho():
@@ -453,31 +454,27 @@ def test_verify_catches_a_shifted_rho():
 
 @pytest.mark.parametrize("stype", [
     SuperType("B", 2, 2), SuperType("D", 2, 1), SuperType("C", n=3),
-    SuperType("GL", 3, 1)])
-def test_verify_enumerates_only_w_sharp(monkeypatch, stype):
-    # W never; W# once per system where skew reads the whole W#-sum, that
-    # is where W_2 is nontrivial, and otherwise never (the ball walk)
+    SuperType("GL", 3, 1), SuperType("GL", 2, 2)])
+def test_verify_never_enumerates_w_or_w_sharp(monkeypatch, stype):
+    # both sides of X sum over the ball and skew straightens, so verify
+    # enumerates neither W nor W#, on every family, passing or failing
+    # (rho shifted by a root of W_2's block, where W_2 is nontrivial)
+    def refused(*args, **kwargs):
+        raise AssertionError("verify enumerated a group")
+
+    for module in (groups, identity):
+        for name in ("enumerate_group", "sharp_group", "weyl_group"):
+            monkeypatch.setattr(module, name, refused)
     rs = build(stype)
-    enumerated = []
-    original = groups.enumerate_group
-
-    def recording(*args, **kwargs):
-        enumerated.append(original(*args, **kwargs))
-        return enumerated[-1]
-
-    monkeypatch.setattr(groups, "enumerate_group", recording)
-    monkeypatch.setattr(identity, "enumerate_group", recording)
-    groups.sharp_group.cache_clear()
-    groups.weyl_group.cache_clear()
     variants = standard_pairs(rs)
     assert len(variants) == {"D_EPS": 3}.get(rs.family, 1)
     for _, pair in variants:
         assert verify(pair, H=4).equal
-    if _w2_trivial(rs):
-        assert enumerated == []
-        return
-    assert enumerated == [groups.sharp_group(rs)]
-    assert len(groups.weyl_group(rs)) > len(enumerated[0])
+    if not _w2_trivial(rs):
+        pair = standard_pair(rs, "step2")
+        beta = min(rs.positive_even - rs.sharp, key=coordinate_order)
+        pair.system.rho = pair.system.rho + beta
+        assert _failed_checks(verify(pair, H=4)) >= {"skew_invariance"}
 
 
 def _reports(pairs, qn_ranks, H):
@@ -613,10 +610,10 @@ def test_passing_runs_stay_packed(monkeypatch):
 @pytest.mark.parametrize("stype,variant", [
     (SuperType("B", 2, 1), "step2"), (SuperType("D", 3, 1), "step2"),
     (SuperType("D", 4, 2), "second_class")])
-def test_skew_repacks_only_the_side_outside_the_joint_window(
+def test_passing_verify_unpacks_nothing_on_b_and_d(
         monkeypatch, stype, variant):
-    # here one generator's acted sum expands below X's window, whose lo is
-    # then the joint one: the acted data is kept and X alone is re-packed
+    # a passing skew expands nothing, and lhs, X and the phi/|w| expansion
+    # all start at key 0, so they share one window and nothing is unpacked
     calls = []
     original = series._Packing.unpack
 
@@ -625,97 +622,67 @@ def test_skew_repacks_only_the_side_outside_the_joint_window(
         return original(codec, data)
 
     monkeypatch.setattr(series._Packing, "unpack", counting)
-    report = verify(standard_pair(build(stype), variant), H=5)
-    assert report.equal
-    assert calls == [report.rhs_terms]
+    assert verify(standard_pair(build(stype), variant), H=5).equal
+    assert calls == []
 
 
-@pytest.mark.parametrize("stype,variant,expanded", [
-    (SuperType("GL", 3, 3), "step2", 0), (SuperType("C", n=3), "step2", 0),
-    (SuperType("B", 2, 2), "step2", 1), (SuperType("D", 3, 2), "step2", 1),
-    (SuperType("D", 3, 2), "second_class", 2)])
-def test_skew_expands_only_generators_that_move_the_terms(
-        monkeypatch, stype, variant, expanded):
-    # only W_2's generators are checked, each maps the raw keys exactly
-    # once, and only those that do not permute them up to sign expand
+@pytest.mark.parametrize("stype,variant", [
+    (SuperType("GL", 3, 3), "step2"), (SuperType("C", n=3), "step2"),
+    (SuperType("B", 2, 2), "step2"), (SuperType("D", 3, 2), "step2"),
+    (SuperType("D", 3, 2), "second_class")])
+def test_passing_skew_expands_nothing(monkeypatch, stype, variant):
+    # skew straightens f once and compares one dict per W_2 generator: a
+    # passing pair builds no X, walks no ball and expands nothing, and the
+    # window oracle, which expands the acted sum of all of W#, agrees
     pair = standard_pair(build(stype), variant)
-    rs = pair.rs
-    acted, moved, inside = [], [], []
-    act, expand = identity._acted, identity.expand_raw
-    skew = identity.skew_invariance_check
 
-    def counting_act(merged, g):
-        acted.append(g)
-        return act(merged, g)
+    def refused(*args, **kwargs):
+        raise AssertionError("a passing skew check expanded")
 
-    def counting_expand(merged, frame, H, offset=None):
-        if inside:
-            moved.append(acted[-1])
-        return expand(merged, frame, H, offset)
-
-    def marked_skew(*args, **kwargs):
-        inside.append(True)
-        try:
-            return skew(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(identity, "_acted", counting_act)
-    monkeypatch.setattr(identity, "expand_raw", counting_expand)
-    monkeypatch.setattr(identity, "skew_invariance_check", marked_skew)
-    assert verify(pair, H=5).equal
-    w2 = [g for root, g in groups.weyl_generators(rs) if root not in rs.sharp]
-    assert acted == w2
-    assert len(moved) == expanded and all(g in w2 for g in moved)
-    # every generator not expanded, W#'s included, holds on the window too
-    merged, X = closed_form_sum(pair), rhs_closed(pair, 5)
-    for _, g in groups.weyl_generators(rs):
-        if g not in moved:
-            acted_X = expand(act(merged, g), pair.system, 5)
-            assert acted_X.eq_report(X.scale(g.sgn())) is None
+    for name in ("expand_raw", "rhs_closed", "sharp_ball",
+                 "_alternating_sum"):
+        monkeypatch.setattr(identity, name, refused)
+    got = identity.skew_invariance_check(pair, 5)
+    assert got == ((None, None) if _w2_trivial(pair.rs) else (True, None))
+    monkeypatch.undo()
+    assert window_skew_check(pair, 5) == got
 
 
 @pytest.mark.parametrize("stype", [SuperType("B", 2, 2), SuperType("C", n=3)])
-def test_skew_refuses_a_w_sharp_of_the_wrong_order(monkeypatch, stype):
-    # skewness under W# is dropped because W# is a group; a W# one element
-    # short must stop sharp_group, and with it the skew check (B); where
-    # W_2 is trivial (C), verify never calls sharp_group at all
+def test_skew_and_verify_hold_with_w_sharp_unenumerable(monkeypatch, stype):
+    # sharp_group still refuses a W# one element short; skew and verify
+    # no longer read W#, so they pass with it refused (the kernel's type
+    # rules are tied to W# in tests/test_straighten.py)
     rs = build(stype)
     pair = standard_pair(rs, "step2")
-    assert identity.skew_invariance_check(pair, 4)[0] is not False
     original = groups.enumerate_group
     monkeypatch.setattr(groups, "enumerate_group",
                         lambda *args: original(*args)[:-1])
     groups.sharp_group.cache_clear()
-    with pytest.raises(StructuralError, match="elements, not"):
-        groups.sharp_group(rs)
-    if _w2_trivial(rs):
-        assert identity.skew_invariance_check(pair, 4) == (None, None)
-
-        def refused(rs):
-            raise AssertionError("verify enumerated W#")
-
-        monkeypatch.setattr(identity, "sharp_group", refused)
+    try:
+        with pytest.raises(StructuralError, match="elements, not"):
+            groups.sharp_group(rs)
+        assert identity.skew_invariance_check(pair, 4) == (
+            (None, None) if _w2_trivial(rs) else (True, None))
         assert verify(pair, H=4).equal
-        return
-    with pytest.raises(StructuralError, match="elements, not"):
-        identity.skew_invariance_check(pair, 4)
-    with pytest.raises(StructuralError, match="elements, not"):
-        verify(pair, H=4)
+    finally:
+        groups.sharp_group.cache_clear()
 
 
 @pytest.mark.parametrize("stype", [
     SuperType("GL", 3, 3), SuperType("C", n=3), SuperType("B", 2, 2)])
 def test_raw_key_skew_test_rejects_a_broken_sum(stype):
-    # negating one coefficient or deleting one key must make some W
-    # generator that settles the true sum fail the raw-key test
+    # the window oracle (`oracles.window_skew_check`) settles a generator
+    # when it maps the raw keys onto sgn(g) times the sum: negating one
+    # coefficient or deleting one key must make some W generator that
+    # settles the true sum fail that test
     pair = standard_pair(build(stype), "step2")
     merged = identity.closed_form_sum(pair)
     gens = [g for _, g in groups.weyl_generators(pair.rs)]
 
     def settles(g, merged):
-        return _acted(merged, g) == {k: g.sgn() * c
-                                     for k, c in merged.items()}
+        return acted_sum(merged, g) == {k: g.sgn() * c
+                                        for k, c in merged.items()}
 
     settled = [g for g in gens if settles(g, merged)]
     assert settled
@@ -727,12 +694,33 @@ def test_raw_key_skew_test_rejects_a_broken_sum(stype):
             assert not all(settles(g, broken) for g in settled)
 
 
+@pytest.mark.parametrize("stype", [
+    SuperType("GL", 3, 3), SuperType("D", 3, 2), SuperType("B", 2, 2)])
+def test_straightened_skew_rejects_a_broken_numerator(stype):
+    # negating one coefficient of St(f) or deleting one key must make some
+    # W_2 generator fail the straightened comparison
+    num = Numerator(standard_pair(build(stype), "step2"))
+    terms = dict(num.terms)
+    gens = [g for _, g in identity._w2_generators(build(stype))]
+
+    def settles(g):
+        sign = g.sgn()
+        return num.acted(g) == {k: sign * c for k, c in num.terms.items()}
+
+    assert gens and all(settles(g) for g in gens)
+    for key, coeff in terms.items():
+        for broken in (dict(terms) | {key: -coeff},
+                       {k: c for k, c in terms.items() if k != key}):
+            num.terms = broken
+            assert not all(settles(g) for g in gens)
+
+
 @pytest.mark.parametrize("stype,variant", [
     (SuperType("GL", 3, 3), "step2"), (SuperType("C", n=3), "step2"),
     (SuperType("B", 2, 2), "step2"), (SuperType("D", 3, 2), "second_class")])
 def test_verify_builds_the_w_sharp_terms_once(monkeypatch, stype, variant):
-    # the merged terms feed both the expansion of X and the skew test,
-    # also where skew expands a generator (B and D here)
+    # the merged terms over the ball feed the expansion of X, and skew,
+    # which straightens f instead, builds none
     pair = standard_pair(build(stype), variant)
     calls = []
     original = identity.closed_form_sum

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from superdenom.errors import DomainError, StructuralError
 from superdenom.groups import reflection, sharp_ball, sharp_group, weyl_group
-from superdenom.identity import (_acted, _alternating_sum, closed_form_sum,
+from superdenom.identity import (_alternating_sum, closed_form_sum,
                                  phi_data, rhs_closed, rhs_expanded,
                                  qn_standard_set, qn_system)
 from superdenom.roots import SuperType, build
@@ -15,7 +15,7 @@ from superdenom.series import (FormalSeries, _accumulate, _Packing,
 from superdenom.simple import even_frame, standard_pair, standard_pairs
 from superdenom.weights import Weight
 
-from oracles import dump_lines, multiply_chain_by_chain
+from oracles import acted_sum, dump_lines, multiply_chain_by_chain
 
 
 def _gl21():
@@ -71,7 +71,7 @@ def test_act_moves_exponent_and_denoms():
     rs, frame = _gl21()
     s = reflection(rs.eps(1) - rs.eps(2))
     beta = rs.eps(1) - rs.delta(1)
-    assert _acted({_raw(rs.eps(1), beta): 3}, s) \
+    assert acted_sum({_raw(rs.eps(1), beta): 3}, s) \
         == {_raw(rs.eps(2), rs.eps(2) - rs.delta(1)): 3}
 
 

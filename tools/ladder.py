@@ -3,7 +3,8 @@
     python3 tools/ladder.py LABEL [--repo DIR]
 
 Each rung is the standard-pair `superdenom verify --variant step2
---output json` on one tall system, or a `superdenom qn` run, run three
+--output json` on one tall system (and D(4,2) at H=64, a height where
+skew is a large phase), or a `superdenom qn` run, run three
 times, each in its own process from DIR/src; the record keeps the median
 wall time, the three samples and the per-phase times of the median run
 (from the report's own `timings`, in microseconds).  The structure rungs
@@ -15,6 +16,14 @@ STARTUP_SAMPLES runs.  The Tier-1 suite is
 `python -m pytest -q` in DIR, timed the same way, with pytest's summary
 line kept.  DIR defaults to this repository; point it at a checkout of
 the parent commit for the "before" numbers.
+
+A shared host's speed drifts by up to 2x over hours, so raw seconds of
+two records do not compare.  perfbench/reference.py's fixed task (this
+repository's copy, run as it is) is timed in a child of its own before
+the first rung and after each one.  Every rung, the startup rung and
+Tier-1 included, keeps its raw seconds, the probe time r (the mean of
+the probes just before and after it) and its seconds scaled by
+REFERENCE_S / r, as perfbench/run.py scales its jobs.
 
 The children write their bytecode to .bench_build/pycache at the root of
 this repository (also when PYTHONDONTWRITEBYTECODE is set outside), and
@@ -41,6 +50,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "perfbench" / "reference.py"
+# perfbench/run.py's REFERENCE_S: the probe's seconds on an unloaded host
+REFERENCE_S = 0.130
 SAMPLES = 3
 STARTUP_SAMPLES = 11
 
@@ -49,6 +61,7 @@ LADDER = (
     ("gl(5|5)", ("--family", "GL", "--m", "5", "--n", "5"), 12),
     ("D(5,3)", ("--family", "D", "--m", "5", "--n", "3"), 10),
     ("C(6)", ("--family", "C", "--n", "6"), 10),
+    ("D(4,2)", ("--family", "D", "--m", "4", "--n", "2"), 64),
     ("B(4,3)", ("--family", "B", "--m", "4", "--n", "3"), 10),    # cheapest
 )
 
@@ -132,6 +145,32 @@ def time_tier1(repo: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
+def time_reference() -> float:
+    """Seconds of reference.py's fixed task, in a child of its own."""
+    proc = subprocess.run([sys.executable, "-S", str(REFERENCE)],
+                          capture_output=True, text=True, check=True)
+    return float(proc.stdout.split()[-1])
+
+
+class Probe:
+    """The host-speed probe around each rung: `scale` times the task once
+    more and scales the rung by the mean of that and the last timing."""
+
+    def __init__(self):
+        self.last = time_reference()
+
+    def scale(self, record: dict) -> dict:
+        after = time_reference()
+        r = (self.last + after) / 2
+        self.last = after
+        record["reference_s"] = round(r, 4)
+        record["scaled_s"] = round(record["wall_s"] * REFERENCE_S / r, 3)
+        if "samples_s" in record:
+            record["scaled_samples_s"] = [round(s * REFERENCE_S / r, 3)
+                                          for s in record["samples_s"]]
+        return record
+
+
 def _commit(repo: Path) -> str:
     """HEAD of repo, marked '+dirty' when the tracked files differ from it."""
     def git(*args):
@@ -153,22 +192,26 @@ def main(argv=None) -> int:
     repo = args.repo.resolve()
     # warm-up: fills the bytecode cache
     time_rung(repo, _verify_args(*LADDER[-1][1:]))
+    probe = Probe()
     rungs = {}
     verify = [("%s H=%d" % (name, height), _verify_args(family, height))
               for name, family, height in LADDER]
     for key, command in verify + list(QN):
-        rungs[key] = _median_of(lambda: time_rung(repo, command))
+        rungs[key] = probe.scale(_median_of(lambda: time_rung(repo, command)))
         print(key, rungs[key]["samples_s"], "s", flush=True)
     structure = {}
     for key, command in STRUCTURE:
-        structure[key] = _median_of(lambda: _run(repo, command)[0])
+        structure[key] = probe.scale(
+            _median_of(lambda: _run(repo, command)[0]))
         print(key, structure[key]["samples_s"], "s", flush=True)
-    startup = _median_of(lambda: _run(repo, STARTUP)[0], STARTUP_SAMPLES)
+    startup = probe.scale(
+        _median_of(lambda: _run(repo, STARTUP)[0], STARTUP_SAMPLES))
     print("startup", startup["samples_s"], "s", flush=True)
-    tier1 = _median_of(lambda: time_tier1(repo))
+    tier1 = probe.scale(_median_of(lambda: time_tier1(repo)))
     print("tier-1", tier1["wall_s"], "s:", tier1["summary"], flush=True)
     record = {"label": args.label, "commit": _commit(repo),
               "python": platform.python_version(), "nproc": os.cpu_count(),
+              "reference_s_unloaded": REFERENCE_S,
               "rungs": rungs, "structure": structure, "startup": startup,
               "tier1": tier1}
     doc = json.loads(out.read_text()) if out.exists() else {"runs": []}
