@@ -50,17 +50,15 @@ def straighten(raw: tuple, kind: str, coords) -> tuple | None:
     vals = xs if kind == "A" else [abs(x) for x in xs]
     order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
     out = [vals[i] for i in order]
-    if any(a == b for a, b in zip(out, out[1:])):
+    if any(a == b for a, b in zip(out, out[1:])) or (
+            kind in "BC" and out and not out[-1]):
         return None
     sign = _perm_parity(order)
-    odd = kind != "A" and sum(x < 0 for x in xs) % 2
-    if kind == "D":
-        if odd and out[-1]:
+    if kind != "A" and sum(x < 0 for x in xs) % 2:
+        if kind == "D":
             out[-1] = -out[-1]
-    elif kind != "A":
-        if out and not out[-1]:
-            return None
-        sign = -sign if odd else sign
+        else:
+            sign = -sign
     moved = list(raw)
     for c, x in zip(coords, out):
         moved[c] = x
@@ -92,7 +90,7 @@ class Numerator:
     polynomial: StructuralError.
     """
 
-    __slots__ = ("m", "n", "b", "B", "terms")
+    __slots__ = ("m", "n", "b", "B", "powers", "terms")
 
     def __init__(self, pair):
         frame = pair.system
@@ -114,6 +112,7 @@ class Numerator:
         self.b = b = max(map(abs, start), default=0) + 1 + sum(
             max(map(abs, t), default=0) for t in factors)
         self.B = B = 2 * b + 1
+        self.powers = [B ** i for i in range(len(start))]
         rows = [[] for _ in range(m + 1)]
         for t in factors:
             row = next((i for i in range(m) if t[i]), m)
@@ -126,8 +125,8 @@ class Numerator:
         self.terms = h
 
     def _pack(self, t) -> int:
-        b, B = self.b, self.B
-        return sum((x + b) * B ** i for i, x in enumerate(t))
+        b = self.b
+        return sum([(x + b) * p for x, p in zip(t, self.powers)])
 
     def _digits(self, key: int, count: int) -> list:
         out, b, B = [], self.b, self.B
@@ -158,10 +157,12 @@ class Numerator:
         return out
 
     def acted(self, g) -> dict:
-        """{g(k): c} for a signed permutation g of the coordinates."""
-        size = self.m + self.n
-        return {self._pack(_gather(g.src, self._digits(k, size))): c
-                for k, c in self.terms.items()}
+        """{g(k): c} for a g of W_2, which moves the delta digits only."""
+        m, n = self.m, self.n
+        top = self.powers[m]
+        src = [a - m if a > 0 else a + m for a in g.src[m:]]
+        return {self._pack(_gather(src, self._digits(k // top, n))) * top
+                + k % top: c for k, c in self.terms.items()}
 
     def first_difference(self, left: dict, right: dict) -> dict:
         """The least differing key, in coordinate order, of two packed
