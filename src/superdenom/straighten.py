@@ -116,9 +116,10 @@ class Numerator:
         rows = [[] for _ in range(m + 1)]
         for t in factors:
             row = next((i for i in range(m) if t[i]), m)
-            rows[row].append(sum(x * B ** i for i, x in enumerate(t)))
+            rows[row].append(sum([x * p for x, p in zip(t, self.powers)]))
         h = {self._pack(start): 1}
         for i, row in enumerate(rows):
+            # types A and D have no reflection on a single coordinate
             if i > 1 or (i and kind in "BC"):
                 h = self._stage(h, i, kind)
             h = _times(h, row)
