@@ -60,13 +60,13 @@ def test_straightening_undoes_w_sharp_on_a_regular_weight(stype):
     # sign sgn(w): the type rules are exactly the group that X sums over
     rs = build(stype)
     kind = WEYL_TYPES[rs.family][0]
-    lam = standard_pair(rs, "step2").system.rho0.doubled
-    eps = range(rs.m)
+    rho0 = standard_pair(rs, "step2").system.rho0
     images = set()
     for w in sharp_group(rs):
-        image = w.apply(standard_pair(rs, "step2").system.rho0).doubled
+        image = w.apply(rho0).doubled
         images.add(image)
-        assert straighten.straighten(image, kind, eps) == (lam, w.sgn())
+        assert straighten.straighten(image, kind, range(rs.m)) == (
+            rho0.doubled, w.sgn())
     assert len(images) == len(sharp_group(rs))
 
 
