@@ -455,7 +455,8 @@ def test_verify_catches_a_shifted_rho():
 @pytest.mark.parametrize("stype", [
     SuperType("B", 2, 2), SuperType("D", 2, 1), SuperType("C", n=3),
     SuperType("GL", 3, 1), SuperType("GL", 2, 2)])
-def test_verify_never_enumerates_w_or_w_sharp(monkeypatch, stype):
+def test_verify_enumerates_only_w_sharp(monkeypatch, stype):
+    # W never, and of W# only the ball, which is walked, not enumerated:
     # both sides of X sum over the ball and skew straightens, so verify
     # enumerates neither W nor W#, on every family, passing or failing
     # (rho shifted by a root of W_2's block, where W_2 is nontrivial)
@@ -610,20 +611,35 @@ def test_passing_runs_stay_packed(monkeypatch):
 @pytest.mark.parametrize("stype,variant", [
     (SuperType("B", 2, 1), "step2"), (SuperType("D", 3, 1), "step2"),
     (SuperType("D", 4, 2), "second_class")])
-def test_passing_verify_unpacks_nothing_on_b_and_d(
+def test_skew_repacks_only_the_side_outside_the_joint_window(
         monkeypatch, stype, variant):
-    # a passing skew expands nothing, and lhs, X and the phi/|w| expansion
-    # all start at key 0, so they share one window and nothing is unpacked
+    # a passing verify unpacks nothing: a passing skew expands nothing, and
+    # lhs, X and the phi/|w| expansion all start at key 0, so they share
+    # one window.  With rho lowered by W_2's least root, skew fails and
+    # expands the generator's acted sum for the witness; that sum starts
+    # below X's window, whose lo is then the joint one: the acted data is
+    # kept, X alone is re-packed, and then only the differing keys of the
+    # least height are unpacked
     calls = []
     original = series._Packing.unpack
 
     def counting(codec, data):
-        calls.append(len(data))
+        calls.append((codec.lo, len(data)))
         return original(codec, data)
 
     monkeypatch.setattr(series._Packing, "unpack", counting)
-    assert verify(standard_pair(build(stype), variant), H=5).equal
+    rs = build(stype)
+    pair = standard_pair(rs, variant)
+    assert verify(pair, H=5).equal
     assert calls == []
+    beta = min(rs.positive_even - rs.sharp, key=coordinate_order)
+    pair.system.rho = pair.system.rho - beta
+    X = rhs_closed(pair, 5)
+    calls.clear()
+    assert identity.skew_invariance_check(pair, 5, series=X)[0] is False
+    (lo, terms), (joint, _) = calls
+    assert (lo, terms) == (X.codec.lo, X.nonzero_count())
+    assert joint != lo and all(a <= b for a, b in zip(joint, lo))
 
 
 @pytest.mark.parametrize("stype,variant", [
