@@ -234,36 +234,34 @@ def sharp_group(rs: RootSystem) -> tuple:
     return out
 
 
-def sharp_ball(pair: AdmissiblePair, H: int,
-               start: Weight | None = None) -> tuple:
-    """The w in W# with ht(rho - w start) <= H, signs carried.
+def sharp_ball(pair: AdmissiblePair, H: int) -> tuple:
+    """The w in W# with ht(rho - w rho) <= H, signs carried.
 
-    start defaults to rho.  Heights are in the pair's frame, where W#'s
-    simple roots alpha must be positive (StructuralError).  v, made by
-    reflecting in them while <mu, alpha^vee> < 0, takes start to its
-    W#-dominant mu+ (v = 1 for start = rho on admissible pairs, by
-    rho-descent), and w start = x mu+ for x = w v^-1.  If s_alpha x is
-    longer than x, then x^-1 alpha > 0, so ht(rho - s_alpha x mu+) =
-    ht(rho - x mu+) + <mu+, (x^-1 alpha)^vee> ht(alpha) is no less: the
-    height never falls along a reduced word, and a walk from v,
-    left-multiplying by simple reflections and pruned past H, reaches the
-    whole ball (also where v itself lies past H, and the ball is empty).
-    A term `series.expand_raw` keeps has base height ht(rho - w start -
-    phi) >= ht(rho - w start), phi a sum of negative roots: the ball
-    holds it.
+    Heights are in the pair's frame, where W#'s simple roots alpha must be
+    positive (StructuralError).  v, made by reflecting in them while
+    <mu, alpha^vee> < 0, takes rho to its W#-dominant mu+ (v = 1 on
+    admissible pairs, by rho-descent), and w rho = x mu+ for x = w v^-1.
+    If s_alpha x is longer than x, then x^-1 alpha > 0, so
+    ht(rho - s_alpha x mu+) = ht(rho - x mu+) + <mu+, (x^-1 alpha)^vee>
+    ht(alpha) is no less: the height never falls along a reduced word,
+    and a walk from v, left-multiplying by simple reflections and pruned
+    past H, reaches the whole ball (also where v itself lies past H, and
+    the ball is empty).  A term `series.expand_raw` keeps has base height
+    ht(rho - w rho - phi) >= ht(rho - w rho), phi a sum of negative
+    roots: the ball holds it.
     """
     rs, frame = pair.rs, pair.system
     gens = simple_reflections(rs.sharp & rs.positive_even)
     if any(not frame.is_positive_root(a) for a, _ in gens):
         raise StructuralError("a simple root of W# is negative in this frame")
-    mu = frame.rho if start is None else start
-    s, v, sign = mu.doubled, SignedPermutation.identity(rs.m, rs.n).src, 1
+    mu = frame.rho
+    v, sign = SignedPermutation.identity(rs.m, rs.n).src, 1
     while bent := [g for a, g in gens if form4(mu, a) * form4(a, a) < 0]:
         mu, v, sign = bent[0].apply(mu), _gather(bent[0].src, v), -sign
     r = frame.rho.doubled
     return _closure(v, sign, [g for _, g in gens], rs.m, DEFAULT_CAP,
                     lambda w: frame._raw_height(
-                        tuple(map(sub, r, _gather(w, s)))) <= H)
+                        tuple(map(sub, r, _gather(w, r)))) <= H)
 
 
 def orbit(lam: Weight, group: Sequence[SignedPermutation]) -> list:

@@ -7,14 +7,15 @@ e^rho / prod_{beta in S}(1 + e^{-beta}) attached to an admissible pair.
 elements within H (`groups.sharp_ball`), and expands it with
 `series.expand_raw`; X is W#-alternating by construction, so skewness is
 checked under W_2 alone (W = W# x W_2), at every height at once, on the
-W#-straightened Laurent polynomial X D1 (`straighten`), so `verify`
-enumerates neither W nor W#.  Everything here is exact: truncated series
-carry int coefficients, and cone questions go through the frame's one
-solve (`SimpleSystem._raw_cone_key`, over `weights.Elimination`), which
-decides on integer numerators.  Closed-form statements compare normal forms of
-merged raw sums (`series.normalize`): equal forms prove equality, but
-unequal ones prove nothing, since distinct sums can denote the same
-function.
+W#-straightened Laurent polynomial X D1 (`straighten`), and a failing
+generator's witness is a straightened key: skew expands nothing, and
+`verify` enumerates neither W nor W#.  Everything here is exact:
+truncated series carry int coefficients, and cone questions go through
+the frame's one solve (`SimpleSystem._raw_cone_key`, over
+`weights.Elimination`), which decides on integer numerators.
+Closed-form statements compare normal forms of merged raw sums
+(`series.normalize`): equal forms prove equality, but unequal ones
+prove nothing, since distinct sums can denote the same function.
 Nothing is sampled and nothing is floated.
 """
 
@@ -152,22 +153,17 @@ def rhs_expanded(pair: AdmissiblePair, H: int,
                  elements: Sequence | None = None) -> FormalSeries:
     """X via the phi/|w| expansion; must agree with rhs_closed exactly.
 
-    The sum runs over elements of W# (default: `sharp_ball(pair, H)`).  An
-    element w with ht(rho - w rho) > H is skipped before `phi_data`.  That
-    is exact: w's base key rho - (w rho + phi) lies higher still, phi
-    being a sum of negative roots, and its keys only climb from there.
-    The span of rho - w rho is still checked.  The window is packed
-    once, above the minimum of the base keys within H: every base key in
-    one `_Packing.keys` call, and each distinct step once into a dict
-    that every element's walk reads.
+    The sum runs over elements of W# (default: `sharp_ball(pair, H)`, which
+    holds every w whose base key can lie within H).  An element whose
+    base key lies past H is dropped.  The window is packed once, above
+    the minimum of the base keys within H: every base key in one
+    `_Packing.keys` call, and each distinct step once into a dict that
+    every element's walk reads.
     """
     frame = pair.system
     rho = frame.rho
-    r = rho.doubled
     chains = []
     for w in sharp_ball(pair, H) if elements is None else elements:
-        if frame._raw_height(tuple(map(sub, r, _gather(w.src, r)))) > H:
-            continue
         base, steps = phi_data(w, pair)
         if _ht(base) <= H:
             chains.append((base, steps, w.sgn()))
@@ -268,7 +264,7 @@ def verify(pair: AdmissiblePair, H: int = 8) -> VerificationReport:
         first = diff
     timings["rhs_expanded"] = _us(t)
     t = time.perf_counter()
-    ok, witness = skew_invariance_check(pair, H, series=right)
+    ok, witness = skew_invariance_check(pair, H)
     if ok is None:
         note = ("W2 is trivial, so skew-invariance had nothing to "
                 "check: X is W#-alternating by construction")
@@ -284,43 +280,28 @@ def verify(pair: AdmissiblePair, H: int = 8) -> VerificationReport:
         timings=timings, checks=checks, note=note)
 
 
-def skew_invariance_check(pair: AdmissiblePair, H: int,
-                          series: FormalSeries | None = None) -> tuple:
+def skew_invariance_check(pair: AdmissiblePair, H: int) -> tuple:
     """w X = sgn(w) X for every simple reflection of W_2: (ok, witness).
 
     W = W# x W_2 and X is W#-alternating, so only W_2's generators are
     checked; where W_2 is trivial (C, gl(m|1), D(1,n)) ok is None.  Each
     is decided at every height at once, with no expansion, on the
     straightened X D1 (`straighten.Numerator`, whose docstring has the
-    proof).  Only a failing generator g is expanded, for the witness:
-    g(X) = sum_w sgn(w) w(g Y) over the ball of g rho, against sgn(g) X
-    (series, when the caller has it) on the window.  If no failing
-    generator differs there, the mismatch lies above H, and the witness
-    is the first one's least differing straightened key.
+    proof), so H is not read.  The witness of the first failing generator
+    is its least differing straightened key.
     """
     gens = _w2_generators(pair.rs)
     if not gens:
         return None, None
     num = Numerator(pair)
-    signed = {1: num.terms, -1: {k: -c for k, c in num.terms.items()}}
-    frame, above = pair.system, None
     for root, g in gens:
         sign = g.sgn()
         acted = num.acted(g)
-        if acted == signed[sign]:
-            continue
-        if series is None:
-            series = rhs_closed(pair, H)
-        start = g.apply(frame.rho)
-        moved = _alternating_sum(sharp_ball(pair, H, start), start,
-                                 [g.apply(b) for b in pair.S])
-        diff = expand_raw(moved, frame, H).eq_report(series.scale(sign))
-        if diff is not None:
-            return False, dict(diff, generator=str(root))
-        if above is None:
-            above = dict(num.first_difference(acted, signed[sign]),
-                         generator=str(root))
-    return above is None, above
+        want = {k: sign * c for k, c in num.terms.items()}
+        if acted != want:
+            return False, dict(num.first_difference(acted, want),
+                               generator=str(root))
+    return True, None
 
 
 def _w2_generators(rs: RootSystem) -> list:

@@ -36,8 +36,8 @@ and returns that window's codec with the packed sum, which is what a
 `FormalSeries` holds.  Tuple keys appear only at the edges: the starting
 keys a builder packs, a queried coefficient, the witness of a failed
 comparison and printed output.  Two series in the same window compare
-their dicts directly; for series from different windows, the side not
-already in the joint one is re-packed into it first.
+their dicts directly; series from different windows are both re-packed
+into the joint one first.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ class FormalSeries:
     codec is the window's `_Packing` and data maps packed keys to nonzero
     coefficients, as `multiply` returns them; a series with no key within
     H may have no window (codec None, data empty).  Series in the same
-    window (same lo and H) compare their dicts directly; in any other
-    pair, a side outside the joint window is re-packed into it first
-    (`_joint`).  Tuple keys appear only where a key is read or printed.
+    window (same lo and H) compare their dicts directly; any other pair
+    is re-packed into the joint window first (`_joint`).  Tuple keys
+    appear only where a key is read or printed.
     """
 
     __slots__ = ("frame", "H", "offset", "codec", "data")
@@ -78,20 +78,17 @@ class FormalSeries:
     def _joint(self, other: "FormalSeries") -> tuple:
         """(codec, mine, theirs): both data packed in one window.
 
-        The joint lo is the coordinatewise minimum of the two; a series
-        with no window, being empty, fits in the other's.  A side whose
-        window is already the joint one keeps its data as it is, so only
-        the other side is re-packed.
+        Series in the same window keep their data; a series with no
+        window, being empty, fits in the other's.  Otherwise both are
+        re-packed above the coordinatewise minimum of the two lo.
         """
         self._compatible(other)
         a, b = self.codec, other.codec
         if a is None or b is None or (a.lo, a.H) == (b.lo, b.H):
             return a or b, self.data, other.data
-        lo = tuple(map(min, a.lo, b.lo))
-        codec = a if lo == a.lo else b if lo == b.lo else _Packing(lo, self.H)
-        return (codec,
-                self.data if codec is a else codec.pack(a.unpack(self.data)),
-                other.data if codec is b else codec.pack(b.unpack(other.data)))
+        codec = _Packing(tuple(map(min, a.lo, b.lo)), self.H)
+        return (codec, codec.pack(a.unpack(self.data)),
+                codec.pack(b.unpack(other.data)))
 
     def _with(self, codec, data: dict) -> "FormalSeries":
         return FormalSeries(self.frame, self.H, self.offset, (codec, data))

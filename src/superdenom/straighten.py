@@ -10,9 +10,11 @@ monomial e^mu to sgn(v) e^{v mu}, v mu W#-dominant, or to 0 where a
 reflection of W# fixes mu.  Two alternants agree iff their
 straightenings agree, so g(X) = sgn(g) X iff {g(k): c} = {k: sgn(g) c}
 on St(f): one dict comparison per generator, with no expansion and no
-use of Weyl's denominator formula.  f's exponent is read off the pair,
-and the delta block is never straightened under W_2, which would assume
-the skewness being checked.
+use of Weyl's denominator formula.  A failing generator's witness is
+the least key, in coordinate order, where the two dicts differ
+(`Numerator.first_difference`).  f's exponent is read off the pair, and
+the delta block is never straightened under W_2, which would assume the
+skewness being checked.
 
 `straighten` is the rule of W#'s type (`roots.WEYL_TYPES`): A sorts
 descending, and a repeated entry is singular; B and C sort the absolute
@@ -30,8 +32,10 @@ signed sum of coset translates of A_K.  After the last row comes all of
 W#, then the pure-delta factors (B with W# of type B), which W# fixes.
 A monomial is one int, sum_i (x_i + b) B**i over the doubled
 coordinates, eps block lowest, B = 2b + 1, with b above every
-coordinate a factor can reach: a factor is one subtraction per key, and
-a stage looks the low digits up in a memo of (change of key, sign).
+coordinate a factor can reach, so every key stays below B**(m+n): a
+factor is `series._binomial_packed` with the packed beta negated, one
+subtraction per key, and a stage looks the low digits up in a memo of
+(change of key, sign).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 from .errors import StructuralError
 from .groups import _gather, _perm_parity
 from .roots import WEYL_TYPES
+from .series import _binomial_packed
 from .weights import Weight
 
 
@@ -63,22 +68,6 @@ def straighten(raw: tuple, kind: str, coords) -> tuple | None:
     for c, x in zip(coords, out):
         moved[c] = x
     return tuple(moved), sign
-
-
-def _times(h: dict, steps: list) -> dict:
-    """h times (1 + e^{-beta}) for each packed beta in steps."""
-    for p in steps:
-        out = dict(h)
-        get = out.get
-        for k, c in h.items():
-            k -= p
-            v = get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        h = out
-    return h
 
 
 class Numerator:
@@ -117,12 +106,13 @@ class Numerator:
         for t in factors:
             row = next((i for i in range(m) if t[i]), m)
             rows[row].append(sum([x * p for x, p in zip(t, self.powers)]))
-        h = {self._pack(start): 1}
+        h, top = {self._pack(start): 1}, B ** len(start)
         for i, row in enumerate(rows):
             # types A and D have no reflection on a single coordinate
             if i > 1 or (i and kind in "BC"):
                 h = self._stage(h, i, kind)
-            h = _times(h, row)
+            for p in row:
+                h = _binomial_packed(h, -p, 1, top)
         self.terms = h
 
     def _pack(self, t) -> int:

@@ -599,47 +599,30 @@ def test_passing_runs_stay_packed(monkeypatch):
         return original(codec, data)
 
     monkeypatch.setattr(series._Packing, "unpack", counting)
-    pair = _pair("GL", 3, 3)
-    assert verify(pair, H=8).equal
-    for side in (lhs(pair, 8), rhs_closed(pair, 8), rhs_expanded(pair, 8)):
-        assert side.codec.lo == (0,) * 5 and side.codec.H == 8
+    for stype, variant, H in [
+            (SuperType("GL", 3, 3), "step2", 8),
+            (SuperType("B", 2, 1), "step2", 5),
+            (SuperType("D", 3, 1), "step2", 5),
+            (SuperType("D", 4, 2), "second_class", 5)]:
+        pair = standard_pair(build(stype), variant)
+        assert verify(pair, H=H).equal
+        zero = (0,) * len(pair.system.simple_roots)
+        for side in (lhs(pair, H), rhs_closed(pair, H),
+                     rhs_expanded(pair, H)):
+            assert side.codec.lo == zero and side.codec.H == H
     report, a = identity.qn_identity(4)
     assert report.equal and a == 2
     assert calls == []
 
 
-@pytest.mark.parametrize("stype,variant", [
-    (SuperType("B", 2, 1), "step2"), (SuperType("D", 3, 1), "step2"),
-    (SuperType("D", 4, 2), "second_class")])
-def test_skew_repacks_only_the_side_outside_the_joint_window(
-        monkeypatch, stype, variant):
-    # a passing verify unpacks nothing: a passing skew expands nothing, and
-    # lhs, X and the phi/|w| expansion all start at key 0, so they share
-    # one window.  With rho lowered by W_2's least root, skew fails and
-    # expands the generator's acted sum for the witness; that sum starts
-    # below X's window, whose lo is then the joint one: the acted data is
-    # kept, X alone is re-packed, and then only the differing keys of the
-    # least height are unpacked
-    calls = []
-    original = series._Packing.unpack
+def _refuse_expansion(monkeypatch):
+    """Make every expansion skew could reach raise."""
+    def refused(*args, **kwargs):
+        raise AssertionError("the skew check expanded")
 
-    def counting(codec, data):
-        calls.append((codec.lo, len(data)))
-        return original(codec, data)
-
-    monkeypatch.setattr(series._Packing, "unpack", counting)
-    rs = build(stype)
-    pair = standard_pair(rs, variant)
-    assert verify(pair, H=5).equal
-    assert calls == []
-    beta = min(rs.positive_even - rs.sharp, key=coordinate_order)
-    pair.system.rho = pair.system.rho - beta
-    X = rhs_closed(pair, 5)
-    calls.clear()
-    assert identity.skew_invariance_check(pair, 5, series=X)[0] is False
-    (lo, terms), (joint, _) = calls
-    assert (lo, terms) == (X.codec.lo, X.nonzero_count())
-    assert joint != lo and all(a <= b for a, b in zip(joint, lo))
+    for name in ("expand_raw", "rhs_closed", "sharp_ball",
+                 "_alternating_sum"):
+        monkeypatch.setattr(identity, name, refused)
 
 
 @pytest.mark.parametrize("stype,variant", [
@@ -651,17 +634,26 @@ def test_passing_skew_expands_nothing(monkeypatch, stype, variant):
     # passing pair builds no X, walks no ball and expands nothing, and the
     # window oracle, which expands the acted sum of all of W#, agrees
     pair = standard_pair(build(stype), variant)
-
-    def refused(*args, **kwargs):
-        raise AssertionError("a passing skew check expanded")
-
-    for name in ("expand_raw", "rhs_closed", "sharp_ball",
-                 "_alternating_sum"):
-        monkeypatch.setattr(identity, name, refused)
+    _refuse_expansion(monkeypatch)
     got = identity.skew_invariance_check(pair, 5)
     assert got == ((None, None) if _w2_trivial(pair.rs) else (True, None))
     monkeypatch.undo()
     assert window_skew_check(pair, 5) == got
+
+
+@pytest.mark.parametrize("stype", [
+    SuperType("GL", 3, 3), SuperType("B", 2, 2), SuperType("D", 3, 2)])
+def test_failing_skew_expands_nothing(monkeypatch, stype):
+    # with rho shifted by delta_1 - delta_2 skew fails, and the witness is
+    # a straightened key of St(f): no X is built, no ball walked and no
+    # acted sum expanded, for the verdict or for the witness
+    pair = standard_pair(build(stype), "step2")
+    rs = pair.rs
+    pair.system.rho = pair.system.rho + (rs.delta(1) - rs.delta(2))
+    _refuse_expansion(monkeypatch)
+    ok, witness = identity.skew_invariance_check(pair, 5)
+    assert ok is False
+    assert set(witness) == {"straightened", "left", "right", "generator"}
 
 
 @pytest.mark.parametrize("stype", [SuperType("B", 2, 2), SuperType("C", n=3)])
@@ -773,8 +765,8 @@ _WITNESS_CASES = {
 
 
 def test_failure_witnesses_match_golden():
-    # a generator that fails skewness is always expanded, so the reported
-    # witness is the one the expansion of every generator gives
+    # the skew witness is the first failing generator's least differing
+    # straightened key; verify reports it where both sides of X agree
     got = {}
     for name, make in _WITNESS_CASES.items():
         report = verify(make(), H=6)

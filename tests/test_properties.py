@@ -251,9 +251,9 @@ def test_sharp_ball_is_the_height_filter_of_w_sharp(case, data):
 def test_straightened_skew_matches_the_window_oracle(case, data):
     # the window oracle merges the whole W#-sum and expands each acted sum
     # that the raw keys do not settle.  On an admissible pair both pass;
-    # with rho shifted by a root the verdicts and witnesses agree, except
-    # where the window holds no difference: straightening still fails
-    # there, with a straightened key from above H
+    # with rho shifted by a root, a mismatch the oracle sees on the window
+    # fails the check too, which also fails where the mismatch lies above
+    # H.  The check's witness is always a straightened key
     pair, H = case
     frame = pair.system
     roots = sorted(pair.rs.all_roots(), key=coordinate_order)
@@ -267,6 +267,7 @@ def test_straightened_skew_matches_the_window_oracle(case, data):
         frame.rho = rho
     if shift is None:
         assert got == want and got[0] is not False
-    elif got != want:
-        assert want == (True, None) and got[0] is False
+    elif want[0] is False:
+        assert got[0] is False
+    if got[0] is False:
         assert set(got[1]) == {"straightened", "left", "right", "generator"}

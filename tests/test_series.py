@@ -142,11 +142,13 @@ def test_eq_report_and_add_across_windows():
     a = _keyed(frame, 4, {(1, 0): 1, (0, 1): 2, (1, 1): 3})
     b = _keyed(frame, 4, {(-1, 2): 1, (2, -1): 1, (1, 1): 3})
     assert a.codec.lo == (0, 0) and b.codec.lo == (-1, -1)
-    # b's window is the joint one, so b's data is kept as it is
+    # the windows differ, so both sides are re-packed; b's lo is the joint
+    # one, so its re-packed data reads as it did
     codec, mine, theirs = a._joint(b)
-    assert codec is b.codec and theirs is b.data
+    assert (codec.lo, codec.H) == (b.codec.lo, 4)
     assert mine == codec.pack(a.codec.unpack(a.data))
-    assert b._joint(a) == (codec, b.data, mine)
+    assert theirs == b.data and theirs is not b.data
+    assert b._joint(a)[1:] == (theirs, mine)
     witness = {"exponent": "-2*e1 - e2 + 3*d1", "mu": ["-1", "2"],
                "height": "1", "left": "0", "right": "1"}
     assert a.eq_report(b) == witness

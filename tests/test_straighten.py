@@ -129,16 +129,16 @@ def test_staged_straightening_matches_the_unstaged_product():
 def test_row_staging_keeps_the_support_small(monkeypatch, stype, peak):
     # straightening before each row keeps the peak far below the 2^k
     # monomials of the whole product (2^20, 2^27 and 2^18 here)
+    # each factor is one call of the packed binomial kernel
     sizes = []
-    original = straighten._times
+    original = straighten._binomial_packed
 
-    def recording(h, steps):
-        for step in steps:
-            h = original(h, [step])
-            sizes.append(len(h))
-        return h
+    def recording(*args):
+        out = original(*args)
+        sizes.append(len(out))
+        return out
 
-    monkeypatch.setattr(straighten, "_times", recording)
+    monkeypatch.setattr(straighten, "_binomial_packed", recording)
     Numerator(standard_pair(build(stype), "step2"))
     assert max(sizes) == peak
 
@@ -160,8 +160,8 @@ def test_a_shift_by_a_delta_root_fails_skew_at_every_height(fam, m, n):
     SuperType("GL", 3, 3), SuperType("B", 2, 2), SuperType("B", 3, 2),
     SuperType("D", 3, 2)])
 def test_a_kernel_that_flips_one_sign_fails_skew(monkeypatch, stype):
-    # X itself is skew, so the window shows nothing and the witness is the
-    # least differing straightened key, reported above H
+    # X itself is skew, but the flipped St(f) is not: the check fails, and
+    # verify reports its witness, the least differing straightened key
     pair = standard_pair(build(stype), "step2")
     assert verify(pair, H=5).equal
     original = Numerator.__init__
@@ -204,8 +204,8 @@ def test_an_s_outside_the_odd_roots_is_refused():
 
 def test_a_negative_element_of_s_moves_into_the_exponent():
     # 1/(1 + e^{beta}) = e^{-beta}/(1 + e^{-beta}): negating beta in S is
-    # shifting rho by -beta; that sum is no longer skew, and the witness
-    # on the window is the window oracle's
+    # shifting rho by -beta; that sum is no longer skew, and the window
+    # oracle, which sees the mismatch on the window, fails too
     pair = standard_pair(build(SuperType("GL", 2, 2)), "step2")
     beta = pair.S[0]
     negated = AdmissiblePair((-beta,) + pair.S[1:], pair.system)
@@ -217,6 +217,7 @@ def test_a_negative_element_of_s_moves_into_the_exponent():
         assert got == Numerator(pair).terms
     finally:
         frame.rho = rho
-    got = skew_invariance_check(negated, 6)
-    assert got[0] is False
-    assert got == window_skew_check(negated, 6)
+    ok, witness = skew_invariance_check(negated, 6)
+    assert ok is False
+    assert set(witness) == {"straightened", "left", "right", "generator"}
+    assert window_skew_check(negated, 6)[0] is False

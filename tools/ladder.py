@@ -20,10 +20,11 @@ the parent commit for the "before" numbers.
 A shared host's speed drifts by up to 2x over hours, so raw seconds of
 two records do not compare.  perfbench/reference.py's fixed task (this
 repository's copy, run as it is) is timed in a child of its own before
-the first rung and after each one.  Every rung, the startup rung and
-Tier-1 included, keeps its raw seconds, the probe time r (the mean of
-the probes just before and after it) and its seconds scaled by
-REFERENCE_S / r, as perfbench/run.py scales its jobs.
+every sample and after the last one.  Each sample, the startup rung's
+and Tier-1's included, is scaled by REFERENCE_S / r, r being the mean of
+the two probes next to it, as perfbench/run.py scales each job; a rung
+keeps its raw samples, their probe times and scaled seconds, and as
+`scaled_s` the median of its scaled samples.
 
 The children write their bytecode to .bench_build/pycache at the root of
 this repository (also when PYTHONDONTWRITEBYTECODE is set outside), and
@@ -44,6 +45,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -90,16 +92,6 @@ def _env(repo: Path) -> dict:
     env["PYTHONPYCACHEPREFIX"] = str(ROOT / ".bench_build" / "pycache")
     env["PYTHONPATH"] = str(repo / "src")
     return env
-
-
-def _median_of(run, count: int = SAMPLES) -> dict:
-    """count calls of run(): the median one, or the first that failed,
-    with every wall time kept."""
-    samples = [run() for _ in range(count)]
-    out = next((s for s in samples if s["exit"] != 0),
-               sorted(samples, key=lambda s: s["wall_s"])[count // 2])
-    out["samples_s"] = [s["wall_s"] for s in samples]
-    return out
 
 
 def _run(repo: Path, args: tuple):
@@ -153,22 +145,31 @@ def time_reference() -> float:
 
 
 class Probe:
-    """The host-speed probe around each rung: `scale` times the task once
-    more and scales the rung by the mean of that and the last timing."""
+    """The host-speed probe between samples: the task is timed after
+    every sample, and the last timing is the next sample's before."""
 
     def __init__(self):
         self.last = time_reference()
 
-    def scale(self, record: dict) -> dict:
-        after = time_reference()
-        r = (self.last + after) / 2
-        self.last = after
-        record["reference_s"] = round(r, 4)
-        record["scaled_s"] = round(record["wall_s"] * REFERENCE_S / r, 3)
-        if "samples_s" in record:
-            record["scaled_samples_s"] = [round(s * REFERENCE_S / r, 3)
-                                          for s in record["samples_s"]]
-        return record
+    def median_of(self, run, count: int = SAMPLES) -> dict:
+        """count calls of run(): the median one by wall time, or the first
+        that failed, with every wall time, probe time and scaled time
+        kept, and the median scaled time as `scaled_s`."""
+        samples, refs = [], []
+        for _ in range(count):
+            before = self.last
+            samples.append(run())
+            self.last = time_reference()
+            refs.append((before + self.last) / 2)
+        out = next((s for s in samples if s["exit"] != 0),
+                   sorted(samples, key=lambda s: s["wall_s"])[count // 2])
+        scaled = [s["wall_s"] * REFERENCE_S / r
+                  for s, r in zip(samples, refs)]
+        out["samples_s"] = [s["wall_s"] for s in samples]
+        out["reference_s"] = [round(r, 4) for r in refs]
+        out["scaled_samples_s"] = [round(x, 3) for x in scaled]
+        out["scaled_s"] = round(statistics.median(scaled), 3)
+        return out
 
 
 def _commit(repo: Path) -> str:
@@ -197,17 +198,16 @@ def main(argv=None) -> int:
     verify = [("%s H=%d" % (name, height), _verify_args(family, height))
               for name, family, height in LADDER]
     for key, command in verify + list(QN):
-        rungs[key] = probe.scale(_median_of(lambda: time_rung(repo, command)))
+        rungs[key] = probe.median_of(lambda: time_rung(repo, command))
         print(key, rungs[key]["samples_s"], "s", flush=True)
     structure = {}
     for key, command in STRUCTURE:
-        structure[key] = probe.scale(
-            _median_of(lambda: _run(repo, command)[0]))
+        structure[key] = probe.median_of(lambda: _run(repo, command)[0])
         print(key, structure[key]["samples_s"], "s", flush=True)
-    startup = probe.scale(
-        _median_of(lambda: _run(repo, STARTUP)[0], STARTUP_SAMPLES))
+    startup = probe.median_of(lambda: _run(repo, STARTUP)[0],
+                              STARTUP_SAMPLES)
     print("startup", startup["samples_s"], "s", flush=True)
-    tier1 = probe.scale(_median_of(lambda: time_tier1(repo)))
+    tier1 = probe.median_of(lambda: time_tier1(repo))
     print("tier-1", tier1["wall_s"], "s:", tier1["summary"], flush=True)
     record = {"label": args.label, "commit": _commit(repo),
               "python": platform.python_version(), "nproc": os.cpu_count(),
