@@ -599,19 +599,45 @@ def test_passing_runs_stay_packed(monkeypatch):
         return original(codec, data)
 
     monkeypatch.setattr(series._Packing, "unpack", counting)
-    for stype, variant, H in [
-            (SuperType("GL", 3, 3), "step2", 8),
-            (SuperType("B", 2, 1), "step2", 5),
-            (SuperType("D", 3, 1), "step2", 5),
-            (SuperType("D", 4, 2), "second_class", 5)]:
-        pair = standard_pair(build(stype), variant)
-        assert verify(pair, H=H).equal
-        zero = (0,) * len(pair.system.simple_roots)
-        for side in (lhs(pair, H), rhs_closed(pair, H),
-                     rhs_expanded(pair, H)):
-            assert side.codec.lo == zero and side.codec.H == H
+    pair = _pair("GL", 3, 3)
+    assert verify(pair, H=8).equal
+    for side in (lhs(pair, 8), rhs_closed(pair, 8), rhs_expanded(pair, 8)):
+        assert side.codec.lo == (0,) * 5 and side.codec.H == 8
     report, a = identity.qn_identity(4)
     assert report.equal and a == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("stype,variant", [
+    (SuperType("B", 2, 1), "step2"), (SuperType("D", 3, 1), "step2"),
+    (SuperType("D", 4, 2), "second_class")])
+def test_skew_repacks_only_the_side_outside_the_joint_window(
+        monkeypatch, stype, variant):
+    # a passing verify unpacks nothing: lhs, X and the phi/|w| expansion
+    # all start at key 0, so they share one window.  With rho lowered by
+    # W_2's least root, skew fails on St(f) alone: it builds no series in
+    # another window, so no side is outside the joint one and nothing is
+    # unpacked or re-packed, for the verdict or for the witness
+    calls = []
+    original = series._Packing.unpack
+
+    def counting(codec, data):
+        calls.append(len(data))
+        return original(codec, data)
+
+    monkeypatch.setattr(series._Packing, "unpack", counting)
+    rs = build(stype)
+    pair = standard_pair(rs, variant)
+    assert verify(pair, H=5).equal
+    zero = (0,) * len(pair.system.simple_roots)
+    for side in (lhs(pair, 5), rhs_closed(pair, 5), rhs_expanded(pair, 5)):
+        assert side.codec.lo == zero and side.codec.H == 5
+    assert calls == []
+    beta = min(rs.positive_even - rs.sharp, key=coordinate_order)
+    pair.system.rho = pair.system.rho - beta
+    ok, witness = identity.skew_invariance_check(pair, 5)
+    assert ok is False
+    assert set(witness) == {"straightened", "left", "right", "generator"}
     assert calls == []
 
 
