@@ -6,17 +6,16 @@ e^rho / prod_{beta in S}(1 + e^{-beta}) attached to an admissible pair.
 `verify` merges that sum once on raw doubled tuples, over the W#
 elements within H (`groups.sharp_ball`), and expands it with
 `series.expand_raw`; X is W#-alternating by construction, so skewness is
-checked under W_2 alone (W = W# x W_2), at every height at once, on the
-W#-straightened Laurent polynomial X D1 (`straighten`), and a failing
-generator's witness is a straightened key: skew expands nothing, and
-`verify` enumerates neither W nor W#.  Everything here is exact:
-truncated series carry int coefficients, and cone questions go through
-the frame's one solve (`SimpleSystem._raw_cone_key`, over
-`weights.Elimination`), which decides on integer numerators.
-Closed-form statements compare normal forms of merged raw sums
-(`series.normalize`): equal forms prove equality, but unequal ones
-prove nothing, since distinct sums can denote the same function.
-Nothing is sampled and nothing is floated.
+checked under W_2 alone (W = W# x W_2).  Skew and the two W#-alternant
+lemmas, the dropped denominator and the exchange, are decided at every
+height on W#-straightened Laurent polynomials (`straighten`): none of
+them expands anything, and `verify` enumerates neither W nor W#.
+Everything here is exact: truncated series carry int coefficients, and
+cone questions go through the frame's one solve
+(`SimpleSystem._raw_cone_key`, over `weights.Elimination`), which
+decides on integer numerators.  Only `y_fixed_by` and `y_shifts_by`
+compare normal forms (`series.normalize`), of one-key sums: equal forms
+prove equality, unequal ones nothing.  Nothing is sampled or floated.
 """
 
 from __future__ import annotations
@@ -264,7 +263,7 @@ def verify(pair: AdmissiblePair, H: int = 8) -> VerificationReport:
         first = diff
     timings["rhs_expanded"] = _us(t)
     t = time.perf_counter()
-    ok, witness = skew_invariance_check(pair, H)
+    ok, witness = skew_invariance_check(pair)
     if ok is None:
         note = ("W2 is trivial, so skew-invariance had nothing to "
                 "check: X is W#-alternating by construction")
@@ -280,20 +279,20 @@ def verify(pair: AdmissiblePair, H: int = 8) -> VerificationReport:
         timings=timings, checks=checks, note=note)
 
 
-def skew_invariance_check(pair: AdmissiblePair, H: int) -> tuple:
+def skew_invariance_check(pair: AdmissiblePair) -> tuple:
     """w X = sgn(w) X for every simple reflection of W_2: (ok, witness).
 
     W = W# x W_2 and X is W#-alternating, so only W_2's generators are
     checked; where W_2 is trivial (C, gl(m|1), D(1,n)) ok is None.  Each
     is decided at every height at once, with no expansion, on the
     straightened X D1 (`straighten.Numerator`, whose docstring has the
-    proof), so H is not read.  The witness of the first failing generator
-    is its least differing straightened key.
+    proof).  The witness of the first failing generator is its least
+    differing straightened key.
     """
     gens = _w2_generators(pair.rs)
     if not gens:
         return None, None
-    num = Numerator(pair)
+    num = Numerator(pair.system, pair.system.rho, pair.S)
     for root, g in gens:
         sign = g.sgn()
         acted = num.acted(g)
@@ -371,16 +370,16 @@ def cross_multiplied_check(pair: AdmissiblePair) -> tuple:
 # q(n)
 
 def exchange_preserves_sum(pair: AdmissiblePair, gamma: Weight,
-                           gamma_prime: Weight, H: int = 8) -> bool:
+                           gamma_prime: Weight) -> bool:
     """X is unchanged when gamma in S is traded for gamma_prime.
 
-    Both pairs share Pi, hence the same expansion frame, so the truncated
-    alternating sums compare key by key.
+    Both pairs share Pi and D1, so X_S = X_S' iff St(f_S) = St(f_S').
     """
     moved = second_type_move(pair, gamma, gamma_prime)
-    here = rhs_closed(pair, H)
-    there = rhs_closed(moved, H)
-    return here.eq_report(there) is None
+    frame = pair.system
+    here, there = (Numerator(frame, frame.rho, S) for S in (pair.S, moved.S))
+    assert here.B == there.B, "St(f_S) and St(f_S') in two packing bases"
+    return here.terms == there.terms
 
 
 def qn_system(n: int) -> RootSystem:
@@ -859,11 +858,11 @@ def dropped_denominator_sum_vanishes(pair: AdmissiblePair, beta: Weight,
     """F(e^{rho+shift} / prod_{S minus beta}) = 0, decided in closed form.
 
     This is the collapse step: cancelling one denominator of Y leaves an
-    alternating sum killed by a sign-reversing pairing on W#.
+    alternating sum killed by a sign-reversing pairing on W#.  Times the
+    W-invariant D1 it is the alternant of f for S minus beta and exponent
+    rho + shift, which is 0 iff St(f) is (`straighten.Numerator`).
     """
     if beta not in pair.S:
         raise DomainError("%s is not in S" % beta)
-    frame = pair.system
-    return normalize(_alternating_sum(
-        sharp_group(pair.rs), frame.rho + shift,
-        [b for b in pair.S if b != beta]), frame) == {}
+    rest = [b for b in pair.S if b != beta]
+    return not Numerator(pair.system, pair.system.rho + shift, rest).terms

@@ -1,4 +1,4 @@
-"""W#-straightening of Laurent polynomials, and W_2-skewness decided by it.
+"""W#-straightening of Laurent polynomials, and alternants decided by it.
 
 Let D1 = prod_{beta in Delta1+}(e^{beta/2} + e^{-beta/2}), W-invariant
 since W permutes the odd roots, and f = e^{rho+rho1} prod_{beta in
@@ -12,9 +12,10 @@ straightenings agree, so g(X) = sgn(g) X iff {g(k): c} = {k: sgn(g) c}
 on St(f): one dict comparison per generator, with no expansion and no
 use of Weyl's denominator formula.  A failing generator's witness is
 the least key, in coordinate order, where the two dicts differ
-(`Numerator.first_difference`).  f's exponent is read off the pair, and
-the delta block is never straightened under W_2, which would assume the
-skewness being checked.
+(`Numerator.first_difference`).  The delta block is never straightened
+under W_2, which would assume the skewness being checked.  `Numerator`
+takes f's frame, exponent (rho above) and S as arguments, so it decides
+the collapse step and the exchange lemma (`identity`) too.
 
 `straighten` is the rule of W#'s type (`roots.WEYL_TYPES`): A sorts
 descending, and a repeated entry is singular; B and C sort the absolute
@@ -71,24 +72,23 @@ def straighten(raw: tuple, kind: str, coords) -> tuple | None:
 
 
 class Numerator:
-    """St(f) of a pair: terms maps packed keys to nonzero coefficients.
+    """St(f) of frame, exponent and S: packed keys to nonzero coefficients.
 
     A negative odd root -gamma in S moves into the exponent, as
     1/(1 + e^{gamma}) = e^{-gamma}/(1 + e^{-gamma}).  An element of S that
-    is no odd root of the frame, or repeats, leaves X D1 no Laurent
+    is no odd root of the frame, or repeats, leaves f no Laurent
     polynomial: StructuralError.
     """
 
     __slots__ = ("m", "n", "b", "B", "powers", "terms")
 
-    def __init__(self, pair):
-        frame = pair.system
+    def __init__(self, frame, exponent, S):
         m = self.m = frame.m
         self.n = frame.n
-        kind = WEYL_TYPES[pair.rs.family][0]
-        start = list((frame.rho + frame.rho1).doubled)
+        kind = WEYL_TYPES[frame.rs.family][0]
+        start = list((exponent + frame.rho1).doubled)
         odd = set(frame.pos_odd)
-        for beta in pair.S:
+        for beta in S:
             if beta in odd:
                 odd.remove(beta)
             elif -beta in odd:

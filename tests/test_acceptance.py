@@ -267,7 +267,7 @@ def test_criterion_7_skew_invariance_and_relations():
     with _criterion(7, "skew invariance and generator relations"):
         for stype, variant in _FIXTURES:
             pair = standard_pair(build(stype), variant)
-            ok, detail = skew_invariance_check(pair, 8)
+            ok, detail = skew_invariance_check(pair)
             # with no even root outside Delta#, W = W# and there is
             # nothing to check (C, gl(m|1), D(1,2)); the rest must pass
             trivial = not (pair.rs.positive_even - pair.rs.sharp)

@@ -24,8 +24,9 @@ from superdenom.identity import (_alternating_sum, _keys_up_to,
                                  verify, xi_presentation_unique,
                                  xi_uniqueness, y_fixed_by, y_shifts_by)
 from superdenom.roots import SuperType, build, simple_roots
-from superdenom.simple import (AdmissiblePair, even_frame, second_type_moves,
-                               standard_pair, standard_pairs)
+from superdenom.simple import (AdmissiblePair, even_frame, second_type_move,
+                               second_type_moves, standard_pair,
+                               standard_pairs)
 from superdenom.straighten import Numerator
 from superdenom.weights import Weight, coordinate_order
 
@@ -166,11 +167,17 @@ def test_second_class_coefficient_set():
 
 
 def test_exchange_preserves_alternating_sum():
+    # decided on St(f_S) = St(f_S'), with the truncated sums as its oracle
+    moves = 0
     for fam, m, n in [("GL", 2, 1), ("D", 2, 1), ("D", 1, 2)]:
         rs = build(SuperType(fam, m, n))
         pair = standard_pair(rs, "step2")
         for gamma, gp in second_type_moves(pair):
-            assert exchange_preserves_sum(pair, gamma, gp, H=4)
+            assert exchange_preserves_sum(pair, gamma, gp)
+            moved = second_type_move(pair, gamma, gp)
+            assert rhs_closed(pair, 4).eq_report(rhs_closed(moved, 4)) is None
+            moves += 1
+    assert moves
 
 
 def test_lemma_suite_on_standard_pairs():
@@ -635,20 +642,47 @@ def test_skew_repacks_only_the_side_outside_the_joint_window(
     assert calls == []
     beta = min(rs.positive_even - rs.sharp, key=coordinate_order)
     pair.system.rho = pair.system.rho - beta
-    ok, witness = identity.skew_invariance_check(pair, 5)
+    ok, witness = identity.skew_invariance_check(pair)
     assert ok is False
     assert set(witness) == {"straightened", "left", "right", "generator"}
     assert calls == []
 
 
 def _refuse_expansion(monkeypatch):
-    """Make every expansion skew could reach raise."""
+    """Make every W# walk, normal form and expansion a check could reach
+    raise."""
     def refused(*args, **kwargs):
-        raise AssertionError("the skew check expanded")
+        raise AssertionError("the check expanded")
 
-    for name in ("expand_raw", "rhs_closed", "sharp_ball",
-                 "_alternating_sum"):
+    for name in ("expand_raw", "rhs_closed", "sharp_ball", "sharp_group",
+                 "_alternating_sum", "normalize"):
         monkeypatch.setattr(identity, name, refused)
+
+
+def test_closed_form_alternant_checks_expand_nothing(monkeypatch):
+    # the collapse step and the exchange lemma each straighten f and
+    # compare dicts: they enumerate no W#, normalize no sum and expand
+    # nothing, whether the verdict is True or False
+    _refuse_expansion(monkeypatch)
+    for m, n in [(2, 1), (3, 1), (3, 2)]:
+        rs = build(SuperType("D", m, n))
+        pair = standard_pair(rs, "step3")
+        assert dropped_denominator_sum_vanishes(
+            pair, rs.delta(n) - rs.eps(m), Weight.zero(m, n)), (m, n)
+    pair = _pair("GL", 2, 2)
+    for beta in pair.S:
+        assert not dropped_denominator_sum_vanishes(pair, beta,
+                                                    Weight.zero(2, 2))
+    rs = build(SuperType("GL", 3, 2))
+    assert not dropped_denominator_sum_vanishes(
+        _pair("GL", 3, 2), rs.eps(1) - rs.delta(1), rs.eps(1) - rs.eps(2))
+    moves = 0
+    for fam, m, n in [("GL", 2, 1), ("D", 2, 1), ("D", 1, 2)]:
+        pair = _pair(fam, m, n)
+        for gamma, gp in second_type_moves(pair):
+            assert exchange_preserves_sum(pair, gamma, gp)
+            moves += 1
+    assert moves
 
 
 @pytest.mark.parametrize("stype,variant", [
@@ -661,7 +695,7 @@ def test_passing_skew_expands_nothing(monkeypatch, stype, variant):
     # window oracle, which expands the acted sum of all of W#, agrees
     pair = standard_pair(build(stype), variant)
     _refuse_expansion(monkeypatch)
-    got = identity.skew_invariance_check(pair, 5)
+    got = identity.skew_invariance_check(pair)
     assert got == ((None, None) if _w2_trivial(pair.rs) else (True, None))
     monkeypatch.undo()
     assert window_skew_check(pair, 5) == got
@@ -677,7 +711,7 @@ def test_failing_skew_expands_nothing(monkeypatch, stype):
     rs = pair.rs
     pair.system.rho = pair.system.rho + (rs.delta(1) - rs.delta(2))
     _refuse_expansion(monkeypatch)
-    ok, witness = identity.skew_invariance_check(pair, 5)
+    ok, witness = identity.skew_invariance_check(pair)
     assert ok is False
     assert set(witness) == {"straightened", "left", "right", "generator"}
 
@@ -696,7 +730,7 @@ def test_skew_and_verify_hold_with_w_sharp_unenumerable(monkeypatch, stype):
     try:
         with pytest.raises(StructuralError, match="elements, not"):
             groups.sharp_group(rs)
-        assert identity.skew_invariance_check(pair, 4) == (
+        assert identity.skew_invariance_check(pair) == (
             (None, None) if _w2_trivial(rs) else (True, None))
         assert verify(pair, H=4).equal
     finally:
@@ -733,7 +767,8 @@ def test_raw_key_skew_test_rejects_a_broken_sum(stype):
 def test_straightened_skew_rejects_a_broken_numerator(stype):
     # negating one coefficient of St(f) or deleting one key must make some
     # W_2 generator fail the straightened comparison
-    num = Numerator(standard_pair(build(stype), "step2"))
+    pair = standard_pair(build(stype), "step2")
+    num = Numerator(pair.system, pair.system.rho, pair.S)
     terms = dict(num.terms)
     gens = [g for _, g in identity._w2_generators(build(stype))]
 
@@ -796,7 +831,7 @@ def test_failure_witnesses_match_golden():
     got = {}
     for name, make in _WITNESS_CASES.items():
         report = verify(make(), H=6)
-        _, witness = identity.skew_invariance_check(make(), 6)
+        _, witness = identity.skew_invariance_check(make())
         got[name] = {"checks": report.checks,
                      "first_discrepancy": report.first_discrepancy,
                      "skew_witness": witness}

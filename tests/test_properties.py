@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 from superdenom.groups import sharp_ball, sharp_group, weyl_generators
 from superdenom.identity import (_alternating_sum, closed_form_sum,
                                  cross_multiplied_check,
-                                 dropped_denominator_sum_vanishes, phi_data,
+                                 dropped_denominator_sum_vanishes,
+                                 exchange_preserves_sum, phi_data,
                                  rhs_closed, rhs_expanded,
                                  skew_invariance_check, verify, y_fixed_by)
 from superdenom.roots import SuperType, build
 from superdenom.series import expand_raw, multiply
 from superdenom.simple import (derive, enumerate_admissible_pairs,
-                               odd_reflection, pair_neighbors)
+                               odd_reflection, pair_neighbors,
+                               second_type_move, second_type_moves)
 from superdenom.weights import Weight, coordinate_order
 
 from oracles import acted_sum, window_skew_check
@@ -194,6 +196,12 @@ def test_closed_form_verdicts_hold_on_the_expansion(case, data):
         assert expand_raw(_alternating_sum(
             sharp_group(rs), frame.rho + shift,
             [b for b in pair.S if b != beta]), frame, H).nonzero_count() == 0
+    moves = second_type_moves(pair)
+    if moves:
+        gamma, gp = data.draw(st.sampled_from(moves))
+        if exchange_preserves_sum(pair, gamma, gp):
+            moved = second_type_move(pair, gamma, gp)
+            assert rhs_closed(pair, H).eq_report(rhs_closed(moved, H)) is None
 
 
 @settings(deadline=None, max_examples=60)
@@ -262,7 +270,7 @@ def test_straightened_skew_matches_the_window_oracle(case, data):
     try:
         if shift is not None:
             frame.rho = rho + shift
-        got, want = skew_invariance_check(pair, H), window_skew_check(pair, H)
+        got, want = skew_invariance_check(pair), window_skew_check(pair, H)
     finally:
         frame.rho = rho
     if shift is None:

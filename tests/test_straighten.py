@@ -117,7 +117,8 @@ def test_staged_straightening_matches_the_unstaged_product():
     for stype in _SMALL:
         rs = build(stype)
         for pair in enumerate_admissible_pairs(rs):
-            assert _unpacked(Numerator(pair)) == _unstaged(pair), \
+            assert _unpacked(Numerator(pair.system, pair.system.rho,
+                                       pair.S)) == _unstaged(pair), \
                 (stype.label(), str(pair.S))
             count += 1
     assert count > 200
@@ -139,7 +140,8 @@ def test_row_staging_keeps_the_support_small(monkeypatch, stype, peak):
         return out
 
     monkeypatch.setattr(straighten, "_binomial_packed", recording)
-    Numerator(standard_pair(build(stype), "step2"))
+    pair = standard_pair(build(stype), "step2")
+    Numerator(pair.system, pair.system.rho, pair.S)
     assert max(sizes) == peak
 
 
@@ -147,13 +149,15 @@ def test_row_staging_keeps_the_support_small(monkeypatch, stype, peak):
     ("GL", 2, 2), ("GL", 3, 3), ("B", 2, 2), ("D", 3, 2)])
 def test_a_shift_by_a_delta_root_fails_skew_at_every_height(fam, m, n):
     # W# fixes delta_1 - delta_2, so both sides of the identity move alike
-    # and only skewness sees the shift; straightening sees it at H = 0 too
+    # and only skewness sees the shift; straightening reads no height, so
+    # verify reports it at H = 0 too
     pair = standard_pair(build(SuperType(fam, m, n)), "step2")
     rs = pair.rs
     pair.system.rho = pair.system.rho + (rs.delta(1) - rs.delta(2))
+    ok, witness = skew_invariance_check(pair)
+    assert ok is False and witness["generator"]
     for H in range(7):
-        ok, witness = skew_invariance_check(pair, H)
-        assert ok is False and witness["generator"]
+        assert verify(pair, H).checks["skew_invariance"] is False
 
 
 @pytest.mark.parametrize("stype", [
@@ -166,18 +170,18 @@ def test_a_kernel_that_flips_one_sign_fails_skew(monkeypatch, stype):
     assert verify(pair, H=5).equal
     original = Numerator.__init__
 
-    def flipped(self, pair):
-        original(self, pair)
+    def flipped(self, frame, exponent, S):
+        original(self, frame, exponent, S)
         key = min(self.terms)
         self.terms[key] = -self.terms[key]
 
     monkeypatch.setattr(Numerator, "__init__", flipped)
-    ok, witness = skew_invariance_check(pair, 5)
+    ok, witness = skew_invariance_check(pair)
     assert ok is False
     assert set(witness) == {"straightened", "left", "right", "generator"}
     # the witness is the first failing generator's least differing key,
     # found here on tuple keys
-    num = Numerator(pair)
+    num = Numerator(pair.system, pair.system.rho, pair.S)
     terms = _unpacked(num)
     for root, g in identity._w2_generators(pair.rs):
         moved = {_gather(g.src, k): c for k, c in terms.items()}
@@ -199,7 +203,7 @@ def test_an_s_outside_the_odd_roots_is_refused():
     rs = pair.rs
     for S in (pair.S + (pair.S[0],), pair.S + (rs.eps(1) - rs.eps(2),)):
         with pytest.raises(StructuralError, match="no odd root"):
-            Numerator(AdmissiblePair(S, pair.system))
+            Numerator(pair.system, pair.system.rho, S)
 
 
 def test_a_negative_element_of_s_moves_into_the_exponent():
@@ -209,15 +213,10 @@ def test_a_negative_element_of_s_moves_into_the_exponent():
     pair = standard_pair(build(SuperType("GL", 2, 2)), "step2")
     beta = pair.S[0]
     negated = AdmissiblePair((-beta,) + pair.S[1:], pair.system)
-    got = Numerator(negated).terms
     frame = pair.system
-    rho = frame.rho
-    frame.rho = rho - beta
-    try:
-        assert got == Numerator(pair).terms
-    finally:
-        frame.rho = rho
-    ok, witness = skew_invariance_check(negated, 6)
+    got = Numerator(frame, frame.rho, negated.S).terms
+    assert got == Numerator(frame, frame.rho - beta, pair.S).terms
+    ok, witness = skew_invariance_check(negated)
     assert ok is False
     assert set(witness) == {"straightened", "left", "right", "generator"}
     assert window_skew_check(negated, 6)[0] is False

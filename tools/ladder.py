@@ -24,7 +24,10 @@ every sample and after the last one.  Each sample, the startup rung's
 and Tier-1's included, is scaled by REFERENCE_S / r, r being the mean of
 the two probes next to it, as perfbench/run.py scales each job; a rung
 keeps its raw samples, their probe times and scaled seconds, and as
-`scaled_s` the median of its scaled samples.
+`scaled_s` the median of its scaled samples.  Like perfbench/run.py,
+the ladder pins itself to the lowest processor it may run on before the
+first probe; every rung, probe and Tier-1 child inherits the pin, so the
+probe and the jobs see the same contention from the rest of the host.
 
 The children write their bytecode to .bench_build/pycache at the root of
 this repository (also when PYTHONDONTWRITEBYTECODE is set outside), and
@@ -33,10 +36,10 @@ includes compiling the modules.
 
 The record is appended to the `runs` list of BENCH_ladder.json at the
 root of this repository under LABEL, together with the commit of DIR,
-the Python version and the processor count, so one file carries the
-before and after numbers of each change.  The record is written even
-when a rung fails; the exit code is then 1.  Only the standard library
-is used.
+the Python version, the processor count and the pinned processor set
+(`cpus`), so one file carries the before and after numbers of each
+change.  The record is written even when a rung fails; the exit code is
+then 1.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -191,6 +194,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = ROOT / "BENCH_ladder.json"
     repo = args.repo.resolve()
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     # warm-up: fills the bytecode cache
     time_rung(repo, _verify_args(*LADDER[-1][1:]))
     probe = Probe()
@@ -211,6 +215,7 @@ def main(argv=None) -> int:
     print("tier-1", tier1["wall_s"], "s:", tier1["summary"], flush=True)
     record = {"label": args.label, "commit": _commit(repo),
               "python": platform.python_version(), "nproc": os.cpu_count(),
+              "cpus": sorted(os.sched_getaffinity(0)),
               "reference_s_unloaded": REFERENCE_S,
               "rungs": rungs, "structure": structure, "startup": startup,
               "tier1": tier1}
