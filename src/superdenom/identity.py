@@ -109,10 +109,11 @@ def _denominator(frame: SimpleSystem, offset: Weight, odd: Iterable[Weight],
     against 11,181 with the evens first).  Among the odd factors, a tall
     step reaches H in few terms, and dividing by it while the support is
     small costs little; the short steps, which fill the window, come
-    last.  Summed over the odd factors, the kernels' output falls from
-    148,610 keys in coordinate order to 60,182 on gl(5|4) H=11, and from
-    37,742 to 16,772 on gl(4|4) H=10, while the peak moves from 11,181
-    to 11,989.  The whole product is one chain for `multiply`.
+    last.  Summed over the odd factors, the support after each factor
+    falls from 148,610 keys in coordinate order to 60,182 on gl(5|4)
+    H=11, and from 37,742 to 16,772 on gl(4|4) H=10, while the peak
+    moves from 11,181 to 11,989.  The whole product is one chain for
+    `multiply`.
     """
     factors = [(positive_step(frame, a), -1)
                for a in sorted(even, key=coordinate_order)]

@@ -26,9 +26,9 @@ packs each key mu with mu >= lo and height <= H as one int
 r being the rank.  The digits mu_i - lo_i are nonnegative and sum to
 ht mu - sum lo <= B - 1, so each is below B: adding a packed step is one
 int add that carries nowhere while the height stays <= H.  The top digit
-is the shifted height, so p >= B**(r + 1) exactly when ht mu > H (the
-lower digits stay below B**r whenever ht mu <= H), and sorting packed keys
-sorts them by height.  `_Packing` is the codec: it raises StructuralError
+p // B**r is the shifted height, 0 to B - 1: a product runs on these
+height layers (`_product`), the last one being height H, so no key is
+compared with a cut.  `_Packing` is the codec: it raises StructuralError
 for a key below lo or a non-integer key and never wraps.  `multiply` is
 the one builder: it packs every chain of a product in one window, all
 starting keys in one `_Packing.keys` call and each distinct step once,
@@ -135,9 +135,9 @@ class FormalSeries:
     def eq_report(self, other: "FormalSeries") -> dict | None:
         """None if equal on the window; else data about the first difference.
 
-        The first difference is the least (height, key tuple).  Packed keys
-        sort by height, so only the differing keys of the least height are
-        unpacked.
+        The first difference is the least (height, key tuple).  A packed
+        key's top digit is its shifted height, so only the differing keys
+        of the least height are unpacked.
         """
         codec, mine, theirs = self._joint(other)
         if mine == theirs:
@@ -287,65 +287,61 @@ class _Packing:
         return dict(zip(keys, data.values()))
 
 
-def _binomial_packed(data: dict, step: int, sign: int, limit: int) -> dict:
-    """Packed data times (1 + sign * e^{-step}); keys >= limit drop."""
-    out = dict(data)
-    for k, v in data.items():
-        k += step
-        if k < limit:
-            nv = out.get(k, 0) + sign * v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-    return out
+def _shift_add(dst: dict | None, items, step: int, sign: int) -> dict:
+    """dst plus sign times the (key, value) pairs moved up by step, in place.
 
-
-def _geometric_packed(data: dict, step: int, limit: int) -> dict:
-    """Multiply packed data by sum_k (-1)^k e^{-k * step}; keys >= limit drop.
-
-    Uses G[key] = F[key] - G[key - step] along each chain key + N*step;
-    chains do not interact, and the step height is >= 1.  Keys of F are
-    taken in increasing order, which is height order, and each one not
-    yet reached starts a walk up its chain: nothing below it on the chain
-    is still nonzero, or that walk would have reached it.  A walk takes
-    the keys of F it reaches out of `pending`, and stops where G vanishes
-    (a later key of F restarts the chain) or at limit.
+    The one kernel of `_product` and of `straighten.Numerator`.  items
+    holds no zero, so a key that reaches zero was in dst and drops; dst
+    None is an empty layer, allocated only when something is written.
     """
-    out = {}
-    pending = dict(data)
-    pop = pending.pop
-    for k in sorted(data):
-        if k >= limit:
-            break
-        g = pop(k, None)
-        if g is None:
-            continue
-        while g:
-            out[k] = g
-            k += step
-            if k >= limit:
-                break
-            g = pop(k, 0) - g
-    return out
+    if dst is None:
+        return {k + step: sign * v for k, v in items}
+    get = dst.get
+    for k, v in items:
+        k += step
+        nv = get(k, 0) + sign * v
+        if nv:
+            dst[k] = nv
+        else:
+            del dst[k]
+    return dst
 
 
 def _product(codec: _Packing, data: dict, factors, steps: dict) -> dict:
     """Packed data times the factors of a chain (`multiply`), in order.
 
-    steps is the window's dict of packed steps: a step is packed the
-    first time a chain of the window reads it.
+    Layer t holds the keys whose top digit, ht mu - sum lo, is t.  A step
+    of height h moves layer t - h onto layer t without a carry, so
+    (1 + s e^{-step}) adds s times layer t - h to layer t for t
+    descending, and 1/(1 + e^{-step}) subtracts layer t - h from the
+    already divided layer t for t ascending.  steps is the window's dict
+    of packed steps: a step is packed the first time a chain reads it.
     """
-    limit = codec.limit
+    top = codec.limit // codec.B
+    layers = [None] * codec.B
+    for k, v in data.items():
+        t = k // top
+        if layers[t] is None:
+            layers[t] = {}
+        layers[t][k] = v
     for step, sign in factors:
         p = steps.get(step)
         if p is None:
             p = steps[step] = codec.step(step)
+        h = p // top                # ht(step), or >= B past the window
         if sign is None:
-            data = _geometric_packed(data, p, limit)
+            sign, order = -1, range(h, codec.B)
         else:
-            data = _binomial_packed(data, p, sign, limit)
-    return data
+            order = range(codec.B - 1, h - 1, -1)
+        for t in order:
+            src = layers[t - h]
+            if src:
+                layers[t] = _shift_add(layers[t], src.items(), p, sign)
+    out = {}
+    for layer in layers:
+        if layer:
+            out.update(layer)
+    return out
 
 
 def multiply(H, chains) -> tuple:
@@ -360,9 +356,9 @@ def multiply(H, chains) -> tuple:
     window is packed once: the nonzero keys within H of every chain in
     one `_Packing.keys` call, split back by chain, and each distinct step
     once, into one dict that every chain reads.  A chain with no key
-    left is skipped, since its keys only climb; the others run the
-    packed kernels and their sum is accumulated.  The first product is
-    the accumulator itself, so lhs is never copied.  Returns the window
+    left is skipped, since its keys only climb; the others run on height
+    layers (`_product`) and their sum is accumulated.  The first product
+    is the accumulator itself, so lhs is never copied.  Returns the window
     `FormalSeries` takes: (codec, packed sum), or (None, {}) when no key
     lies within H.
     """

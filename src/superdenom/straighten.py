@@ -34,9 +34,9 @@ W#, then the pure-delta factors (B with W# of type B), which W# fixes.
 A monomial is one int, sum_i (x_i + b) B**i over the doubled
 coordinates, eps block lowest, B = 2b + 1, with b above every
 coordinate a factor can reach, so every key stays below B**(m+n): a
-factor is `series._binomial_packed` with the packed beta negated, one
-subtraction per key, and a stage looks the low digits up in a memo of
-(change of key, sign).
+factor adds h moved by the packed -beta to a copy of h (`series._shift_add`,
+the series products' kernel), one subtraction per key, and a stage looks
+the low digits up in a memo of (change of key, sign).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 from .errors import StructuralError
 from .groups import _gather, _perm_parity
 from .roots import WEYL_TYPES
-from .series import _binomial_packed
+from .series import _shift_add
 from .weights import Weight
 
 
@@ -106,13 +106,13 @@ class Numerator:
         for t in factors:
             row = next((i for i in range(m) if t[i]), m)
             rows[row].append(sum([x * p for x, p in zip(t, self.powers)]))
-        h, top = {self._pack(start): 1}, B ** len(start)
+        h = {self._pack(start): 1}
         for i, row in enumerate(rows):
             # types A and D have no reflection on a single coordinate
             if i > 1 or (i and kind in "BC"):
                 h = self._stage(h, i, kind)
             for p in row:
-                h = _binomial_packed(h, -p, 1, top)
+                h = _shift_add(dict(h), h.items(), -p, 1)
         self.terms = h
 
     def _pack(self, t) -> int:

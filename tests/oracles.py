@@ -77,6 +77,32 @@ def multiply_chain_by_chain(H, chains) -> tuple:
     return codec, acc
 
 
+def reference_product(H, chains) -> dict:
+    """`series.multiply` on coordinate tuples, one term at a time.
+
+    Each factor sends every key k to its terms k + j*step within height H:
+    j = 0, 1 with coefficients 1, sign for (1 + sign * e^{-step}), and
+    every j with (-1)^j for (step, None), 1/(1 + e^{-step}).  No packing,
+    no layers and no cancellation shortcut; the chains' products are
+    summed and zeros dropped.
+    """
+    total = {}
+    for data, factors in chains:
+        data = {k: v for k, v in data.items() if sum(k) <= H}
+        for step, sign in factors:
+            out = {}
+            for k, v in data.items():
+                j = 0
+                while sum(k) <= H and (sign is None or j < 2):
+                    c = (-1) ** j if sign is None else (1, sign)[j]
+                    out[k] = out.get(k, 0) + c * v
+                    k, j = tuple(a + b for a, b in zip(k, step)), j + 1
+            data = out
+        for k, v in data.items():
+            total[k] = total.get(k, 0) + v
+    return {k: v for k, v in total.items() if v}
+
+
 def dominant_representative(lam, group, simples):
     """The orbit element with nonnegative pairing against every simple coroot."""
     for mu in orbit(lam, group):

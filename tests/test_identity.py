@@ -562,15 +562,19 @@ def test_qn_left_side_matches_the_odd_first_order():
 
 
 def test_lhs_support_stays_near_its_final_size(monkeypatch):
-    # series.multiply runs every factor through the packed kernels, for
-    # lhs and for _odd_first alike
+    # series.multiply runs every chain through the layered kernel, for lhs
+    # and for _odd_first alike; fed one factor per call, it records the
+    # support after each factor, the sum of its height layers' sizes
     sizes = []
-    for name in ("_geometric_packed", "_binomial_packed"):
-        def recording(*args, _original=getattr(series, name)):
-            out = _original(*args)
-            sizes.append(len(out))
-            return out
-        monkeypatch.setattr(series, name, recording)
+    original = series._product
+
+    def recording(codec, data, factors, steps):
+        for factor in factors:
+            data = original(codec, data, [factor], steps)
+            sizes.append(len(data))
+        return data
+
+    monkeypatch.setattr(series, "_product", recording)
     pair = _pair("GL", 4, 4)
     final = lhs(pair, 10).nonzero_count()
     assert final == 2782

@@ -15,7 +15,8 @@ from superdenom.series import (FormalSeries, _accumulate, _Packing,
 from superdenom.simple import even_frame, standard_pair, standard_pairs
 from superdenom.weights import Weight
 
-from oracles import acted_sum, dump_lines, multiply_chain_by_chain
+from oracles import (acted_sum, dump_lines, multiply_chain_by_chain,
+                     reference_product)
 
 
 def _gl21():
@@ -269,17 +270,6 @@ _STEPS = st.tuples(st.integers(0, 2), st.integers(0, 2),
                    st.integers(0, 2)).filter(any)
 
 
-def _termwise(data, step, H, powers):
-    """sum_j c_j e^{-j*step} applied to each key on its own, then summed."""
-    want = {}
-    for k, v in data.items():
-        for j, c in enumerate(powers):
-            key = tuple(a + j * b for a, b in zip(k, step))
-            if sum(key) <= H:
-                want[key] = want.get(key, 0) + c * v
-    return {k: v for k, v in want.items() if v}
-
-
 # keys at height H = -1; a step that lands on the top digit, B - 1, where
 # a base one smaller would carry; a key exactly at height H
 @example(data={(-2, 1, 0): 1}, step=(1, 0, 0), H=-1)
@@ -290,10 +280,10 @@ def _termwise(data, step, H, powers):
        step=_STEPS, H=st.integers(-1, 9))
 def test_geometric_matches_the_termwise_expansion(data, step, H):
     # sum_j (-1)^j e^{-j*step} applied to each key on its own, no
-    # cancellation shortcuts: the walk along chains must agree exactly
-    span = max(H - min(map(sum, data), default=H), 0) // sum(step) + 1
-    assert _tuples(multiply(H, [(data, [(step, None)])])) == _termwise(
-        data, step, H, [(-1) ** j for j in range(span)])
+    # cancellation shortcuts: the height layers must agree exactly
+    factors = [(step, None)]
+    assert _tuples(multiply(H, [(data, factors)])) == reference_product(
+        H, [(data, factors)])
 
 
 @example(data={(-2, 1, 0): 1}, step=(1, 0, 0), sign=1, H=-1)
@@ -304,23 +294,11 @@ def test_geometric_matches_the_termwise_expansion(data, step, H):
 def test_binomial_matches_the_termwise_expansion(data, step, sign, H):
     # series data holds no zero coefficients
     data = {k: v for k, v in data.items() if v}
-    assert _tuples(multiply(H, [(data, [(step, sign)])])) == _termwise(
-        data, step, H, [1, sign])
+    chain = [(data, [(step, sign)])]
+    assert _tuples(multiply(H, chain)) == reference_product(H, chain)
     # a window this tall truncates nothing
     tall = max(map(sum, data), default=0) + sum(step)
-    assert _tuples(multiply(tall, [(data, [(step, sign)])])) == _termwise(
-        data, step, tall, [1, sign])
-
-
-def _one_chain(data, factors, H):
-    """The factors applied to data termwise, one after another."""
-    for step, sign in factors:
-        if sign is None:
-            span = max(H - min(map(sum, data), default=H), 0) // sum(step) + 1
-            data = _termwise(data, step, H, [(-1) ** j for j in range(span)])
-        else:
-            data = _termwise(data, step, H, [1, sign])
-    return {k: v for k, v in data.items() if v and sum(k) <= H}
+    assert _tuples(multiply(tall, chain)) == reference_product(tall, chain)
 
 
 _CHAINS = st.lists(st.tuples(
@@ -348,7 +326,7 @@ def test_multiply_is_the_sum_of_each_chain_alone(chains, H):
     want = {}
     for data, factors in chains:
         alone = _tuples(multiply(H, [(data, factors)]))
-        assert alone == _one_chain(data, factors, H)
+        assert alone == reference_product(H, [(data, factors)])
         _accumulate(want, alone.items())
     assert _tuples(multiply(H, chains)) == want
 
@@ -385,6 +363,56 @@ def test_multiply_packs_the_window_once_as_each_chain_alone(chains, H):
     # packing every chain's keys in one call and reading each step from
     # one dict gives, packed key for packed key, what packing and
     # multiplying each chain on its own gives
+    assert _window(multiply(H, chains)) \
+        == _window(multiply_chain_by_chain(H, chains))
+
+
+@st.composite
+def _layered_chains(draw):
+    """(H, 1-4 chains): starting keys at several heights, lo negative.
+
+    lo itself starts the first chain and one key lies exactly at height
+    H; the factors are binomials of both signs and geometric ones, and
+    one of them is a step of height H - sum(lo), which carries lo to the
+    last height layer.
+    """
+    H = draw(st.integers(0, 8))
+    neg = draw(st.tuples(st.integers(-2, -1), st.integers(-2, 0),
+                         st.integers(-1, 0)))
+    top = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    at_H = top + (H - sum(top),)
+    keys = draw(st.lists(st.tuples(st.integers(-2, 4), st.integers(-2, 4),
+                                   st.integers(-1, 3)), max_size=6))
+    lo = tuple(map(min, zip(neg, at_H, *[k for k in keys if sum(k) <= H])))
+    tall = H - sum(lo)
+    split = draw(st.integers(0, tall))
+    kinds = st.sampled_from((1, -1, None))
+    factor = st.tuples(_STEPS, kinds)
+    starts = [lo, neg, at_H] + keys
+    count = draw(st.integers(1, 4))
+    chains = []
+    for i in range(count):
+        data = {k: draw(st.integers(-2, 2).filter(bool))
+                for k in starts[i::count]}
+        chains.append((data, draw(st.lists(factor, max_size=4))))
+    at = draw(st.integers(0, len(chains[0][1])))
+    chains[0][1].insert(at, ((split, tall - split, 0), draw(kinds)))
+    return H, chains
+
+
+# lo = (-1, -1, 0) alone, carried to height H by a geometric factor and by
+# a binomial; two chains whose keys at H meet a tall step's image
+@example(case=(3, [({(-1, -1, 0): 1}, [((5, 0, 0), None)])]))
+@example(case=(3, [({(-1, -1, 0): 1}, [((2, 3, 0), -1), ((0, 1, 0), None)]),
+                   ({(1, 1, 1): 2, (0, 0, 0): -1},
+                    [((1, 0, 0), 1), ((0, 0, 1), None)])]))
+@settings(max_examples=150, deadline=None)
+@given(case=_layered_chains())
+def test_multiply_matches_the_termwise_reference_on_every_layer(case):
+    # the layered kernel against tuple-keyed products term by term, and
+    # against each chain packed and multiplied on its own
+    H, chains = case
+    assert _tuples(multiply(H, chains)) == reference_product(H, chains)
     assert _window(multiply(H, chains)) \
         == _window(multiply_chain_by_chain(H, chains))
 

@@ -130,16 +130,16 @@ def test_staged_straightening_matches_the_unstaged_product():
 def test_row_staging_keeps_the_support_small(monkeypatch, stype, peak):
     # straightening before each row keeps the peak far below the 2^k
     # monomials of the whole product (2^20, 2^27 and 2^18 here)
-    # each factor is one call of the packed binomial kernel
+    # each factor is one call of the packed shift-add kernel
     sizes = []
-    original = straighten._binomial_packed
+    original = straighten._shift_add
 
     def recording(*args):
         out = original(*args)
         sizes.append(len(out))
         return out
 
-    monkeypatch.setattr(straighten, "_binomial_packed", recording)
+    monkeypatch.setattr(straighten, "_shift_add", recording)
     pair = standard_pair(build(stype), "step2")
     Numerator(pair.system, pair.system.rho, pair.S)
     assert max(sizes) == peak

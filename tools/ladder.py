@@ -3,8 +3,8 @@
     python3 tools/ladder.py LABEL [--repo DIR]
 
 Each rung is the standard-pair `superdenom verify --variant step2
---output json` on one tall system (and D(4,2) at H=64, a height where
-skew is a large phase), or a `superdenom qn` run, run three
+--output json` on one tall system, or at a proof height (gl(4|4) H=40,
+D(4,2) H=64 and C(5) H=110), or a `superdenom qn` run, run three
 times, each in its own process from DIR/src; the record keeps the median
 wall time, the three samples and the per-phase times of the median run
 (from the report's own `timings`, in microseconds).  The structure rungs
@@ -21,13 +21,18 @@ A shared host's speed drifts by up to 2x over hours, so raw seconds of
 two records do not compare.  perfbench/reference.py's fixed task (this
 repository's copy, run as it is) is timed in a child of its own before
 every sample and after the last one.  Each sample, the startup rung's
-and Tier-1's included, is scaled by REFERENCE_S / r, r being the mean of
-the two probes next to it, as perfbench/run.py scales each job; a rung
-keeps its raw samples, their probe times and scaled seconds, and as
-`scaled_s` the median of its scaled samples.  Like perfbench/run.py,
-the ladder pins itself to the lowest processor it may run on before the
-first probe; every rung, probe and Tier-1 child inherits the pin, so the
-probe and the jobs see the same contention from the rest of the host.
+and Tier-1's included, is scaled by REFERENCE_S / r, r being the median
+of all the probe timings of the record (`reference_s_median`).  Single
+probes swing widely: around one rung's three samples they read 0.218,
+0.186 and 0.126 s within one record, and scaling each sample by the
+probes next to it moved that rung 1.26x with no change to the code.  One
+median per record takes out the drift between records only.  A rung
+keeps its raw samples, as `reference_s` the mean of the two probes next
+to each sample, its scaled samples, and as `scaled_s` the median of
+those.  Like perfbench/run.py, the ladder pins itself to the lowest
+processor it may run on before the first probe; every rung, probe and
+Tier-1 child inherits the pin, so the probe and the jobs see the same
+contention from the rest of the host.
 
 The children write their bytecode to .bench_build/pycache at the root of
 this repository (also when PYTHONDONTWRITEBYTECODE is set outside), and
@@ -61,12 +66,16 @@ REFERENCE_S = 0.130
 SAMPLES = 3
 STARTUP_SAMPLES = 11
 
-# (label, family arguments, height): the tall rungs the benchmark leaves out
+# (label, family arguments, height): the tall rungs the benchmark leaves
+# out; gl(4|4) H=40, D(4,2) H=64 and C(5) H=110 are proof heights, where
+# lhs is most of the run
 LADDER = (
     ("gl(5|5)", ("--family", "GL", "--m", "5", "--n", "5"), 12),
     ("D(5,3)", ("--family", "D", "--m", "5", "--n", "3"), 10),
     ("C(6)", ("--family", "C", "--n", "6"), 10),
     ("D(4,2)", ("--family", "D", "--m", "4", "--n", "2"), 64),
+    ("gl(4|4)", ("--family", "GL", "--m", "4", "--n", "4"), 40),
+    ("C(5)", ("--family", "C", "--n", "5"), 110),
     ("B(4,3)", ("--family", "B", "--m", "4", "--n", "3"), 10),    # cheapest
 )
 
@@ -148,31 +157,36 @@ def time_reference() -> float:
 
 
 class Probe:
-    """The host-speed probe between samples: the task is timed after
-    every sample, and the last timing is the next sample's before."""
+    """The host-speed probe between samples: the task is timed before the
+    first sample and after every one, and `timings` keeps them all."""
 
     def __init__(self):
-        self.last = time_reference()
+        self.timings = [time_reference()]
 
     def median_of(self, run, count: int = SAMPLES) -> dict:
         """count calls of run(): the median one by wall time, or the first
-        that failed, with every wall time, probe time and scaled time
-        kept, and the median scaled time as `scaled_s`."""
+        that failed, with every wall time and, as `reference_s`, the mean
+        of the two probe times next to each sample."""
         samples, refs = [], []
         for _ in range(count):
-            before = self.last
+            before = self.timings[-1]
             samples.append(run())
-            self.last = time_reference()
-            refs.append((before + self.last) / 2)
+            self.timings.append(time_reference())
+            refs.append(round((before + self.timings[-1]) / 2, 4))
         out = next((s for s in samples if s["exit"] != 0),
                    sorted(samples, key=lambda s: s["wall_s"])[count // 2])
-        scaled = [s["wall_s"] * REFERENCE_S / r
-                  for s, r in zip(samples, refs)]
         out["samples_s"] = [s["wall_s"] for s in samples]
-        out["reference_s"] = [round(r, 4) for r in refs]
+        out["reference_s"] = refs
+        return out
+
+
+def scale(entries, reference: float) -> None:
+    """Add each entry's samples scaled by REFERENCE_S / reference, and
+    their median as `scaled_s`."""
+    for out in entries:
+        scaled = [s * REFERENCE_S / reference for s in out["samples_s"]]
         out["scaled_samples_s"] = [round(x, 3) for x in scaled]
         out["scaled_s"] = round(statistics.median(scaled), 3)
-        return out
 
 
 def _commit(repo: Path) -> str:
@@ -213,10 +227,13 @@ def main(argv=None) -> int:
     print("startup", startup["samples_s"], "s", flush=True)
     tier1 = probe.median_of(lambda: time_tier1(repo))
     print("tier-1", tier1["wall_s"], "s:", tier1["summary"], flush=True)
+    reference = statistics.median(probe.timings)
+    scale([*rungs.values(), *structure.values(), startup, tier1], reference)
     record = {"label": args.label, "commit": _commit(repo),
               "python": platform.python_version(), "nproc": os.cpu_count(),
               "cpus": sorted(os.sched_getaffinity(0)),
               "reference_s_unloaded": REFERENCE_S,
+              "reference_s_median": round(reference, 4),
               "rungs": rungs, "structure": structure, "startup": startup,
               "tier1": tier1}
     doc = json.loads(out.read_text()) if out.exists() else {"runs": []}
