@@ -7,7 +7,15 @@ scan).  Output is text or canonical JSON: keys sorted, rationals as
 strings, no floats, so parse-and-redump is byte identical.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 resource cap exceeded.
+3 resource cap exceeded, 141 the reader closed the output early.
+
+`main(argv)` is the in-process API and returns the exit code.  `entry()`
+is the process entry of `python -m superdenom` and of the `superdenom`
+script: it runs `main`, flushes stdout and stderr, and ends the process
+with `os._exit` as soon as its output is flushed.  There is no
+interpreter teardown (no final cyclic collection, no module teardown),
+and atexit handlers do not run.  An uncaught exception still takes the
+normal interpreter exit, traceback included.
 
 Each run is a fresh process, so this module imports only what a command
 uses.  `COMMANDS` is the one table of commands and flags: `parse_args`
@@ -19,6 +27,7 @@ commands that call them.
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -35,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_BROKEN_PIPE = 141     # the shell's code for a death by SIGPIPE
 
 # flag -> (type, default, choices, required)
 _SYSTEM = {
@@ -102,7 +112,7 @@ def _help(command: str | None) -> str:
                   "takes `--flag value` or `--flag=value`",
                   "and may be shortened to any unique prefix.  Exit codes: "
                   "0 success, 1 verification", "failure, 2 usage error, "
-                  "3 resource cap exceeded."]
+                  "3 resource cap exceeded, 141 reader left early."]
         return "\n".join(lines)
     rows = [("-h, --help", "show this help and exit")]
     for name, spec in COMMANDS[command][1].items():
@@ -361,5 +371,18 @@ def main(argv: list | None = None) -> int:
     return code
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def entry() -> None:
+    """Run `main` on sys.argv, flush its output and end the process.
+
+    The process ends by `os._exit`, which skips the interpreter's teardown
+    and atexit handlers.  A reader that closes the pipe before the output
+    is written gets exit EXIT_BROKEN_PIPE and no traceback: the unwritten
+    bytes stay in their buffer, which `os._exit` never flushes.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    os._exit(code)

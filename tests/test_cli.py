@@ -208,15 +208,41 @@ def test_bad_command_line_exits_2(capsys, argv, message):
     assert "error: " + message in err and "Traceback" not in err
 
 
-def test_bad_command_line_in_a_child_exits_2():
+def _child_env():
+    # the child does not see pytest's pythonpath; point it at this package
     src = os.path.dirname(os.path.dirname(superdenom.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "superdenom", "verify", "--fam", "GL",
-         "--height", "x"], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "error: argument --height: invalid int value: 'x'" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# the console script's target, called as the generated script calls it
+_SCRIPT = ("import sys\nsys.argv = %r\n"
+           "from superdenom.cli import entry\nentry()")
+
+
+def _run_child(argv, script=False):
+    """`python -m superdenom ARGV`, or with script the `superdenom` script's
+    target on ARGV, in a child: (exit code, stdout, stderr)."""
+    cmd = ["-c", _SCRIPT % (["superdenom", *argv],)] if script \
+        else ["-m", "superdenom", *argv]
+    proc = subprocess.run([sys.executable, *cmd], capture_output=True,
+                          text=True, env=_child_env())
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--fam", "GL", "--height", "x"],
+     "error: argument --height: invalid int value: 'x'"),
+    (["build", "--family", "GL", "--bogus", "1"],
+     "error: unrecognized arguments: --bogus"),
+    (["verify", "--family", "GL", "--height", "-1"],
+     "error: height must be >= 0, got -1"),
+], ids=["bad-int", "bad-flag", "negative-height"])
+def test_bad_command_line_in_a_child_exits_2(capsys, argv, message):
+    code, out, err = _run_child(argv)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+    assert (code, out, err) == _run_main(capsys, argv)
 
 
 def test_prefixes_equals_repeats_and_negative_ints_parse():
@@ -254,17 +280,42 @@ def test_canonical_json_is_json_dumps(payload):
         payload, sort_keys=True, separators=(",", ":"))
 
 
-def test_console_entry_point():
-    # the child does not see pytest's pythonpath; point it at this package
-    src = os.path.dirname(os.path.dirname(superdenom.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "superdenom", "build",
-         "--family", "B", "--m", "2", "--n", "1"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert "B(2,1)" in proc.stdout
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "B", "--m", "2", "--n", "1"],
+    ["build", "--family", "GL", "--m", "2", "--n", "1", "--output", "json"],
+    ["pairs", "--family", "GL", "--m", "2", "--n", "2", "--output", "json"],
+    ["verify", "--family", "GL", "--m", "2", "--n", "1", "--output", "json"],
+    ["pairs", "--family", "GL", "--m", "3", "--n", "2", "--cap", "0"],
+], ids=["build-text", "build-json", "pairs-json", "verify-json", "cap-0"])
+def test_console_entry_point(capsys, argv):
+    def comparable(out):
+        # a verify report's timings differ from run to run
+        if argv[0] != "verify":
+            return out
+        return canonical_json(_timing_free(json.loads(out)))
+    code, out, err = _run_main(capsys, argv)
+    assert code in (0, 3) and ("resource limit: " in err) == (code == 3)
+    for script in (False, True):
+        got_code, got_out, got_err = _run_child(argv, script)
+        assert (got_code, got_err) == (code, err)
+        assert comparable(got_out) == comparable(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pairs", "--family", "GL", "--m", "4", "--n", "4", "--output", "json"],
+    ["verify", "--family", "GL", "--m", "2", "--n", "1"],
+], ids=["json", "text"])
+def test_a_reader_that_leaves_early_gets_exit_141(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)    # the child's first write finds no reader
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "superdenom", *argv],
+                                stdout=write_end, stderr=subprocess.PIPE,
+                                env=_child_env())
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate()
+    assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -1,6 +1,6 @@
 """Time the verify ladder, structure rungs and Tier-1 into BENCH_ladder.json.
 
-    python3 tools/ladder.py LABEL [--repo DIR]
+    python3 tools/ladder.py LABEL [--repo DIR] [--against REV]
 
 Each rung is the standard-pair `superdenom verify --variant step2
 --output json` on one tall system, or at a proof height (gl(4|4) H=40,
@@ -45,17 +45,33 @@ the Python version, the processor count and the pinned processor set
 (`cpus`), so one file carries the before and after numbers of each
 change.  The record is written even when a rung fails; the exit code is
 then 1.  Only the standard library is used.
+
+The probe does not make two records taken one after the other agree on
+rungs that no change touched (a `pairs gl(4|4)` rung read 0.067 ->
+0.065 s raw but 0.084 -> 0.094 s scaled), so a change is measured
+against its parent in one record: `--against REV` checks REV out into a
+temporary `git worktree` of DIR's repository (no network), removed again
+at the end, and times every rung on both trees in turn, parent then
+change, sample by sample (ABAB...), on the same pinned processor.  Each
+rung, the startup rung and Tier-1 then hold `parent` and `change`, each
+an entry as above, and the change's wall time over the parent's for each
+pair of samples (`ratios`), their median (`ratio_median`) and the number
+of pairs in which the change was faster (`change_wins`).  The record
+names REV's commit as `against`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -114,7 +130,7 @@ def _run(repo: Path, args: tuple):
                           capture_output=True, text=True)
     wall = time.perf_counter() - t0
     out = {"command": " ".join(["superdenom"] + argv[3:]),
-           "wall_s": round(wall, 3), "exit": proc.returncode}
+           "wall_s": round(wall, 4), "exit": proc.returncode}
     if proc.returncode != 0:
         out["stderr"] = proc.stderr.strip().splitlines()[-1:]
     return out, proc.stdout
@@ -163,21 +179,38 @@ class Probe:
     def __init__(self):
         self.timings = [time_reference()]
 
-    def median_of(self, run, count: int = SAMPLES) -> dict:
-        """count calls of run(): the median one by wall time, or the first
-        that failed, with every wall time and, as `reference_s`, the mean
-        of the two probe times next to each sample."""
-        samples, refs = [], []
+    def median_of(self, runs, count: int = SAMPLES) -> list:
+        """count rounds of one call of each of runs in turn (ABAB... for a
+        parent and a change): for each run, its median sample by wall
+        time, or the first that failed, with every wall time and, as
+        `reference_s`, the mean of the two probe times next to each
+        sample."""
+        samples = [[] for _ in runs]
+        refs = [[] for _ in runs]
         for _ in range(count):
-            before = self.timings[-1]
-            samples.append(run())
-            self.timings.append(time_reference())
-            refs.append(round((before + self.timings[-1]) / 2, 4))
-        out = next((s for s in samples if s["exit"] != 0),
-                   sorted(samples, key=lambda s: s["wall_s"])[count // 2])
-        out["samples_s"] = [s["wall_s"] for s in samples]
-        out["reference_s"] = refs
-        return out
+            for run, got, ref in zip(runs, samples, refs):
+                before = self.timings[-1]
+                got.append(run())
+                self.timings.append(time_reference())
+                ref.append(round((before + self.timings[-1]) / 2, 4))
+        outs = []
+        for got, ref in zip(samples, refs):
+            out = next((s for s in got if s["exit"] != 0),
+                       sorted(got, key=lambda s: s["wall_s"])[count // 2])
+            out["samples_s"] = [s["wall_s"] for s in got]
+            out["reference_s"] = ref
+            outs.append(out)
+        return outs
+
+
+def paired(parent: dict, change: dict) -> dict:
+    """Both sides of a rung, the change's wall time over the parent's for
+    each pair of samples, their median and the change's win count."""
+    ratios = [c / p for p, c in zip(parent["samples_s"], change["samples_s"])]
+    return {"parent": parent, "change": change,
+            "ratios": [round(r, 3) for r in ratios],
+            "ratio_median": round(statistics.median(ratios), 3),
+            "change_wins": sum(r < 1 for r in ratios)}
 
 
 def scale(entries, reference: float) -> None:
@@ -201,50 +234,86 @@ def _commit(repo: Path) -> str:
     return head.stdout.strip() + ("+dirty" if dirty else "")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("label")
-    parser.add_argument("--repo", type=Path, default=ROOT)
-    args = parser.parse_args(argv)
-    out = ROOT / "BENCH_ladder.json"
-    repo = args.repo.resolve()
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    # warm-up: fills the bytecode cache
-    time_rung(repo, _verify_args(*LADDER[-1][1:]))
+@contextlib.contextmanager
+def worktree(repo: Path, rev: str):
+    """REV of repo's repository checked out in a temporary directory."""
+    tmp = Path(tempfile.mkdtemp(prefix="ladder-"))
+    tree = tmp / "tree"
+    git = ["git", "-C", str(repo), "worktree"]
+    try:
+        subprocess.run([*git, "add", "--detach", "--quiet", str(tree), rev],
+                       check=True)
+        yield tree
+    finally:
+        # fails harmlessly when REV could not be checked out
+        subprocess.run([*git, "remove", "--force", str(tree)],
+                       capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def ladder(repos: list) -> tuple:
+    """Every rung, the startup rung and Tier-1 on each of repos in turn:
+    the record's timings, each entry `paired` when repos are a parent and
+    a change, and whether any run failed or found the identity false."""
     probe = Probe()
+
+    def measure(key, run, count=SAMPLES):
+        outs = probe.median_of([lambda r=r: run(r) for r in repos], count)
+        print(key, *(out["samples_s"] for out in outs), "s", flush=True)
+        return outs
+
     rungs = {}
     verify = [("%s H=%d" % (name, height), _verify_args(family, height))
               for name, family, height in LADDER]
     for key, command in verify + list(QN):
-        rungs[key] = probe.median_of(lambda: time_rung(repo, command))
-        print(key, rungs[key]["samples_s"], "s", flush=True)
-    structure = {}
-    for key, command in STRUCTURE:
-        structure[key] = probe.median_of(lambda: _run(repo, command)[0])
-        print(key, structure[key]["samples_s"], "s", flush=True)
-    startup = probe.median_of(lambda: _run(repo, STARTUP)[0],
-                              STARTUP_SAMPLES)
-    print("startup", startup["samples_s"], "s", flush=True)
-    tier1 = probe.median_of(lambda: time_tier1(repo))
-    print("tier-1", tier1["wall_s"], "s:", tier1["summary"], flush=True)
+        rungs[key] = measure(key, lambda r: time_rung(r, command))
+    structure = {key: measure(key, lambda r: _run(r, command)[0])
+                 for key, command in STRUCTURE}
+    startup = measure("startup", lambda r: _run(r, STARTUP)[0],
+                      STARTUP_SAMPLES)
+    tier1 = measure("tier-1", time_tier1)
+    entries = [*rungs.values(), *structure.values(), startup, tier1]
     reference = statistics.median(probe.timings)
-    scale([*rungs.values(), *structure.values(), startup, tier1], reference)
+    runs = [out for outs in entries for out in outs]
+    scale(runs, reference)
+    failed = any(out["exit"] != 0 for out in runs) or not all(
+        out.get("equal") for outs in rungs.values() for out in outs)
+
+    def record(outs):
+        return outs[0] if len(outs) == 1 else paired(*outs)
+    return {"reference_s_median": round(reference, 4),
+            "rungs": {k: record(v) for k, v in rungs.items()},
+            "structure": {k: record(v) for k, v in structure.items()},
+            "startup": record(startup), "tier1": record(tier1)}, failed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("label")
+    parser.add_argument("--repo", type=Path, default=ROOT)
+    parser.add_argument("--against", metavar="REV")
+    args = parser.parse_args(argv)
+    out = ROOT / "BENCH_ladder.json"
+    repo = args.repo.resolve()
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     record = {"label": args.label, "commit": _commit(repo),
               "python": platform.python_version(), "nproc": os.cpu_count(),
               "cpus": sorted(os.sched_getaffinity(0)),
-              "reference_s_unloaded": REFERENCE_S,
-              "reference_s_median": round(reference, 4),
-              "rungs": rungs, "structure": structure, "startup": startup,
-              "tier1": tier1}
+              "reference_s_unloaded": REFERENCE_S}
+    with (worktree(repo, args.against) if args.against
+          else contextlib.nullcontext()) as parent:
+        repos = [repo] if parent is None else [parent, repo]
+        if parent is not None:
+            record["against"] = _commit(parent)
+        # warm-up: fills the bytecode cache
+        for r in repos:
+            time_rung(r, _verify_args(*LADDER[-1][1:]))
+        timings, failed = ladder(repos)
+    record.update(timings)
     doc = json.loads(out.read_text()) if out.exists() else {"runs": []}
     doc["runs"].append(record)
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    failed = [k for k, v in rungs.items() if v["exit"] != 0
-              or not v.get("equal")]
-    failed += [k for k, v in structure.items() if v["exit"] != 0]
-    if startup["exit"] != 0:
-        failed.append("startup")
-    return 1 if failed or tier1["exit"] != 0 else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
