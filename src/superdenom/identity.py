@@ -24,7 +24,7 @@ import math
 import time
 from collections.abc import Iterable, Sequence
 from itertools import permutations, product
-from operator import attrgetter, mul, sub
+from operator import attrgetter, sub
 
 from .errors import DomainError, ResourceLimitError, StructuralError
 from .groups import (DEFAULT_CAP, SignedPermutation, _gather,
@@ -557,8 +557,9 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10) -> list:
     keeps exactly the strictly dominant lambda of the box: those with
     <lambda, a^vee> > 0 for every even simple root a.  That pairing has
     the sign of form4(lambda, a) * form4(a, a), and it is linear in the
-    key, so each key is tested on ints against one row per even simple
-    root; only the kept keys become Weights.  These are all the answers:
+    key: lambda is kept when key . row_a < base_a for each even simple
+    root a, all on ints.  Only the kept keys become Weights.  These are
+    all the answers:
 
     - Every lambda in the box has rho_0 - lambda in Q+, because its key
       is >= 0.
@@ -572,10 +573,22 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10) -> list:
       and mu - p is in Q+ by the same argument.  So mu sits no higher
       than p, and it is in the box itself.
 
+    The box is walked depth first, one key coordinate at a time, and a
+    prefix is dropped as soon as no completion can pass some wall.  With
+    coordinates 0..i-1 fixed, the open ones are >= 0 and sum to at most
+    rem, the height left; so they lower key . row_a below the prefix's
+    partial sum by at most rem * min(0, min(row_a[i:])).  A prefix is
+    dropped once partial_a + that bound >= base_a for some a.  Every
+    completion of a dropped prefix fails that wall, and at a full key
+    the bound is 0, so the test is the wall test itself: the walk yields
+    exactly the keys of the box that pass every wall, in the box's
+    lexicographic order, on exact ints.
+
     The result must match the classification: only W rho_0 except for
     gl(n|n), where the representatives are rho_0 - s*xi.
-    ResourceLimitError, before anything is enumerated, when the box's
-    C(H + r, r) keys (r simple roots) exceed `groups.DEFAULT_CAP`.
+    ResourceLimitError, before anything is walked, when the whole box's
+    C(H + r, r) keys (r simple roots) exceed `groups.DEFAULT_CAP`: the cap
+    counts the box, not the keys the walk visits.
     """
     if rs.family not in ("GL", "C"):
         raise DomainError("orbit scans cover the gl and C families only")
@@ -593,15 +606,45 @@ def regular_orbit_scan(rs: RootSystem, H: int = 10) -> list:
         walls.append((sign * form4(frame.rho0, a),
                       [sign * form4(b, a) for b in frame.simple_roots]))
     out = sorted((frame.rho0 - frame.weight(key)
-                  for key in _keys_up_to(rank, H)
-                  if all(sum(map(mul, key, row)) < base
-                         for base, row in walls)),
+                  for key in _wall_keys(walls, rank, H)),
                  key=coordinate_order)
     expected = expected_regular_orbit_reps(rs, H, pair)
     if out != expected:
         raise StructuralError(
             "regular orbits [%s] do not match the classification [%s]"
             % (", ".join(map(str, out)), ", ".join(map(str, expected))))
+    return out
+
+
+def _wall_keys(walls: Sequence, rank: int, H: int) -> list:
+    """The keys k >= 0 of length rank, sum(k) <= H, with k . row < base
+    for every (base, row) in walls, in lexicographic order.
+
+    regular_orbit_scan's pruned walk; its docstring has the bound.
+    """
+    bases = [base for base, _ in walls]
+    columns = [[row[i] for _, row in walls] for i in range(rank)]
+    # floors[i][a]: min(0, min(row_a[i:])), the least per unit of height
+    floors = [[0] * len(walls)]
+    for column in reversed(columns):
+        floors.insert(0, list(map(min, floors[0], column)))
+    out = []
+
+    def walk(i, rem, partial, key):
+        if i == rank:
+            out.append(key)
+            return
+        column, floor = columns[i], floors[i + 1]
+        for v in range(rem + 1):
+            moved = [p + v * c for p, c in zip(partial, column)]
+            left = rem - v
+            if all(p + left * f < base
+                   for p, f, base in zip(moved, floor, bases)):
+                walk(i + 1, left, moved, key + (v,))
+
+    # the empty prefix is tested too: with rank 0 it is the one key
+    if all(H * f < base for f, base in zip(floors[0], bases)):
+        walk(0, H, [0] * len(walls), ())
     return out
 
 
@@ -619,15 +662,6 @@ def expected_regular_orbit_reps(rs: RootSystem, H: int = 10,
     step = sum(pair.system.cone_key(xi))
     return sorted((rho0 - xi.scale(s) for s in range(H // step + 1)),
                   key=coordinate_order)
-
-
-def _keys_up_to(rank: int, H: int):
-    if rank == 0:
-        yield ()
-        return
-    for first in range(H + 1):
-        for rest in _keys_up_to(rank - 1, H - first):
-            yield (first,) + rest
 
 
 def xi_presentation_unique(pair: AdmissiblePair,

@@ -5,7 +5,10 @@ odd positive roots depend on the choice of simple system Pi.  Changing Pi
 by the odd reflection at an isotropic simple root beta replaces beta by
 -beta in the positive system and shifts rho by beta.  Only derive solves
 for simple coordinates; an odd reflection is an integer change of basis,
-so it carries the parent's table of root coordinates over instead.  An
+so it carries the parent's table of root coordinates over instead, in
+one pass over the parent's positive roots that also classifies them.
+The even half never changes, so a reflected system shares its parent's
+even positive roots and rho_0 and only rebuilds the odd half.  An
 admissible pair (S, Pi) consists of a simple system together with a
 maximal set of pairwise orthogonal isotropic roots inside it.
 """
@@ -36,20 +39,22 @@ class SimpleSystem:
     simple_roots come sorted by coordinates.  `_root_steps` maps each
     root's doubled tuple to (step, negative), step being the int simple
     coordinates of the positive one of +-root; derive fills it from its
-    solves, odd_reflection from the parent's table.  The elimination of
+    solves, odd_reflection from the parent's table.  rho0, when given, is
+    taken as the half sum of positive_even: a reflected system passes its
+    parent's, over the same even half.  The elimination of
     the simple roots is built only for a cone or height question:
     `_raw_cone_key` (cone_key and cone wrap it) solves, and `_raw_height`
     reads one height row, several times cheaper than a solve.
     """
 
     def __init__(self, simple_roots, rs, positive_even, positive_odd,
-                 root_steps, solver=None):
+                 root_steps, solver=None, rho0=None):
         self.simple_roots = tuple(simple_roots)
         self.rs = rs
         self.pos_even = frozenset(positive_even)
         self.pos_odd = frozenset(positive_odd)
         self.positive_roots = self.pos_even | self.pos_odd
-        self.rho0 = _half_sum(self.pos_even, rs)
+        self.rho0 = _half_sum(self.pos_even, rs) if rho0 is None else rho0
         self.rho1 = _half_sum(self.pos_odd, rs)
         self.rho = self.rho0 - self.rho1
         self._root_steps = root_steps
@@ -232,17 +237,21 @@ def derive(pi: Sequence[Weight], rs: RootSystem, universe: str = "super"
         if nums is not None and not any(acc % den for acc, den in nums):
             return [acc // den for acc, den in nums]
 
-    return _classified(pi, rs, (even_half, odd_half), coordinates, solver)
+    halves = (even_half, odd_half)
+    steps, flips = _classified(halves, coordinates)
+    return SimpleSystem(pi, rs, *_positive(halves, flips), steps, solver)
 
 
-def _classified(pi, rs, halves, coordinates, solver=None) -> SimpleSystem:
-    """The system on pi from one root a of each +-pair in halves (even, odd).
+def _classified(halves, coordinates) -> tuple:
+    """Classify one root a of each +-pair in halves (even, odd).
 
     coordinates(a) is a list of ints, or None off the lattice; exactly one
-    of +-a must have them all >= 0.  They fill the root table.
+    of +-a must have them all >= 0.  They fill the root table, which
+    comes back with, for each half, the roots a whose -a is the positive
+    one.
     """
-    pos, steps = (set(), set()), {}
-    for half, bucket in zip(halves, pos):
+    steps, flips = {}, ([], [])
+    for half, flipped in zip(halves, flips):
         for a in half:
             step = coordinates(a)
             plus = step is not None and min(step) >= 0
@@ -251,12 +260,20 @@ def _classified(pi, rs, halves, coordinates, solver=None) -> SimpleSystem:
                 raise ValidationError(
                     "not a simple system: %s and its negative are %s the cone"
                     % (a, "both in" if plus else "both outside"))
+            t = a.doubled
+            neg = tuple([-v for v in t])
             if minus:
-                a, step = -a, [-v for v in step]
-            bucket.add(a)
-            step, t = tuple(step), a.doubled
-            steps[t], steps[tuple([-v for v in t])] = (step, False), (step, True)
-    return SimpleSystem(pi, rs, *pos, steps, solver)
+                flipped.append(a)
+                t, neg, step = neg, t, [-v for v in step]
+            step = tuple(step)
+            steps[t], steps[neg] = (step, False), (step, True)
+    return steps, flips
+
+
+def _positive(halves, flips) -> list:
+    """Each half with its flipped roots negated: the positive roots."""
+    return [(set(half) - set(f)) | {-a for a in f}
+            for half, f in zip(halves, flips)]
 
 
 def odd_reflection(sys: SimpleSystem, beta: Weight,
@@ -264,20 +281,25 @@ def odd_reflection(sys: SimpleSystem, beta: Weight,
     """Odd reflection at an isotropic simple root.
 
     New simple roots: beta goes to -beta; roots orthogonal to beta stay;
-    the rest gain beta.  The positive system changes only by beta -> -beta
-    and rho moves to rho + beta.  systems maps SimpleSystem.key() to
-    systems already built: the new Pi is looked up there first and
-    computed from sys's root table (`_reflected`) only on a miss, never
-    solved.  The flip and rho checks run either way, so a system found in
-    the map is still checked against this parent.
+    the rest gain beta.  The pairing with beta is read off the doubled
+    tuples, with beta's delta block negated.  The positive system changes
+    only by beta -> -beta and rho moves to rho + beta.  systems maps
+    SimpleSystem.key() to systems already built: the new Pi is looked up
+    there first and computed from sys's root table (`_reflected`) only on
+    a miss, never solved.  The flip and rho checks run either way, so a
+    system found in the map is still checked against this parent.
     """
     if beta not in sys.simple_roots:
         raise DomainError("%s is not a simple root here" % beta)
     if not is_isotropic(beta):
         raise DomainError("%s is not isotropic" % beta)
-    new_pi = [-a if a == beta else a + beta if form4(a, beta) else a
+    m, bt = beta.m, beta.doubled
+    pairing = bt[:m] + tuple([-v for v in bt[m:]])
+    new_pi = [-a if a == beta
+              else Weight(tuple(map(add, a.doubled, bt)), m)
+              if sum(map(mul, a.doubled, pairing)) else a
               for a in sys.simple_roots]
-    key = tuple(a.doubled for a in sorted(new_pi, key=coordinate_order))
+    key = tuple(sorted(a.doubled for a in new_pi))
     out = systems.get(key) if systems else None
     if out is None:
         out = _reflected(sys, beta, new_pi)
@@ -296,10 +318,18 @@ def _reflected(sys: SimpleSystem, beta: Weight, new_pi: list) -> SimpleSystem:
     coordinates but at beta's place b, which becomes the sum at the places
     where a gained beta minus the one at b.  That change of basis is the
     identity but for row b, whose diagonal entry is -1; its determinant
-    is -1, so new_pi is independent and the coordinates stay ints.  Each
-    step must rebuild its root under t -> sum 9^k t_k, one-to-one on the
-    doubled tuples of roots (entries in [-4, 4]): a wrong or negated
-    entry in the table, or two swapped, is a StructuralError.
+    is -1, so new_pi is independent and the coordinates stay ints.
+
+    `_classified` makes one pass over sys's positive roots, even then
+    odd.  Each root's table entry is carried over with its sign flag, and
+    its new step must rebuild the root under t -> sum 9^k t_k, one-to-one
+    on the doubled tuples of roots (entries in [-4, 4]): a wrong or
+    negated entry in the table, or two swapped, is a StructuralError.  A
+    step of mixed signs is a ValidationError.  When exactly beta flips,
+    the legal outcome, the new system reuses sys's even half and rho_0
+    and takes sys's odd half with beta negated.  Any other flip builds
+    both halves from the classification (`_positive`), so
+    odd_reflection's flip check rejects it.
     """
     old, roots = sys.simple_roots, sys._root_steps
     b = old.index(beta)
@@ -319,8 +349,14 @@ def _reflected(sys: SimpleSystem, beta: Weight, new_pi: list) -> SimpleSystem:
             raise StructuralError("the root table misplaces %s" % a)
         return step
 
-    return _classified([new_pi[i] for i in order], sys.rs,
-                       (sys.pos_even, sys.pos_odd), coordinates)
+    halves = (sys.pos_even, sys.pos_odd)
+    steps, flips = _classified(halves, coordinates)
+    pi = [new_pi[i] for i in order]
+    if flips == ([], [beta]):
+        return SimpleSystem(pi, sys.rs, sys.pos_even,
+                            (sys.pos_odd - {beta}) | {-beta}, steps,
+                            rho0=sys.rho0)
+    return SimpleSystem(pi, sys.rs, *_positive(halves, flips), steps)
 
 
 class AdmissiblePair(Frozen):
@@ -591,8 +627,9 @@ def enumerate_simple_systems(rs: RootSystem, cap: int = PAIR_CAP) -> list:
         for sys in frontier:
             for beta in sys.isotropic_simples:
                 out = odd_reflection(sys, beta, seen)
-                if out.key() not in seen:
-                    seen[out.key()] = out
+                key = out.key()
+                if key not in seen:
+                    seen[key] = out
                     nxt.append(out)
                     if len(seen) > cap:
                         raise ResourceLimitError(

@@ -4,6 +4,8 @@ Each one is small, independent of the package's fast paths, and read by
 more than one test module, so it lives here rather than in the package.
 """
 
+from operator import mul
+
 from superdenom.groups import (SignedPermutation, _compiled, _gather,
                                is_dominant, orbit, sharp_group, weyl_group)
 from superdenom.identity import _alternating_sum, _w2_generators, rhs_closed
@@ -109,6 +111,27 @@ def dominant_representative(lam, group, simples):
         if is_dominant(mu, simples):
             return mu
     raise AssertionError("orbit of %s has no dominant element" % lam)
+
+
+def box_keys(rank: int, H: int):
+    """Every key k >= 0 of length rank with sum(k) <= H, in lexicographic
+    order: the whole height-H box of an orbit scan."""
+    if rank == 0:
+        yield ()
+        return
+    for first in range(H + 1):
+        for rest in box_keys(rank - 1, H - first):
+            yield (first,) + rest
+
+
+def box_scan_keys(walls, rank: int, H: int) -> list:
+    """The box's keys with key . row < base for every (base, row) in walls.
+
+    The orbit scan's keys by brute force: every key of the box is tested
+    against every wall, and nothing is pruned.
+    """
+    return [key for key in box_keys(rank, H)
+            if all(sum(map(mul, key, row)) < base for base, row in walls)]
 
 
 def dump_lines(series) -> list:

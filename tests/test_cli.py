@@ -97,9 +97,9 @@ def test_orbits_cap_exits_3_before_enumerating(capsys, monkeypatch):
     from superdenom import identity
 
     def refused(*args):
-        raise AssertionError("box keys enumerated past the cap")
+        raise AssertionError("box keys walked past the cap")
 
-    monkeypatch.setattr(identity, "_keys_up_to", refused)
+    monkeypatch.setattr(identity, "_wall_keys", refused)
     code, out, err = _run_main(capsys, ["orbits", "--family", "GL",
                                         "--m", "3", "--n", "3",
                                         "--height", "60"])

@@ -3,11 +3,13 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from superdenom import groups, identity, series, simple
 from superdenom.errors import DomainError, StructuralError
 from superdenom.groups import orbit, reflection, sharp_group, weyl_group
-from superdenom.identity import (_alternating_sum, _keys_up_to,
+from superdenom.identity import (_alternating_sum, _wall_keys,
                                  closed_form_sum,
                                  cross_multiplied_check,
                                  dropped_denominator_sum_vanishes,
@@ -30,8 +32,9 @@ from superdenom.simple import (AdmissiblePair, even_frame, second_type_move,
 from superdenom.straighten import Numerator
 from superdenom.weights import Weight, coordinate_order
 
-from oracles import (acted_sum, dominant_representative,
-                     external_delta_flips, window_skew_check)
+from oracles import (acted_sum, box_keys, box_scan_keys,
+                     dominant_representative, external_delta_flips,
+                     window_skew_check)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -323,7 +326,7 @@ def _weight_orbit_scan(rs, H):
     rho0 = frame.rho0
     evens = simple_roots(rs.positive_even)
     reps, seen = set(), set()
-    for key in _keys_up_to(len(frame.simple_roots), H):
+    for key in box_keys(len(frame.simple_roots), H):
         lam = rho0 - frame.weight(key)
         if lam in seen:
             continue
@@ -344,6 +347,56 @@ def _weight_orbit_scan(rs, H):
 def test_raw_orbit_scan_matches_the_weight_scan(stype, H):
     rs = build(stype)
     assert regular_orbit_scan(rs, H) == _weight_orbit_scan(rs, H)
+
+
+_SCAN_SYSTEMS = ([SuperType("GL", m, n) for m in range(1, 5)
+                  for n in range(1, m + 1)]
+                 + [SuperType("C", n=n) for n in (2, 3, 4)])
+
+
+def test_pruned_walk_keeps_exactly_the_box_keys_inside_the_walls(monkeypatch):
+    # every wall set the scan builds at H = 0..10, against the unpruned
+    # box walk; the largest box, gl(4|4) at H = 10, has C(17, 7) = 19,448
+    # keys
+    real, seen = identity._wall_keys, []
+
+    def spy(walls, rank, H):
+        keys = real(walls, rank, H)
+        seen.append((walls, rank, H, keys))
+        return keys
+
+    monkeypatch.setattr(identity, "_wall_keys", spy)
+    for stype in _SCAN_SYSTEMS:
+        rs = build(stype)
+        rank = len(standard_pair(rs, "step2").system.simple_roots)
+        for H in range(11):
+            seen.clear()
+            reps = regular_orbit_scan(rs, H)
+            ((walls, got_rank, got_H, keys),) = seen
+            assert (got_rank, got_H) == (rank, H)
+            assert keys == box_scan_keys(walls, rank, H), (stype, H)
+            assert len(keys) == len(reps)
+
+
+_WALLS = st.integers(0, 5).flatmap(lambda rank: st.tuples(
+    st.just(rank),
+    st.lists(st.tuples(st.integers(-12, 12),
+                       st.lists(st.integers(-4, 4), min_size=rank,
+                                max_size=rank)),
+             max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_WALLS, H=st.integers(0, 8))
+# the first coordinate alone breaks the wall and the second pays it back,
+# so pruning on the partial sum alone would lose (3, 2); rank 0 has one key
+@example(case=(2, [(1, [1, -2])]), H=5)
+@example(case=(0, [(0, [])]), H=0)
+def test_pruned_walk_matches_the_box_on_random_walls(case, H):
+    # rows of mixed signs make the bound rem * min(0, min(row[i:])) bite
+    # on walls that no rho_0 gives
+    rank, walls = case
+    assert _wall_keys(walls, rank, H) == box_scan_keys(walls, rank, H)
 
 
 def test_orbit_scan_rejects_a_classification_it_does_not_meet(monkeypatch):

@@ -359,6 +359,33 @@ def test_reflection_rejects_a_wrong_parent_table(stype):
             odd_reflection(_with_table(sys, table), beta)
 
 
+@pytest.mark.parametrize("stype", [
+    SuperType("GL", 3, 2), SuperType("B", 2, 2, sharp_choice="C_side"),
+    SuperType("D", 3, 2)])
+def test_reflection_rejects_a_parent_whose_other_roots_flip(stype):
+    # a parent that lists -a as positive for an even root a, or for an
+    # odd root a other than beta, has a right table, so a flips in the
+    # pass: the reflection must not take the beta-only branch and must
+    # raise, with the systems map or without it
+    rs = build(stype)
+    sys = standard_pair(rs, "step2").system
+    beta = sys.isotropic_simples[0]
+    wrong = [[(sys.pos_even - {a}) | {-a}, sys.pos_odd]
+             for a in sys.pos_even]
+    wrong += [[sys.pos_even, (sys.pos_odd - {a}) | {-a}]
+              for a in sys.pos_odd if a != beta]
+    assert len(wrong) == len(sys.positive_roots) - 1
+    out = odd_reflection(sys, beta)
+    known = {out.key(): out}
+    for even, odd in wrong:
+        parent = SimpleSystem(sys.simple_roots, rs, even, odd,
+                              sys._root_steps)
+        for systems in (None, known):
+            with pytest.raises(StructuralError,
+                               match="did not flip exactly"):
+                odd_reflection(parent, beta, systems)
+
+
 def _counter(monkeypatch, name: str) -> list:
     """Count calls of simple.<name> from here on; returns the live counter."""
     calls = []

@@ -9,10 +9,11 @@ times, each in its own process from DIR/src; the record keeps the median
 wall time, the three samples and the per-phase times of the median run
 (from the report's own `timings`, in microseconds).  The structure rungs
 (`pairs`, `diagram` and `orbits`, none of which expands a series) are
-timed the same way and keep only their wall times and exit codes.  The startup rung,
-`superdenom build` on gl(3|3), is mostly interpreter start-up and
-imports; it takes about 50 ms, so it keeps the median of
-STARTUP_SAMPLES runs.  The Tier-1 suite is
+timed the same way and keep only their wall times and exit codes.  The
+startup rung, `superdenom build` on gl(3|3), is mostly interpreter
+start-up and imports.  It and the structure rungs each take under 0.1 s,
+where the host's swings are as large as a change, so each of them keeps
+the median of SHORT_SAMPLES runs instead of three.  The Tier-1 suite is
 `python -m pytest -q` in DIR, timed the same way, with pytest's summary
 line kept.  DIR defaults to this repository; point it at a checkout of
 the parent commit for the "before" numbers.
@@ -80,7 +81,8 @@ REFERENCE = ROOT / "perfbench" / "reference.py"
 # perfbench/run.py's REFERENCE_S: the probe's seconds on an unloaded host
 REFERENCE_S = 0.130
 SAMPLES = 3
-STARTUP_SAMPLES = 11
+# the rungs under 0.1 s: startup and structure
+SHORT_SAMPLES = 11
 
 # (label, family arguments, height): the tall rungs the benchmark leaves
 # out; gl(4|4) H=40, D(4,2) H=64 and C(5) H=110 are proof heights, where
@@ -267,10 +269,11 @@ def ladder(repos: list) -> tuple:
               for name, family, height in LADDER]
     for key, command in verify + list(QN):
         rungs[key] = measure(key, lambda r: time_rung(r, command))
-    structure = {key: measure(key, lambda r: _run(r, command)[0])
+    structure = {key: measure(key, lambda r: _run(r, command)[0],
+                              SHORT_SAMPLES)
                  for key, command in STRUCTURE}
     startup = measure("startup", lambda r: _run(r, STARTUP)[0],
-                      STARTUP_SAMPLES)
+                      SHORT_SAMPLES)
     tier1 = measure("tier-1", time_tier1)
     entries = [*rungs.values(), *structure.values(), startup, tier1]
     reference = statistics.median(probe.timings)
