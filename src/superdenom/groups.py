@@ -7,13 +7,16 @@ weight layout (eps block first, delta block offset by m): src[j] = +-(k+1)
 means w(x)[j] = +-x[k], the same kind of flat int tuple as a weight's
 doubled coordinates.  Acting on a weight, or composing, is one gather;
 `images`, where each basis vector goes, is derived from it.  One private
-closure on raw tuples, each generator compiled once and the determinant
-carried along, builds every element list: `weyl_group` and `sharp_group`
-enumerate W and W# (the group generated by reflections in the
-positive-square even roots) once per root system, and `sharp_ball`
-walks to the W# elements within a height only.  Elements come in
-discovery order, which nothing reads.  `weyl_generators` keeps W's simple
-reflections apart, so a skewness check never enumerates W.
+closure on raw tuples, each generator compiled once and a label carried
+along each edge, builds every element list: `weyl_group` and
+`sharp_group` enumerate W and W# (the group generated by reflections in
+the positive-square even roots) once per root system, the label being
+the determinant, and `sharp_ball` walks to the W# elements within a
+height only, the label being the determinant and the simple coordinates
+of rho - w rho in the pair's frame, which a step updates on ints with no
+solve.  Elements come in discovery order, which nothing reads.
+`weyl_generators` keeps W's simple reflections apart, so a skewness
+check never enumerates W.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache, partial
-from operator import attrgetter, itemgetter, sub
+from operator import attrgetter, itemgetter, mul, sub
 
 from .errors import DomainError, ResourceLimitError, StructuralError
 from .records import Frozen, _set
@@ -165,45 +168,45 @@ def simple_reflections(positive: frozenset) -> tuple:
     return tuple((a, reflection(a)) for a in simple_roots(positive))
 
 
-def _closure(start: tuple, sign: int,
-             generators: Sequence[SignedPermutation], m: int, cap: int,
-             inside: Callable[[tuple], bool] | None = None) -> tuple:
+def _closure(start: tuple, label, moves: Sequence, cap: int) -> dict:
     """The elements reached from start by left-multiplying by generators.
 
-    A BFS on raw gather tuples, each generator compiled once, so g w is
-    one compiled gather of w's tuple.  start is a gather tuple with
-    determinant sign, and the determinant rides along, as sgn(g w) =
-    sgn(g) sgn(w), so no element walks its parity.  A tuple that inside
-    rejects is stored as 0, left out of the result and never walked past.
-    Elements come in discovery order.
+    A BFS on raw gather tuples: moves holds, for each generator g, g
+    compiled (`_compiled`), so g w is one gather of w's tuple, and a move
+    that makes the label of g w from the label of w.  start's label is
+    given and every other one rides along an edge, so none is computed
+    from scratch.  A label None marks an element outside: it is left out
+    of the result and never walked past.  Returns {gather tuple: label}
+    of the elements inside, in discovery order.
     """
-    acts = [(_compiled(g), g.sgn()) for g in generators]
-    seen = {start: sign if inside is None or inside(start) else 0}
-    frontier = [start] if seen[start] else []
+    seen = {start: label}
+    frontier = [start] if label is not None else []
     while frontier:
         nxt = []
         for w in frontier:
-            w_sign = seen[w]
-            for act, g_sign in acts:
+            x = seen[w]
+            for act, move in moves:
                 u = act(w)
                 if u not in seen:
-                    if inside is None or inside(u):
-                        seen[u] = g_sign * w_sign
+                    y = seen[u] = move(x)
+                    if y is not None:
                         nxt.append(u)
-                    else:
-                        seen[u] = 0
                     if len(seen) > cap:
                         raise ResourceLimitError(
                             "group enumeration exceeded cap %d" % cap)
         frontier = nxt
-    return tuple(SignedPermutation(w, m, s) for w, s in seen.items() if s)
+    return {w: x for w, x in seen.items() if x is not None}
 
 
 def enumerate_group(generators: Sequence[SignedPermutation], dims: tuple,
                     cap: int = DEFAULT_CAP) -> tuple:
-    """The group the generators generate, by the closure from 1."""
-    return _closure(SignedPermutation.identity(*dims).src, 1, generators,
-                    dims[0], cap)
+    """The group the generators generate, by the closure from 1.
+
+    The label is the determinant: sgn(g w) = sgn(g) sgn(w).
+    """
+    moves = [(_compiled(g), partial(mul, g.sgn())) for g in generators]
+    signs = _closure(SignedPermutation.identity(*dims).src, 1, moves, cap)
+    return tuple(SignedPermutation(w, dims[0], s) for w, s in signs.items())
 
 
 @lru_cache(maxsize=None)
@@ -234,21 +237,31 @@ def sharp_group(rs: RootSystem) -> tuple:
     return out
 
 
-def sharp_ball(pair: AdmissiblePair, H: int) -> tuple:
-    """The w in W# with ht(rho - w rho) <= H, signs carried.
+def sharp_ball(pair: AdmissiblePair, H: int) -> dict:
+    """{w: mu_w} for the w in W# with ht(rho - w rho) <= H, signs carried.
 
-    Heights are in the pair's frame, where W#'s simple roots alpha must be
-    positive (StructuralError).  v, made by reflecting in them while
-    <mu, alpha^vee> < 0, takes rho to its W#-dominant mu+ (v = 1 on
-    admissible pairs, by rho-descent), and w rho = x mu+ for x = w v^-1.
-    If s_alpha x is longer than x, then x^-1 alpha > 0, so
-    ht(rho - s_alpha x mu+) = ht(rho - x mu+) + <mu+, (x^-1 alpha)^vee>
-    ht(alpha) is no less: the height never falls along a reduced word,
-    and a walk from v, left-multiplying by simple reflections and pruned
-    past H, reaches the whole ball (also where v itself lies past H, and
-    the ball is empty).  A term `series.expand_raw` keeps has base height
-    ht(rho - w rho - phi) >= ht(rho - w rho), phi a sum of negative
-    roots: the ball holds it.
+    mu_w is the simple coordinates of rho - w rho in the pair's frame, an
+    int tuple, and its height is sum(mu_w).  W#'s simple roots alpha
+    must be positive in the frame (StructuralError).  v, made by
+    reflecting in them while <mu, alpha^vee> < 0, takes rho to its
+    W#-dominant mu+ (v = 1 on admissible pairs, by rho-descent), and
+    w rho = x mu+ for x = w v^-1.  If s_alpha x is longer than x, then
+    x^-1 alpha > 0, so ht(rho - s_alpha x mu+) = ht(rho - x mu+) +
+    <mu+, (x^-1 alpha)^vee> ht(alpha) is no less: the height never falls
+    along a reduced word, and a walk from v, left-multiplying by simple
+    reflections and pruned past H, reaches the whole ball (also where v
+    itself lies past H, and the ball is empty).
+
+    Only v's coordinates are solved (`SimpleSystem._raw_cone_key`).  A
+    step u = s_alpha w adds k c(alpha) to mu_w, c(alpha) being alpha's
+    step in the frame's root table and k = <w rho, alpha^vee> =
+    <rho, alpha^vee> - sum_j mu_w[j] <pi_j, alpha^vee>, on int rows built
+    once per generator (`_ball_move`).  k can be a half-integer (1/2 on
+    B(1,2) for alpha = 2 eps_2), so the lattice check is on k c(alpha):
+    a key that leaves the ints raises StructuralError, as does a start
+    key off the lattice, and no Fraction key is built.  A term the W#-sum
+    keeps has base key mu_w plus positive steps, so its height is no less
+    than sum(mu_w): the ball holds it.
     """
     rs, frame = pair.rs, pair.system
     gens = simple_reflections(rs.sharp & rs.positive_even)
@@ -259,9 +272,53 @@ def sharp_ball(pair: AdmissiblePair, H: int) -> tuple:
     while bent := [g for a, g in gens if form4(mu, a) * form4(a, a) < 0]:
         mu, v, sign = bent[0].apply(mu), _gather(bent[0].src, v), -sign
     r = frame.rho.doubled
-    return _closure(v, sign, [g for _, g in gens], rs.m, DEFAULT_CAP,
-                    lambda w: frame._raw_height(
-                        tuple(map(sub, r, _gather(w, r)))) <= H)
+    top = tuple(map(sub, r, _gather(v, r)))
+    start = frame._raw_cone_key(top)
+    if any(type(c) is not int for c in start):
+        raise StructuralError("rho - v rho = %s leaves the root lattice of "
+                              "the frame" % Weight(top, rs.m))
+    moves = [(_compiled(g), _ball_move(frame, a, g.sgn(), H))
+             for a, g in gens]
+    height = sum(start)
+    labels = _closure(v, (sign, start, height) if height <= H else None,
+                      moves, DEFAULT_CAP)
+    return {SignedPermutation(w, rs.m, s): key
+            for w, (s, key, _) in labels.items()}
+
+
+def _ball_move(frame: SimpleSystem, alpha: Weight, sign: int,
+               H: int) -> Callable:
+    """The walk's move for s_alpha: the label (sgn w, mu_w, sum(mu_w)) to
+    u's, u = s_alpha w, or None when u's height passes H.
+
+    k = num / form4(alpha, alpha) with num = 2 form4(w rho, alpha) =
+    base - mu_w . row, base = 2 form4(rho, alpha) and row_j = 2
+    form4(pi_j, alpha).  With d = gcd(form4(alpha, alpha), c(alpha)),
+    k c(alpha) = t (c(alpha) / d) for t = num / q, q = form4(alpha,
+    alpha) / d: an int tuple exactly when q divides num.  The height
+    rises by t ht(c(alpha) / d), so a key past H is never built.
+    """
+    norm = form4(alpha, alpha)
+    step = frame._root_steps[alpha.doubled][0]
+    d = math.gcd(norm, *step)
+    q, unit = norm // d, tuple(c // d for c in step)
+    rise = sum(unit)
+    base = 2 * form4(frame.rho, alpha)
+    row = tuple(2 * form4(b, alpha) for b in frame.simple_roots)
+
+    def move(label):
+        w_sign, mu, height = label
+        t, off = divmod(base - sum(map(mul, mu, row)), q)
+        if off:
+            raise StructuralError(
+                "the reflection in %s moves rho - w rho off the root "
+                "lattice of the frame" % alpha)
+        height += t * rise
+        if height > H:
+            return None
+        return (sign * w_sign, tuple([a + t * c for a, c in zip(mu, unit)]),
+                height)
+    return move
 
 
 def orbit(lam: Weight, group: Sequence[SignedPermutation]) -> list:

@@ -3,13 +3,20 @@
 The identity equates R e^rho, the Weyl denominator of the fixed root
 datum times e^rho, with the alternating W#-sum X of the geometric terms
 e^rho / prod_{beta in S}(1 + e^{-beta}) attached to an admissible pair.
-`verify` merges that sum once on raw doubled tuples, over the W#
-elements within H (`groups.sharp_ball`), and expands it with
-`series.expand_raw`; X is W#-alternating by construction, so skewness is
-checked under W_2 alone (W = W# x W_2).  Skew and the two W#-alternant
-lemmas, the dropped denominator and the exchange, are decided at every
-height on W#-straightened Laurent polynomials (`straighten`): none of
-them expands anything, and `verify` enumerates neither W nor W#.
+`verify` walks the W# elements within H (`groups.sharp_ball`), which
+carries each element's simple coordinates mu_w of rho - w rho, merges
+that sum once on frame keys (mu_w, sorted images of S) with
+`closed_form_terms`, and expands it with `series.expand_keyed`; the
+phi/|w| expansion starts each base key from mu_w too.  So the walk's
+start is the one solve of a pair.  X is W#-alternating by construction,
+so skewness is checked under W_2 alone (W = W# x W_2).  Skew and the two
+W#-alternant lemmas, the dropped denominator and the exchange, are
+decided at every height on W#-straightened Laurent polynomials
+(`straighten`): none of them expands anything, and `verify` enumerates
+neither W nor W#.  The frame-free raw sums, keyed on doubled exponents,
+that `closed_form_sum` builds over all of W# for the tests, and those of
+`cross_multiplied_check` and `y_shifts_by`, are solved once per distinct
+exponent by the one adapter of `series` (`series._frame_keys`).
 Everything here is exact: truncated series carry int coefficients, and
 cone questions go through the frame's one solve
 (`SimpleSystem._raw_cone_key`, over `weights.Elimination`), which
@@ -24,7 +31,7 @@ import math
 import time
 from collections.abc import Iterable, Sequence
 from itertools import permutations, product
-from operator import attrgetter, sub
+from operator import add, attrgetter
 
 from .errors import DomainError, ResourceLimitError, StructuralError
 from .groups import (DEFAULT_CAP, SignedPermutation, _gather,
@@ -35,8 +42,9 @@ from .groups import (DEFAULT_CAP, SignedPermutation, _gather,
 from .records import Record
 from .roots import (D_EPS, RootSystem, SuperType, build, diagram_type,
                     simple_roots)
-from .series import (FormalSeries, _accumulate, _ht, _Packing, expand_raw,
-                     multiply, normalize, positive_step)
+from .series import (FormalSeries, _accumulate, _flip, _frame_keys, _ht,
+                     _Packing, expand_keyed, multiply, normalize,
+                     positive_step)
 from .simple import (AdmissiblePair, SimpleSystem, even_frame,
                      isotropic_parts, second_type_move, standard_pair)
 from .straighten import Numerator
@@ -54,29 +62,20 @@ def _us(t0: float) -> int:
 # ---------------------------------------------------------------------------
 # the two sides
 
-def phi_data(w: SignedPermutation, pair: AdmissiblePair) -> tuple:
+def phi_data(w: SignedPermutation, pair: AdmissiblePair, mu: tuple) -> tuple:
     """(base_key, steps): per-element bookkeeping for the expanded form of X.
 
-    phi is the sum of the w-images of S that land negative and base_key
-    the cone coordinates of rho - (w rho + phi); steps lists, in the order
-    of S, the simple coordinates of the positive root +-w(beta).  It runs
-    on gathers of doubled tuples, each image looked up in the frame's
-    table of roots (StructuralError if it is none).
+    mu is w's key, the simple coordinates of rho - w rho (as
+    `groups.sharp_ball` carries them).  phi is the sum of the w-images of
+    S that land negative and base_key the simple coordinates of
+    rho - (w rho + phi): mu plus the steps of the negated images
+    (`series._flip`, StructuralError for an image that is no root).
+    steps lists, in the order of S, the simple coordinates of the
+    positive root +-w(beta).  Nothing is solved.
     """
     frame = pair.system
-    roots = frame._root_steps
-    r = frame.rho.doubled
-    acc = tuple(map(sub, r, _gather(w.src, r)))
-    steps = []
-    for b in pair.S:
-        wb = _gather(w.src, b.doubled)
-        if wb not in roots:
-            raise StructuralError("%s is not a root" % Weight(wb, frame.m))
-        step, negative = roots[wb]
-        if negative:
-            acc = tuple(map(sub, acc, wb))
-        steps.append(step)
-    return frame._raw_cone_key(acc), steps
+    shift, steps = _flip([_gather(w.src, b.doubled) for b in pair.S], frame)
+    return (mu if shift is None else tuple(map(add, mu, shift))), steps
 
 
 def _alternating_sum(group: Sequence[SignedPermutation], exponent: Weight,
@@ -124,11 +123,24 @@ def _denominator(frame: SimpleSystem, offset: Weight, odd: Iterable[Weight],
     return FormalSeries(frame, H, offset, multiply(H, [({zero: 1}, factors)]))
 
 
-def closed_form_sum(pair: AdmissiblePair,
-                    elements: Sequence | None = None) -> dict:
-    """sgn(w) w(Y) over elements (default W#), merged on raw keys."""
-    return _alternating_sum(sharp_group(pair.rs) if elements is None
-                            else elements, pair.system.rho, pair.S)
+def closed_form_sum(pair: AdmissiblePair) -> dict:
+    """sgn(w) w(Y) over all of W#, merged on raw keys: the frame-free sum
+    the tests and lemma checks read (`series.expand_raw` expands it)."""
+    return _alternating_sum(sharp_group(pair.rs), pair.system.rho, pair.S)
+
+
+def closed_form_terms(pair: AdmissiblePair, ball: dict) -> dict:
+    """sgn(w) w(Y) over the ball, merged on frame keys.
+
+    ball is `groups.sharp_ball`'s {w: mu_w}, and w(Y) is keyed on (mu_w,
+    sorted doubled images w beta), the keyed sum `series.expand_keyed`
+    expands: e^{w rho} is e^{rho - mu_w}.  One gather per image, and no
+    solve.
+    """
+    ds = [b.doubled for b in pair.S]
+    return _accumulate({}, (
+        ((mu, tuple(sorted([_gather(w.src, d) for d in ds]))), w.sgn())
+        for w, mu in ball.items()))
 
 
 def lhs(pair: AdmissiblePair, H: int) -> FormalSeries:
@@ -138,33 +150,34 @@ def lhs(pair: AdmissiblePair, H: int) -> FormalSeries:
 
 
 def rhs_closed(pair: AdmissiblePair, H: int,
-               merged: dict | None = None) -> FormalSeries:
+               terms: dict | None = None) -> FormalSeries:
     """X as the alternating W#-sum of geometric terms, expanded to H.
 
-    merged is `closed_form_sum` over `sharp_ball(pair, H)`, built here
+    terms is `closed_form_terms` over `sharp_ball(pair, H)`, built here
     unless the caller has it: `verify` shares the ball with rhs_expanded.
     """
-    if merged is None:
-        merged = closed_form_sum(pair, sharp_ball(pair, H))
-    return expand_raw(merged, pair.system, H)
+    if terms is None:
+        terms = closed_form_terms(pair, sharp_ball(pair, H))
+    return expand_keyed(terms, pair.system, H)
 
 
 def rhs_expanded(pair: AdmissiblePair, H: int,
-                 elements: Sequence | None = None) -> FormalSeries:
+                 ball: dict | None = None) -> FormalSeries:
     """X via the phi/|w| expansion; must agree with rhs_closed exactly.
 
-    The sum runs over elements of W# (default: `sharp_ball(pair, H)`, which
-    holds every w whose base key can lie within H).  An element whose
-    base key lies past H is dropped.  The window is packed once, above
-    the minimum of the base keys within H: every base key in one
+    The sum runs over ball, {w: mu_w} for elements of W# (default:
+    `sharp_ball(pair, H)`, which holds every w whose base key can lie
+    within H), each base key built from mu_w (`phi_data`).  An element
+    whose base key lies past H is dropped.  The window is packed once,
+    above the minimum of the base keys within H: every base key in one
     `_Packing.keys` call, and each distinct step once into a dict that
     every element's walk reads.
     """
     frame = pair.system
     rho = frame.rho
     chains = []
-    for w in sharp_ball(pair, H) if elements is None else elements:
-        base, steps = phi_data(w, pair)
+    for w, mu in (sharp_ball(pair, H) if ball is None else ball).items():
+        base, steps = phi_data(w, pair, mu)
         if _ht(base) <= H:
             chains.append((base, steps, w.sgn()))
     bases = [base for base, _, _ in chains]
@@ -239,25 +252,27 @@ class VerificationReport(Record):
 def verify(pair: AdmissiblePair, H: int = 8) -> VerificationReport:
     """Compare both sides to height H; cross-check the expansion and skewness.
 
-    Both sides of X sum over `sharp_ball(pair, H)`, and skewness is
-    decided by straightening (`skew_invariance_check`), so neither W nor
-    W# is enumerated.  Inequality is reported, never raised; the first
-    discrepancy names the exponent and both coefficients.
+    Both sides of X sum over `sharp_ball(pair, H)` and start from the
+    coordinates the walk carries, so the only solve is the walk's start,
+    and skewness is decided by straightening (`skew_invariance_check`),
+    so neither W nor W# is enumerated.  Inequality is reported, never
+    raised; the first discrepancy names the exponent and both
+    coefficients.
     """
     timings, checks, note = {}, {}, ""
     t = time.perf_counter()
     left = lhs(pair, H)
     timings["lhs"] = _us(t)
     t = time.perf_counter()
-    elements = sharp_ball(pair, H)
-    right = rhs_closed(pair, H, closed_form_sum(pair, elements))
+    ball = sharp_ball(pair, H)
+    right = rhs_closed(pair, H, closed_form_terms(pair, ball))
     timings["rhs_closed"] = _us(t)
     t = time.perf_counter()
     first = left.eq_report(right)
     checks["lhs_equals_rhs_closed"] = first is None
     timings["compare"] = _us(t)
     t = time.perf_counter()
-    expand = rhs_expanded(pair, H, elements)
+    expand = rhs_expanded(pair, H, ball)
     diff = right.eq_report(expand)
     checks["expansion_matches_closed_form"] = diff is None
     if first is None:
@@ -343,7 +358,8 @@ def cross_multiplied_check(pair: AdmissiblePair) -> tuple:
     """Compare X * prod_{odd+}(1+e^{-a}) with e^rho * prod_{even+}(1-e^{-a}).
 
     Both sides are finite Laurent polynomials, computed exactly as series
-    keyed by cone coordinates of rho - exponent.  Each side is one
+    keyed by cone coordinates of rho - exponent; each distinct w rho is
+    solved once (`series._frame_keys`).  Each side is one
     `multiply` at the larger of the two sides' heights, the tallest
     ht(base) + sum ht(step) of its chains, so nothing drops and both lie
     in one window unless some base key is negative.  Returns (equal,
@@ -355,8 +371,12 @@ def cross_multiplied_check(pair: AdmissiblePair) -> tuple:
     even = [positive_step(frame, a)
             for a in sorted(pair.rs.positive_even, key=coordinate_order)]
     chains, H = [], sum(map(_ht, even))
-    for w in sharp_group(pair.rs):
-        base, dropped = phi_data(w, pair)
+    group = sharp_group(pair.rs)
+    r = frame.rho.doubled
+    exponents = [_gather(w.src, r) for w in group]
+    keys = _frame_keys(frame, exponents)
+    for w, exponent in zip(group, exponents):
+        base, dropped = phi_data(w, pair, keys[exponent])
         steps = [step for step in odd if step not in dropped]
         H = max(H, _ht(base) + sum(map(_ht, steps)))
         chains.append(({base: w.sgn()}, [(step, 1) for step in steps]))
@@ -620,7 +640,15 @@ def _wall_keys(walls: Sequence, rank: int, H: int) -> list:
     """The keys k >= 0 of length rank, sum(k) <= H, with k . row < base
     for every (base, row) in walls, in lexicographic order.
 
-    regular_orbit_scan's pruned walk; its docstring has the bound.
+    regular_orbit_scan's pruned walk; its docstring has the bound.  At
+    each level the values v of the next coordinate that keep the prefix
+    form an interval, met at once by floor division: with rem the height
+    left, wall a passes v when partial_a + v c_a + (rem - v) f_a < base_a,
+    c_a the coordinate's entry of row_a and f_a the floor of the rest,
+    i.e. v d < R for d = c_a - f_a and R = base_a - partial_a - rem f_a.
+    That is v <= (R - 1) // d for d > 0, v >= R // d + 1 for d < 0, and
+    every v or none (R > 0 or not) for d = 0; the walk loops over the
+    intersection of these with 0..rem only.
     """
     bases = [base for base, _ in walls]
     columns = [[row[i] for _, row in walls] for i in range(rank)]
@@ -634,13 +662,19 @@ def _wall_keys(walls: Sequence, rank: int, H: int) -> list:
         if i == rank:
             out.append(key)
             return
-        column, floor = columns[i], floors[i + 1]
-        for v in range(rem + 1):
-            moved = [p + v * c for p, c in zip(partial, column)]
-            left = rem - v
-            if all(p + left * f < base
-                   for p, f, base in zip(moved, floor, bases)):
-                walk(i + 1, left, moved, key + (v,))
+        column = columns[i]
+        lo, hi = 0, rem
+        for p, c, f, base in zip(partial, column, floors[i + 1], bases):
+            d, R = c - f, base - p - rem * f
+            if d > 0:
+                hi = min(hi, (R - 1) // d)
+            elif d < 0:
+                lo = max(lo, R // d + 1)
+            elif R <= 0:
+                return
+        for v in range(lo, hi + 1):
+            walk(i + 1, rem - v, [p + v * c for p, c in zip(partial, column)],
+                 key + (v,))
 
     # the empty prefix is tested too: with rank 0 it is the one key
     if all(H * f < base for f, base in zip(floors[0], bases)):

@@ -6,14 +6,22 @@ coefficient of e^{offset - mu} keyed by the coordinate tuple of mu in the
 simple basis; the offset is the frame's rho unless stated otherwise.
 Truncation is by height (coordinate sum) of mu.
 
-A sum of geometric terms c e^{exponent} / prod_gamma (1 + e^{-gamma}) has
-one form, the merged raw dict {(exponent, sorted denominators): c} on
-doubled int tuples.  Its factors expand along the frame's positive
-direction, so `normalize` first makes every gamma positive and keys the
-term on (exponent, sorted steps), the steps being the simple coordinates
-of the positive denominators; `expand_raw` expands only what it returns,
-since skipping that rewrite silently changes which power series the
-product denotes, and reads each chain's factors straight from the key.
+A sum of geometric terms c e^{exponent} / prod_gamma (1 + e^{-gamma}) is
+expanded in one form, the keyed sum {(mu, sorted denominators): c}: mu
+is the int tuple of simple coordinates of offset - exponent and the
+denominators are doubled tuples.  `verify` builds it from the W# walk,
+which carries each element's coordinates (`groups.sharp_ball`), so it
+solves nothing.  A frame-free raw sum {(exponent, sorted denominators):
+c} on doubled tuples, as the tests and the lemma checks build it,
+reaches the same core through one adapter (`_on_frame`), which solves
+each distinct exponent once; those are the only solves in this module.
+The factors expand along the frame's positive direction, so
+`expand_keyed` first makes every gamma positive and keys the term on
+(mu, sorted steps), the steps being the simple coordinates of the
+positive denominators (`_normal_form`, which `normalize` also returns);
+it expands only that form, since skipping the rewrite silently changes
+which power series the product denotes, and reads each chain's factors
+straight from the key.
 
 The kernels run on packed int keys.  A builder takes lo, the
 coordinatewise minimum of its starting keys (every later key only climbs
@@ -381,17 +389,14 @@ def multiply(H, chains) -> tuple:
 
 
 def normalize(merged: dict, frame: SimpleSystem) -> dict:
-    """The merged raw sum on positive denominators, keyed by their steps.
+    """The normal form of a merged raw sum, keyed on frame coordinates.
 
     merged maps raw keys (exponent, sorted denominators), doubled tuples,
-    to coefficients.  A denominator gamma negative in the frame
-    (`SimpleSystem._root_steps`) is added to the exponent and negated,
-    since 1/(1 + e^{-gamma}) = e^{gamma}/(1 + e^{gamma}).  The normal form
-    maps (exponent, sorted steps) to coefficients, a step being the simple
-    coordinates of a positive denominator, which fix it; equal keys merge
-    and zero totals drop.  Each distinct denominator tuple is looked up
-    in the frame's table once (`_positive`).  A denominator that is no
-    root raises StructuralError.  No span is needed.
+    to coefficients; the exponents go through the one adapter
+    (`_on_frame`) and the result through `_normal_form`, which
+    `expand_keyed` expands.  Keys are (mu, sorted steps), mu the simple
+    coordinates of rho minus the exponent once every negative
+    denominator is made positive.
 
     Two sums denote the same function if their normal forms coincide, but
     not only if: in gl(2|1), with beta odd and positive,
@@ -399,15 +404,85 @@ def normalize(merged: dict, frame: SimpleSystem) -> dict:
     function, yet its three keys are distinct and all survive.  Equal
     normal forms prove equality; unequal ones prove nothing.
     """
-    roots, moves, out = frame._root_steps, {}, {}
-    for (exponent, denoms), c in merged.items():
+    return _normal_form(_on_frame(merged, frame), frame)
+
+
+def _frame_keys(frame: SimpleSystem, exponents, offset: Weight | None = None
+                ) -> dict:
+    """{exponent: simple coordinates of offset - exponent}, each exponent
+    a doubled tuple, offset a weight (default rho).
+
+    Each distinct exponent is solved once (`SimpleSystem._raw_cone_key`):
+    StructuralError outside the simple-root span, and for coordinates
+    that are not all ints, as no expansion can use such a key.
+    """
+    off = (frame.rho if offset is None else offset).doubled
+    out = {}
+    for exponent in exponents:
+        if exponent not in out:
+            mu = tuple(map(sub, off, exponent))
+            key = out[exponent] = frame._raw_cone_key(mu)
+            if any(type(c) is not int for c in key):
+                raise StructuralError("%s is not integral"
+                                      % Weight(mu, frame.m))
+    return out
+
+
+def _on_frame(merged: dict, frame: SimpleSystem,
+              offset: Weight | None = None) -> dict:
+    """The adapter from raw sums to the frame-coordinate core: merged with
+    each exponent replaced by its simple coordinates (`_frame_keys`).
+
+    Distinct exponents have distinct coordinates, so nothing merges.
+    """
+    keys = _frame_keys(frame, [exponent for exponent, _ in merged], offset)
+    return {(keys[exponent], denoms): c
+            for (exponent, denoms), c in merged.items()}
+
+
+def _flip(denoms, frame: SimpleSystem) -> tuple:
+    """(the summed steps of the negative denominators, or None if none is
+    negative; the steps of all of them, in order).
+
+    Each denominator is looked up in the frame's table of roots
+    (`SimpleSystem._root_steps`): StructuralError for one that is no
+    root.  A negative gamma has the step of -gamma, and as 1/(1 +
+    e^{-gamma}) = e^{gamma}/(1 + e^{gamma}), making it positive adds that
+    step to the term's key.
+    """
+    try:
+        looked = [frame._root_steps[g] for g in denoms]
+    except KeyError as exc:
+        raise StructuralError("denominator %s is not a root here"
+                              % Weight(exc.args[0], frame.m)) from None
+    shift = None
+    for step, negative in looked:
+        if negative:
+            shift = step if shift is None else tuple(map(add, shift, step))
+    return shift, [step for step, _ in looked]
+
+
+def _normal_form(keyed: dict, frame: SimpleSystem) -> dict:
+    """A keyed sum on positive denominators, keyed by their steps.
+
+    keyed maps (mu, sorted denominators) to coefficients, mu an int tuple
+    of simple coordinates and the denominators doubled tuples.  Every
+    negative denominator is made positive (`_flip`); the normal form maps
+    (mu plus their steps, sorted steps) to coefficients, a step being
+    the simple coordinates of a positive denominator, which fix it.
+    Equal keys merge and zero totals drop.  Each distinct denominator
+    tuple is looked up once.
+    """
+    moves, out = {}, {}
+    for (mu, denoms), c in keyed.items():
         move = moves.get(denoms)
         if move is None:
-            move = moves[denoms] = _positive(denoms, roots, frame)
+            shift, steps = _flip(denoms, frame)
+            move = moves[denoms] = shift, tuple(sorted(steps))
         shift, steps = move
         if shift is not None:
-            exponent = tuple(map(add, exponent, shift))
-        key = (exponent, steps)
+            mu = tuple(map(add, mu, shift))
+        key = (mu, steps)
         total = out.get(key, 0) + c     # `_accumulate`, inlined per key
         if total:
             out[key] = total
@@ -416,46 +491,31 @@ def normalize(merged: dict, frame: SimpleSystem) -> dict:
     return out
 
 
-def _positive(denoms: tuple, roots: dict, frame: SimpleSystem) -> tuple:
-    """(sum of the negative denominators or None, the sorted steps of the
-    denominators made positive) for one denominator tuple."""
-    try:
-        looked = [roots[g] for g in denoms]
-    except KeyError as exc:
-        raise StructuralError("denominator %s is not a root here"
-                              % Weight(exc.args[0], frame.m)) from None
-    shift = None
-    for g, (_, negative) in zip(denoms, looked):
-        if negative:
-            shift = g if shift is None else tuple(map(add, shift, g))
-    return shift, tuple(sorted([step for step, _ in looked]))
+def expand_keyed(keyed: dict, frame: SimpleSystem, H,
+                 offset: Weight | None = None) -> FormalSeries:
+    """Sum of the expansions of a keyed sum in the frame's directions.
+
+    The one normalize-and-expand core: keyed maps (mu, sorted
+    denominators) to coefficients, mu the simple coordinates of offset
+    (default rho) minus the term's exponent, so nothing is solved.  Its
+    normal form (`_normal_form`) is expanded; a key past height H is
+    culled, which is exact, as expanding adds positive steps, and only
+    after every denominator was looked up.  Expansion is linear and every
+    step positive, so the chains are grouped on the sorted steps into one
+    `multiply` (C(5) at H=10 keeps 194 keys with 10 distinct factor
+    lists).
+    """
+    chains = {}
+    for (mu, steps), c in _normal_form(keyed, frame).items():
+        if sum(mu) <= H:
+            chains.setdefault(steps, {})[mu] = c
+    return FormalSeries(frame, H, offset, multiply(H, [
+        (data, [(step, None) for step in steps])
+        for steps, data in chains.items()]))
 
 
 def expand_raw(merged: dict, frame: SimpleSystem, H,
                offset: Weight | None = None) -> FormalSeries:
-    """Sum of the expansions of a merged raw sum in the frame's directions.
-
-    merged is a merged raw sum (see `normalize`); no weight or term is
-    built.  Its normal form is expanded: offset - exponent must lie in the
-    span with an integer height, and a key past height H is then culled,
-    which is exact: expanding adds positive steps.  A base key off the
-    lattice keeps a Fraction, which packing refuses.  Expansion is linear
-    and every step positive, so the chains are grouped on the normal
-    form's sorted steps, summing their bases, into one `multiply` (C(5)
-    at H=10 keeps 194 keys with 10 distinct factor lists).
-    """
-    offset = frame.rho if offset is None else offset
-    off, chains = offset.doubled, {}
-    for (exponent, steps), c in normalize(merged, frame).items():
-        mu = tuple(map(sub, off, exponent))
-        ht = frame._raw_height(mu)
-        if type(ht) is not int:
-            raise StructuralError("%s is not integral" % Weight(mu, frame.m))
-        if ht > H:
-            continue
-        data = chains.setdefault(steps, {})
-        base = frame._raw_cone_key(mu)
-        data[base] = data.get(base, 0) + c
-    return FormalSeries(frame, H, offset, multiply(H, [
-        (data, [(step, None) for step in steps])
-        for steps, data in chains.items()]))
+    """`expand_keyed` on a merged raw sum, through the adapter
+    (`_on_frame`), which solves each distinct exponent once."""
+    return expand_keyed(_on_frame(merged, frame, offset), frame, H, offset)

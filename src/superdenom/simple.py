@@ -42,9 +42,8 @@ class SimpleSystem:
     solves, odd_reflection from the parent's table.  rho0, when given, is
     taken as the half sum of positive_even: a reflected system passes its
     parent's, over the same even half.  The elimination of
-    the simple roots is built only for a cone or height question:
-    `_raw_cone_key` (cone_key and cone wrap it) solves, and `_raw_height`
-    reads one height row, several times cheaper than a solve.
+    the simple roots is built only for a cone question or the height row
+    a diagram reads: `_raw_cone_key` (cone_key and cone wrap it) solves.
     """
 
     def __init__(self, simple_roots, rs, positive_even, positive_odd,
@@ -97,7 +96,8 @@ class SimpleSystem:
         Integer entries come back as ints, the rest as Fractions; the two
         hash alike, so mixed keys index the same series bucket.
         StructuralError outside the simple-root span.  Each call solves;
-        the hot paths call the raw forms below.
+        `verify` solves once per pair (the start of `groups.sharp_ball`)
+        and reads every other key off the walk.
         """
         return self._raw_cone_key(w.doubled)
 
@@ -146,14 +146,13 @@ class SimpleSystem:
 
     @cached_property
     def _height_functional(self) -> tuple:
-        """(row, den, null rows): ht(w) = (row . w.doubled) / den.
+        """(row, den): ht(w) = (row . w.doubled) / den on the span.
 
-        row sums the solve's rows over their pivots, so the dot product is
-        the sum of the simple coordinates; the null rows vanish exactly on
-        the simple-root span (with no simple roots, every unit row does).
-        den > 0, so row also orders the coordinates for a diagram
+        row sums the solve's rows over their pivots, so on the simple-root
+        span the dot product is the sum of the simple coordinates.  den > 0,
+        so row also orders the coordinates for a diagram
         (`diagrams.from_pair`).  Built on first use, since most frames
-        never ask for a height.
+        never ask for it.
         """
         solver = self._solver
         rank, dim = solver.rank, self.m + self.n
@@ -162,26 +161,7 @@ class SimpleSystem:
         for coeffs, d in solver.transform[:rank]:
             row = [a + den // d * c for a, c in zip(row, coeffs)]
         g = gcd(den, *row)
-        null = [c for c, _ in solver.transform[rank:]] if rank else \
-            [Weight.unit(k, self.m, self.n).doubled for k in range(dim)]
-        return tuple(v // g for v in row), den // g, tuple(map(tuple, null))
-
-    def _raw_height(self, t: tuple):
-        """ht(w), the sum of w's simple coordinates, as an int or Fraction.
-
-        t is w's doubled tuple.  One dot product with the height row, after
-        the null rows check the span: StructuralError outside the
-        simple-root span, as in cone_key.  Private on purpose: the W#-sum
-        cull runs it once per raw key.
-        """
-        row, den, null = self._height_functional
-        for n in null:
-            if sum(map(mul, n, t)):
-                raise StructuralError("%s is outside the simple-root span"
-                                      % Weight(t, self.m))
-        num = sum(map(mul, row, t))
-        q, r = divmod(num, den)
-        return Q(num, den) if r else q
+        return tuple(v // g for v in row), den // g
 
     def to_json(self) -> dict:
         from .roots import root_json

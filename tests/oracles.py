@@ -4,11 +4,12 @@ Each one is small, independent of the package's fast paths, and read by
 more than one test module, so it lives here rather than in the package.
 """
 
+from fractions import Fraction
 from operator import mul
 
 from superdenom.groups import (SignedPermutation, _compiled, _gather,
                                is_dominant, orbit, sharp_group, weyl_group)
-from superdenom.identity import _alternating_sum, _w2_generators, rhs_closed
+from superdenom.identity import _alternating_sum, _w2_generators
 from superdenom.roots import WEYL_TYPES
 from superdenom.series import _accumulate, _Packing, _product, expand_raw
 from superdenom.simple import even_frame
@@ -134,6 +135,44 @@ def box_scan_keys(walls, rank: int, H: int) -> list:
             if all(sum(map(mul, key, row)) < base for base, row in walls)]
 
 
+def wall_keys_by_value(walls, rank: int, H: int) -> list:
+    """`identity._wall_keys` testing every value v = 0..rem at each level.
+
+    The walk as first written: a prefix is kept when partial_a + rem *
+    min(0, min(row_a[i:])) < base_a for every wall a, each value of the
+    next coordinate tested one by one.
+    """
+    bases = [base for base, _ in walls]
+    columns = [[row[i] for _, row in walls] for i in range(rank)]
+    floors = [[0] * len(walls)]
+    for column in reversed(columns):
+        floors.insert(0, list(map(min, floors[0], column)))
+    out = []
+
+    def walk(i, rem, partial, key):
+        if i == rank:
+            out.append(key)
+            return
+        column, floor = columns[i], floors[i + 1]
+        for v in range(rem + 1):
+            moved = [p + v * c for p, c in zip(partial, column)]
+            left = rem - v
+            if all(p + left * f < base
+                   for p, f, base in zip(moved, floor, bases)):
+                walk(i + 1, left, moved, key + (v,))
+
+    if all(H * f < base for f, base in zip(floors[0], bases)):
+        walk(0, H, [0] * len(walls), ())
+    return out
+
+
+def height(frame, t: tuple):
+    """ht(w) read off the frame's height row, for w in the simple-root span
+    with doubled tuple t: an int or a Fraction."""
+    row, den = frame._height_functional
+    return Fraction(sum(map(mul, row, t)), den)
+
+
 def dump_lines(series) -> list:
     """One line per term of a series: coefficient, mu over the frame, exponent.
 
@@ -164,7 +203,7 @@ def window_skew_check(pair, H: int) -> tuple:
     if not gens:
         return None, None
     merged = _alternating_sum(sharp_group(pair.rs), pair.system.rho, pair.S)
-    X = rhs_closed(pair, H, merged)
+    X = expand_raw(merged, pair.system, H)
     for root, g in gens:
         sign = g.sgn()
         moved = acted_sum(merged, g)

@@ -13,7 +13,7 @@ from superdenom.groups import (SignedPermutation, check_stabilizer_dichotomy,
                                stabilizer, weyl_generators, weyl_group)
 from superdenom.roots import SuperType, build
 from superdenom.simple import AdmissiblePair, derive, even_frame, standard_pair
-from superdenom.weights import Weight, bilinear_form, coordinate_order
+from superdenom.weights import Weight, bilinear_form, coordinate_order, form4
 
 from oracles import dominant_representative, external_delta_flips, inverse
 
@@ -276,3 +276,35 @@ def test_sharp_ball_refuses_a_frame_with_a_negative_w_sharp_root():
     turned = AdmissiblePair(tuple(s.apply(b) for b in pair.S), frame)
     with pytest.raises(StructuralError, match="negative in this frame"):
         sharp_ball(turned, 4)
+
+
+def test_sharp_ball_refuses_a_rho_off_the_root_lattice():
+    # rho moved by half a unit vector pairs to a half-integer with
+    # eps_1 - eps_2, whose step is integral: the first step's key would
+    # leave the ints, and the walk raises instead of building a Fraction
+    for stype in (SuperType("C", n=3), SuperType("B", 2, 1)):
+        rs = build(stype)
+        pair = standard_pair(rs, "step2")
+        frame = pair.system
+        frame.rho = frame.rho + Weight.unit(0, rs.m, rs.n).scale(
+            Fraction(1, 2))
+        with pytest.raises(StructuralError, match="off the root lattice"):
+            sharp_ball(pair, 4)
+
+
+def test_sharp_ball_takes_half_integral_pairings_whose_steps_are_integral():
+    # on B(1,2), <rho, alpha^vee> = 1/2 for W#'s simple root alpha =
+    # 2 eps_2, yet k c(alpha) stays on the lattice, as c(alpha) is even:
+    # the ball is the height filter of W#, with the solved keys
+    rs = build(SuperType("B", 1, 2))
+    pair = standard_pair(rs, "step2")
+    frame = pair.system
+    rho = frame.rho
+    halves = [a for a, _ in simple_reflections(rs.sharp & rs.positive_even)
+              if 2 * form4(rho, a) % form4(a, a)]
+    assert halves == [rs.eps(2).scale(2)]
+    keys = {w: frame.cone_key(rho - w.apply(rho)) for w in sharp_group(rs)}
+    for H in range(8):
+        ball = sharp_ball(pair, H)
+        assert ball == {w: key for w, key in keys.items() if sum(key) <= H}
+    assert len(sharp_ball(pair, 7)) == len(keys) == 8

@@ -30,11 +30,11 @@ from superdenom.simple import (AdmissiblePair, even_frame, second_type_move,
                                second_type_moves, standard_pair,
                                standard_pairs)
 from superdenom.straighten import Numerator
-from superdenom.weights import Weight, coordinate_order
+from superdenom.weights import Elimination, Weight, coordinate_order
 
 from oracles import (acted_sum, box_keys, box_scan_keys,
                      dominant_representative, external_delta_flips,
-                     window_skew_check)
+                     wall_keys_by_value, window_skew_check)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -378,6 +378,24 @@ def test_pruned_walk_keeps_exactly_the_box_keys_inside_the_walls(monkeypatch):
             assert len(keys) == len(reps)
 
 
+@pytest.mark.parametrize("stype", [SuperType("GL", 3, 3), SuperType("C", n=3)])
+def test_interval_walk_matches_the_value_by_value_walk(monkeypatch, stype):
+    # the walls the scan builds at H = 0..30, against the walk that tests
+    # every value of each coordinate (`oracles.wall_keys_by_value`): same
+    # keys, same order
+    real, seen = identity._wall_keys, []
+    monkeypatch.setattr(identity, "_wall_keys", lambda walls, rank, H:
+                        seen.append((walls, rank, H)) or real(walls, rank, H))
+    rs = build(stype)
+    for H in range(31):
+        seen.clear()
+        reps = regular_orbit_scan(rs, H)
+        ((walls, rank, got_H),) = seen
+        keys = real(walls, rank, H)
+        assert keys == wall_keys_by_value(walls, rank, H), (stype, H)
+        assert got_H == H and len(keys) == len(reps)
+
+
 _WALLS = st.integers(0, 5).flatmap(lambda rank: st.tuples(
     st.just(rank),
     st.lists(st.tuples(st.integers(-12, 12),
@@ -396,7 +414,9 @@ def test_pruned_walk_matches_the_box_on_random_walls(case, H):
     # rows of mixed signs make the bound rem * min(0, min(row[i:])) bite
     # on walls that no rho_0 gives
     rank, walls = case
-    assert _wall_keys(walls, rank, H) == box_scan_keys(walls, rank, H)
+    keys = _wall_keys(walls, rank, H)
+    assert keys == box_scan_keys(walls, rank, H)
+    assert keys == wall_keys_by_value(walls, rank, H)
 
 
 def test_orbit_scan_rejects_a_classification_it_does_not_meet(monkeypatch):
@@ -473,18 +493,65 @@ def test_verify_catches_a_flipped_term(monkeypatch):
     # the identity's term has base key 0, so no height culls it from the
     # ball's sum; skew straightens f, read off the pair, and never reads
     # the merged sum, so the flip fails the two checks that do read it
-    original = identity.closed_form_sum
+    original = identity.closed_form_terms
 
-    def flipped(p, elements=None):
-        merged = original(p, elements)
-        own = (p.system.rho.doubled, tuple(sorted(b.doubled for b in p.S)))
-        merged[own] = -merged[own]
-        return merged
+    def flipped(p, ball):
+        terms = original(p, ball)
+        own = ((0,) * len(p.system.simple_roots),
+               tuple(sorted(b.doubled for b in p.S)))
+        terms[own] = -terms[own]
+        return terms
 
-    monkeypatch.setattr(identity, "closed_form_sum", flipped)
+    monkeypatch.setattr(identity, "closed_form_terms", flipped)
     for fam, m, n in (("GL", 2, 2), ("C", 1, 3), ("GL", 3, 1)):
         assert _failed_checks(verify(_pair(fam, m, n), H=5)) == {
             "lhs_equals_rhs_closed", "expansion_matches_closed_form"}
+
+
+def test_verify_catches_a_shifted_key_of_the_ball(monkeypatch):
+    # the identity's carried key moved by the step of the first simple
+    # root, (1, 0, ..., 0): its term leaves key 0, so lhs, which never
+    # reads the ball, differs at e^rho.  Both W# sides build their base
+    # keys from the walk's keys, so they move together, and
+    # expansion_matches_closed_form may still pass (it does here); skew
+    # straightens f and never reads the ball
+    original = identity.sharp_ball
+
+    def shifted(p, H):
+        ball = original(p, H)
+        one = next(w for w in ball if w.is_identity())
+        ball[one] = (ball[one][0] + 1,) + ball[one][1:]
+        return ball
+
+    monkeypatch.setattr(identity, "sharp_ball", shifted)
+    for fam, m, n in (("GL", 2, 2), ("C", 1, 3), ("B", 2, 1), ("D", 3, 2)):
+        assert _failed_checks(verify(_pair(fam, m, n), H=5)) == {
+            "lhs_equals_rhs_closed"}, (fam, m, n)
+
+
+@pytest.mark.parametrize("stype", [SuperType("D", 4, 2), SuperType("B", 4, 3)])
+def test_verify_solves_once_per_pair(monkeypatch, stype):
+    # verify-wsharp's osp jobs at H=8: the walk's start is the one solve
+    # of a pair; every other key is carried or stepped on ints, and no
+    # height row is read
+    solves, eliminations = [], []
+    real_key = simple.SimpleSystem._raw_cone_key
+    real_numerators = Elimination.numerators
+    monkeypatch.setattr(simple.SimpleSystem, "_raw_cone_key",
+                        lambda frame, t: solves.append(frame)
+                        or real_key(frame, t))
+    monkeypatch.setattr(Elimination, "numerators",
+                        lambda solver, t: eliminations.append(solver)
+                        or real_numerators(solver, t))
+    pairs = standard_pairs(build(stype))
+    assert len(pairs) == {"D": 4, "B": 2}[stype.family]
+    for _, pair in pairs:
+        solves.clear(), eliminations.clear()
+        assert verify(pair, H=8).equal
+        assert len(solves) <= 1 and len(eliminations) == len(solves)
+        assert all(frame is pair.system for frame in solves)
+        assert "_height_functional" not in vars(pair.system)
+    assert not hasattr(simple.SimpleSystem, "_raw_height")
 
 
 def test_verify_catches_a_shifted_rho():
@@ -557,10 +624,15 @@ def test_no_report_reads_the_order_of_group_elements(monkeypatch):
         SuperType("B", 3, 2), SuperType("D", 3, 2), SuperType("D", 4, 2),
         SuperType("C", n=4)) for _, pair in standard_pairs(build(stype))]
     before = _reports(pairs, range(3, 7), 6)
+    def reversed_order(out):
+        # the ball is a dict {w: mu_w}, the groups are tuples
+        return dict(reversed(out.items())) if isinstance(out, dict) \
+            else out[::-1]
+
     for name in ("sharp_group", "weyl_group", "sharp_ball"):
         monkeypatch.setattr(identity, name,
                             lambda *args, f=getattr(identity, name):
-                            f(*args)[::-1])
+                            reversed_order(f(*args)))
     assert identity.sharp_group(pairs[0].rs) == \
         groups.sharp_group(pairs[0].rs)[::-1]
     assert _reports(pairs, range(3, 7), 6) == before
@@ -711,8 +783,8 @@ def _refuse_expansion(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the check expanded")
 
-    for name in ("expand_raw", "rhs_closed", "sharp_ball", "sharp_group",
-                 "_alternating_sum", "normalize"):
+    for name in ("expand_keyed", "rhs_closed", "sharp_ball", "sharp_group",
+                 "_alternating_sum", "normalize", "closed_form_terms"):
         monkeypatch.setattr(identity, name, refused)
 
 
@@ -849,13 +921,13 @@ def test_verify_builds_the_w_sharp_terms_once(monkeypatch, stype, variant):
     # which straightens f instead, builds none
     pair = standard_pair(build(stype), variant)
     calls = []
-    original = identity.closed_form_sum
+    original = identity.closed_form_terms
 
-    def counting(p, elements=None):
+    def counting(p, ball):
         calls.append(p)
-        return original(p, elements)
+        return original(p, ball)
 
-    monkeypatch.setattr(identity, "closed_form_sum", counting)
+    monkeypatch.setattr(identity, "closed_form_terms", counting)
     assert verify(pair, H=5).equal
     assert calls == [pair]
 

@@ -10,7 +10,8 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superdenom.groups import sharp_ball, sharp_group, weyl_generators
+from superdenom.groups import (SignedPermutation, sharp_ball, sharp_group,
+                               weyl_generators)
 from superdenom.identity import (_alternating_sum, closed_form_sum,
                                  cross_multiplied_check,
                                  dropped_denominator_sum_vanishes,
@@ -24,7 +25,7 @@ from superdenom.simple import (derive, enumerate_admissible_pairs,
                                second_type_move, second_type_moves)
 from superdenom.weights import Weight, coordinate_order
 
-from oracles import acted_sum, window_skew_check
+from oracles import acted_sum, height, window_skew_check
 
 _SYSTEMS = (
     [SuperType("GL", m, n) for m in range(1, 6) for n in range(6 - m)]
@@ -142,7 +143,8 @@ def test_height_culling_drops_only_terms_past_h(case):
             {} if codec is None else codec.unpack(packed))
     acc = {}
     for w in sharp_group(pair.rs):
-        base, steps = phi_data(w, pair)
+        base, steps = phi_data(w, pair, frame.cone_key(
+            frame.rho - w.apply(frame.rho)))
         images = [w.apply(b) for b in pair.S]
         negative = [wb for wb in images if not frame.is_positive_root(wb)]
         assert base == frame.cone_key(frame.rho - w.apply(frame.rho) - sum(
@@ -217,7 +219,7 @@ def test_simple_coordinates_agree_on_combinations_of_roots(case, data):
                                          st.integers(-3, 3)), max_size=4))
     w = sum((root.scale(c) for root, c in terms), zero)
     key = frame._raw_cone_key(w.doubled)
-    assert frame._raw_height(w.doubled) == sum(key)
+    assert height(frame, w.doubled) == sum(key)
     assert frame.cone_key(w) == key
     assert frame.weight(key) == w
     coords = frame.cone(w)
@@ -252,6 +254,33 @@ def test_sharp_ball_is_the_height_filter_of_w_sharp(case, data):
             assert {w: w.sgn() for w in ball} == want
     finally:
         frame.rho = rho
+
+
+@settings(deadline=None, max_examples=60)
+@given(_pair_and_height(max_height=12), st.data())
+def test_sharp_ball_carries_the_keys_of_rho_minus_w_rho(case, data):
+    # the keyed walk against W# filtered by solved keys: the ball, its
+    # signs (parity recomputed from the gather tuple) and every carried
+    # key, with rho shifted by a root or not, so the walk also starts
+    # from a v other than 1
+    pair, H = case
+    frame = pair.system
+    roots = sorted(frame.positive_roots, key=coordinate_order)
+    shift = data.draw(st.sampled_from([None] + roots))
+    rho = frame.rho
+    try:
+        if shift is not None:
+            frame.rho = rho + shift.scale(data.draw(st.sampled_from([1, -2])))
+        keys = {w: frame.cone_key(frame.rho - w.apply(frame.rho))
+                for w in sharp_group(pair.rs)}
+        ball = sharp_ball(pair, H)
+    finally:
+        frame.rho = rho
+    want = {w: key for w, key in keys.items() if sum(key) <= H}
+    assert {w: w.sgn() for w in ball} == {
+        w: SignedPermutation(w.src, w.m).sgn() for w in want}
+    assert ball == want
+    assert all(type(c) is int for key in ball.values() for c in key)
 
 
 @settings(deadline=None, max_examples=60)

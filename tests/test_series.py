@@ -29,9 +29,10 @@ def _raw(exponent, *denoms) -> tuple:
     return exponent.doubled, tuple(sorted(d.doubled for d in denoms))
 
 
-def _normal(exponent, *steps) -> tuple:
-    """A key of the normal form: the doubled exponent, the sorted steps."""
-    return exponent.doubled, tuple(sorted(steps))
+def _normal(frame, exponent, *steps) -> tuple:
+    """A key of the normal form: the simple coordinates of rho minus the
+    exponent, the sorted steps."""
+    return frame.cone_key(frame.rho - exponent), tuple(sorted(steps))
 
 
 def _add(a, b):
@@ -47,23 +48,24 @@ def _tuples(window) -> dict:
 
 
 def test_geometric_term_normalization():
-    # the normal form keys each term on its exponent and the sorted simple
-    # coordinates of its denominators made positive: beta = e1 - d1 is
-    # (0, 1) and gamma = d1 - e2 is (1, 0) in gl(2|1)'s step2 frame
+    # the normal form keys each term on the simple coordinates of rho
+    # minus its exponent and the sorted simple coordinates of its
+    # denominators made positive: beta = e1 - d1 is (0, 1) and
+    # gamma = d1 - e2 is (1, 0) in gl(2|1)'s step2 frame
     rs, frame = _gl21()
     beta = rs.eps(1) - rs.delta(1)
     zero = Weight.zero(2, 1)
     # 1/(1 + e^{beta}) = e^{-beta}/(1 + e^{-beta})
     assert normalize({_raw(zero, -beta): 1}, frame) \
-        == {_normal(-beta, (0, 1)): 1}
+        == {_normal(frame, -beta, (0, 1)): 1}
     # a positive denominator only trades for its steps; a mixed key's
     # steps are sorted
     assert normalize({_raw(zero, beta): 1}, frame) \
-        == {_normal(zero, (0, 1)): 1}
+        == {_normal(frame, zero, (0, 1)): 1}
     gamma = rs.delta(1) - rs.eps(2)
     assert frame.is_positive_root(gamma)
     assert normalize({_raw(zero, beta, -gamma): 2}, frame) \
-        == {_normal(-gamma, (1, 0), (0, 1)): 2}
+        == {_normal(frame, -gamma, (1, 0), (0, 1)): 2}
     with pytest.raises(StructuralError, match="not a root"):
         normalize({_raw(zero, beta.scale(2)): 1}, frame)
 
@@ -77,13 +79,17 @@ def test_act_moves_exponent_and_denoms():
 
 
 def test_canonical_terms_merge_and_cancel():
-    # e^{e1+b}/(1+e^{b}) normalizes onto the key of e^{e1}/(1+e^{-b})
+    # e^{rho+b}/(1+e^{b}) normalizes onto the key of e^{rho}/(1+e^{-b});
+    # the keys are solved from rho, so an exponent off the span of
+    # gl(2|1)'s simple roots, such as e1, is refused
     rs, frame = _gl21()
-    beta = rs.eps(1) - rs.delta(1)
-    a, b = _raw(rs.eps(1), beta), _raw(rs.eps(1) + beta, -beta)
+    beta, rho = rs.eps(1) - rs.delta(1), frame.rho
+    a, b = _raw(rho, beta), _raw(rho + beta, -beta)
     assert normalize({a: 1, b: -1}, frame) == {}
     assert normalize({a: 1, b: Q(1, 2)}, frame) \
-        == {_normal(rs.eps(1), (0, 1)): Q(3, 2)}
+        == {_normal(frame, rho, (0, 1)): Q(3, 2)}
+    with pytest.raises(StructuralError, match="outside"):
+        normalize({_raw(rs.eps(1), beta): 1}, frame)
 
 
 def test_canonical_terms_decide_equality_if_not_only_if():
@@ -448,7 +454,7 @@ def test_multiply_and_rhs_expanded_pack_keys_and_steps_once(monkeypatch):
     expanded = rhs_expanded(pair, 6)
     assert len(keys) == 1 and len(steps) == len(set(steps))
     monkeypatch.undo()
-    kept = [phi_data(w, pair) for w in sharp_ball(pair, 6)]
+    kept = [phi_data(w, pair, mu) for w, mu in sharp_ball(pair, 6).items()]
     kept = [(base, s) for base, s in kept if sum(base) <= 6]
     assert keys[0] == len(kept)
     assert set(steps) == {step for _, s in kept for step in s}

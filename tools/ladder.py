@@ -7,7 +7,11 @@ Each rung is the standard-pair `superdenom verify --variant step2
 D(4,2) H=64 and C(5) H=110), or a `superdenom qn` run, run three
 times, each in its own process from DIR/src; the record keeps the median
 wall time, the three samples and the per-phase times of the median run
-(from the report's own `timings`, in microseconds).  The structure rungs
+(from the report's own `timings`, in microseconds, summed over its
+reports).  The two W# rungs are `superdenom verify` with no --variant on
+D(4,2) and B(4,3) at H=8, every standard pair in one process, the shape
+of perfbench's verify-wsharp jobs; three pairs of samples do not
+resolve a change to them, so they take SHORT_SAMPLES.  The structure rungs
 (`pairs`, `diagram` and `orbits`, none of which expands a series) are
 timed the same way and keep only their wall times and exit codes.  The
 startup rung, `superdenom build` on gl(3|3), is mostly interpreter
@@ -81,7 +85,7 @@ REFERENCE = ROOT / "perfbench" / "reference.py"
 # perfbench/run.py's REFERENCE_S: the probe's seconds on an unloaded host
 REFERENCE_S = 0.130
 SAMPLES = 3
-# the rungs under 0.1 s: startup and structure
+# the rungs under 0.1 s, startup and structure, and the W# rungs
 SHORT_SAMPLES = 11
 
 # (label, family arguments, height): the tall rungs the benchmark leaves
@@ -96,6 +100,14 @@ LADDER = (
     ("C(5)", ("--family", "C", "--n", "5"), 110),
     ("B(4,3)", ("--family", "B", "--m", "4", "--n", "3"), 10),    # cheapest
 )
+
+# (label, arguments): verify-wsharp's osp jobs, all standard variants in
+# one process, timed SHORT_SAMPLES times
+WSHARP = tuple(
+    ("verify %s H=8" % name, ("verify", "--family", fam, "--m", m, "--n", n,
+                              "--height", "8"))
+    for name, fam, m, n in (("D(4,2)", "D", "4", "2"),
+                            ("B(4,3)", "B", "4", "3")))
 
 # (label, arguments): the q(n) identity, its phases timed like a verify rung
 QN = (
@@ -143,15 +155,20 @@ def _verify_args(family: tuple, height: int) -> tuple:
 
 
 def time_rung(repo: Path, args: tuple) -> dict:
-    """One `verify` or `qn` process: wall seconds, phase seconds, verdict."""
+    """One `verify` or `qn` process: wall seconds, phase seconds summed
+    over its reports, verdict."""
     out, stdout = _run(repo, args)
     if out["exit"] != 0:
         return out
     result = json.loads(stdout)["result"]
-    (report,) = result.get("reports", [result])
-    out["equal"] = report["equal"]
+    reports = result.get("reports", [result])
+    phases = {}
+    for report in reports:
+        for k, v in report["timings"].items():
+            phases[k] = phases.get(k, 0) + v
+    out["equal"] = all(report["equal"] for report in reports)
     out["phases_s"] = {k: round(v / 1e6, 3)
-                       for k, v in sorted(report["timings"].items())}
+                       for k, v in sorted(phases.items())}
     return out
 
 
@@ -269,6 +286,9 @@ def ladder(repos: list) -> tuple:
               for name, family, height in LADDER]
     for key, command in verify + list(QN):
         rungs[key] = measure(key, lambda r: time_rung(r, command))
+    for key, command in WSHARP:
+        rungs[key] = measure(key, lambda r: time_rung(r, command),
+                             SHORT_SAMPLES)
     structure = {key: measure(key, lambda r: _run(r, command)[0],
                               SHORT_SAMPLES)
                  for key, command in STRUCTURE}
